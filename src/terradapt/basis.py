@@ -20,6 +20,8 @@ values, reshaped row-major with the theta index slowest, i.e. element
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .serialize import load_arrays, save_arrays
@@ -84,7 +86,9 @@ def power_iteration_norm(w: np.ndarray, u0: np.ndarray | None = None,
         u = rng.normal(size=p)
     else:
         u = u0.copy()
-    un = np.linalg.norm(u)
+    # math.sqrt(v @ v) is how np.linalg.norm computes a 1-D norm, without
+    # its per-call dispatch
+    un = math.sqrt(u @ u)
     if un == 0:
         u = np.ones(p)
         un = np.sqrt(p)
@@ -92,12 +96,12 @@ def power_iteration_norm(w: np.ndarray, u0: np.ndarray | None = None,
     sigma = 0.0
     for it in range(max_iters):
         v = w.T @ u
-        vn = np.linalg.norm(v)
+        vn = math.sqrt(v @ v)
         if vn == 0:
             return 0.0, u
         v /= vn
         wu = w @ v
-        new_sigma = np.linalg.norm(wu)
+        new_sigma = math.sqrt(wu @ wu)
         if new_sigma == 0:
             return 0.0, u
         u = wu / new_sigma
@@ -324,20 +328,25 @@ class BasisNet:
 
     @classmethod
     def load(cls, path) -> "BasisNet":
-        arrays, meta = load_arrays(path, expect_kind=CHECKPOINT_KIND)
-        if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('checkpoint_version')}")
-        net = cls(meta["state_dim"], meta["feature_dim"], meta["n"], meta["m"],
-                  meta["n_theta"], hidden=tuple(meta["hidden"]), activation=meta["activation"])
-        for i in range(len(net.weights)):
-            w = arrays[f"W{i}"]
-            b = arrays[f"b{i}"]
-            if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
-                raise ValueError(f"checkpoint layer {i} has shape {w.shape}, "
-                                 f"expected {net.weights[i].shape}")
-            net.weights[i] = w.astype(float)
-            net.biases[i] = b.astype(float)
-        return net
+        return load_checkpoint(path)[0]
+
+
+def load_checkpoint(path) -> tuple[BasisNet, dict]:
+    """Network and header of a checkpoint, from one read of the file."""
+    arrays, meta = load_arrays(path, expect_kind=CHECKPOINT_KIND)
+    if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('checkpoint_version')}")
+    net = BasisNet(meta["state_dim"], meta["feature_dim"], meta["n"], meta["m"],
+                   meta["n_theta"], hidden=tuple(meta["hidden"]), activation=meta["activation"])
+    for i in range(len(net.weights)):
+        w = arrays[f"W{i}"]
+        b = arrays[f"b{i}"]
+        if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
+            raise ValueError(f"checkpoint layer {i} has shape {w.shape}, "
+                             f"expected {net.weights[i].shape}")
+        net.weights[i] = w.astype(float)
+        net.biases[i] = b.astype(float)
+    return net, meta
 
 
 def read_checkpoint_meta(path) -> dict:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .basis import BasisNet, ConstantBasis, read_checkpoint_meta
+from .basis import ConstantBasis, load_checkpoint
 from .config import Config, config_to_dict
 from .control import (AckermannController, AckermannGains, AdaptParams,
                       ResidualFilter, TrackedController, TrackedGains)
@@ -87,13 +87,15 @@ def _adapt_params_for(cfg: Config, n_theta: int) -> AdaptParams:
 
 
 def _load_basis(cfg: Config, out_dir: str):
-    path = resolve_path(cfg.controller.checkpoint, out_dir)
-    net = BasisNet.load(path)
-    meta = read_checkpoint_meta(path)
+    """(net, theta_r) from the configured checkpoint."""
+    net, meta = load_checkpoint(resolve_path(cfg.controller.checkpoint, out_dir))
     return net, meta.get("theta_r")
 
 
-def build_tracked_controller(cfg: Config, variant: str, out_dir: str) -> TrackedController:
+def build_tracked_controller(cfg: Config, variant: str, out_dir: str,
+                             checkpoint=None) -> TrackedController:
+    """Controller for one variant. A dnn variant uses checkpoint, the
+    (net, theta_r) pair of _load_basis, or reads it from out_dir when None."""
     base, adapt = split_variant(variant)
     g = cfg.controller.gains
     gains = TrackedGains(k_px=g.k_px, k_py=g.k_py, k_psi=g.k_psi,
@@ -103,7 +105,7 @@ def build_tracked_controller(cfg: Config, variant: str, out_dir: str) -> Tracked
     if base == "constant":
         basis = ConstantBasis(2, 2)
     elif base == "dnn":
-        basis, theta_r = _load_basis(cfg, out_dir)
+        basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
         if theta0 is None:
             theta0 = theta_r
     n_theta = basis.n_theta if basis is not None else 1
@@ -115,7 +117,9 @@ def build_tracked_controller(cfg: Config, variant: str, out_dir: str) -> Tracked
         control_period=cfg.sim.control_period)
 
 
-def build_ackermann_controller(cfg: Config, variant: str, out_dir: str) -> AckermannController:
+def build_ackermann_controller(cfg: Config, variant: str, out_dir: str,
+                               checkpoint=None) -> AckermannController:
+    """Ackermann counterpart of build_tracked_controller."""
     base, adapt = split_variant(variant)
     g = cfg.controller.gains
     gains = AckermannGains(k_p=g.k_p, k_v=g.k_v, k_fwd=g.k_fwd, b_min=g.b_min)
@@ -124,7 +128,7 @@ def build_ackermann_controller(cfg: Config, variant: str, out_dir: str) -> Acker
     if base == "constant":
         basis = ConstantBasis(2, 1)
     elif base == "dnn":
-        basis, theta_r = _load_basis(cfg, out_dir)
+        basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
         if theta0 is None:
             theta0 = theta_r
     n_theta = basis.n_theta if basis is not None else 1
@@ -731,6 +735,9 @@ def run_scenario(cfg: Config, variants: list | None = None,
     if sc.telemetry:
         os.makedirs(tele_dir, exist_ok=True)
 
+    # one network for every dnn episode: controllers only evaluate it
+    checkpoint = (_load_basis(cfg, out_dir)
+                  if any(split_variant(v)[0] == "dnn" for v in variants) else None)
     results: list[RunResult] = []
     for r in range(sc.runs):
         ss = np.random.SeedSequence([cfg.seed, _SCENARIO_DOMAIN, r])
@@ -743,12 +750,12 @@ def run_scenario(cfg: Config, variants: list | None = None,
                                        mode=cfg.provider.mode)
             meas_rng = np.random.default_rng(meas_ss)
             if is_ackermann:
-                controller = build_ackermann_controller(cfg, variant, out_dir)
+                controller = build_ackermann_controller(cfg, variant, out_dir, checkpoint)
                 res, rows, cols = simulate_ackermann(world, cfg, controller, policy,
                                                      provider, meas_rng, start,
                                                      sc.duration_s)
             else:
-                controller = build_tracked_controller(cfg, variant, out_dir)
+                controller = build_tracked_controller(cfg, variant, out_dir, checkpoint)
                 fault = FaultSchedule.from_config(sc.fault)
                 res, rows, cols = simulate_tracked(world, cfg, controller, policy,
                                                    provider, meas_rng, start,
@@ -758,8 +765,9 @@ def run_scenario(cfg: Config, variants: list | None = None,
                 write_csv(os.path.join(tele_dir, f"{variant}_run{r:03d}.csv"),
                           cols, rows)
 
-    _write_run_outputs(cfg, variants, results, out_dir)
-    return summarize_results(cfg, variants, results)
+    summary = summarize_results(cfg, variants, results)
+    _write_run_outputs(cfg, variants, results, summary, out_dir)
+    return summary
 
 
 def _json_safe(x):
@@ -776,6 +784,7 @@ def summarize_results(cfg: Config, variants: list, results: list) -> dict:
     """Aggregate per-variant stats and paired improvements vs the first variant."""
     metrics = ("position_rmse", "velocity_rmse", "cum_tracking_error")
     by_variant = {v: [r for r in results if r.variant == v] for v in variants}
+    by_run = {v: {r.run: r for r in rs} for v, rs in by_variant.items()}
     stats = {}
     for v, rs in by_variant.items():
         entry = {"runs": len(rs), "aborted": sum(r.aborted for r in rs)}
@@ -799,8 +808,8 @@ def summarize_results(cfg: Config, variants: list, results: list) -> dict:
             # paired over runs where both variants completed
             bvals, vvals = [], []
             for r in range(cfg.scenario.runs):
-                b = next((x for x in by_variant[base] if x.run == r), None)
-                c = next((x for x in by_variant[v] if x.run == r), None)
+                b = by_run[base].get(r)
+                c = by_run[v].get(r)
                 if b and c and not b.aborted and not c.aborted:
                     bv, cv = getattr(b, m), getattr(c, m)
                     if math.isfinite(bv) and math.isfinite(cv):
@@ -822,7 +831,8 @@ def summarize_results(cfg: Config, variants: list, results: list) -> dict:
             "improvements": improvements}
 
 
-def _write_run_outputs(cfg: Config, variants: list, results: list, out_dir: str):
+def _write_run_outputs(cfg: Config, variants: list, results: list, summary: dict,
+                       out_dir: str):
     cols = ["run", "variant", "ticks", "aborted", "position_rmse",
             "velocity_rmse", "cum_tracking_error", "fallback_ticks",
             "clamp_ticks", "rejected_ticks", "feature_clamps"]
@@ -831,7 +841,6 @@ def _write_run_outputs(cfg: Config, variants: list, results: list, out_dir: str)
              r.clamp_ticks, r.rejected_ticks, r.feature_clamps]
             for r in results]
     write_csv(os.path.join(out_dir, "runs.csv"), cols, rows)
-    summary = summarize_results(cfg, variants, results)
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(_json_safe(summary), f, indent=2, sort_keys=True)
         f.write("\n")

@@ -23,9 +23,16 @@ one extra solve with the already-factored matrix per window, after which
 
 and the chain rule pushes dJ/dH into the network. Each optimizer step is
 followed by spectral normalization, so the constraint holds after every
-training step, not just at the end. Window costs in a minibatch are
-independent given the (read-only) network, so they could run in parallel;
-this implementation evaluates them sequentially.
+training step, not just at the end.
+
+Window costs in a minibatch are independent given the (read-only) network,
+so a training step evaluates them together: it samples every window first,
+gathers their rows, and packs consecutive windows into chunks of about
+_CHUNK_ROWS rows. Each chunk is one forward pass, one batched Cholesky
+factorization of all its windows' normal matrices, and one backward pass.
+The row budget keeps each pass large enough to amortize the per-call cost
+of the network and the solves, and small enough that the activations stay
+in cache and peak memory does not grow with the minibatch.
 """
 
 from __future__ import annotations
@@ -36,12 +43,19 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis import BasisNet
 from .serialize import load_arrays, save_arrays, write_csv
 
 log = logging.getLogger(__name__)
+
+# Rows per forward/backward pass in a training step. Consecutive windows are
+# packed until a chunk holds at least this many rows, and a window that fills
+# the budget on its own is a chunk by itself. Packing short windows amortizes
+# the per-call cost of the network passes and the solves; past a few hundred
+# rows the per-row cost stops falling, and one pass over a whole minibatch of
+# long windows (tens of thousands of rows) doubles peak memory and runs slower.
+_CHUNK_ROWS = 256
 
 
 class DivergenceError(RuntimeError):
@@ -165,6 +179,37 @@ def build_h(phi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("tinm,tm->tni", phi, u)
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for a stack of lower Cholesky factors.
+
+    chol is (W, k, k) and b is (W, k): one batched solve with L, then one
+    with L^T.
+    """
+    z = np.linalg.solve(chol, b[:, :, None])
+    return np.linalg.solve(chol.transpose(0, 2, 1), z)[:, :, 0]
+
+
+def _ridge(h: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+           lambda_r: float, theta_r: np.ndarray):
+    """Ridge fits of windows stored back to back.
+
+    h is (T, n, k) and y is (T, n); window j owns lengths[j] >= 1 rows from
+    row starts[j]. Returns (chol, theta, r): the lower Cholesky factors of
+    the windows' normal matrices (W, k, k), theta* (W, k) and the residual
+    rows r_t = H_t theta* - y_t (T, n). Raises np.linalg.LinAlgError when a
+    normal matrix is not positive definite.
+    """
+    n, k = h.shape[1:]
+    rows = h.reshape(-1, k)
+    gram = (np.add.reduceat(rows[:, :, None] * rows[:, None, :], starts * n)
+            + lambda_r * np.eye(k))
+    rhs = np.add.reduceat(np.einsum("tni,tn->ti", h, y), starts) + lambda_r * theta_r
+    chol = np.linalg.cholesky(gram)
+    theta = _cho_solve(chol, rhs)
+    r = np.einsum("tni,ti->tn", h, np.repeat(theta, lengths, axis=0)) - y
+    return chol, theta, r
+
+
 def solve_theta_star(h: np.ndarray, y: np.ndarray, lambda_r: float, theta_r: np.ndarray):
     """Ridge solution of the window least squares problem.
 
@@ -183,12 +228,8 @@ def solve_theta_star(h: np.ndarray, y: np.ndarray, lambda_r: float, theta_r: np.
     n_theta = h.shape[2]
     if theta_r.shape[0] != n_theta:
         raise ValueError(f"theta_r has {theta_r.shape[0]} entries, expected {n_theta}")
-    g = np.einsum("tni,tnj->ij", h, h) + lambda_r * np.eye(n_theta)
-    b = np.einsum("tni,tn->i", h, y) + lambda_r * theta_r
-    fac = cho_factor(g, lower=True)
-    theta = cho_solve(fac, b)
-    r = np.einsum("tni,i->tn", h, theta) - y
-    return theta, float(np.sum(r * r))
+    _, theta, r = _ridge(h, y, np.array([0]), np.array([h.shape[0]]), lambda_r, theta_r)
+    return theta[0], float(np.sum(r * r))
 
 
 def window_cost(net, window, lambda_r: float, theta_r) -> tuple[float, np.ndarray]:
@@ -200,6 +241,31 @@ def window_cost(net, window, lambda_r: float, theta_r) -> tuple[float, np.ndarra
     phi = net.eval_batch(xw, ew)
     theta, cost = solve_theta_star(build_h(phi, uw), yw, lambda_r, theta_r)
     return cost, theta
+
+
+def _chunk_cost_and_grad(net: BasisNet, x, u, e, y, lengths: np.ndarray,
+                         lambda_r: float, theta_r: np.ndarray):
+    """Costs, theta* and summed gradient of windows stored back to back.
+
+    Window j owns the next lengths[j] >= 1 rows of x, u, e, y. One forward
+    pass, one batched ridge solve plus adjoint, one backward pass. Returns
+    (costs (W,), theta (W, n_theta), grads) where grads is the backward()
+    dict, summed over every window.
+    """
+    starts = np.cumsum(lengths) - lengths
+    phi, acts = net.forward_batch(x, e, want_cache=True)
+    h = build_h(phi, u)
+    chol, theta, r = _ridge(h, y, starts, lengths, lambda_r, theta_r)
+    costs = np.add.reduceat(np.einsum("tn,tn->t", r, r), starts)
+    # adjoint of the linear solves: one more solve with the same factors
+    mu = _cho_solve(chol, 2.0 * np.add.reduceat(np.einsum("tni,tn->ti", h, r), starts))
+    theta_t = np.repeat(theta, lengths, axis=0)
+    mu_t = np.repeat(mu, lengths, axis=0)
+    h_mu = np.einsum("tni,ti->tn", h, mu_t)
+    d_h = (r[:, :, None] * (2.0 * theta_t - mu_t)[:, None, :]
+           - h_mu[:, :, None] * theta_t[:, None, :])
+    d_phi = np.einsum("tni,tm->tinm", d_h, u)
+    return costs, theta, net.backward(acts, d_phi)
 
 
 def window_cost_and_grad(net: BasisNet, window, lambda_r: float, theta_r):
@@ -214,30 +280,60 @@ def window_cost_and_grad(net: BasisNet, window, lambda_r: float, theta_r):
         zero = {"W": [np.zeros_like(w) for w in net.weights],
                 "b": [np.zeros_like(b) for b in net.biases]}
         return 0.0, theta_r.copy(), zero
-    phi, acts = net.forward_batch(xw, ew, want_cache=True)
-    h = build_h(phi, uw)
-    n_theta = h.shape[2]
-    g_mat = np.einsum("tni,tnj->ij", h, h) + lambda_r * np.eye(n_theta)
-    b_vec = np.einsum("tni,tn->i", h, yw) + lambda_r * theta_r
-    fac = cho_factor(g_mat, lower=True)
-    theta = cho_solve(fac, b_vec)
-    r = np.einsum("tni,i->tn", h, theta) - yw
-    cost = float(np.sum(r * r))
-    # adjoint of the linear solve: one extra triangular solve, same factor
-    mu = cho_solve(fac, 2.0 * np.einsum("tni,tn->i", h, r))
-    h_mu = np.einsum("tni,i->tn", h, mu)
-    d_h = (np.einsum("tn,i->tni", r, 2.0 * theta - mu)
-           - np.einsum("tn,i->tni", h_mu, theta))
-    d_phi = np.einsum("tni,tm->tinm", d_h, uw)
-    grads = net.backward(acts, d_phi)
-    return cost, theta, grads
+    costs, theta, grads = _chunk_cost_and_grad(net, xw, uw, ew, yw, np.array([xw.shape[0]]),
+                                               lambda_r, theta_r)
+    return float(costs[0]), theta[0], grads
+
+
+def _chunks(lengths):
+    """(first, stop) index ranges of consecutive windows, each range holding
+    about _CHUNK_ROWS rows; a window of _CHUNK_ROWS rows or more stands alone."""
+    first, rows = 0, 0
+    for j, n in enumerate(lengths):
+        if n >= _CHUNK_ROWS and rows:
+            yield first, j
+            first, rows = j, 0
+        rows += n
+        if rows >= _CHUNK_ROWS:
+            yield first, j + 1
+            first, rows = j + 1, 0
+    if rows:
+        yield first, len(lengths)
+
+
+def minibatch_cost_and_grad(net: BasisNet, dataset: TrajectoryDataset, specs,
+                            lambda_r: float, theta_r):
+    """Per-window costs and the summed flat gradient of a list of windows.
+
+    Gathers every window's rows with one index per dataset array, then runs
+    chunks of consecutive windows (see _CHUNK_ROWS). Returns (costs, grad)
+    with costs in the order of specs.
+    """
+    for w in specs:
+        w.validate(dataset)
+    theta_r = np.asarray(theta_r, dtype=float).reshape(-1)
+    lengths = np.array([w.length for w in specs])
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    first_row = np.array([w.traj * dataset.length + w.start for w in specs])
+    rows = np.arange(bounds[-1]) + np.repeat(first_row - bounds[:-1], lengths)
+    x, u, e, y = (a.reshape(-1, a.shape[2])[rows]
+                  for a in (dataset.x, dataset.u, dataset.e, dataset.y))
+    costs = []
+    grad = np.zeros(net.get_flat_params().size)
+    for first, stop in _chunks(lengths):
+        sl = slice(bounds[first], bounds[stop])
+        c, _, grads = _chunk_cost_and_grad(net, x[sl], u[sl], e[sl], y[sl],
+                                           lengths[first:stop], lambda_r, theta_r)
+        costs.extend(c.tolist())
+        grad += net.grads_to_flat(grads)
+    return costs, grad
 
 
 def sample_window(rng, dataset: TrajectoryDataset, cfg: TrainerConfig) -> WindowSpec:
     """Random window: uniform trajectory, uniform length in seconds, uniform start."""
     traj = int(rng.integers(dataset.n_traj))
     length_s = rng.uniform(cfg.window_min_s, cfg.window_max_s)
-    length = int(np.clip(round(length_s / dataset.dt), 1, dataset.length))
+    length = min(max(round(length_s / dataset.dt), 1), dataset.length)
     start = int(rng.integers(dataset.length - length + 1))
     return WindowSpec(traj, start, length)
 
@@ -278,16 +374,14 @@ def _exact_max_norm(net: BasisNet) -> float:
 
 def train_step(net: BasisNet, adam: Adam, dataset: TrajectoryDataset,
                cfg: TrainerConfig, rng) -> float:
-    """One meta-iteration: sample windows, accumulate gradients, Adam step,
-    then re-project onto the spectral constraint. Returns the minibatch loss."""
+    """One meta-iteration: sample windows, accumulate their gradients, Adam
+    step, then re-project onto the spectral constraint. Returns the minibatch
+    loss, the window costs summed in sampling order."""
+    specs = [sample_window(rng, dataset, cfg) for _ in range(cfg.batch_windows)]
+    costs, grad_flat = minibatch_cost_and_grad(net, dataset, specs, cfg.lambda_r, cfg.theta_r)
     total = 0.0
-    grad_flat = np.zeros(net.get_flat_params().size)
-    theta_r = np.asarray(cfg.theta_r, dtype=float)
-    for _ in range(cfg.batch_windows):
-        w = sample_window(rng, dataset, cfg)
-        cost, _, grads = window_cost_and_grad(net, w.slice(dataset), cfg.lambda_r, theta_r)
-        total += cost
-        grad_flat += net.grads_to_flat(grads)
+    for c in costs:   # a plain running sum, unlike sum() on Python >= 3.12
+        total += c
     net.set_flat_params(adam.step(net.get_flat_params(), grad_flat))
     net.spectral_normalize()
     return total

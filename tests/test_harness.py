@@ -388,6 +388,29 @@ def test_build_controllers_from_config(tmp_path):
     np.testing.assert_allclose(dnn.state.theta_hat, [0.1, 0.2, 0.3, 0.4])
 
 
+def test_run_scenario_reads_checkpoint_once(tmp_path, monkeypatch):
+    from terradapt import harness
+    cfg = config_from_dict(base_raw(out_dir=tmp_path))
+    BasisNet.init(2, 4, 2, 2, 4, hidden=(8,), rng=0).save(
+        os.path.join(tmp_path, "basis.tdc"), extra_meta={"theta_r": [0.1, 0.2, 0.3, 0.4]})
+    reads, bases = [], []
+    load = harness.load_checkpoint
+    build = harness.build_tracked_controller
+    monkeypatch.setattr(harness, "load_checkpoint", lambda p: reads.append(p) or load(p))
+
+    def recording_build(*args, **kwargs):
+        ctl = build(*args, **kwargs)
+        bases.append(ctl.basis)
+        return ctl
+
+    monkeypatch.setattr(harness, "build_tracked_controller", recording_build)
+    summary = run_scenario(cfg, ["dnn", "dnn-frozen"], str(tmp_path))
+    assert len(reads) == 1
+    assert len(bases) == 4 and all(b is bases[0] for b in bases)
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written == json.loads(json.dumps(summary))
+
+
 def test_recorded_world_mode(tmp_path):
     from terradapt.world import save_world
     cfg = config_from_dict(base_raw(out_dir=tmp_path))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from terradapt import training
 from terradapt.basis import BasisNet
 from terradapt.serialize import read_csv
 from terradapt.training import (
@@ -13,9 +14,11 @@ from terradapt.training import (
     WindowSpec,
     build_h,
     gradcheck_meta,
+    minibatch_cost_and_grad,
     sample_window,
     solve_theta_star,
     train,
+    train_step,
     window_cost,
     window_cost_and_grad,
     write_loss_history,
@@ -237,6 +240,105 @@ def test_empty_window_gives_zero_gradient():
     np.testing.assert_array_equal(theta, theta_r)
     for g in grads["W"] + grads["b"]:
         assert np.all(g == 0.0)
+
+
+# ----------------------------------------------------------- minibatch path
+
+
+def two_traj_dataset(length=700, seed=13):
+    rng = np.random.default_rng(seed)
+    return TrajectoryDataset(rng.uniform(-1, 1, (2, length, 2)),
+                             rng.uniform(-1, 1, (2, length, 2)),
+                             rng.uniform(-1, 1, (2, length, 3)),
+                             rng.standard_normal((2, length, 2)), 0.05)
+
+
+def test_minibatch_matches_per_window_path():
+    ds = two_traj_dataset()
+    net = BasisNet.init(2, 3, 2, 2, 3, hidden=(8,), rng=21)
+    theta_r = np.array([0.5, -0.2, 1.0])
+    budget = training._CHUNK_ROWS
+    third = budget // 3 + 1
+    cases = {
+        "one window": ([WindowSpec(0, 5, 7)], [(0, 1)]),
+        # the fourth window opens a second chunk
+        "straddle": ([WindowSpec(0, 0, third), WindowSpec(0, 40, third),
+                      WindowSpec(0, 90, third), WindowSpec(0, 300, 9)],
+                     [(0, 3), (3, 4)]),
+        # the long window is a chunk of its own, between two short ones
+        "long": ([WindowSpec(1, 3, 20), WindowSpec(1, 0, budget + 50),
+                  WindowSpec(1, 600, 30)], [(0, 1), (1, 2), (2, 3)]),
+        "mixed trajectories": ([WindowSpec(1, 10, 25), WindowSpec(0, 10, 25),
+                                WindowSpec(1, 650, 50), WindowSpec(0, 0, 1)],
+                               [(0, 4)]),
+    }
+    for name, (specs, chunks) in cases.items():
+        assert list(training._chunks([w.length for w in specs])) == chunks, name
+        costs, grad = minibatch_cost_and_grad(net, ds, specs, 0.3, theta_r)
+        want_grad = np.zeros_like(grad)
+        for w, cost in zip(specs, costs):
+            window = w.slice(ds)
+            want_cost, _, grads = window_cost_and_grad(net, window, 0.3, theta_r)
+            want_grad += net.grads_to_flat(grads)
+            assert cost == pytest.approx(want_cost, rel=1e-12, abs=0.0), name
+            # dense restatement of the same ridge fit
+            h = build_h(net.eval_batch(window[0], window[2]), window[1]).reshape(-1, 3)
+            theta = np.linalg.solve(h.T @ h + 0.3 * np.eye(3),
+                                    h.T @ window[3].reshape(-1) + 0.3 * theta_r)
+            r = h @ theta - window[3].reshape(-1)
+            assert cost == pytest.approx(r @ r, rel=1e-10), name
+        assert len(costs) == len(specs)
+        err = np.max(np.abs(grad - want_grad)) / np.max(np.abs(want_grad))
+        assert err <= 1e-12, name
+
+
+def test_rank_deficient_window_raises():
+    ds = two_traj_dataset(length=40)
+    ds.u[0, :10] = 0.0  # h = Phi u vanishes, so the normal matrix is zero
+    net = BasisNet.init(2, 3, 2, 2, 3, hidden=(4,), rng=3)
+    spec = WindowSpec(0, 0, 10)
+    with pytest.raises(np.linalg.LinAlgError):
+        window_cost_and_grad(net, spec.slice(ds), 0.0, np.zeros(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        minibatch_cost_and_grad(net, ds, [WindowSpec(1, 0, 5), spec], 0.0, np.zeros(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_theta_star(np.zeros((4, 2, 3)), np.ones((4, 2)), 0.0, np.zeros(3))
+
+
+def test_minibatch_validates_every_window():
+    ds = two_traj_dataset(length=40)
+    net = BasisNet.init(2, 3, 2, 2, 3, hidden=(4,), rng=3)
+    with pytest.raises(ValueError, match="exceeds"):
+        minibatch_cost_and_grad(net, ds, [WindowSpec(0, 0, 5), WindowSpec(1, 38, 5)],
+                                0.1, np.zeros(3))
+
+
+def test_train_step_draws_the_sampled_window_sequence(monkeypatch):
+    ds = two_traj_dataset(length=120)
+    cfg = small_cfg(batch_windows=11, window_max_s=5.0)
+    net = BasisNet.init(2, 3, 2, 2, 2, hidden=(8,), rng=1)
+    drawn = []
+
+    def recording(rng, dataset, c):
+        w = sample_window(rng, dataset, c)
+        drawn.append(w)
+        return w
+
+    monkeypatch.setattr(training, "sample_window", recording)
+    rng = np.random.default_rng(42)
+    loss = train_step(net, Adam(net.get_flat_params().size, cfg.learning_rate),
+                      ds, cfg, rng)
+    replay = np.random.default_rng(42)
+    want = [sample_window(replay, ds, cfg) for _ in range(cfg.batch_windows)]
+    assert drawn == want
+    # the step draws nothing else from the generator
+    assert rng.bit_generator.state == replay.bit_generator.state
+    fresh = BasisNet.init(2, 3, 2, 2, 2, hidden=(8,), rng=1)
+    costs, _ = minibatch_cost_and_grad(fresh, ds, want, cfg.lambda_r, cfg.theta_r)
+    running = 0.0
+    for c in costs:
+        running += c
+    assert loss == running
 
 
 # -------------------------------------------------------------------- adam
