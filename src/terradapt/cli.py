@@ -101,19 +101,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_scenario(args) -> int:
+    """simulate (one variant, controller.variant by default) and evaluate."""
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
-    variant = args.variant or cfg.controller.variant
-    summary = run_scenario(cfg, [variant], out)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=str))
-    return 0
-
-
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
-    summary = run_scenario(cfg, args.variants, out)
+    variants = args.variants or [args.variant or cfg.controller.variant]
+    summary = run_scenario(cfg, variants, out)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))
     return 0
 
@@ -141,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the configured scenario for one variant")
     sp.add_argument("--variant", default=None,
                     help="override controller.variant from the config")
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_scenario, variants=None)
 
     sp = sub.add_parser("evaluate", parents=[common],
                         help="paired comparison of controller variants")
     sp.add_argument("--variants", nargs="+", required=True,
                     help="variants to compare; the first is the baseline")
-    sp.set_defaults(func=cmd_evaluate)
+    sp.set_defaults(func=cmd_scenario)
     return p
 
 

@@ -58,9 +58,12 @@ class VehicleConfig:
 class ProviderConfig:
     noise_std: float = 0.02
     brightness: float = 1.0
-    seed: int = 0
     mode: str = "synthetic"             # synthetic | recorded
     world_file: str | None = None       # required for recorded mode
+
+    def __post_init__(self):
+        if self.mode not in ("synthetic", "recorded"):
+            raise ValueError(f"provider mode must be synthetic or recorded, got {self.mode!r}")
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,7 +196,8 @@ class ResidualFilter:
     """Dynamics residual y = lowpass(vdot_meas) - (A_n v + B_n u).
 
     The caller must pass the same input u that produced the measured
-    acceleration, or the residual carries an avoidable model error.
+    acceleration, or the residual carries an avoidable model error. B_n is
+    an (n, m) matrix, a column for a single input.
     """
 
     def __init__(self, cutoff_hz: float = 2.0):
@@ -205,9 +206,8 @@ class ResidualFilter:
     def residual(self, vdot_meas, v, u_vec, a_n: np.ndarray, b_n: np.ndarray,
                  dt: float) -> np.ndarray:
         filtered = self.lpf.update(np.asarray(vdot_meas, dtype=float), dt)
-        b_u = b_n @ np.asarray(u_vec, dtype=float) if b_n.ndim == 2 \
-            else b_n * float(np.asarray(u_vec).reshape(-1)[0])
-        return filtered - (a_n @ np.asarray(v, dtype=float) + b_u)
+        return filtered - (a_n @ np.asarray(v, dtype=float)
+                           + b_n @ np.asarray(u_vec, dtype=float))
 
     def reset(self):
         self.lpf.reset()
@@ -470,41 +470,89 @@ class TickTelemetry:
     fallback: bool
     clamped: bool
     rejected: bool
+    lat: LateralErrorState | None = None    # Ackermann path-frame errors
 
 
-class TrackedController:
-    """Complete tracked-vehicle controller: reference handling, feedback
-    linearization, residual filtering, and composite adaptation.
+class _AdaptiveController:
+    """Tick bookkeeping shared by both vehicles: the adapted state, the
+    residual of the previous tick's input, the composite adaptation step and
+    the telemetry record. Subclasses supply the reference and the control law.
 
     variant: "pd" (no basis, no adaptation), "constant" or "dnn" (basis with
     adaptation), plus adapt=False to freeze theta_hat at its initial value.
     """
 
-    def __init__(self, params: TrackedParams, gains: TrackedGains,
-                 adapt_params: AdaptParams, basis=None, law: str = "scalar",
-                 theta0=None, adapt: bool = True, u_limits=(2.0, 3.0),
-                 residual_cutoff_hz: float = 2.0, control_period: float = 0.05):
+    def __init__(self, params, gains, adapt_params: AdaptParams, basis, law: str,
+                 theta0, adapt: bool, residual_cutoff_hz: float, control_period: float):
         self.params = params
         self.gains = gains
         self.adapt_params = adapt_params
         self.basis = basis
         self.law = law
         self.adapt = adapt and basis is not None
-        self.u_limits = u_limits
         self.dt = control_period
-        n_theta = basis.n_theta if basis is not None else 0
-        self.state = (AdaptState.fresh(n_theta, adapt_params, law, theta0)
+        self.state = (AdaptState.fresh(basis.n_theta, adapt_params, law, theta0)
                       if basis is not None else None)
         self.res_filter = ResidualFilter(residual_cutoff_hz)
-        self.ref_tracker = PositionReferenceTracker(gains, residual_cutoff_hz)
         self.prev_u = None
         self.prev_phi = None
 
     def reset(self):
         self.res_filter.reset()
-        self.ref_tracker.reset()
         self.prev_u = None
         self.prev_phi = None
+
+    def _phi(self, x, features):
+        return self.basis.eval(x, features) if self.basis is not None else None
+
+    def _theta(self):
+        return self.state.theta_hat if self.state is not None else None
+
+    def _adapt(self, state, x, xdot_meas, phi, u_vec, s, fallback: bool):
+        """Residual of the previous tick's input and, unless the law fell back,
+        one adaptation step on it. Returns (y, rejected) and keeps (u_vec, phi)
+        for the next tick."""
+        y = np.full(2, np.nan)
+        rejected = False
+        if self.prev_u is not None:
+            a_n, b_n = self.params.residual_model(state)
+            y = self.res_filter.residual(xdot_meas, x, self.prev_u, a_n, b_n, self.dt)
+            if self.adapt and not fallback and self.prev_phi is not None:
+                step = adapt_step_scalar if self.law == "scalar" else adapt_step_matrix
+                self.state, rejected = step(self.state, s, y, self.prev_phi,
+                                            self.prev_u, self.dt, self.adapt_params)
+        self.prev_u = u_vec
+        self.prev_phi = phi
+        return y, rejected
+
+    def _telemetry(self, s, u, y, psi_ref: float, info: dict, rejected: bool,
+                   lat: LateralErrorState | None = None) -> TickTelemetry:
+        gain_diag = np.array([])
+        theta_out = np.array([])
+        if self.state is not None:
+            theta_out = self.state.theta_hat.copy()
+            gain_diag = (self.state.gain.copy() if self.state.gain.ndim == 1
+                         else np.diag(self.state.gain).copy())
+        return TickTelemetry(s, u, y, theta_out, gain_diag, psi_ref,
+                             info["fallback"], info["clamped"], rejected, lat)
+
+
+class TrackedController(_AdaptiveController):
+    """Complete tracked-vehicle controller: reference handling, feedback
+    linearization, residual filtering, and composite adaptation."""
+
+    def __init__(self, params: TrackedParams, gains: TrackedGains,
+                 adapt_params: AdaptParams, basis=None, law: str = "scalar",
+                 theta0=None, adapt: bool = True, u_limits=(2.0, 3.0),
+                 residual_cutoff_hz: float = 2.0, control_period: float = 0.05):
+        super().__init__(params, gains, adapt_params, basis, law, theta0, adapt,
+                         residual_cutoff_hz, control_period)
+        self.u_limits = u_limits
+        self.ref_tracker = PositionReferenceTracker(gains, residual_cutoff_hz)
+
+    def reset(self):
+        super().reset()
+        self.ref_tracker.reset()
 
     def tick_position(self, state, vdot_meas, features, p_d, v_d, psi_d):
         ref = self.ref_tracker.step(np.array([state.p_x, state.p_y]), state.psi,
@@ -519,58 +567,25 @@ class TrackedController:
 
     def _tick(self, state, vdot_meas, features, ref: ReferenceState):
         v = np.array([state.v_x, state.omega])
-        phi = self.basis.eval(v, features) if self.basis is not None else None
+        phi = self._phi(v, features)
         s = tracking_error(v, ref)
-        theta = self.state.theta_hat if self.state is not None else None
-        u, info = control_tracked(s, ref, phi, theta, self.params, self.gains,
+        u, info = control_tracked(s, ref, phi, self._theta(), self.params, self.gains,
                                   self.u_limits)
-        y = np.full(2, np.nan)
-        rejected = False
-        if self.prev_u is not None:
-            y = self.res_filter.residual(vdot_meas, v, self.prev_u,
-                                         self.params.a_n(), self.params.b_n(), self.dt)
-            if self.adapt and not info["fallback"] and self.prev_phi is not None:
-                step = adapt_step_scalar if self.law == "scalar" else adapt_step_matrix
-                self.state, rejected = step(self.state, s, y, self.prev_phi,
-                                            self.prev_u, self.dt, self.adapt_params)
-        self.prev_u = u.as_array()
-        self.prev_phi = phi
-        gain_diag = np.array([])
-        theta_out = np.array([])
-        if self.state is not None:
-            theta_out = self.state.theta_hat.copy()
-            gain_diag = (self.state.gain.copy() if self.state.gain.ndim == 1
-                         else np.diag(self.state.gain).copy())
-        return u, TickTelemetry(s, u.as_array(), y, theta_out, gain_diag,
-                                ref.psi_ref, info["fallback"], info["clamped"], rejected)
+        u_vec = u.as_array()
+        y, rejected = self._adapt(state, v, vdot_meas, phi, u_vec, s, info["fallback"])
+        return u, self._telemetry(s, u_vec, y, ref.psi_ref, info, rejected)
 
 
-class AckermannController:
+class AckermannController(_AdaptiveController):
     """Cross-track adaptive steering plus a simple forward-speed loop."""
 
     def __init__(self, params: AckermannParams, gains: AckermannGains,
                  adapt_params: AdaptParams, basis=None, law: str = "scalar",
                  theta0=None, adapt: bool = True, u_delta_max: float = 0.45,
                  residual_cutoff_hz: float = 2.0, control_period: float = 0.05):
-        self.params = params
-        self.gains = gains
-        self.adapt_params = adapt_params
-        self.basis = basis
-        self.law = law
-        self.adapt = adapt and basis is not None
+        super().__init__(params, gains, adapt_params, basis, law, theta0, adapt,
+                         residual_cutoff_hz, control_period)
         self.u_delta_max = u_delta_max
-        self.dt = control_period
-        n_theta = basis.n_theta if basis is not None else 0
-        self.state = (AdaptState.fresh(n_theta, adapt_params, law, theta0)
-                      if basis is not None else None)
-        self.res_filter = ResidualFilter(residual_cutoff_hz)
-        self.prev_u_delta = None
-        self.prev_phi = None
-
-    def reset(self):
-        self.res_filter.reset()
-        self.prev_u_delta = None
-        self.prev_phi = None
 
     def tick(self, state, xdot_meas, features, p_d, psi_d, omega_d, speed_d):
         """xdot_meas is the measured [vdot_y, omegadot]."""
@@ -578,36 +593,15 @@ class AckermannController:
                              state.v_x, state.v_y, p_d, psi_d, speed_d,
                              self.gains.k_p)
         x_lat = np.array([state.v_y, state.omega])
-        phi = self.basis.eval(x_lat, features) if self.basis is not None else None
+        phi = self._phi(x_lat, features)
         phi_row = phi[:, 0, 0] if phi is not None else None
-        theta = self.state.theta_hat if self.state is not None else None
         u_v = speed_d - self.gains.k_fwd * (state.v_x - speed_d)
         vdot_x_nom = (u_v - state.v_x) / self.params.tau_v
         u_delta, info = control_ackermann(lat, state.v_x, state.v_y, omega_d,
-                                          vdot_x_nom, phi_row, theta,
+                                          vdot_x_nom, phi_row, self._theta(),
                                           self.params, self.gains, self.u_delta_max)
-        y = np.full(2, np.nan)
-        rejected = False
-        if self.prev_u_delta is not None:
-            y = self.res_filter.residual(xdot_meas, x_lat, [self.prev_u_delta],
-                                         self.params.a_n(max(state.v_x, self.params.v_min * 1.01)),
-                                         self.params.b_n().reshape(2, 1), self.dt)
-            if self.adapt and not info["fallback"] and self.prev_phi is not None:
-                s_vec = np.array([lat.s_perp, 0.0])
-                step = adapt_step_scalar if self.law == "scalar" else adapt_step_matrix
-                self.state, rejected = step(self.state, s_vec, y, self.prev_phi,
-                                            [self.prev_u_delta], self.dt, self.adapt_params)
-        self.prev_u_delta = u_delta
-        self.prev_phi = phi
-        gain_diag = np.array([])
-        theta_out = np.array([])
-        if self.state is not None:
-            theta_out = self.state.theta_hat.copy()
-            gain_diag = (self.state.gain.copy() if self.state.gain.ndim == 1
-                         else np.diag(self.state.gain).copy())
-        u = AckermannInput(u_v, u_delta)
-        tele = TickTelemetry(np.array([lat.s_perp]), np.array([u_v, u_delta]), y,
-                             theta_out, gain_diag, psi_d, info["fallback"],
-                             info["clamped"], rejected)
-        tele.lat = lat
-        return u, tele
+        y, rejected = self._adapt(state, x_lat, xdot_meas, phi, np.array([u_delta]),
+                                  np.array([lat.s_perp, 0.0]), info["fallback"])
+        tele = self._telemetry(np.array([lat.s_perp]), np.array([u_v, u_delta]), y,
+                               psi_d, info, rejected, lat)
+        return AckermannInput(u_v, u_delta), tele

@@ -92,50 +92,24 @@ def _load_basis(cfg: Config, out_dir: str):
     return net, meta.get("theta_r")
 
 
-def build_tracked_controller(cfg: Config, variant: str, out_dir: str,
-                             checkpoint=None) -> TrackedController:
-    """Controller for one variant. A dnn variant uses checkpoint, the
-    (net, theta_r) pair of _load_basis, or reads it from out_dir when None."""
+def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
+    """Controller for one variant on the configured vehicle. A dnn variant
+    uses checkpoint, the (net, theta_r) pair of _load_basis, or reads it from
+    out_dir when None."""
     base, adapt = split_variant(variant)
-    g = cfg.controller.gains
-    gains = TrackedGains(k_px=g.k_px, k_py=g.k_py, k_psi=g.k_psi,
-                         k_dx=g.k_dx, k_domega=g.k_domega, v_eps=g.v_eps)
+    vehicle = _vehicle(cfg)
     basis = None
     theta0 = cfg.controller.theta0
     if base == "constant":
-        basis = ConstantBasis(2, 2)
+        basis = ConstantBasis(2, vehicle.n_input)
     elif base == "dnn":
         basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
         if theta0 is None:
             theta0 = theta_r
     n_theta = basis.n_theta if basis is not None else 1
-    return TrackedController(
-        cfg.vehicle.tracked, gains, _adapt_params_for(cfg, n_theta),
-        basis=basis, law=cfg.controller.adaptation.law, theta0=theta0,
-        adapt=adapt, u_limits=(cfg.vehicle.u_v_max, cfg.vehicle.u_omega_max),
-        residual_cutoff_hz=cfg.sim.residual_cutoff_hz,
-        control_period=cfg.sim.control_period)
-
-
-def build_ackermann_controller(cfg: Config, variant: str, out_dir: str,
-                               checkpoint=None) -> AckermannController:
-    """Ackermann counterpart of build_tracked_controller."""
-    base, adapt = split_variant(variant)
-    g = cfg.controller.gains
-    gains = AckermannGains(k_p=g.k_p, k_v=g.k_v, k_fwd=g.k_fwd, b_min=g.b_min)
-    basis = None
-    theta0 = cfg.controller.theta0
-    if base == "constant":
-        basis = ConstantBasis(2, 1)
-    elif base == "dnn":
-        basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
-        if theta0 is None:
-            theta0 = theta_r
-    n_theta = basis.n_theta if basis is not None else 1
-    return AckermannController(
-        cfg.vehicle.ackermann, gains, _adapt_params_for(cfg, n_theta),
-        basis=basis, law=cfg.controller.adaptation.law, theta0=theta0,
-        adapt=adapt, u_delta_max=cfg.vehicle.u_delta_max,
+    return vehicle.controller(
+        _adapt_params_for(cfg, n_theta), basis=basis,
+        law=cfg.controller.adaptation.law, theta0=theta0, adapt=adapt,
         residual_cutoff_hz=cfg.sim.residual_cutoff_hz,
         control_period=cfg.sim.control_period)
 
@@ -190,10 +164,16 @@ class RandomVelocityReference:
                                   rng.uniform(omega_range[0], omega_range[1])))
             t += hold
         w, h = world.extent
+        self.world = world
+        self.margin_frac = margin_frac
         self.center = np.array([0.5 * w, 0.5 * h])
         self.margin = (margin_frac * w, margin_frac * h)
         self.extent = (w, h)
         self.omega_cap = max(abs(omega_range[0]), abs(omega_range[1]), 1.0)
+
+    def start_pose(self, rng) -> TrackedState:
+        x, y, psi = _interior_start(rng, self.world, self.margin_frac)
+        return TrackedState(x, y, psi, 0.0, 0.0)
 
     def refs(self, t: float, state) -> tuple[np.ndarray, np.ndarray]:
         seg = self.segments[0]
@@ -323,19 +303,154 @@ def metrics_from_telemetry(path, period: float):
     return compute_metrics(period, s, p, pd)
 
 
+# ---------------------------------------------------------------- vehicles
+
+def _interior_start(rng, world: TerrainWorldMap, margin_frac: float):
+    w, h = world.extent
+    x = rng.uniform(margin_frac * w, (1.0 - margin_frac) * w)
+    y = rng.uniform(margin_frac * h, (1.0 - margin_frac) * h)
+    psi = rng.uniform(-math.pi, math.pi)
+    return x, y, psi
+
+
+class _Vehicle:
+    """What the shared episode and dataset loops need to know about one
+    vehicle type. The plant and terrain functions are looked up in this
+    module on every call, not bound at import, so a wrapper installed on the
+    module name sees every call."""
+
+    def __init__(self, cfg: Config):
+        self.cfg = cfg
+        self.ds = cfg.dataset
+        self.vp = getattr(cfg.vehicle, cfg.vehicle.type)
+        self.half = cfg.vehicle.half_spacing
+
+    def advance(self, world: TerrainWorldMap, state, u, n_sub: int, dt: float):
+        """n_sub plant steps under input u, terrain looked up every step."""
+        for _ in range(n_sub):
+            eta = eta_under_robot(world, state.p_x, state.p_y)
+            state = integrate_step(state, u, self.vp, dt, self.eta(eta))
+        return state
+
+
+class _Tracked(_Vehicle):
+    tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
+    n_input = 2
+    tele_cols = ["v_ref_x", "omega_ref", "s_vx", "s_omega",
+                 "u_v", "u_omega", "y_vx", "y_omega"]
+    fault_cols = ["fault_left", "fault_right"]
+    eta = staticmethod(tuple)
+
+    @staticmethod
+    def sample(state, u: TrackedInput):
+        """(x, u) as the dataset logs them: [v_x, omega] and both inputs."""
+        return np.array([state.v_x, state.omega]), u.as_array()
+
+    def measured(self, state, u, eta) -> np.ndarray:
+        """Noise-free [vdot_x, omegadot] under input u."""
+        return tracked_derivative(state, u, self.vp, self.eta(eta))[3:5]
+
+    def dataset_start(self, rng, world: TerrainWorldMap):
+        x, y, psi = _interior_start(rng, world, self.ds.margin_frac)
+        return TrackedState(x, y, psi, 0.0, 0.0), TrackedInput(0.0, 0.0)
+
+    def redraw(self, rng) -> TrackedInput:
+        return TrackedInput(rng.uniform(*self.ds.u_v_range), rng.uniform(*self.ds.u_omega_range))
+
+    def turn_back(self, u: TrackedInput, err: float) -> TrackedInput:
+        return TrackedInput(max(0.4, abs(u.u_v) * 0.7), float(np.clip(2.0 * err, -2.0, 2.0)))
+
+    def actuate(self, u_cmd: TrackedInput, fault: FaultSchedule, t: float):
+        """(applied input, fault telemetry) for the commanded input at time t."""
+        left, right = fault.scales(t)
+        return apply_track_fault(u_cmd, left, right, self.half), [left, right]
+
+    def controller(self, adapt_params: AdaptParams, **kwargs) -> TrackedController:
+        g = self.cfg.controller.gains
+        gains = TrackedGains(k_px=g.k_px, k_py=g.k_py, k_psi=g.k_psi,
+                             k_dx=g.k_dx, k_domega=g.k_domega, v_eps=g.v_eps)
+        limits = (self.cfg.vehicle.u_v_max, self.cfg.vehicle.u_omega_max)
+        return TrackedController(self.vp, gains, adapt_params, u_limits=limits, **kwargs)
+
+    @staticmethod
+    def tele_row(state, refs, tele) -> list:
+        # v_ref = v - s reconstructs the reference actually used this tick
+        return [state.v_x - tele.s[0], state.omega - tele.s[1], *tele.s, *tele.u, *tele.y]
+
+
+class _Ackermann(_Vehicle):
+    # the lateral law raises ValueError when engaged at or below v_min
+    tick_errors = (NonFiniteError, ValueError, np.linalg.LinAlgError)
+    n_input = 1
+    tele_cols = ["psi_d", "e_par", "e_perp", "psi_e", "s_perp",
+                 "u_v", "u_delta", "y_vy", "y_omega"]
+    fault_cols = []
+
+    @staticmethod
+    def eta(eta) -> float:
+        return float(eta[0])
+
+    @staticmethod
+    def sample(state, u: AckermannInput):
+        """(x, u) as the dataset logs them: [v_y, omega] and the steering."""
+        return np.array([state.v_y, state.omega]), np.array([u.u_delta])
+
+    def measured(self, state, u, eta) -> np.ndarray:
+        """Noise-free [vdot_y, omegadot] under input u."""
+        return ackermann_derivative(state, u, self.vp, self.eta(eta))[4:6]
+
+    def dataset_start(self, rng, world: TerrainWorldMap):
+        x, y, psi = _interior_start(rng, world, self.ds.margin_frac)
+        cruise = rng.uniform(*self.ds.cruise_range)
+        return AckermannState(x, y, psi, cruise, 0.0, 0.0), AckermannInput(cruise, 0.0)
+
+    def redraw(self, rng) -> AckermannInput:
+        return AckermannInput(rng.uniform(*self.ds.cruise_range),
+                              rng.uniform(*self.ds.u_delta_range))
+
+    def turn_back(self, u: AckermannInput, err: float) -> AckermannInput:
+        return AckermannInput(u.u_v, float(np.clip(err, *self.ds.u_delta_range)))
+
+    @staticmethod
+    def actuate(u_cmd: AckermannInput, fault: FaultSchedule, t: float):
+        return u_cmd, []
+
+    def controller(self, adapt_params: AdaptParams, **kwargs) -> AckermannController:
+        g = self.cfg.controller.gains
+        gains = AckermannGains(k_p=g.k_p, k_v=g.k_v, k_fwd=g.k_fwd, b_min=g.b_min)
+        return AckermannController(self.vp, gains, adapt_params,
+                                   u_delta_max=self.cfg.vehicle.u_delta_max, **kwargs)
+
+    @staticmethod
+    def tele_row(state, refs, tele) -> list:
+        lat = tele.lat
+        return [refs[1], lat.e_par, lat.e_perp, lat.psi_e, lat.s_perp, *tele.u, *tele.y]
+
+
+_VEHICLES = {"tracked": _Tracked, "ackermann": _Ackermann}
+
+# controller method each reference mode drives; refs(t, state) supplies the
+# arguments after (state, measured derivative, features)
+_TICK = {"velocity": "tick_velocity", "position": "tick_position",
+         "ackermann": "tick"}
+
+
+def _vehicle(cfg: Config) -> _Vehicle:
+    return _VEHICLES[cfg.vehicle.type](cfg)
+
+
 # ---------------------------------------------------------------- sim loops
 
 def _finite_state(state) -> bool:
-    vals = dataclasses.astuple(state)
+    vals = tuple(vars(state).values())      # the state's fields, in order
     return all(math.isfinite(v) for v in vals) and \
         max(abs(v) for v in vals[3:]) < _SPEED_ABORT
 
 
-def simulate_tracked(world: TerrainWorldMap, cfg: Config, controller: TrackedController,
-                     policy, provider: FeatureProvider, meas_rng,
-                     start: TrackedState, duration_s: float,
+def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
+                     provider: FeatureProvider, meas_rng, start, duration_s: float,
                      fault: FaultSchedule | None = None):
-    """Run one tracked closed-loop episode.
+    """Run one closed-loop episode of the configured vehicle.
 
     Returns (RunResult fields as a dict, telemetry rows, telemetry columns).
     """
@@ -344,112 +459,9 @@ def simulate_tracked(world: TerrainWorldMap, cfg: Config, controller: TrackedCon
     n_sub = int(round(period / sim.dt_plant))
     n_ticks = int(round(duration_s / period))
     fault = fault or FaultSchedule()
-    half = cfg.vehicle.half_spacing
-    vp = cfg.vehicle.tracked
-    controller.reset()
-
-    state = start
-    u_applied = TrackedInput(0.0, 0.0)
-    aborted = False
-    fallback = clamp = rejected = 0
-    clamp0 = provider.clamp_count
-
-    n_theta = controller.state.theta_hat.shape[0] if controller.state is not None else 0
-    cols = ["t", "p_x", "p_y", "psi", "v_x", "omega",
-            "v_ref_x", "omega_ref", "s_vx", "s_omega",
-            "u_v", "u_omega", "y_vx", "y_omega"]
-    if policy.mode == "position":
-        cols[6:6] = ["p_d_x", "p_d_y"]
-    cols += [f"theta_{i}" for i in range(n_theta)]
-    cols += [f"gamma_{i}" for i in range(n_theta)]
-    cols += ["fault_left", "fault_right", "fallback", "clamped", "rejected"]
-
-    rows = []
-    s_rows, p_rows, pd_rows = [], [], []
-    for k in range(n_ticks):
-        t = k * period
-        eta = eta_under_robot(world, state.p_x, state.p_y)
-        if k == 0:
-            vdot_meas = np.zeros(2)
-        else:
-            d = tracked_derivative(state, u_applied, vp, tuple(eta))
-            vdot_meas = np.array(d[3:5]) + meas_rng.normal(0.0, sim.vdot_noise_std, 2)
-        feats = provider.features_under_robot(state.p_x, state.p_y, state.psi, half)
-
-        try:
-            if policy.mode == "position":
-                p_d, v_d, psi_d = policy.refs(t, state)
-                u_cmd, tele = controller.tick_position(state, vdot_meas, feats,
-                                                       p_d, v_d, psi_d)
-            else:
-                v_ref, vdot_ref = policy.refs(t, state)
-                p_d = None
-                u_cmd, tele = controller.tick_velocity(state, vdot_meas, feats,
-                                                       v_ref, vdot_ref)
-        except (NonFiniteError, np.linalg.LinAlgError) as e:
-            log.warning("run aborted at t=%.2f: %s", t, e)
-            aborted = True
-            break
-
-        left, right = fault.scales(t)
-        u_applied = apply_track_fault(u_cmd, left, right, half)
-
-        fallback += tele.fallback
-        clamp += tele.clamped
-        rejected += tele.rejected
-        row = [t, state.p_x, state.p_y, state.psi, state.v_x, state.omega]
-        if policy.mode == "position":
-            row += [p_d[0], p_d[1]]
-        # v_ref = v - s reconstructs the reference actually used this tick
-        row += [state.v_x - tele.s[0], state.omega - tele.s[1]]
-        row += [tele.s[0], tele.s[1], tele.u[0], tele.u[1], tele.y[0], tele.y[1]]
-        row += list(tele.theta_hat) + list(tele.gain_diag)
-        row += [left, right, tele.fallback, tele.clamped, tele.rejected]
-        rows.append(row)
-        s_rows.append([tele.s[0], tele.s[1]])
-        if policy.mode == "position":
-            p_rows.append([state.p_x, state.p_y])
-            pd_rows.append([p_d[0], p_d[1]])
-
-        try:
-            for _ in range(n_sub):
-                eta_step = eta_under_robot(world, state.p_x, state.p_y)
-                state = integrate_step(state, u_applied, vp, sim.dt_plant, tuple(eta_step))
-        except NonFiniteError as e:
-            log.warning("plant diverged at t=%.2f: %s", t, e)
-            aborted = True
-            break
-        if not _finite_state(state):
-            log.warning("state left the trust region at t=%.2f", t)
-            aborted = True
-            break
-
-    pos_rmse, vel_rmse, cum = compute_metrics(
-        period, s_rows,
-        p_rows if policy.mode == "position" else None,
-        pd_rows if policy.mode == "position" else None)
-    result = {
-        "ticks": len(rows), "aborted": aborted,
-        "position_rmse": pos_rmse, "velocity_rmse": vel_rmse,
-        "cum_tracking_error": cum,
-        "fallback_ticks": fallback, "clamp_ticks": clamp,
-        "rejected_ticks": rejected,
-        "feature_clamps": provider.clamp_count - clamp0,
-    }
-    return result, rows, cols
-
-
-def simulate_ackermann(world: TerrainWorldMap, cfg: Config,
-                       controller: AckermannController, policy: CircleReference,
-                       provider: FeatureProvider, meas_rng,
-                       start: AckermannState, duration_s: float):
-    """Run one Ackermann circle-tracking episode."""
-    sim = cfg.sim
-    period = sim.control_period
-    n_sub = int(round(period / sim.dt_plant))
-    n_ticks = int(round(duration_s / period))
-    half = cfg.vehicle.half_spacing
-    vp = cfg.vehicle.ackermann
+    vehicle = _vehicle(cfg)
+    tick = getattr(controller, _TICK[policy.mode])
+    has_position = policy.mode != "velocity"
     controller.reset()
 
     state = start
@@ -458,60 +470,59 @@ def simulate_ackermann(world: TerrainWorldMap, cfg: Config,
     fallback = clamp = rejected = 0
     clamp0 = provider.clamp_count
 
+    # telemetry: time, state, desired position, vehicle terms, adaptation, flags
     n_theta = controller.state.theta_hat.shape[0] if controller.state is not None else 0
-    cols = ["t", "p_x", "p_y", "psi", "v_x", "v_y", "omega",
-            "p_d_x", "p_d_y", "psi_d", "e_par", "e_perp", "psi_e",
-            "s_perp", "u_v", "u_delta", "y_vy", "y_omega"]
+    cols = ["t", *(f.name for f in dataclasses.fields(start))]
+    if has_position:
+        cols += ["p_d_x", "p_d_y"]
+    cols += vehicle.tele_cols
     cols += [f"theta_{i}" for i in range(n_theta)]
     cols += [f"gamma_{i}" for i in range(n_theta)]
-    cols += ["fallback", "clamped", "rejected"]
+    cols += vehicle.fault_cols + ["fallback", "clamped", "rejected"]
 
     rows, s_rows, p_rows, pd_rows = [], [], [], []
     for k in range(n_ticks):
         t = k * period
         eta = eta_under_robot(world, state.p_x, state.p_y)
-        if k == 0 or u_applied is None:
+        if k == 0:
             xdot_meas = np.zeros(2)
         else:
-            d = ackermann_derivative(state, u_applied, vp, float(eta[0]))
-            xdot_meas = np.array(d[4:6]) + meas_rng.normal(0.0, sim.vdot_noise_std, 2)
-        feats = provider.features_under_robot(state.p_x, state.p_y, state.psi, half)
-        p_d, psi_d, omega_d, speed_d = policy.refs(t, state)
-
+            xdot_meas = (vehicle.measured(state, u_applied, eta)
+                         + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
+        feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
+                                              vehicle.half)
+        refs = policy.refs(t, state)
         try:
-            u_cmd, tele = controller.tick(state, xdot_meas, feats,
-                                          p_d, psi_d, omega_d, speed_d)
-        except (NonFiniteError, ValueError, np.linalg.LinAlgError) as e:
-            log.warning("ackermann run aborted at t=%.2f: %s", t, e)
+            u_cmd, tele = tick(state, xdot_meas, feats, *refs)
+        except vehicle.tick_errors as e:
+            log.warning("run aborted at t=%.2f: %s", t, e)
             aborted = True
             break
-        u_applied = u_cmd
+        u_applied, fault_row = vehicle.actuate(u_cmd, fault, t)
 
         fallback += tele.fallback
         clamp += tele.clamped
         rejected += tele.rejected
-        lat = tele.lat
-        row = [t, state.p_x, state.p_y, state.psi, state.v_x, state.v_y,
-               state.omega, p_d[0], p_d[1], psi_d,
-               lat.e_par, lat.e_perp, lat.psi_e, lat.s_perp,
-               tele.u[0], tele.u[1], tele.y[0], tele.y[1]]
+        row = [t, *vars(state).values()]
+        if has_position:
+            p_d = [refs[0][0], refs[0][1]]
+            row += p_d
+            p_rows.append([state.p_x, state.p_y])
+            pd_rows.append(p_d)
+        row += vehicle.tele_row(state, refs, tele)
         row += list(tele.theta_hat) + list(tele.gain_diag)
-        row += [tele.fallback, tele.clamped, tele.rejected]
+        row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
         rows.append(row)
-        s_rows.append([lat.s_perp])
-        p_rows.append([state.p_x, state.p_y])
-        pd_rows.append([p_d[0], p_d[1]])
+        s_rows.append(tele.s)
 
         try:
-            for _ in range(n_sub):
-                eta_step = eta_under_robot(world, state.p_x, state.p_y)
-                state = integrate_step(state, u_applied, vp, sim.dt_plant,
-                                       float(eta_step[0]))
+            state = vehicle.advance(world, state, u_applied, n_sub, sim.dt_plant)
         except NonFiniteError as e:
-            log.warning("ackermann plant diverged at t=%.2f: %s", t, e)
+            log.warning("plant diverged at t=%.2f: %s", t, e)
             aborted = True
             break
         if not _finite_state(state):
+            log.warning("state left the trust region at t=%.2f", t)
             aborted = True
             break
 
@@ -529,31 +540,25 @@ def simulate_ackermann(world: TerrainWorldMap, cfg: Config,
 
 # ---------------------------------------------------------------- datasets
 
-def _interior_start(rng, world: TerrainWorldMap, margin_frac: float):
-    w, h = world.extent
-    x = rng.uniform(margin_frac * w, (1.0 - margin_frac) * w)
-    y = rng.uniform(margin_frac * h, (1.0 - margin_frac) * h)
-    psi = rng.uniform(-math.pi, math.pi)
-    return x, y, psi
-
-
-def generate_tracked_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
+def generate_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
     """Drive random piecewise-constant inputs and log (x, u, e, y) samples.
 
     Samples are taken at the control rate; each logged input is the one that
     was applied over the interval ending at the sample, i.e. the input that
     produced the measured acceleration the residual is built from. A border
     turn-back keeps the robot on the map, and the first warmup_s seconds are
-    dropped while the residual filter settles.
+    dropped while the residual filter settles. The tracked vehicle logs
+    x = [v_x, omega] under both inputs; the Ackermann vehicle drives at a
+    random cruise speed and logs x = [v_y, omega] under the steering input.
     """
     ds = cfg.dataset
     sim = cfg.sim
     period = sim.control_period
     n_sub = int(round(period / sim.dt_plant))
     warmup = int(round(ds.warmup_s / period))
-    vp = cfg.vehicle.tracked
-    half = cfg.vehicle.half_spacing
-    a_n, b_n = vp.a_n(), vp.b_n()
+    vehicle = _vehicle(cfg)
+    w, h = world.extent
+    mx, my = ds.margin_frac * w, ds.margin_frac * h
 
     xs, us, es, ys = [], [], [], []
     for traj in range(ds.n_traj):
@@ -562,47 +567,38 @@ def generate_tracked_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryD
         in_rng = np.random.default_rng(in_rng)
         meas_rng = np.random.default_rng(meas_rng)
         provider = FeatureProvider(world, cfg.provider.noise_std,
-                                   cfg.provider.brightness, seed=prov_ss,
-                                   mode=cfg.provider.mode)
+                                   cfg.provider.brightness, seed=prov_ss)
         res = ResidualFilter(sim.residual_cutoff_hz)
-        x0, y0, psi0 = _interior_start(in_rng, world, ds.margin_frac)
-        state = TrackedState(x0, y0, psi0, 0.0, 0.0)
-        u = TrackedInput(0.0, 0.0)
+        state, u = vehicle.dataset_start(in_rng, world)
         next_redraw = 0.0
         tx, tu, te, ty = [], [], [], []
         k = 0
         while len(tx) < ds.steps:
             t = k * period
             eta = eta_under_robot(world, state.p_x, state.p_y)
-            v = np.array([state.v_x, state.omega])
+            x, u_vec = vehicle.sample(state, u)
             if k == 0:
-                vdot_meas = np.zeros(2)
+                xdot_meas = np.zeros(2)
             else:
-                d = tracked_derivative(state, u, vp, tuple(eta))
-                vdot_meas = np.array(d[3:5]) + meas_rng.normal(0.0, sim.vdot_noise_std, 2)
-            feats = provider.features_under_robot(state.p_x, state.p_y, state.psi, half)
-            u_vec = u.as_array()
-            y = res.residual(vdot_meas, v, u_vec, a_n, b_n, period)
+                xdot_meas = (vehicle.measured(state, u, eta)
+                             + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
+            feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
+                                                  vehicle.half)
+            a_n, b_n = vehicle.vp.residual_model(state)
+            y = res.residual(xdot_meas, x, u_vec, a_n, b_n, period)
             if k >= warmup:
-                tx.append(v)
+                tx.append(x)
                 tu.append(u_vec)
                 te.append(feats)
                 ty.append(y)
             # choose the input for the next interval
             if t >= next_redraw:
-                u = TrackedInput(in_rng.uniform(*ds.u_v_range),
-                                 in_rng.uniform(*ds.u_omega_range))
+                u = vehicle.redraw(in_rng)
                 next_redraw = t + in_rng.uniform(*ds.hold_range_s)
-            w, h = world.extent
-            mx, my = ds.margin_frac * w, ds.margin_frac * h
             if not (mx <= state.p_x <= w - mx and my <= state.p_y <= h - my):
                 bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
-                err = wrap_angle(bearing - state.psi)
-                u = TrackedInput(max(0.4, abs(u.u_v) * 0.7),
-                                 float(np.clip(2.0 * err, -2.0, 2.0)))
-            for _ in range(n_sub):
-                eta_step = eta_under_robot(world, state.p_x, state.p_y)
-                state = integrate_step(state, u, vp, sim.dt_plant, tuple(eta_step))
+                u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
+            state = vehicle.advance(world, state, u, n_sub, sim.dt_plant)
             k += 1
         xs.append(tx)
         us.append(tu)
@@ -610,79 +606,6 @@ def generate_tracked_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryD
         ys.append(ty)
     return TrajectoryDataset(np.array(xs), np.array(us), np.array(es),
                              np.array(ys), period)
-
-
-def generate_ackermann_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
-    """Random steering at cruise speed; logs lateral states and residuals."""
-    ds = cfg.dataset
-    sim = cfg.sim
-    period = sim.control_period
-    n_sub = int(round(period / sim.dt_plant))
-    warmup = int(round(ds.warmup_s / period))
-    vp = cfg.vehicle.ackermann
-    half = cfg.vehicle.half_spacing
-
-    xs, us, es, ys = [], [], [], []
-    for traj in range(ds.n_traj):
-        ss = np.random.SeedSequence([cfg.seed, _DATASET_DOMAIN, traj])
-        in_rng, meas_rng, prov_ss = ss.spawn(3)
-        in_rng = np.random.default_rng(in_rng)
-        meas_rng = np.random.default_rng(meas_rng)
-        provider = FeatureProvider(world, cfg.provider.noise_std,
-                                   cfg.provider.brightness, seed=prov_ss,
-                                   mode=cfg.provider.mode)
-        res = ResidualFilter(sim.residual_cutoff_hz)
-        x0, y0, psi0 = _interior_start(in_rng, world, ds.margin_frac)
-        cruise = in_rng.uniform(*ds.cruise_range)
-        state = AckermannState(x0, y0, psi0, cruise, 0.0, 0.0)
-        u = AckermannInput(cruise, 0.0)
-        next_redraw = 0.0
-        tx, tu, te, ty = [], [], [], []
-        k = 0
-        while len(tx) < ds.steps:
-            t = k * period
-            eta = eta_under_robot(world, state.p_x, state.p_y)
-            x_lat = np.array([state.v_y, state.omega])
-            if k == 0:
-                xdot_meas = np.zeros(2)
-            else:
-                d = ackermann_derivative(state, u, vp, float(eta[0]))
-                xdot_meas = np.array(d[4:6]) + meas_rng.normal(0.0, sim.vdot_noise_std, 2)
-            feats = provider.features_under_robot(state.p_x, state.p_y, state.psi, half)
-            a_n = vp.a_n(max(state.v_x, vp.v_min * 1.01))
-            y = res.residual(xdot_meas, x_lat, [u.u_delta], a_n,
-                             vp.b_n().reshape(2, 1), period)
-            if k >= warmup:
-                tx.append(x_lat)
-                tu.append(np.array([u.u_delta]))
-                te.append(feats)
-                ty.append(y)
-            if t >= next_redraw:
-                u = AckermannInput(in_rng.uniform(*ds.cruise_range),
-                                   in_rng.uniform(*ds.u_delta_range))
-                next_redraw = t + in_rng.uniform(*ds.hold_range_s)
-            w, h = world.extent
-            mx, my = ds.margin_frac * w, ds.margin_frac * h
-            if not (mx <= state.p_x <= w - mx and my <= state.p_y <= h - my):
-                bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
-                err = wrap_angle(bearing - state.psi)
-                u = AckermannInput(u.u_v, float(np.clip(err, *ds.u_delta_range)))
-            for _ in range(n_sub):
-                eta_step = eta_under_robot(world, state.p_x, state.p_y)
-                state = integrate_step(state, u, vp, sim.dt_plant, float(eta_step[0]))
-            k += 1
-        xs.append(tx)
-        us.append(tu)
-        es.append(te)
-        ys.append(ty)
-    return TrajectoryDataset(np.array(xs), np.array(us), np.array(es),
-                             np.array(ys), period)
-
-
-def generate_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
-    if cfg.vehicle.type == "ackermann":
-        return generate_ackermann_dataset(cfg, world)
-    return generate_tracked_dataset(cfg, world)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -703,14 +626,6 @@ def _policy_for_run(cfg: Config, world: TerrainWorldMap, ref_rng):
     raise ValueError(f"unknown scenario kind {sc.kind!r}")
 
 
-def _start_for_run(cfg: Config, world: TerrainWorldMap, policy, start_rng):
-    sc = cfg.scenario
-    if sc.kind == "velocity-random":
-        x, y, psi = _interior_start(start_rng, world, sc.start_margin_frac)
-        return TrackedState(x, y, psi, 0.0, 0.0)
-    return policy.start_pose(start_rng)
-
-
 def run_scenario(cfg: Config, variants: list | None = None,
                  out_dir: str | None = None) -> dict:
     """Run the configured scenario for one or more controller variants.
@@ -728,6 +643,9 @@ def run_scenario(cfg: Config, variants: list | None = None,
     is_ackermann = sc.kind == "ackermann-circle"
     if is_ackermann and cfg.vehicle.type != "ackermann":
         raise ValueError("scenario ackermann-circle requires vehicle.type ackermann")
+    if is_ackermann and sc.fault.kind != "none":
+        raise ValueError("scenario ackermann-circle supports no fault, got "
+                         f"scenario.fault.kind {sc.fault.kind!r}")
     if not is_ackermann and cfg.vehicle.type != "tracked":
         raise ValueError(f"scenario {sc.kind} requires vehicle.type tracked")
 
@@ -738,28 +656,21 @@ def run_scenario(cfg: Config, variants: list | None = None,
     # one network for every dnn episode: controllers only evaluate it
     checkpoint = (_load_basis(cfg, out_dir)
                   if any(split_variant(v)[0] == "dnn" for v in variants) else None)
+    fault = FaultSchedule.from_config(sc.fault)
     results: list[RunResult] = []
     for r in range(sc.runs):
         ss = np.random.SeedSequence([cfg.seed, _SCENARIO_DOMAIN, r])
         start_ss, ref_ss, prov_ss, meas_ss = ss.spawn(4)
         policy = _policy_for_run(cfg, world, np.random.default_rng(ref_ss))
-        start = _start_for_run(cfg, world, policy, np.random.default_rng(start_ss))
+        start = policy.start_pose(np.random.default_rng(start_ss))
         for variant in variants:
             provider = FeatureProvider(world, cfg.provider.noise_std,
-                                       cfg.provider.brightness, seed=prov_ss,
-                                       mode=cfg.provider.mode)
+                                       cfg.provider.brightness, seed=prov_ss)
             meas_rng = np.random.default_rng(meas_ss)
-            if is_ackermann:
-                controller = build_ackermann_controller(cfg, variant, out_dir, checkpoint)
-                res, rows, cols = simulate_ackermann(world, cfg, controller, policy,
-                                                     provider, meas_rng, start,
-                                                     sc.duration_s)
-            else:
-                controller = build_tracked_controller(cfg, variant, out_dir, checkpoint)
-                fault = FaultSchedule.from_config(sc.fault)
-                res, rows, cols = simulate_tracked(world, cfg, controller, policy,
-                                                   provider, meas_rng, start,
-                                                   sc.duration_s, fault)
+            controller = build_controller(cfg, variant, out_dir, checkpoint)
+            res, rows, cols = simulate_episode(world, cfg, controller, policy,
+                                               provider, meas_rng, start,
+                                               sc.duration_s, fault)
             results.append(RunResult(variant=variant, run=r, **res))
             if sc.telemetry:
                 write_csv(os.path.join(tele_dir, f"{variant}_run{r:03d}.csv"),
@@ -794,10 +705,8 @@ def summarize_results(cfg: Config, variants: list, results: list) -> dict:
             vals = vals[np.isfinite(vals)]
             entry[m] = ({"mean": float(np.mean(vals)), "std": float(np.std(vals)),
                          "median": float(np.median(vals))} if vals.size else None)
-        entry["fallback_ticks"] = int(sum(r.fallback_ticks for r in rs))
-        entry["clamp_ticks"] = int(sum(r.clamp_ticks for r in rs))
-        entry["rejected_ticks"] = int(sum(r.rejected_ticks for r in rs))
-        entry["feature_clamps"] = int(sum(r.feature_clamps for r in rs))
+        for c in ("fallback_ticks", "clamp_ticks", "rejected_ticks", "feature_clamps"):
+            entry[c] = int(sum(getattr(r, c) for r in rs))
         stats[v] = entry
 
     improvements = {}
@@ -833,13 +742,10 @@ def summarize_results(cfg: Config, variants: list, results: list) -> dict:
 
 def _write_run_outputs(cfg: Config, variants: list, results: list, summary: dict,
                        out_dir: str):
-    cols = ["run", "variant", "ticks", "aborted", "position_rmse",
-            "velocity_rmse", "cum_tracking_error", "fallback_ticks",
-            "clamp_ticks", "rejected_ticks", "feature_clamps"]
-    rows = [[r.run, r.variant, r.ticks, r.aborted, r.position_rmse,
-             r.velocity_rmse, r.cum_tracking_error, r.fallback_ticks,
-             r.clamp_ticks, r.rejected_ticks, r.feature_clamps]
-            for r in results]
+    # every RunResult field, run index first
+    cols = ["run", "variant"] + [f.name for f in dataclasses.fields(RunResult)
+                                 if f.name not in ("run", "variant")]
+    rows = [[getattr(r, c) for c in cols] for r in results]
     write_csv(os.path.join(out_dir, "runs.csv"), cols, rows)
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
         json.dump(_json_safe(summary), f, indent=2, sort_keys=True)

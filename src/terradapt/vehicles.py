@@ -100,6 +100,10 @@ class TrackedParams:
     def b_n(self) -> np.ndarray:
         return np.diag([self.k1 / self.tau_v, self.k2 / self.tau_omega])
 
+    def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """(A_n, B_n) the dynamics residual is measured against."""
+        return self.a_n(), self.b_n()
+
 
 @dataclass
 class AckermannParams:
@@ -130,6 +134,11 @@ class AckermannParams:
     def b_n(self) -> np.ndarray:
         """Linearized steering influence on [v_y, omega]."""
         return np.array([self.c_y / self.m, 0.5 * self.wheelbase * self.c_y / self.i_z])
+
+    def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """(A_n, B_n) of the lateral residual: A_n at the state's forward speed,
+        held just above v_min, and B_n as a column for the steering input."""
+        return self.a_n(max(state.v_x, self.v_min * 1.01)), self.b_n().reshape(2, 1)
 
 
 @dataclass

@@ -219,25 +219,20 @@ def eta_under_robot(world: TerrainWorldMap, x: float, y: float) -> np.ndarray:
 class FeatureProvider:
     """Noisy, brightness-scaled view of a world's features.
 
-    Use mode 'synthetic' for worlds built by build_world and 'recorded' for
-    worlds loaded from a container file; both read the same grid. With a
-    fixed seed the noise sequence, and therefore every returned feature, is
-    deterministic. Brightness multiplies the clean patch mean before noise is
-    added, emulating a uniformly darkened appearance.
+    With a fixed seed the noise sequence, and therefore every returned
+    feature, is deterministic. Brightness multiplies the clean patch mean
+    before noise is added, emulating a uniformly darkened appearance.
     """
 
     def __init__(self, world: TerrainWorldMap, noise_std: float = 0.0,
-                 brightness: float = 1.0, seed: int = 0, mode: str = "synthetic"):
+                 brightness: float = 1.0, seed: int = 0):
         if noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
         if brightness <= 0:
             raise ValueError("brightness must be positive")
-        if mode not in ("synthetic", "recorded"):
-            raise ValueError(f"unknown provider mode {mode!r}")
         self.world = world
         self.noise_std = noise_std
         self.brightness = brightness
-        self.mode = mode
         self.rng = np.random.default_rng(seed)
         self.clamp_count = 0
 
@@ -250,9 +245,6 @@ class FeatureProvider:
         if self.noise_std > 0:
             out = out + self.rng.normal(0.0, self.noise_std, size=out.shape)
         return out
-
-    def eta_under_robot(self, x: float, y: float) -> np.ndarray:
-        return eta_under_robot(self.world, x, y)
 
 
 def linear_margin_stats(world: TerrainWorldMap) -> dict:

@@ -36,6 +36,7 @@ def test_unknown_keys_rejected_everywhere():
         {"world": {"rowz": 10}},
         {"world": {"classes": [{"name": "a", "eta": [1.0, 1.0], "color": "red"}]}},
         {"provider": {"noise": 0.1}},
+        {"provider": {"seed": 0}},
         {"sim": {"dt": 0.01}},
         {"dataset": {"step": 10}},
         {"training": {"lr": 0.001}},
@@ -61,6 +62,8 @@ def test_error_messages_name_the_section():
         config_from_dict({"scenario": {"kind": "slalom"}})
     with pytest.raises(ConfigError, match="fault"):
         config_from_dict({"scenario": {"fault": {"kind": "engine"}}})
+    with pytest.raises(ConfigError, match="provider"):
+        config_from_dict({"provider": {"mode": "live"}})
     with pytest.raises(ConfigError, match="world"):
         config_from_dict({"world": {"classes": [{"name": "a", "eta": [3.0, 3.0]}]}})
     with pytest.raises(ConfigError, match="classes"):

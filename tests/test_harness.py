@@ -19,11 +19,10 @@ from terradapt.harness import (
     Figure8Reference,
     RandomVelocityReference,
     RunResult,
-    build_tracked_controller,
+    build_controller,
     build_world_for,
     compute_metrics,
     generate_dataset,
-    generate_tracked_dataset,
     metrics_from_telemetry,
     resolve_path,
     run_scenario,
@@ -170,13 +169,15 @@ def test_circle_reference_geometry():
 # ----------------------------------------------------------------- datasets
 
 
-def test_tracked_dataset_shapes_and_determinism():
-    cfg = config_from_dict(base_raw())
+@pytest.mark.parametrize("vehicle, n_u", [("tracked", 2), ("ackermann", 1)],
+                         ids=["tracked", "ackermann"])
+def test_dataset_shapes_and_determinism(vehicle, n_u):
+    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle}))
     world = build_world_for(cfg)
-    ds1 = generate_tracked_dataset(cfg, world)
-    ds2 = generate_tracked_dataset(cfg, world)
+    ds1 = generate_dataset(cfg, world)
+    ds2 = generate_dataset(cfg, world)
     assert ds1.x.shape == (2, 60, 2)
-    assert ds1.u.shape == (2, 60, 2)
+    assert ds1.u.shape == (2, 60, n_u)
     assert ds1.e.shape == (2, 60, 4)
     assert ds1.y.shape == (2, 60, 2)
     assert ds1.dt == 0.05
@@ -204,7 +205,7 @@ def test_dataset_recovers_constant_basis_truth():
     raw["world"]["classes"] = [{"name": "soft", "eta": [0.72, 0.8]}]
     cfg = config_from_dict(raw)
     world = build_world_for(cfg)
-    ds = generate_tracked_dataset(cfg, world)
+    ds = generate_dataset(cfg, world)
     b_n = cfg.vehicle.tracked.b_n()
     theta_true = np.array([(0.72 - 1) * b_n[0, 0], 0.0, 0.0, (0.8 - 1) * b_n[1, 1]])
     phi = np.broadcast_to(ConstantBasis(2, 2).eval(None, None), (ds.length, 4, 2, 2))
@@ -347,6 +348,31 @@ def test_scenario_vehicle_mismatch_raises(tmp_path):
         run_scenario(cfg, ["pd"], str(tmp_path))
 
 
+def test_ackermann_scenario_rejects_fault(tmp_path):
+    # a track fault has no meaning for the car: refuse it instead of ignoring it
+    raw = base_raw(**{"vehicle.type": "ackermann"},
+                   scenario={"kind": "ackermann-circle", "runs": 1,
+                             "fault": {"kind": "track-square", "scale": 0.0}})
+    with pytest.raises(ValueError, match="fault"):
+        run_scenario(config_from_dict(raw), ["pd"], str(tmp_path))
+
+
+def test_ackermann_controller_error_aborts_the_run(tmp_path):
+    # the lateral law raises ValueError below v_min; for the car that aborts
+    # the run (tracked runs abort only on NonFiniteError and LinAlgError)
+    raw = base_raw(**{"vehicle.type": "ackermann"},
+                   scenario={"kind": "ackermann-circle", "duration_s": 2.0,
+                             "runs": 1, "circle_radius": 1.5,
+                             "circle_speed": 1.0})
+    raw["vehicle"]["ackermann"] = {"v_min": 1.5}
+    summary = run_scenario(config_from_dict(raw), ["pd"], str(tmp_path))
+    assert summary["variants"]["pd"]["aborted"] == 1
+    cols, rows = read_csv(tmp_path / "runs.csv")
+    idx = {c: i for i, c in enumerate(cols)}
+    assert rows[0][idx["aborted"]] == "1"
+    assert int(rows[0][idx["ticks"]]) == 0
+
+
 def test_ackermann_circle_scenario_runs(tmp_path):
     raw = base_raw(**{"vehicle.type": "ackermann"},
                    scenario={"kind": "ackermann-circle", "duration_s": 4.0,
@@ -374,16 +400,16 @@ def test_run_info_sidecar_has_no_absolute_paths(tmp_path):
 
 def test_build_controllers_from_config(tmp_path):
     cfg = config_from_dict(base_raw(out_dir=tmp_path))
-    pd = build_tracked_controller(cfg, "pd", str(tmp_path))
+    pd = build_controller(cfg, "pd", str(tmp_path))
     assert pd.basis is None and pd.state is None and not pd.adapt
-    const = build_tracked_controller(cfg, "constant", str(tmp_path))
+    const = build_controller(cfg, "constant", str(tmp_path))
     assert isinstance(const.basis, ConstantBasis) and const.adapt
-    frozen = build_tracked_controller(cfg, "constant-frozen", str(tmp_path))
+    frozen = build_controller(cfg, "constant-frozen", str(tmp_path))
     assert not frozen.adapt
     net = BasisNet.init(2, 4, 2, 2, 4, hidden=(8,), rng=0)
     net.save(os.path.join(tmp_path, "basis.tdc"),
              extra_meta={"theta_r": [0.1, 0.2, 0.3, 0.4]})
-    dnn = build_tracked_controller(cfg, "dnn", str(tmp_path))
+    dnn = build_controller(cfg, "dnn", str(tmp_path))
     assert isinstance(dnn.basis, BasisNet)
     np.testing.assert_allclose(dnn.state.theta_hat, [0.1, 0.2, 0.3, 0.4])
 
@@ -395,7 +421,7 @@ def test_run_scenario_reads_checkpoint_once(tmp_path, monkeypatch):
         os.path.join(tmp_path, "basis.tdc"), extra_meta={"theta_r": [0.1, 0.2, 0.3, 0.4]})
     reads, bases = [], []
     load = harness.load_checkpoint
-    build = harness.build_tracked_controller
+    build = harness.build_controller
     monkeypatch.setattr(harness, "load_checkpoint", lambda p: reads.append(p) or load(p))
 
     def recording_build(*args, **kwargs):
@@ -403,7 +429,7 @@ def test_run_scenario_reads_checkpoint_once(tmp_path, monkeypatch):
         bases.append(ctl.basis)
         return ctl
 
-    monkeypatch.setattr(harness, "build_tracked_controller", recording_build)
+    monkeypatch.setattr(harness, "build_controller", recording_build)
     summary = run_scenario(cfg, ["dnn", "dnn-frozen"], str(tmp_path))
     assert len(reads) == 1
     assert len(bases) == 4 and all(b is bases[0] for b in bases)

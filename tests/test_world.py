@@ -224,8 +224,6 @@ def test_provider_validation():
         FeatureProvider(w, noise_std=-0.1)
     with pytest.raises(ValueError):
         FeatureProvider(w, brightness=0.0)
-    with pytest.raises(ValueError):
-        FeatureProvider(w, mode="live")
 
 
 def test_save_load_roundtrip(tmp_path):
