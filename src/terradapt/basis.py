@@ -60,7 +60,7 @@ def contract(phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     if phi.ndim == 3:
         if phi.shape[0] != theta.shape[0]:
             raise DimensionError(f"theta has {theta.shape[0]} entries, basis has {phi.shape[0]}")
-        return np.tensordot(theta, phi, axes=([0], [0]))
+        return (theta @ phi.reshape(phi.shape[0], -1)).reshape(phi.shape[1:])
     if phi.ndim == 4:
         if phi.shape[1] != theta.shape[0]:
             raise DimensionError(f"theta has {theta.shape[0]} entries, basis has {phi.shape[1]}")

@@ -132,6 +132,15 @@ class AdaptState:
             raise ValueError("gain must be a vector or a square matrix")
 
     @classmethod
+    def _from_step(cls, theta_hat: np.ndarray, gain: np.ndarray) -> "AdaptState":
+        """State from an adaptation step, skipping __post_init__: the step
+        keeps the shapes and leaves the gain clipped or floored positive."""
+        state = object.__new__(cls)
+        state.theta_hat = theta_hat
+        state.gain = gain
+        return state
+
+    @classmethod
     def fresh(cls, n_theta: int, params: AdaptParams, law: str = "scalar",
               theta0=None) -> "AdaptState":
         theta = np.zeros(n_theta) if theta0 is None else np.asarray(theta0, dtype=float)
@@ -273,6 +282,26 @@ class PositionReferenceTracker:
         self.prev_v_ref = None
 
 
+def cond_2x2(m) -> float:
+    """2-norm condition number of a 2x2 matrix in closed form.
+
+    With f = ||M||_F^2 = s1^2 + s2^2 and |det M| = s1 s2, the singular values
+    satisfy cond = s1 / s2 = (f + sqrt(f^2 - 4 det^2)) / (2 |det|). The
+    entries are first scaled by the largest magnitude so that neither f nor
+    det can overflow. Returns inf for a singular or non-finite matrix.
+    """
+    (a, b), (c, d) = m.tolist()
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    if not 0.0 < big < math.inf:        # zero, infinite or NaN
+        return math.inf
+    a, b, c, d = a / big, b / big, c / big, d / big
+    det = abs(a * d - b * c)
+    f = a * a + b * b + c * c + d * d
+    if det == 0.0 or not math.isfinite(f):     # f is NaN if an entry is
+        return math.inf
+    return (f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))) / (2.0 * det)
+
+
 def tracking_error(v, ref: ReferenceState) -> np.ndarray:
     """s = [v_x - v_ref_x, omega - omega_ref]."""
     return np.asarray(v, dtype=float) - ref.v_ref
@@ -280,25 +309,25 @@ def tracking_error(v, ref: ReferenceState) -> np.ndarray:
 
 def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParams,
                     gains: TrackedGains, u_limits=(2.0, 3.0),
-                    cond_limit: float = 1e6):
+                    cond_limit: float = 1e6, nominal=None):
     """Feedback-linearizing velocity control with the adapted influence matrix.
 
     Returns (TrackedInput, info). If B_hat is near singular (condition number
     at or above cond_limit) the nominal B_n is used instead and info["fallback"]
     is set; the caller should skip the adaptation update for that step.
-    Commands are clamped to u_limits and clamping is reported.
+    Commands are clamped to u_limits and clamping is reported. nominal is
+    (params.a_n(), params.b_n()) when the caller has already built them.
     """
-    a_n = params.a_n()
-    b_n = params.b_n()
+    a_n, b_n = (params.a_n(), params.b_n()) if nominal is None else nominal
     info = {"fallback": False, "clamped": False}
     b_hat = b_n if phi is None else b_n + contract(phi, theta_hat)
-    cond = np.linalg.cond(b_hat)
-    if not np.isfinite(cond) or cond >= cond_limit:
-        log.warning("B_hat condition number %.3e >= %.1e, falling back to B_n", cond, cond_limit)
+    cond = cond_2x2(b_hat)
+    if cond >= cond_limit:
+        log.debug("B_hat condition number %.3e >= %.1e, falling back to B_n", cond, cond_limit)
         b_hat = b_n
         info["fallback"] = True
-    k = np.diag([gains.k_dx, gains.k_domega])
-    rhs = k @ np.asarray(s, dtype=float) + a_n @ ref.v_ref - ref.vdot_ref
+    k = np.array([gains.k_dx, gains.k_domega])      # the diagonal of K
+    rhs = k * np.asarray(s, dtype=float) + a_n @ ref.v_ref - ref.vdot_ref
     u_vec = -np.linalg.solve(b_hat, rhs)
     lim = np.asarray(u_limits, dtype=float)
     clipped = np.clip(u_vec, -lim, lim)
@@ -314,6 +343,8 @@ def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParam
 def h_matrix(phi: np.ndarray, u_vec) -> np.ndarray:
     """Columns h_i = Phi_i u: (n_theta, n, m) x (m,) -> (n, n_theta)."""
     u = np.asarray(u_vec, dtype=float).reshape(-1)
+    # einsum, not phi @ u: the stacked matmul rounds differently in the last
+    # bit, which moves the matrix law's gain and every later tick
     return np.einsum("inm,m->ni", np.asarray(phi, dtype=float), u)
 
 
@@ -334,7 +365,7 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
     r_inv = 1.0 / np.asarray(params.r_diag, dtype=float)
     pred = h @ state.theta_hat - np.asarray(y, dtype=float)
     hr = h * r_inv[:, None]                       # R^-1-weighted columns
-    quad = np.einsum("ni,ni->i", hr, h)           # h_i^T R^-1 h_i
+    quad = (hr * h).sum(axis=0)                   # h_i^T R^-1 h_i
     theta_dot = (-params.lam * state.theta_hat
                  - state.gain * (hr.T @ pred)
                  + state.gain * (h.T @ np.asarray(s, dtype=float)))
@@ -344,10 +375,10 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
     theta_new = state.theta_hat + dt * theta_dot
     gamma_new = state.gain + dt * gamma_dot
     if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(gamma_new))):
-        log.warning("scalar adaptation produced a non-finite update; step rejected")
+        log.debug("scalar adaptation produced a non-finite update; step rejected")
         return state, True
     gamma_new = np.clip(gamma_new, params.gamma_min, params.gamma_max)
-    return AdaptState(theta_new, gamma_new), False
+    return AdaptState._from_step(theta_new, gamma_new), False
 
 
 def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
@@ -378,14 +409,14 @@ def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
     theta_new = state.theta_hat + dt * theta_dot
     gain_new = state.gain + dt * gain_dot
     if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(gain_new))):
-        log.warning("matrix adaptation produced a non-finite update; step rejected")
+        log.debug("matrix adaptation produced a non-finite update; step rejected")
         return state, True
     gain_new = 0.5 * (gain_new + gain_new.T)
     vals, vecs = np.linalg.eigh(gain_new)
     vals = np.maximum(vals, params.gamma_min)
     gain_new = (vecs * vals) @ vecs.T
     gain_new = 0.5 * (gain_new + gain_new.T)
-    return AdaptState(theta_new, gain_new), False
+    return AdaptState._from_step(theta_new, gain_new), False
 
 
 def lyapunov_value(s, theta_hat, theta_true, gain) -> float:
@@ -439,7 +470,7 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
         b_hat = b_nom + float(np.asarray(phi_row, dtype=float)
                               @ np.asarray(theta_hat, dtype=float))
     if abs(b_hat) < gains.b_min:
-        log.warning("b_hat=%.3e below b_min=%.1e, dropping adapted part", b_hat, gains.b_min)
+        log.debug("b_hat=%.3e below b_min=%.1e, dropping adapted part", b_hat, gains.b_min)
         b_hat = b_nom
         info["fallback"] = True
     u = -(gains.k_v * lat.s_perp
@@ -515,7 +546,7 @@ class _AdaptiveController:
         y = np.full(2, np.nan)
         rejected = False
         if self.prev_u is not None:
-            a_n, b_n = self.params.residual_model(state)
+            a_n, b_n = self._residual_model(state)
             y = self.res_filter.residual(xdot_meas, x, self.prev_u, a_n, b_n, self.dt)
             if self.adapt and not fallback and self.prev_phi is not None:
                 step = adapt_step_scalar if self.law == "scalar" else adapt_step_matrix
@@ -524,6 +555,9 @@ class _AdaptiveController:
         self.prev_u = u_vec
         self.prev_phi = phi
         return y, rejected
+
+    def _residual_model(self, state):
+        return self.params.residual_model(state)
 
     def _telemetry(self, s, u, y, psi_ref: float, info: dict, rejected: bool,
                    lat: LateralErrorState | None = None) -> TickTelemetry:
@@ -549,10 +583,15 @@ class TrackedController(_AdaptiveController):
                          residual_cutoff_hz, control_period)
         self.u_limits = u_limits
         self.ref_tracker = PositionReferenceTracker(gains, residual_cutoff_hz)
+        # (A_n, B_n) do not depend on the state: built once, used every tick
+        self.nominal = params.residual_model(None)
 
     def reset(self):
         super().reset()
         self.ref_tracker.reset()
+
+    def _residual_model(self, state):
+        return self.nominal
 
     def tick_position(self, state, vdot_meas, features, p_d, v_d, psi_d):
         ref = self.ref_tracker.step(np.array([state.p_x, state.p_y]), state.psi,
@@ -570,7 +609,7 @@ class TrackedController(_AdaptiveController):
         phi = self._phi(v, features)
         s = tracking_error(v, ref)
         u, info = control_tracked(s, ref, phi, self._theta(), self.params, self.gains,
-                                  self.u_limits)
+                                  self.u_limits, nominal=self.nominal)
         u_vec = u.as_array()
         y, rejected = self._adapt(state, v, vdot_meas, phi, u_vec, s, info["fallback"])
         return u, self._telemetry(s, u_vec, y, ref.psi_ref, info, rejected)

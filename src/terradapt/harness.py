@@ -339,7 +339,12 @@ class _Tracked(_Vehicle):
     tele_cols = ["v_ref_x", "omega_ref", "s_vx", "s_omega",
                  "u_v", "u_omega", "y_vx", "y_omega"]
     fault_cols = ["fault_left", "fault_right"]
-    eta = staticmethod(tuple)
+
+    @staticmethod
+    def eta(eta) -> list:
+        """The looked-up eta row as two Python floats, the form the plant
+        checks with scalar compares."""
+        return eta.tolist()
 
     @staticmethod
     def sample(state, u: TrackedInput):
@@ -526,6 +531,9 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
             aborted = True
             break
 
+    if fallback or rejected or clamp:
+        log.warning("run of %d ticks had %d fallback, %d rejected and %d clamped ticks",
+                    len(rows), fallback, rejected, clamp)
     pos_rmse, vel_rmse, cum = compute_metrics(period, s_rows, p_rows, pd_rows)
     result = {
         "ticks": len(rows), "aborted": aborted,

@@ -167,6 +167,13 @@ def _check_finite(label: str, *values: float) -> None:
 
 
 def _check_eta_tracked(eta) -> tuple[float, float]:
+    # two plain floats, the form the simulation loops pass, are checked with
+    # scalar compares (which also fail on NaN); anything else, or a value
+    # that fails, goes through the array path, which converts or raises
+    if type(eta) in (tuple, list) and len(eta) == 2:
+        e1, e2 = eta
+        if type(e1) is float and type(e2) is float and 0.0 < e1 <= 2.0 and 0.0 < e2 <= 2.0:
+            return e1, e2
     e = np.asarray(eta, dtype=float).reshape(-1)
     if e.shape != (2,):
         raise ValueError(f"tracked eta must have two diagonal entries, got shape {e.shape}")
@@ -184,20 +191,21 @@ def tracked_derivative(state: TrackedState, u: TrackedInput, params: TrackedPara
     _check_finite("tracked state", state.p_x, state.p_y, state.psi, state.v_x, state.omega)
     _check_finite("tracked input", u.u_v, u.u_omega)
     e1, e2 = _check_eta_tracked(eta)
-    return np.array(_tracked_rhs(
-        (state.p_x, state.p_y, state.psi, state.v_x, state.omega),
-        u.u_v, u.u_omega, params, e1, e2))
+    return np.array(_tracked_rhs(state.psi, state.v_x, state.omega, params.x_icr,
+                                 e1 * params.k1 * u.u_v, params.tau_v,
+                                 e2 * params.k2 * u.u_omega, params.tau_omega))
 
 
-def _tracked_rhs(y, u_v, u_omega, p: TrackedParams, e1, e2):
-    _, _, psi, v_x, omega = y
+def _tracked_rhs(psi, v_x, omega, x_icr, f_v, tau_v, f_omega, tau_omega):
+    """Tracked derivative with the input terms f = eta k u already formed;
+    the pose does not enter it."""
     c, s = math.cos(psi), math.sin(psi)
     return (
-        c * v_x + p.x_icr * s * omega,
-        s * v_x - p.x_icr * c * omega,
+        c * v_x + x_icr * s * omega,
+        s * v_x - x_icr * c * omega,
         omega,
-        (-v_x + e1 * p.k1 * u_v) / p.tau_v,
-        (-omega + e2 * p.k2 * u_omega) / p.tau_omega,
+        (-v_x + f_v) / tau_v,
+        (-omega + f_omega) / tau_omega,
     )
 
 
@@ -258,9 +266,8 @@ def integrate_step(state, u, params, dt: float, eta=None):
         e1, e2 = _check_eta_tracked((1.0, 1.0) if eta is None else eta)
         _check_finite("tracked state", state.p_x, state.p_y, state.psi, state.v_x, state.omega)
         _check_finite("tracked input", u.u_v, u.u_omega)
-        y0 = (state.p_x, state.p_y, state.psi, state.v_x, state.omega)
-        rhs = lambda y: _tracked_rhs(y, u.u_v, u.u_omega, params, e1, e2)
-        y1 = _rk4(y0, rhs, dt)
+        y1 = _rk4_tracked((state.p_x, state.p_y, state.psi, state.v_x, state.omega),
+                          u, params, e1, e2, dt)
         return TrackedState(y1[0], y1[1], wrap_angle(y1[2]), y1[3], y1[4])
     if isinstance(state, AckermannState):
         ev = 1.0 if eta is None else float(eta)
@@ -285,6 +292,27 @@ def _rk4(y0, rhs, dt):
     k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
     k4 = rhs(tuple(y + dt * k for y, k in zip(y0, k3)))
     return tuple(y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                 for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
+
+
+def _rk4_tracked(y0, u: TrackedInput, p: TrackedParams, e1: float, e2: float, dt: float):
+    """_rk4 over _tracked_rhs with the per-step constants formed once. Every
+    float operation is the one _rk4 performs, in the same order; the stage
+    positions are skipped because the derivative does not read them."""
+    x_icr, tau_v, tau_omega = p.x_icr, p.tau_v, p.tau_omega
+    f_v = e1 * p.k1 * u.u_v
+    f_omega = e2 * p.k2 * u.u_omega
+    h = 0.5 * dt
+    _, _, psi, v_x, omega = y0
+    k1 = _tracked_rhs(psi, v_x, omega, x_icr, f_v, tau_v, f_omega, tau_omega)
+    k2 = _tracked_rhs(psi + h * k1[2], v_x + h * k1[3], omega + h * k1[4],
+                      x_icr, f_v, tau_v, f_omega, tau_omega)
+    k3 = _tracked_rhs(psi + h * k2[2], v_x + h * k2[3], omega + h * k2[4],
+                      x_icr, f_v, tau_v, f_omega, tau_omega)
+    k4 = _tracked_rhs(psi + dt * k3[2], v_x + dt * k3[3], omega + dt * k3[4],
+                      x_icr, f_v, tau_v, f_omega, tau_omega)
+    dt6 = dt / 6.0
+    return tuple(y + dt6 * (a + 2.0 * b + 2.0 * c + d)
                  for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
 
 

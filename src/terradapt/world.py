@@ -91,6 +91,26 @@ class TerrainWorldMap:
     centers: np.ndarray         # (n_classes, feature_dim) cluster centers
     feature_noise: float
 
+    def __post_init__(self):
+        # checked once here, for built and recorded worlds alike, so that a
+        # bad recorded world fails when it is loaded, not in the middle of a run
+        eta, grid, feats = self.eta_table, self.class_grid, self.features
+        if eta.ndim != 2 or eta.size == 0:
+            raise ValueError(f"eta_table must be a non-empty 2-D table, got shape {eta.shape}")
+        if not np.all((eta > 0.0) & (eta <= 2.0)):     # NaN fails both compares
+            raise ValueError(f"eta_table entries must be finite and lie in (0, 2], got {eta}")
+        if grid.ndim != 2 or grid.size == 0 or not np.issubdtype(grid.dtype, np.integer):
+            raise ValueError("class_grid must be a non-empty 2-D integer grid, "
+                             f"got shape {grid.shape} of {grid.dtype}")
+        if grid.min() < 0 or grid.max() >= eta.shape[0]:
+            raise ValueError(f"class ids must lie in [0, {eta.shape[0]}), "
+                             f"got {grid.min()}..{grid.max()}")
+        if feats.ndim != 3 or feats.shape[:2] != grid.shape:
+            raise ValueError(f"features must have shape ({grid.shape[0]}, {grid.shape[1]}, d), "
+                             f"got {feats.shape}")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite")
+
     @property
     def rows(self):
         return self.class_grid.shape[0]

@@ -21,6 +21,7 @@ from terradapt.control import (
     adapt_step_matrix,
     adapt_step_scalar,
     control_ackermann,
+    cond_2x2,
     control_tracked,
     h_matrix,
     lateral_errors,
@@ -278,6 +279,34 @@ def test_control_tracked_singular_estimate_falls_back():
     np.testing.assert_allclose(info["b_hat"], params.b_n())
     rhs = params.a_n() @ ref.v_ref
     np.testing.assert_allclose(params.b_n() @ u.as_array(), -rhs, rtol=1e-12)
+
+
+def test_cond_2x2_matches_numpy():
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    for i in range(1000):
+        if i % 2:
+            m = rng.normal(size=(2, 2))
+        else:           # U diag(1, 1/c) V^T with cond c up to 1e8
+            q1, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            q2, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            m = q1 @ np.diag([1.0, 10.0 ** -rng.uniform(0, 8)]) @ q2
+        m = m * 10.0 ** rng.uniform(-30, 30)
+        want = np.linalg.cond(m)
+        # rtol 1e-9, widened by 4 eps cond: either result may miss the
+        # smallest singular value by about eps * cond relative (SVD is
+        # off by up to 5.7e-9 from a 50-digit reference at cond 1e8)
+        assert cond_2x2(m) == pytest.approx(want, rel=1e-9 + 4 * eps * want)
+    for m in ([[1e200, 3e199], [-2e199, 5e200]], [[1e-200, 0.0], [0.0, 3e-201]]):
+        m = np.array(m)
+        assert cond_2x2(m) == pytest.approx(np.linalg.cond(m), rel=1e-12)
+
+
+def test_cond_2x2_singular_and_non_finite_are_infinite():
+    for m in ([[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]],
+              [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+              [[np.inf, np.nan], [0.0, 1.0]], [[1.0, 0.0], [0.0, -np.inf]]):
+        assert cond_2x2(np.array(m)) == math.inf
 
 
 def test_control_tracked_clamps_commands():

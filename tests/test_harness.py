@@ -1,6 +1,7 @@
 """Closed-loop harness: faults, references, datasets, paired scenarios, CLI."""
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -31,7 +32,7 @@ from terradapt.harness import (
 )
 from terradapt.serialize import read_csv
 from terradapt.training import build_h, solve_theta_star
-from terradapt.vehicles import TrackedState
+from terradapt.vehicles import TrackedParams, TrackedState
 from terradapt.world import build_world
 
 
@@ -340,6 +341,24 @@ def test_diverging_run_is_reported_aborted(tmp_path):
     idx = {c: i for i, c in enumerate(cols)}
     assert rows[0][idx["aborted"]] == "1"
     assert int(rows[0][idx["ticks"]]) < 80
+
+
+def test_fallback_on_every_tick_logs_one_summary_warning(tmp_path, caplog):
+    b_n = TrackedParams().b_n()
+    raw = base_raw(**{"scenario.runs": 1, "scenario.duration_s": 2.0})
+    # theta0 cancels B_n: B_hat = 0, so every tick falls back to B_n
+    raw["controller"]["theta0"] = [-b_n[0, 0], 0.0, 0.0, -b_n[1, 1]]
+    with caplog.at_level(logging.DEBUG, logger="terradapt"):
+        run_scenario(config_from_dict(raw), ["constant"], str(tmp_path))
+    cols, rows = read_csv(tmp_path / "runs.csv")
+    row = dict(zip(cols, rows[0]))
+    assert (row["ticks"], row["aborted"], row["fallback_ticks"], row["rejected_ticks"]) \
+        == ("40", "0", "40", "0")
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [r.name for r in warnings] == ["terradapt.harness"]
+    assert f"40 fallback, 0 rejected and {row['clamp_ticks']} clamped" in warnings[0].getMessage()
+    # the per-tick note is kept at debug level
+    assert sum("falling back" in r.getMessage() for r in caplog.records) == 40
 
 
 def test_scenario_vehicle_mismatch_raises(tmp_path):

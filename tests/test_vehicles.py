@@ -122,6 +122,26 @@ def test_eta_validation_tracked():
     tracked_derivative(state, u, p, (2.0, 2.0))
 
 
+ETA_FORMS = {
+    "tuple": (0.8, 1.2),
+    "list": [0.8, 1.2],
+    "ndarray": np.array([0.8, 1.2]),
+    "column": np.array([[0.8], [1.2]]),
+}
+
+
+@pytest.mark.parametrize("form", ETA_FORMS)
+def test_eta_forms_tracked_accepted(form):
+    state = TrackedState(0.2, -0.1, 0.4, 0.5, 0.1)
+    u = TrackedInput(1.0, -0.3)
+    p = TrackedParams(x_icr=0.05)
+    eta = ETA_FORMS[form]
+    np.testing.assert_array_equal(tracked_derivative(state, u, p, eta),
+                                  tracked_derivative(state, u, p, (0.8, 1.2)))
+    np.testing.assert_array_equal(integrate_step(state, u, p, 0.01, eta).as_array(),
+                                  integrate_step(state, u, p, 0.01, (0.8, 1.2)).as_array())
+
+
 def test_non_finite_state_raises():
     p = TrackedParams()
     with pytest.raises(NonFiniteError):
@@ -183,6 +203,51 @@ def test_tracked_arc_matches_closed_form():
     assert state.psi == pytest.approx(psi0 + w0 * t, abs=1e-6)
     # velocities sit at the fixed point exactly
     assert state.v_x == v0 and state.omega == w0
+
+
+def generic_rk4(derivative, state, u, params, dt, eta):
+    """Textbook RK4 over a public derivative, in the integrator's order of
+    operations: y + dt/6 (k1 + 2 k2 + 2 k3 + k4), heading wrapped."""
+    cls = type(state)
+    y0 = state.as_array()
+    k1 = derivative(state, u, params, eta)
+    k2 = derivative(cls(*(y0 + 0.5 * dt * k1).tolist()), u, params, eta)
+    k3 = derivative(cls(*(y0 + 0.5 * dt * k2).tolist()), u, params, eta)
+    k4 = derivative(cls(*(y0 + dt * k3).tolist()), u, params, eta)
+    y1 = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y1[2] = wrap_angle(float(y1[2]))
+    return y1
+
+
+unit = st.floats(-1.0, 1.0)
+plant_dt = st.floats(1e-3, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-math.pi, math.pi),
+                 st.floats(-3, 3), st.floats(-3, 3)),
+       st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+       st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.05, 1.0),
+                 st.floats(0.05, 1.0), st.floats(-0.2, 0.2)),
+       st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)), plant_dt)
+def test_tracked_step_is_exactly_rk4_over_derivative(y, u, p, eta, dt):
+    state, inp, params = TrackedState(*y), TrackedInput(*u), TrackedParams(*p)
+    np.testing.assert_array_equal(
+        integrate_step(state, inp, params, dt, eta).as_array(),
+        generic_rk4(tracked_derivative, state, inp, params, dt, eta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-math.pi, math.pi),
+                 st.floats(0.5, 3.0), unit, unit),
+       st.tuples(st.floats(0.5, 3.0), st.floats(-0.4, 0.4)),
+       st.floats(0.05, 2.0), plant_dt)
+def test_ackermann_step_is_exactly_rk4_over_derivative(y, u, eta, dt):
+    # forward speeds and inputs above 0.5 keep every RK4 stage above v_min
+    state, inp, params = AckermannState(*y), AckermannInput(*u), AckermannParams()
+    np.testing.assert_array_equal(
+        integrate_step(state, inp, params, dt, eta).as_array(),
+        generic_rk4(ackermann_derivative, state, inp, params, dt, eta))
 
 
 def test_integrate_step_wraps_heading():

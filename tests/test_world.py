@@ -1,5 +1,6 @@
 """Terrain world construction, queries, providers, and persistence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -244,4 +245,34 @@ def test_load_rejects_foreign_container(tmp_path):
     path = tmp_path / "other.tdc"
     save_arrays(path, {"x": np.ones(3)}, kind="dataset")
     with pytest.raises(ContainerError, match="kind"):
+        load_world(path)
+
+
+def _corrupt_eta(arrays):
+    arrays["eta_table"][2] = [2.5, 0.62]
+
+
+def _corrupt_class_id(arrays):
+    arrays["class_grid"][4, 7] = 3          # three classes: ids 0..2
+
+
+def _corrupt_feature(arrays):
+    arrays["features"][1, 2, 3] = np.nan
+
+
+@pytest.mark.parametrize("corrupt, match", [(_corrupt_eta, "eta_table"),
+                                            (_corrupt_class_id, "class ids"),
+                                            (_corrupt_feature, "finite")])
+def test_invalid_world_refused_on_construction_and_load(tmp_path, corrupt, match):
+    w = build_world(three_class_spec())
+    arrays = {"class_grid": w.class_grid.copy(), "features": w.features.copy(),
+              "eta_table": w.eta_table.copy(), "centers": w.centers}
+    corrupt(arrays)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(w, **arrays)
+    path = tmp_path / "world.tdc"
+    save_arrays(path, arrays, kind="world", meta={
+        "cell_size": w.cell_size, "class_names": list(w.class_names),
+        "feature_noise": w.feature_noise})
+    with pytest.raises(ValueError, match=match):
         load_world(path)
