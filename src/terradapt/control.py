@@ -132,15 +132,6 @@ class AdaptState:
             raise ValueError("gain must be a vector or a square matrix")
 
     @classmethod
-    def _from_step(cls, theta_hat: np.ndarray, gain: np.ndarray) -> "AdaptState":
-        """State from an adaptation step, skipping __post_init__: the step
-        keeps the shapes and leaves the gain clipped or floored positive."""
-        state = object.__new__(cls)
-        state.theta_hat = theta_hat
-        state.gain = gain
-        return state
-
-    @classmethod
     def fresh(cls, n_theta: int, params: AdaptParams, law: str = "scalar",
               theta0=None) -> "AdaptState":
         theta = np.zeros(n_theta) if theta0 is None else np.asarray(theta0, dtype=float)
@@ -309,16 +300,16 @@ def tracking_error(v, ref: ReferenceState) -> np.ndarray:
 
 def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParams,
                     gains: TrackedGains, u_limits=(2.0, 3.0),
-                    cond_limit: float = 1e6, nominal=None):
+                    cond_limit: float = 1e6):
     """Feedback-linearizing velocity control with the adapted influence matrix.
 
     Returns (TrackedInput, info). If B_hat is near singular (condition number
     at or above cond_limit) the nominal B_n is used instead and info["fallback"]
     is set; the caller should skip the adaptation update for that step.
-    Commands are clamped to u_limits and clamping is reported. nominal is
-    (params.a_n(), params.b_n()) when the caller has already built them.
+    Commands are clamped to u_limits and clamping is reported.
     """
-    a_n, b_n = (params.a_n(), params.b_n()) if nominal is None else nominal
+    a_n = params.a_n()
+    b_n = params.b_n()
     info = {"fallback": False, "clamped": False}
     b_hat = b_n if phi is None else b_n + contract(phi, theta_hat)
     cond = cond_2x2(b_hat)
@@ -378,7 +369,7 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
         log.debug("scalar adaptation produced a non-finite update; step rejected")
         return state, True
     gamma_new = np.clip(gamma_new, params.gamma_min, params.gamma_max)
-    return AdaptState._from_step(theta_new, gamma_new), False
+    return AdaptState(theta_new, gamma_new), False
 
 
 def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
@@ -416,7 +407,7 @@ def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
     vals = np.maximum(vals, params.gamma_min)
     gain_new = (vecs * vals) @ vecs.T
     gain_new = 0.5 * (gain_new + gain_new.T)
-    return AdaptState._from_step(theta_new, gain_new), False
+    return AdaptState(theta_new, gain_new), False
 
 
 def lyapunov_value(s, theta_hat, theta_true, gain) -> float:
@@ -546,7 +537,7 @@ class _AdaptiveController:
         y = np.full(2, np.nan)
         rejected = False
         if self.prev_u is not None:
-            a_n, b_n = self._residual_model(state)
+            a_n, b_n = self.params.residual_model(state)
             y = self.res_filter.residual(xdot_meas, x, self.prev_u, a_n, b_n, self.dt)
             if self.adapt and not fallback and self.prev_phi is not None:
                 step = adapt_step_scalar if self.law == "scalar" else adapt_step_matrix
@@ -555,9 +546,6 @@ class _AdaptiveController:
         self.prev_u = u_vec
         self.prev_phi = phi
         return y, rejected
-
-    def _residual_model(self, state):
-        return self.params.residual_model(state)
 
     def _telemetry(self, s, u, y, psi_ref: float, info: dict, rejected: bool,
                    lat: LateralErrorState | None = None) -> TickTelemetry:
@@ -583,15 +571,10 @@ class TrackedController(_AdaptiveController):
                          residual_cutoff_hz, control_period)
         self.u_limits = u_limits
         self.ref_tracker = PositionReferenceTracker(gains, residual_cutoff_hz)
-        # (A_n, B_n) do not depend on the state: built once, used every tick
-        self.nominal = params.residual_model(None)
 
     def reset(self):
         super().reset()
         self.ref_tracker.reset()
-
-    def _residual_model(self, state):
-        return self.nominal
 
     def tick_position(self, state, vdot_meas, features, p_d, v_d, psi_d):
         ref = self.ref_tracker.step(np.array([state.p_x, state.p_y]), state.psi,
@@ -609,7 +592,7 @@ class TrackedController(_AdaptiveController):
         phi = self._phi(v, features)
         s = tracking_error(v, ref)
         u, info = control_tracked(s, ref, phi, self._theta(), self.params, self.gains,
-                                  self.u_limits, nominal=self.nominal)
+                                  self.u_limits)
         u_vec = u.as_array()
         y, rejected = self._adapt(state, v, vdot_meas, phi, u_vec, s, info["fallback"])
         return u, self._telemetry(s, u_vec, y, ref.psi_ref, info, rejected)

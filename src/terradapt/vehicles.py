@@ -80,9 +80,13 @@ class AckermannState:
         return np.array([self.p_x, self.p_y, self.psi, self.v_x, self.v_y, self.omega])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackedParams:
-    """Tracked plant coefficients. Gains and time constants must be positive."""
+    """Tracked plant coefficients. Gains and time constants must be positive.
+
+    Frozen, because A_n and B_n are built once from them and shared
+    (read-only) by every caller.
+    """
 
     k1: float = 1.0          # forward speed gain, u_v -> v_x at steady state
     k2: float = 1.0          # yaw rate gain, u_omega -> omega at steady state
@@ -93,12 +97,17 @@ class TrackedParams:
     def __post_init__(self):
         if not (self.k1 > 0 and self.k2 > 0 and self.tau_v > 0 and self.tau_omega > 0):
             raise ValueError("tracked gains and time constants must be positive")
+        a_n = np.diag([-1.0 / self.tau_v, -1.0 / self.tau_omega])
+        b_n = np.diag([self.k1 / self.tau_v, self.k2 / self.tau_omega])
+        a_n.flags.writeable = b_n.flags.writeable = False
+        object.__setattr__(self, "_a_n", a_n)
+        object.__setattr__(self, "_b_n", b_n)
 
     def a_n(self) -> np.ndarray:
-        return np.diag([-1.0 / self.tau_v, -1.0 / self.tau_omega])
+        return self._a_n
 
     def b_n(self) -> np.ndarray:
-        return np.diag([self.k1 / self.tau_v, self.k2 / self.tau_omega])
+        return self._b_n
 
     def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
         """(A_n, B_n) the dynamics residual is measured against."""
@@ -266,8 +275,11 @@ def integrate_step(state, u, params, dt: float, eta=None):
         e1, e2 = _check_eta_tracked((1.0, 1.0) if eta is None else eta)
         _check_finite("tracked state", state.p_x, state.p_y, state.psi, state.v_x, state.omega)
         _check_finite("tracked input", u.u_v, u.u_omega)
-        y1 = _rk4_tracked((state.p_x, state.p_y, state.psi, state.v_x, state.omega),
-                          u, params, e1, e2, dt)
+        # the input terms and coefficients are fixed over the step: formed once
+        x_icr, tau_v, tau_omega = params.x_icr, params.tau_v, params.tau_omega
+        f_v, f_omega = e1 * params.k1 * u.u_v, e2 * params.k2 * u.u_omega
+        rhs = lambda y: _tracked_rhs(y[2], y[3], y[4], x_icr, f_v, tau_v, f_omega, tau_omega)
+        y1 = _rk4((state.p_x, state.p_y, state.psi, state.v_x, state.omega), rhs, dt)
         return TrackedState(y1[0], y1[1], wrap_angle(y1[2]), y1[3], y1[4])
     if isinstance(state, AckermannState):
         ev = 1.0 if eta is None else float(eta)
@@ -292,27 +304,6 @@ def _rk4(y0, rhs, dt):
     k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
     k4 = rhs(tuple(y + dt * k for y, k in zip(y0, k3)))
     return tuple(y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                 for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
-
-
-def _rk4_tracked(y0, u: TrackedInput, p: TrackedParams, e1: float, e2: float, dt: float):
-    """_rk4 over _tracked_rhs with the per-step constants formed once. Every
-    float operation is the one _rk4 performs, in the same order; the stage
-    positions are skipped because the derivative does not read them."""
-    x_icr, tau_v, tau_omega = p.x_icr, p.tau_v, p.tau_omega
-    f_v = e1 * p.k1 * u.u_v
-    f_omega = e2 * p.k2 * u.u_omega
-    h = 0.5 * dt
-    _, _, psi, v_x, omega = y0
-    k1 = _tracked_rhs(psi, v_x, omega, x_icr, f_v, tau_v, f_omega, tau_omega)
-    k2 = _tracked_rhs(psi + h * k1[2], v_x + h * k1[3], omega + h * k1[4],
-                      x_icr, f_v, tau_v, f_omega, tau_omega)
-    k3 = _tracked_rhs(psi + h * k2[2], v_x + h * k2[3], omega + h * k2[4],
-                      x_icr, f_v, tau_v, f_omega, tau_omega)
-    k4 = _tracked_rhs(psi + dt * k3[2], v_x + dt * k3[3], omega + dt * k3[4],
-                      x_icr, f_v, tau_v, f_omega, tau_omega)
-    dt6 = dt / 6.0
-    return tuple(y + dt6 * (a + 2.0 * b + 2.0 * c + d)
                  for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
 
 

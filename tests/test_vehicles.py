@@ -163,6 +163,20 @@ def test_params_validation():
         AckermannParams(c_y=-5.0)
 
 
+def test_tracked_nominal_model_is_built_once_and_read_only():
+    """A_n and B_n are shared by every caller, so neither they nor the
+    coefficients they come from can be changed after construction."""
+    p = TrackedParams(k1=1.2, k2=0.9, tau_v=0.25, tau_omega=0.15)
+    assert p.a_n() is p.a_n() and p.b_n() is p.b_n()
+    assert p.residual_model(None) == (p.a_n(), p.b_n())
+    np.testing.assert_array_equal(p.a_n(), np.diag([-1.0 / 0.25, -1.0 / 0.15]))
+    np.testing.assert_array_equal(p.b_n(), np.diag([1.2 / 0.25, 0.9 / 0.15]))
+    with pytest.raises(ValueError):
+        p.b_n()[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        p.tau_v = 1.0
+
+
 # ------------------------------------------------------------- integration
 
 
