@@ -11,7 +11,9 @@ theta carries everything), and a small fully-connected network trained
 offline. The network is plain numpy with hand-written reverse-mode gradients
 and a spectral-norm constraint on every weight matrix, which bounds the
 network's Lipschitz constant by the product of layer norms because tanh is
-1-Lipschitz.
+1-Lipschitz. Each layer's norm is its largest singular value, computed
+exactly by an SVD rather than estimated, so a projected layer sits at most
+a rounding error above 1 and the bound holds as stated.
 
 Output layout: the final layer produces a flat vector of n_theta * n * m
 values, reshaped row-major with the theta index slowest, i.e. element
@@ -19,8 +21,6 @@ values, reshaped row-major with the theta index slowest, i.e. element
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -66,50 +66,6 @@ def contract(phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
             raise DimensionError(f"theta has {theta.shape[0]} entries, basis has {phi.shape[1]}")
         return np.einsum("tinm,i->tnm", phi, theta)
     raise DimensionError(f"phi must have 3 or 4 dims, got {phi.ndim}")
-
-
-def power_iteration_norm(w: np.ndarray, u0: np.ndarray | None = None,
-                         min_iters: int = 30, max_iters: int = 500,
-                         rtol: float = 1e-12):
-    """Largest singular value of w by power iteration on w w^T.
-
-    Runs at least min_iters sweeps (warm starts make later calls cheap) and
-    continues until the estimate is stationary to rtol, so the estimate is
-    accurate enough that dividing by it actually enforces the norm bound.
-    Returns (sigma, u) where u is the left singular vector iterate to reuse
-    as the next warm start. A zero matrix returns sigma = 0.
-    """
-    w = np.asarray(w, dtype=float)
-    p = w.shape[0]
-    if u0 is None or u0.shape != (p,):
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=p)
-    else:
-        u = u0.copy()
-    # math.sqrt(v @ v) is how np.linalg.norm computes a 1-D norm, without
-    # its per-call dispatch
-    un = math.sqrt(u @ u)
-    if un == 0:
-        u = np.ones(p)
-        un = np.sqrt(p)
-    u /= un
-    sigma = 0.0
-    for it in range(max_iters):
-        v = w.T @ u
-        vn = math.sqrt(v @ v)
-        if vn == 0:
-            return 0.0, u
-        v /= vn
-        wu = w @ v
-        new_sigma = math.sqrt(wu @ wu)
-        if new_sigma == 0:
-            return 0.0, u
-        u = wu / new_sigma
-        if it + 1 >= min_iters and abs(new_sigma - sigma) <= rtol * max(new_sigma, 1.0):
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    return float(sigma), u
 
 
 class ConstantBasis:
@@ -162,7 +118,6 @@ class BasisNet:
         dims = [state_dim + feature_dim, *self.hidden, n_theta * n * m]
         self.weights = [np.zeros((dims[i + 1], dims[i])) for i in range(len(dims) - 1)]
         self.biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        self._power_u = [None] * len(self.weights)
 
     @classmethod
     def init(cls, state_dim, feature_dim, n, m, n_theta, hidden=(64, 64),
@@ -249,27 +204,21 @@ class BasisNet:
     def spectral_normalize(self) -> None:
         """Divide each weight matrix by its operator norm when it exceeds 1.
 
-        Power iteration warm-starts between calls, so repeated calls during
-        training converge quickly even as weights drift. Biases are left
-        alone; a zero matrix is unchanged.
+        The norm is the largest singular value from an SVD, so every layer
+        ends at most a rounding error above 1. Biases are left alone; a zero
+        matrix is unchanged.
         """
-        for i, w in enumerate(self.weights):
-            sigma, u = power_iteration_norm(w, self._power_u[i])
-            self._power_u[i] = u
+        for i, sigma in enumerate(self.weight_norms()):
             if sigma > 1.0:
-                self.weights[i] = w / sigma
+                self.weights[i] = self.weights[i] / sigma
 
-    def weight_norm_estimates(self) -> list:
-        out = []
-        for i, w in enumerate(self.weights):
-            sigma, u = power_iteration_norm(w, self._power_u[i])
-            self._power_u[i] = u
-            out.append(sigma)
-        return out
+    def weight_norms(self) -> list:
+        """Operator norm (largest singular value) of every weight matrix."""
+        return [float(np.linalg.svd(w, compute_uv=False)[0]) for w in self.weights]
 
     def lipschitz_bound(self) -> float:
         """Product of layer operator norms; valid because tanh is 1-Lipschitz."""
-        return float(np.prod(self.weight_norm_estimates()))
+        return float(np.prod(self.weight_norms()))
 
     # ---- parameter vector helpers (used by training and gradchecks) ----
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -368,20 +369,20 @@ class TrainResult:
     iterations: int = 0
 
 
-def _exact_max_norm(net: BasisNet) -> float:
-    return max(float(np.linalg.svd(w, compute_uv=False)[0]) for w in net.weights)
-
-
 def train_step(net: BasisNet, adam: Adam, dataset: TrajectoryDataset,
                cfg: TrainerConfig, rng) -> float:
     """One meta-iteration: sample windows, accumulate their gradients, Adam
     step, then re-project onto the spectral constraint. Returns the minibatch
-    loss, the window costs summed in sampling order."""
+    loss, the window costs summed in sampling order. A non-finite loss leaves
+    the network untouched, so the caller can report the divergence instead
+    of the projection failing on non-finite weights."""
     specs = [sample_window(rng, dataset, cfg) for _ in range(cfg.batch_windows)]
     costs, grad_flat = minibatch_cost_and_grad(net, dataset, specs, cfg.lambda_r, cfg.theta_r)
     total = 0.0
     for c in costs:   # a plain running sum, unlike sum() on Python >= 3.12
         total += c
+    if not math.isfinite(total):
+        return total
     net.set_flat_params(adam.step(net.get_flat_params(), grad_flat))
     net.spectral_normalize()
     return total
@@ -417,7 +418,7 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
         losses.append(loss)
         rec = {"iteration": it, "loss": loss, "wall_time_s": time.perf_counter() - t0}
         if cfg.track_norms:
-            rec["max_w_norm"] = _exact_max_norm(net)
+            rec["max_w_norm"] = max(net.weight_norms())
         result.history.append(rec)
         result.iterations = it + 1
         if len(losses) >= 2 * cfg.conv_window:

@@ -10,7 +10,6 @@ from terradapt.basis import (
     DimensionError,
     contract,
     flatten_output,
-    power_iteration_norm,
     read_checkpoint_meta,
     reshape_output,
 )
@@ -78,37 +77,6 @@ def test_constant_basis_rectangular():
     np.testing.assert_array_equal(contract(basis.eval(None, None), theta), [[3.0], [-4.0]])
 
 
-# ------------------------------------------------------- power iteration
-
-
-def test_power_iteration_matches_svd():
-    rng = np.random.default_rng(11)
-    for shape in [(3, 3), (5, 2), (2, 5), (40, 17), (200, 200)]:
-        w = rng.standard_normal(shape)
-        sigma, _ = power_iteration_norm(w)
-        want = np.linalg.svd(w, compute_uv=False)[0]
-        assert abs(sigma - want) < 1e-4 * want
-
-
-def test_power_iteration_edge_cases():
-    sigma, _ = power_iteration_norm(np.zeros((4, 4)))
-    assert sigma == 0.0
-    sigma, _ = power_iteration_norm(2.0 * np.eye(3))
-    assert sigma == pytest.approx(2.0, abs=1e-12)
-    # orthogonal matrix: all singular values 1
-    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((6, 6)))
-    sigma, _ = power_iteration_norm(q)
-    assert sigma == pytest.approx(1.0, abs=1e-6)
-
-
-def test_power_iteration_warm_start():
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal((20, 20))
-    sigma1, u = power_iteration_norm(w)
-    sigma2, _ = power_iteration_norm(w, u)
-    assert sigma1 == pytest.approx(sigma2, abs=1e-10)
-
-
 # ------------------------------------------------------ spectral constraint
 
 
@@ -134,6 +102,44 @@ def test_normalize_leaves_contractive_layers_alone():
     net2.weights[0] = q.copy()
     net2.spectral_normalize()
     np.testing.assert_allclose(net2.weights[0], q, atol=1e-12)
+
+
+def _svd_norm(w):
+    return np.linalg.svd(w, compute_uv=False)[0]
+
+
+def test_normalize_is_exact_to_rounding():
+    # the projected norm is the SVD's own, not an estimate below it
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(21)
+    net = BasisNet(3, 10, 2, 2, 4, hidden=(24, 24))
+    for _ in range(20):
+        for i, w in enumerate(net.weights):
+            net.weights[i] = rng.uniform(1.0, 50.0) * rng.standard_normal(w.shape)
+        net.spectral_normalize()
+        for w in net.weights:
+            assert _svd_norm(w) <= 1.0 + 8 * eps
+
+
+def test_normalize_keeps_zero_layer_zero():
+    net = BasisNet.init(2, 4, 2, 2, 4, hidden=(8, 8), rng=3)
+    net.weights[1] = np.zeros_like(net.weights[1])
+    net.spectral_normalize()
+    np.testing.assert_array_equal(net.weights[1], 0.0)
+    assert net.weight_norms()[1] == 0.0
+    assert all(np.isfinite(w).all() for w in net.weights)
+
+
+def test_lipschitz_bound_is_product_of_svd_norms():
+    net = BasisNet.init(2, 8, 2, 2, 4, hidden=(16, 12), rng=4)
+    rng = np.random.default_rng(8)
+    # layers below the unit bound, so the product is not trivially 1
+    for i, w in enumerate(net.weights):
+        net.weights[i] = rng.uniform(0.2, 0.9) * w
+    svd_norms = [_svd_norm(w) for w in net.weights]
+    assert net.weight_norms() == svd_norms
+    assert net.lipschitz_bound() == float(np.prod(svd_norms))
+    assert net.lipschitz_bound() < 0.9
 
 
 def test_lipschitz_bound_holds_empirically():

@@ -361,6 +361,22 @@ def test_fallback_on_every_tick_logs_one_summary_warning(tmp_path, caplog):
     assert sum("falling back" in r.getMessage() for r in caplog.records) == 40
 
 
+def test_clamp_only_runs_log_one_warning_per_evaluate(tmp_path, caplog):
+    # a low velocity limit clamps every run, with no fallback or rejection
+    raw = base_raw(**{"scenario.runs": 3}, vehicle={"u_v_max": 0.6})
+    with caplog.at_level(logging.WARNING, logger="terradapt"):
+        run_scenario(config_from_dict(raw), ["pd", "constant"], str(tmp_path))
+    cols, rows = read_csv(tmp_path / "runs.csv")
+    runs = [dict(zip(cols, row)) for row in rows]
+    assert len(runs) == 6
+    assert all(int(r["clamp_ticks"]) > 0 for r in runs)
+    assert all(r["fallback_ticks"] == r["rejected_ticks"] == "0" for r in runs)
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert [r.name for r in warnings] == ["terradapt.harness"]
+    total = sum(int(r["clamp_ticks"]) for r in runs)
+    assert f"6 of 6 runs had clamped ticks only, {total} in all" in warnings[0].getMessage()
+
+
 def test_scenario_vehicle_mismatch_raises(tmp_path):
     cfg = config_from_dict(base_raw(**{"scenario.kind": "ackermann-circle"}))
     with pytest.raises(ValueError, match="ackermann"):

@@ -397,6 +397,16 @@ def test_training_keeps_spectral_constraint():
     assert max(norms) <= 1.0 + 1e-6
 
 
+def test_training_norms_exact_after_every_step():
+    # a learning rate large enough to push layers past the bound on every
+    # step: each projection must land on it to rounding, not an estimate above
+    ds, _ = planted_dataset(seed=9, length=150)
+    result = train(ds, small_cfg(max_iters=30, learning_rate=0.05, hidden=(24, 24)))
+    norms = [h["max_w_norm"] for h in result.history]
+    assert len(norms) == 30
+    assert max(norms) <= 1.0 + 8 * np.finfo(float).eps
+
+
 def test_training_convergence_flag():
     ds, _ = planted_dataset(seed=10, length=120)
     # huge tolerance: declared converged at the first comparison point
