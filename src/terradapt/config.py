@@ -99,6 +99,8 @@ class DatasetConfig:
             raise ValueError("steps and n_traj must be positive")
         if not 0 <= self.margin_frac < 0.5:
             raise ValueError("margin_frac must lie in [0, 0.5)")
+        if self.cruise_range[0] > self.cruise_range[1]:
+            raise ValueError(f"cruise_range low end above its high end: {self.cruise_range}")
 
 
 @dataclass

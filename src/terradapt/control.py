@@ -76,14 +76,16 @@ class AckermannGains:
         log.info("ackermann gains accepted: %s", self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptParams:
     """Adaptation constants shared by both gain laws.
 
     r_diag are the diagonal entries of the prediction-error weighting R
     (positive definite), q_diag the gain forcing Q, lam the forgetting rate.
     gamma_min / gamma_max clamp the per-component gains; gamma_min doubles as
-    the eigenvalue floor of the matrix law.
+    the eigenvalue floor of the matrix law. Frozen, because the diagonal of
+    R^-1 and the Q diagonal are built once from them (read-only) and read by
+    every adaptation step.
     """
 
     lam: float = 0.01
@@ -102,6 +104,19 @@ class AdaptParams:
             raise ValueError("Q must be positive semidefinite")
         if not 0 < self.gamma_min <= self.gamma0 <= self.gamma_max:
             raise ValueError("need 0 < gamma_min <= gamma0 <= gamma_max")
+        r_inv = 1.0 / np.asarray(self.r_diag, dtype=float)
+        q = np.array(self.q_diag, dtype=float)
+        r_inv.flags.writeable = q.flags.writeable = False
+        object.__setattr__(self, "_r_inv", r_inv)
+        object.__setattr__(self, "_q", q)
+
+    def r_inv(self) -> np.ndarray:
+        """Diagonal of R^-1."""
+        return self._r_inv
+
+    def q(self) -> np.ndarray:
+        """Diagonal of Q, as given: one entry stands for every component."""
+        return self._q
 
 
 @dataclass
@@ -165,6 +180,11 @@ class LateralErrorState:
 
 # ---------------------------------------------------------------- filters
 
+def _lowpass_step(state, x, alpha):
+    """One low-pass update, on arrays or on Python floats alike."""
+    return state + alpha * (x - state)
+
+
 class LowPassFilter:
     """First-order low-pass y += alpha (x - y), alpha = dt / (tau + dt).
 
@@ -184,9 +204,31 @@ class LowPassFilter:
         if self.state is None:
             self.state = x.copy()
         else:
-            alpha = dt / (self.tau + dt)
-            self.state = self.state + alpha * (x - self.state)
+            self.state = _lowpass_step(self.state, x, dt / (self.tau + dt))
         return self.state.copy()
+
+    def run(self, xs, dt: float) -> np.ndarray:
+        """update() over the rows of xs in order; returns the (T, n) outputs.
+
+        Each channel runs as Python floats, which round exactly as the
+        elementwise array update does."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty_like(xs)
+        k0 = 0
+        if self.state is None:          # the first row initializes, as in update()
+            self.state = xs[0].copy()
+            out[0] = xs[0]
+            k0 = 1
+        alpha = dt / (self.tau + dt)
+        for j, channel in enumerate(xs[k0:].T.tolist()):
+            f = float(self.state[j])
+            filtered = []
+            for x in channel:
+                f = _lowpass_step(f, x, alpha)
+                filtered.append(f)
+            out[k0:, j] = filtered
+        self.state = out[-1].copy()
+        return out
 
     def reset(self):
         self.state = None
@@ -208,6 +250,17 @@ class ResidualFilter:
         filtered = self.lpf.update(np.asarray(vdot_meas, dtype=float), dt)
         return filtered - (a_n @ np.asarray(v, dtype=float)
                            + b_n @ np.asarray(u_vec, dtype=float))
+
+    def residuals(self, vdot_meas, v, u_vec, a_n: np.ndarray, b_n: np.ndarray,
+                  dt: float) -> np.ndarray:
+        """residual() over a whole trajectory: rows (T, n) of vdot_meas and v,
+        (T, m) of u_vec, with A_n (T, n, n) and B_n (T, n, m) per row. Equal
+        to one residual() call per row in order (a stacked matmul rounds as
+        the single one does)."""
+        filtered = self.lpf.run(vdot_meas, dt)
+        v, u_vec = np.asarray(v, dtype=float), np.asarray(u_vec, dtype=float)
+        return filtered - (np.matmul(a_n, v[:, :, None])
+                           + np.matmul(b_n, u_vec[:, :, None]))[:, :, 0]
 
     def reset(self):
         self.lpf.reset()
@@ -353,15 +406,14 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
     if state.gain.ndim != 1:
         raise ValueError("scalar law requires a gamma vector state")
     h = h_matrix(phi, u_vec)
-    r_inv = 1.0 / np.asarray(params.r_diag, dtype=float)
     pred = h @ state.theta_hat - np.asarray(y, dtype=float)
-    hr = h * r_inv[:, None]                       # R^-1-weighted columns
+    hr = h * params.r_inv()[:, None]              # R^-1-weighted columns
     quad = (hr * h).sum(axis=0)                   # h_i^T R^-1 h_i
     theta_dot = (-params.lam * state.theta_hat
                  - state.gain * (hr.T @ pred)
                  + state.gain * (h.T @ np.asarray(s, dtype=float)))
     gamma_dot = (-2.0 * params.lam * state.gain
-                 + np.asarray(params.q_diag, dtype=float)
+                 + params.q()
                  + state.gain * quad * state.gain)
     theta_new = state.theta_hat + dt * theta_dot
     gamma_new = state.gain + dt * gamma_dot
@@ -386,12 +438,11 @@ def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
         raise ValueError("matrix law requires a gain matrix state")
     h = h_matrix(phi, u_vec)
     n_theta = state.theta_hat.shape[0]
-    r_inv = 1.0 / np.asarray(params.r_diag, dtype=float)
-    q_diag = np.asarray(params.q_diag, dtype=float)
+    q_diag = params.q()
     q_mat = np.diag(q_diag if q_diag.shape[0] == n_theta
                     else np.full(n_theta, q_diag[0]))
     pred = h @ state.theta_hat - np.asarray(y, dtype=float)
-    hr = h * r_inv[:, None]
+    hr = h * params.r_inv()[:, None]
     theta_dot = (-params.lam * state.theta_hat
                  - state.gain @ (hr.T @ pred)
                  + state.gain @ (h.T @ np.asarray(s, dtype=float)))

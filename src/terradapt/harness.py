@@ -13,7 +13,14 @@ Timing model per controller tick (period = sim.control_period):
      darkened);
   3. the controller produces the next command;
   4. actuator faults rescale the command, and the plant integrates forward
-     at dt_plant with the terrain eta looked up every substep.
+     to the next tick in one integrate_step call of control_period / dt_plant
+     substeps, looking the terrain eta up at the start of every substep.
+
+The dataset loop keeps the same model but runs it in two passes per
+trajectory. Driving (steps 3-4 with random inputs in place of a
+controller) never reads an observation, so it runs first, alone; steps 1-2
+and the residual are then derived for every sample at once, drawing each
+noise stream in the order the per-tick loop would.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .basis import ConstantBasis, load_checkpoint
-from .config import Config, config_to_dict
+from .config import Config, ConfigError, config_to_dict
 from .control import (AckermannController, AckermannGains, AdaptParams,
                       ResidualFilter, TrackedController, TrackedGains)
 from .serialize import write_csv, read_csv
@@ -38,7 +45,8 @@ from .vehicles import (AckermannInput, AckermannState, NonFiniteError,
                        TrackedInput, TrackedState, apply_track_fault,
                        integrate_step, tracked_derivative,
                        ackermann_derivative, wrap_angle)
-from .world import FeatureProvider, TerrainWorldMap, build_world, eta_under_robot, load_world
+from .world import (FeatureProvider, TerrainWorldMap, build_world, eta_along,
+                    eta_under_robot, load_world)
 
 log = logging.getLogger(__name__)
 
@@ -317,7 +325,8 @@ class _Vehicle:
     """What the shared episode and dataset loops need to know about one
     vehicle type. The plant and terrain functions are looked up in this
     module on every call, not bound at import, so a wrapper installed on the
-    module name sees every call."""
+    module name sees every call; the per-substep terrain lookups are made
+    inside the plant call, through terrain(world)."""
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
@@ -326,16 +335,18 @@ class _Vehicle:
         self.half = cfg.vehicle.half_spacing
 
     def advance(self, world: TerrainWorldMap, state, u, n_sub: int, dt: float):
-        """n_sub plant steps under input u, terrain looked up every step."""
-        for _ in range(n_sub):
-            eta = eta_under_robot(world, state.p_x, state.p_y)
-            state = integrate_step(state, u, self.vp, dt, self.eta(eta))
-        return state
+        """n_sub plant steps under input u, terrain looked up every step, in
+        one plant call."""
+        return integrate_step(state, u, self.vp, dt, n_sub=n_sub,
+                              terrain=self.terrain(world))
 
 
 class _Tracked(_Vehicle):
     tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
     n_input = 2
+    state_cls, input_cls = TrackedState, TrackedInput
+    # the dataset logs x = [v_x, omega] under both inputs
+    x_cols, u_cols = slice(3, 5), slice(0, 2)
     tele_cols = ["v_ref_x", "omega_ref", "s_vx", "s_omega",
                  "u_v", "u_omega", "y_vx", "y_omega"]
     fault_cols = ["fault_left", "fault_right"]
@@ -347,13 +358,12 @@ class _Tracked(_Vehicle):
         return eta.tolist()
 
     @staticmethod
-    def sample(state, u: TrackedInput):
-        """(x, u) as the dataset logs them: [v_x, omega] and both inputs."""
-        return np.array([state.v_x, state.omega]), u.as_array()
+    def terrain(world: TerrainWorldMap):
+        return world.eta_at
 
     def measured(self, state, u, eta) -> np.ndarray:
         """Noise-free [vdot_x, omegadot] under input u."""
-        return tracked_derivative(state, u, self.vp, self.eta(eta))[3:5]
+        return tracked_derivative(state, u, self.vp, self.eta(eta))[self.x_cols]
 
     def dataset_start(self, rng, world: TerrainWorldMap):
         x, y, psi = _interior_start(rng, world, self.ds.margin_frac)
@@ -387,6 +397,9 @@ class _Ackermann(_Vehicle):
     # the lateral law raises ValueError when engaged at or below v_min
     tick_errors = (NonFiniteError, ValueError, np.linalg.LinAlgError)
     n_input = 1
+    state_cls, input_cls = AckermannState, AckermannInput
+    # the dataset logs x = [v_y, omega] under the steering input
+    x_cols, u_cols = slice(4, 6), slice(1, 2)
     tele_cols = ["psi_d", "e_par", "e_perp", "psi_e", "s_perp",
                  "u_v", "u_delta", "y_vy", "y_omega"]
     fault_cols = []
@@ -396,15 +409,19 @@ class _Ackermann(_Vehicle):
         return float(eta[0])
 
     @staticmethod
-    def sample(state, u: AckermannInput):
-        """(x, u) as the dataset logs them: [v_y, omega] and the steering."""
-        return np.array([state.v_y, state.omega]), np.array([u.u_delta])
+    def terrain(world: TerrainWorldMap):
+        eta_at = world.eta_at
+        return lambda x, y: eta_at(x, y)[0]
 
     def measured(self, state, u, eta) -> np.ndarray:
         """Noise-free [vdot_y, omegadot] under input u."""
-        return ackermann_derivative(state, u, self.vp, self.eta(eta))[4:6]
+        return ackermann_derivative(state, u, self.vp, self.eta(eta))[self.x_cols]
 
     def dataset_start(self, rng, world: TerrainWorldMap):
+        if self.ds.cruise_range[0] <= self.vp.v_min:
+            # refused before driving: the car would slow to where slip is undefined
+            raise ConfigError(f"dataset.cruise_range {self.ds.cruise_range} must lie above "
+                              f"vehicle.ackermann.v_min={self.vp.v_min}")
         x, y, psi = _interior_start(rng, world, self.ds.margin_frac)
         cruise = rng.uniform(*self.ds.cruise_range)
         return AckermannState(x, y, psi, cruise, 0.0, 0.0), AckermannInput(cruise, 0.0)
@@ -558,62 +575,84 @@ def generate_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
     dropped while the residual filter settles. The tracked vehicle logs
     x = [v_x, omega] under both inputs; the Ackermann vehicle drives at a
     random cruise speed and logs x = [v_y, omega] under the steering input.
+
+    Each trajectory is made in two passes: _drive runs the plant alone, then
+    _observe derives everything logged from the states it kept. Driving never
+    reads an observation, so the split changes no value.
     """
     ds = cfg.dataset
     sim = cfg.sim
-    period = sim.control_period
-    n_sub = int(round(period / sim.dt_plant))
-    warmup = int(round(ds.warmup_s / period))
+    warmup = int(round(ds.warmup_s / sim.control_period))
     vehicle = _vehicle(cfg)
-    w, h = world.extent
-    mx, my = ds.margin_frac * w, ds.margin_frac * h
-
-    xs, us, es, ys = [], [], [], []
+    shape = (ds.n_traj, ds.steps)
+    xs, ys = np.empty(shape + (2,)), np.empty(shape + (2,))
+    us = np.empty(shape + (vehicle.n_input,))
+    es = np.empty(shape + (world.features.shape[-1],))
     for traj in range(ds.n_traj):
         ss = np.random.SeedSequence([cfg.seed, _DATASET_DOMAIN, traj])
         in_rng, meas_rng, prov_ss = ss.spawn(3)
-        in_rng = np.random.default_rng(in_rng)
-        meas_rng = np.random.default_rng(meas_rng)
+        states, inputs = _drive(vehicle, world, np.random.default_rng(in_rng),
+                                warmup + ds.steps)
         provider = FeatureProvider(world, cfg.provider.noise_std,
                                    cfg.provider.brightness, seed=prov_ss)
-        res = ResidualFilter(sim.residual_cutoff_hz)
-        state, u = vehicle.dataset_start(in_rng, world)
-        next_redraw = 0.0
-        tx, tu, te, ty = [], [], [], []
-        k = 0
-        while len(tx) < ds.steps:
-            t = k * period
-            eta = eta_under_robot(world, state.p_x, state.p_y)
-            x, u_vec = vehicle.sample(state, u)
-            if k == 0:
-                xdot_meas = np.zeros(2)
-            else:
-                xdot_meas = (vehicle.measured(state, u, eta)
-                             + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
-            feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
-                                                  vehicle.half)
-            a_n, b_n = vehicle.vp.residual_model(state)
-            y = res.residual(xdot_meas, x, u_vec, a_n, b_n, period)
-            if k >= warmup:
-                tx.append(x)
-                tu.append(u_vec)
-                te.append(feats)
-                ty.append(y)
-            # choose the input for the next interval
-            if t >= next_redraw:
-                u = vehicle.redraw(in_rng)
-                next_redraw = t + in_rng.uniform(*ds.hold_range_s)
-            if not (mx <= state.p_x <= w - mx and my <= state.p_y <= h - my):
-                bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
-                u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
-            state = vehicle.advance(world, state, u, n_sub, sim.dt_plant)
-            k += 1
-        xs.append(tx)
-        us.append(tu)
-        es.append(te)
-        ys.append(ty)
-    return TrajectoryDataset(np.array(xs), np.array(us), np.array(es),
-                             np.array(ys), period)
+        logged = _observe(vehicle, provider, np.random.default_rng(meas_rng), states, inputs)
+        for out, rows in zip((xs, us, es, ys), logged):
+            out[traj] = rows[warmup:]
+    return TrajectoryDataset(xs, us, es, ys, sim.control_period)
+
+
+def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
+    """Pass 1 of generate_dataset: the plant, the input redraws and the
+    border turn-back only. Returns (states, inputs) of the n samples as float
+    arrays, row k of inputs holding the input applied over the interval that
+    ends at sample k."""
+    ds, sim = vehicle.ds, vehicle.cfg.sim
+    period = sim.control_period
+    n_sub = int(round(period / sim.dt_plant))
+    w, h = world.extent
+    mx, my = ds.margin_frac * w, ds.margin_frac * h
+    state, u = vehicle.dataset_start(rng, world)
+    states = np.empty((n, len(vars(state))))
+    inputs = np.empty((n, len(vars(u))))
+    next_redraw = 0.0
+    for k in range(n):
+        t = k * period
+        states[k] = tuple(vars(state).values())
+        inputs[k] = tuple(vars(u).values())
+        # choose the input for the next interval
+        if t >= next_redraw:
+            u = vehicle.redraw(rng)
+            next_redraw = t + rng.uniform(*ds.hold_range_s)
+        if not (mx <= state.p_x <= w - mx and my <= state.p_y <= h - my):
+            bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
+            u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
+        state = vehicle.advance(world, state, u, n_sub, sim.dt_plant)
+    return states, inputs
+
+
+def _observe(vehicle: _Vehicle, provider: FeatureProvider, meas_rng, states, inputs):
+    """Pass 2 of generate_dataset: the logged (x, u, e, y) of every sample
+    of one trajectory, equal to observing one sample at a time. Terrain and
+    features are one gather each, each noise stream one block draw; the
+    measured derivative and the nominal model are taken per sample (the
+    plant's math.atan2 is not np.arctan2's), the residual over all of them."""
+    sim = vehicle.cfg.sim
+    n = len(states)
+    eta = eta_along(provider.world, states[:, 0], states[:, 1])
+    feats = provider.features_along(states[:, 0], states[:, 1], states[:, 2], vehicle.half)
+    xdot = np.zeros((n, 2))                 # sample 0 has no previous input
+    a_n = np.empty((n, 2, 2))
+    b_n = np.empty((n, 2, vehicle.n_input))
+    for k in range(n):
+        state = vehicle.state_cls(*states[k].tolist())
+        if k:
+            xdot[k] = vehicle.measured(state, vehicle.input_cls(*inputs[k].tolist()), eta[k])
+        a_n[k], b_n[k] = vehicle.vp.residual_model(state)
+    xdot[1:] += meas_rng.normal(0.0, sim.vdot_noise_std, (n - 1, 2))
+    x, u = states[:, vehicle.x_cols], inputs[:, vehicle.u_cols]
+    y = ResidualFilter(sim.residual_cutoff_hz).residuals(xdot, x, u, a_n, b_n,
+                                                         sim.control_period)
+    return x, u, feats, y
 
 
 # ---------------------------------------------------------------- scenarios

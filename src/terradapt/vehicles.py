@@ -263,48 +263,78 @@ def _ackermann_rhs(y, u_v, u_delta, p: AckermannParams, eta):
     )
 
 
-def integrate_step(state, u, params, dt: float, eta=None):
-    """Advance one fixed RK4 step of dt seconds; returns a new state.
+def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
+    """Advance n_sub fixed RK4 steps of dt seconds each; returns a new state.
 
-    dt must lie in (0, 0.1]. The input is held constant over the step and the
-    heading of the result is wrapped to (-pi, pi].
+    dt must lie in (0, 0.1]. The input is held over every substep, and the
+    heading is wrapped to (-pi, pi] after each. The terrain factor is either
+    eta, held over the whole call, or terrain(p_x, p_y), looked up at the
+    start of every substep and returning eta in the same form; not both.
+    State and input are checked once on entry and the result once on exit;
+    eta, and the Ackermann forward speed against v_min, at every substep.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
+    if n_sub < 1:
+        raise ValueError(f"n_sub must be at least 1, got {n_sub}")
+    if terrain is not None and eta is not None:
+        raise ValueError("pass eta or terrain, not both")
     if isinstance(state, TrackedState):
-        e1, e2 = _check_eta_tracked((1.0, 1.0) if eta is None else eta)
-        _check_finite("tracked state", state.p_x, state.p_y, state.psi, state.v_x, state.omega)
+        y = (state.p_x, state.p_y, state.psi, state.v_x, state.omega)
+        _check_finite("tracked state", *y)
         _check_finite("tracked input", u.u_v, u.u_omega)
-        # the input terms and coefficients are fixed over the step: formed once
+        fixed = (1.0, 1.0) if eta is None else eta
+        # coefficients are fixed over the call; the input terms only per substep
+        k1, k2, u_v, u_omega = params.k1, params.k2, u.u_v, u.u_omega
         x_icr, tau_v, tau_omega = params.x_icr, params.tau_v, params.tau_omega
-        f_v, f_omega = e1 * params.k1 * u.u_v, e2 * params.k2 * u.u_omega
-        rhs = lambda y: _tracked_rhs(y[2], y[3], y[4], x_icr, f_v, tau_v, f_omega, tau_omega)
-        y1 = _rk4((state.p_x, state.p_y, state.psi, state.v_x, state.omega), rhs, dt)
-        return TrackedState(y1[0], y1[1], wrap_angle(y1[2]), y1[3], y1[4])
+        try:
+            for _ in range(n_sub):
+                e1, e2 = _check_eta_tracked(fixed if terrain is None else terrain(y[0], y[1]))
+                f_v, f_omega = e1 * k1 * u_v, e2 * k2 * u_omega
+                y = _rk4(y, lambda z: _tracked_rhs(z[2], z[3], z[4], x_icr, f_v, tau_v,
+                                                   f_omega, tau_omega), dt)
+                y[2] = wrap_angle(y[2])
+        except ValueError:
+            # a substep that diverged can make the next lookup or cos fail:
+            # report the divergence, as an entry check at that substep would
+            _check_finite("tracked state", *y)
+            raise
+        _check_finite("tracked state", *y)
+        return TrackedState(*y)
     if isinstance(state, AckermannState):
-        ev = 1.0 if eta is None else float(eta)
-        # validity check happens inside the derivative at every stage
-        y0 = (state.p_x, state.p_y, state.psi, state.v_x, state.v_y, state.omega)
-        _check_finite("ackermann state", *y0)
+        y = (state.p_x, state.p_y, state.psi, state.v_x, state.v_y, state.omega)
+        _check_finite("ackermann state", *y)
         _check_finite("ackermann input", u.u_v, u.u_delta)
-        if y0[3] <= params.v_min:
-            raise SlipUndefinedError(
-                f"v_x={y0[3]} at or below v_min={params.v_min}: slip angles undefined")
-        if not (math.isfinite(ev) and 0.0 < ev <= 2.0):
-            raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
-        rhs = lambda y: _ackermann_rhs(y, u.u_v, u.u_delta, params, ev)
-        y1 = _rk4(y0, rhs, dt)
-        return AckermannState(y1[0], y1[1], wrap_angle(y1[2]), y1[3], y1[4], y1[5])
+        fixed = 1.0 if eta is None else eta
+        u_v, u_delta, v_min = u.u_v, u.u_delta, params.v_min
+        try:
+            for _ in range(n_sub):
+                if y[3] <= v_min:
+                    raise SlipUndefinedError(
+                        f"v_x={y[3]} at or below v_min={v_min}: slip angles undefined")
+                ev = float(fixed if terrain is None else terrain(y[0], y[1]))
+                if not (math.isfinite(ev) and 0.0 < ev <= 2.0):
+                    raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
+                y = _rk4(y, lambda z: _ackermann_rhs(z, u_v, u_delta, params, ev), dt)
+                y[2] = wrap_angle(y[2])
+        except ValueError:
+            _check_finite("ackermann state", *y)
+            raise
+        _check_finite("ackermann state", *y)
+        return AckermannState(*y)
     raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def _rk4(y0, rhs, dt):
+    """One classic RK4 step of y' = rhs(y) from the sequence y0; returns a
+    list. h is formed once per stage weight, as y + (0.5 dt) k rounds."""
+    h = 0.5 * dt
     k1 = rhs(y0)
-    k2 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k1)))
-    k3 = rhs(tuple(y + 0.5 * dt * k for y, k in zip(y0, k2)))
-    k4 = rhs(tuple(y + dt * k for y, k in zip(y0, k3)))
-    return tuple(y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                 for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
+    k2 = rhs([y + h * k for y, k in zip(y0, k1)])
+    k3 = rhs([y + h * k for y, k in zip(y0, k2)])
+    k4 = rhs([y + dt * k for y, k in zip(y0, k3)])
+    h = dt / 6.0
+    return [y + h * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
 
 
 def longitudinal_slip(v_x: float, u_v: float, v_min: float = 0.1) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,21 @@ class TerrainWorldMap:
                              f"got {feats.shape}")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
+
+    @cached_property
+    def eta_cells(self) -> list:
+        """Each cell's eta row as a tuple of Python floats, indexed
+        [row][col] and built on first use: the form the plant checks with
+        scalar compares at every substep."""
+        by_class = [tuple(r) for r in self.eta_table.tolist()]
+        return [[by_class[c] for c in line] for line in self.class_grid.tolist()]
+
+    def eta_at(self, x: float, y: float) -> tuple:
+        """eta of the cell under (x, y), clamped to the border, from eta_cells."""
+        row, col, clamped = cell_index(self, x, y)
+        if clamped:
+            log.debug("eta query clamped to map border at (%.2f, %.2f)", x, y)
+        return self.eta_cells[row][col]
 
     @property
     def rows(self):
@@ -210,6 +226,26 @@ def cell_index(world: TerrainWorldMap, x: float, y: float) -> tuple[int, int, bo
     return row, col, clamped
 
 
+def cell_indices(world: TerrainWorldMap, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cell_index over arrays of positions: (rows, cols, clamped flags)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite world query in a batch of positions")
+    col, col_out = _clamp_cells(np.floor(x / world.cell_size), world.cols)
+    row, row_out = _clamp_cells(np.floor(y / world.cell_size), world.rows)
+    return row, col, row_out | col_out
+
+
+def _clamp_cells(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # clipped while still float, so a far-off position cannot overflow int64
+    return np.clip(index, 0, n - 1).astype(np.int64), (index < 0) | (index >= n)
+
+
+def _patch_offsets(psi: float, half_spacing: float) -> tuple[float, float]:
+    """World-frame offset of the left contact patch at heading psi."""
+    return -math.sin(psi) * half_spacing, math.cos(psi) * half_spacing
+
+
 def features_under_robot(world: TerrainWorldMap, x: float, y: float, psi: float,
                          half_spacing: float = 0.3) -> tuple[np.ndarray, bool]:
     """Mean of the features under the two track contact patches.
@@ -217,8 +253,7 @@ def features_under_robot(world: TerrainWorldMap, x: float, y: float, psi: float,
     The patches sit at +/- half_spacing laterally in the body frame. Returns
     (features, clamped) where clamped reports whether any patch left the map.
     """
-    ox = -math.sin(psi) * half_spacing
-    oy = math.cos(psi) * half_spacing
+    ox, oy = _patch_offsets(psi, half_spacing)
     r1, c1, cl1 = cell_index(world, x + ox, y + oy)
     r2, c2, cl2 = cell_index(world, x - ox, y - oy)
     clamped = cl1 or cl2
@@ -228,12 +263,30 @@ def features_under_robot(world: TerrainWorldMap, x: float, y: float, psi: float,
     return feat, clamped
 
 
+def features_along(world: TerrainWorldMap, x, y, psi,
+                   half_spacing: float = 0.3) -> tuple[np.ndarray, np.ndarray]:
+    """features_under_robot over arrays of poses in one gather: ((T, d)
+    features, (T,) clamped flags), equal to one call per pose."""
+    # math.sin/cos per pose, as the single query takes them
+    ox, oy = np.array([_patch_offsets(p, half_spacing) for p in np.asarray(psi).tolist()],
+                      dtype=float).reshape(-1, 2).T
+    r1, c1, cl1 = cell_indices(world, x + ox, y + oy)
+    r2, c2, cl2 = cell_indices(world, x - ox, y - oy)
+    clamped = cl1 | cl2
+    if clamped.any():
+        log.debug("%d feature queries clamped to map border", int(clamped.sum()))
+    return 0.5 * (world.features[r1, c1] + world.features[r2, c2]), clamped
+
+
 def eta_under_robot(world: TerrainWorldMap, x: float, y: float) -> np.ndarray:
     """Terrain effectiveness entries for the cell under the robot center."""
-    row, col, clamped = cell_index(world, x, y)
-    if clamped:
-        log.debug("eta query clamped to map border at (%.2f, %.2f)", x, y)
-    return world.eta_table[world.class_grid[row, col]].copy()
+    return np.array(world.eta_at(x, y))
+
+
+def eta_along(world: TerrainWorldMap, x, y) -> np.ndarray:
+    """eta_under_robot over arrays of positions in one gather: (T, eta_dim)."""
+    row, col, _ = cell_indices(world, x, y)
+    return world.eta_table[world.class_grid[row, col]]
 
 
 class FeatureProvider:
@@ -261,6 +314,17 @@ class FeatureProvider:
         feat, clamped = features_under_robot(self.world, x, y, psi, half_spacing)
         if clamped:
             self.clamp_count += 1
+        return self._observe(feat)
+
+    def features_along(self, x, y, psi, half_spacing: float = 0.3) -> np.ndarray:
+        """(T, d) features of a whole trajectory of poses: the values, clamp
+        count and noise stream of one features_under_robot call per pose, in
+        order (the noise is one (T, d) draw)."""
+        feat, clamped = features_along(self.world, x, y, psi, half_spacing)
+        self.clamp_count += int(clamped.sum())
+        return self._observe(feat)
+
+    def _observe(self, feat: np.ndarray) -> np.ndarray:
         out = self.brightness * feat
         if self.noise_std > 0:
             out = out + self.rng.normal(0.0, self.noise_std, size=out.shape)

@@ -161,3 +161,9 @@ def test_config_to_dict_echo():
     assert d["controller"]["variant"] == "pd"
     assert d["world"]["classes"][0]["name"] == "nominal"
     assert isinstance(d["training"]["learning_rate"], float)
+
+
+def test_cruise_range_order_checked_at_load():
+    with pytest.raises(ConfigError, match="dataset.*cruise_range"):
+        config_from_dict({"dataset": {"cruise_range": [2.0, 1.0]}})
+    assert config_from_dict({"dataset": {"cruise_range": [1.0, 1.0]}})

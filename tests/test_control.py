@@ -78,6 +78,22 @@ def test_gain_validation():
         AdaptParams(gamma0=10.0, gamma_max=5.0)
 
 
+def test_adapt_params_build_weights_once():
+    """R^-1 and the Q diagonal are built once, read-only, from frozen fields."""
+    p = AdaptParams(r_diag=(0.1, 0.4), q_diag=(0.5,))
+    assert p.r_inv() is p.r_inv() and p.q() is p.q()
+    np.testing.assert_array_equal(p.r_inv(), 1.0 / np.array([0.1, 0.4]))
+    np.testing.assert_array_equal(p.q(), [0.5])
+    with pytest.raises(ValueError):
+        p.r_inv()[0] = 1.0
+    with pytest.raises(AttributeError):
+        p.lam = 0.5
+    # a caller's array is copied, not frozen in place
+    q = np.array([0.2, 0.3])
+    AdaptParams(q_diag=q)
+    q[0] = 0.25
+
+
 def test_adapt_state_validation():
     AdaptState(np.zeros(3), np.ones(3))
     AdaptState(np.zeros(2), np.eye(2))
@@ -173,6 +189,45 @@ def test_residual_with_column_influence():
     vdot = a @ v + (b @ np.array([0.3]))
     y = rf.residual(vdot, v, [0.3], a, b, 0.05)
     np.testing.assert_allclose(y, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_lowpass_run_equals_update_loop(warm):
+    rng = np.random.default_rng(4)
+    xs = rng.normal(size=(300, 2))
+    xs[0] = (-0.0, 0.0)             # the first row initializes, sign of zero kept
+    batch, single = LowPassFilter(2.0), LowPassFilter(2.0)
+    if warm:
+        batch.update([0.3, -0.2], 0.05)
+        single.update([0.3, -0.2], 0.05)
+    got = batch.run(xs, 0.05)
+    want = np.array([single.update(x, 0.05) for x in xs])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(batch.state, single.state)
+
+
+def test_residuals_equal_residual_loop():
+    """A whole trajectory at once equals one residual() per row, for the
+    tracked (shared diagonal) and Ackermann (per-row A_n, column B_n) forms."""
+    rng = np.random.default_rng(5)
+    n = 500
+    vdot, v = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    tracked = TrackedParams(k1=1.3, k2=0.8)
+    car = AckermannParams()
+    cases = [
+        (rng.normal(size=(n, 2)),
+         np.broadcast_to(tracked.a_n(), (n, 2, 2)), np.broadcast_to(tracked.b_n(), (n, 2, 2))),
+        (rng.normal(size=(n, 1)),
+         np.array([car.a_n(s) for s in rng.uniform(0.2, 3.0, n)]),
+         np.broadcast_to(car.b_n().reshape(2, 1), (n, 2, 1))),
+        (rng.normal(size=(n, 2)), rng.normal(size=(n, 2, 2)), rng.normal(size=(n, 2, 2))),
+    ]
+    for u, a_n, b_n in cases:
+        single = ResidualFilter(2.0)
+        want = np.array([single.residual(vdot[k], v[k], u[k], a_n[k], b_n[k], 0.05)
+                         for k in range(n)])
+        np.testing.assert_array_equal(
+            ResidualFilter(2.0).residuals(vdot, v, u, a_n, b_n, 0.05), want)
 
 
 # -------------------------------------------------------------- references

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 import yaml
 
-from terradapt import cli
+from terradapt import cli, harness
 from terradapt.basis import BasisNet, ConstantBasis
-from terradapt.config import config_from_dict
+from terradapt.config import ConfigError, config_from_dict
+from terradapt.control import ResidualFilter
 from terradapt.harness import (
     CircleReference,
     FaultSchedule,
@@ -32,8 +33,8 @@ from terradapt.harness import (
 )
 from terradapt.serialize import read_csv
 from terradapt.training import build_h, solve_theta_star
-from terradapt.vehicles import TrackedParams, TrackedState
-from terradapt.world import build_world
+from terradapt.vehicles import TrackedParams, TrackedState, integrate_step, wrap_angle
+from terradapt.world import FeatureProvider, build_world, eta_under_robot
 
 
 def base_raw(out_dir=None, **extra):
@@ -196,6 +197,97 @@ def test_ackermann_dataset_dispatch():
     assert ds.x.shape == (1, 30, 2)   # [v_y, omega]
     assert ds.u.shape == (1, 30, 1)   # steering only
     assert np.all(np.isfinite(ds.y))
+
+
+def per_sample_dataset(cfg, world):
+    """The sample-at-a-time dataset loop that generate_dataset replaced,
+    kept as its oracle: every sample is observed while it is driven, and the
+    plant takes one single-substep call per substep. Also returns the feature
+    clamp count, so a test can see that off-map queries were covered."""
+    ds, sim = cfg.dataset, cfg.sim
+    period = sim.control_period
+    n_sub = int(round(period / sim.dt_plant))
+    warmup = int(round(ds.warmup_s / period))
+    vehicle = harness._vehicle(cfg)
+    tracked = cfg.vehicle.type == "tracked"
+    w, h = world.extent
+    mx, my = ds.margin_frac * w, ds.margin_frac * h
+    trajs, clamps = [], 0
+    for traj in range(ds.n_traj):
+        ss = np.random.SeedSequence([cfg.seed, harness._DATASET_DOMAIN, traj])
+        in_ss, meas_ss, prov_ss = ss.spawn(3)
+        in_rng, meas_rng = np.random.default_rng(in_ss), np.random.default_rng(meas_ss)
+        provider = FeatureProvider(world, cfg.provider.noise_std, cfg.provider.brightness,
+                                   seed=prov_ss)
+        res = ResidualFilter(sim.residual_cutoff_hz)
+        state, u = vehicle.dataset_start(in_rng, world)
+        next_redraw = 0.0
+        rows = []
+        for k in range(warmup + ds.steps):
+            t = k * period
+            eta = eta_under_robot(world, state.p_x, state.p_y)
+            if tracked:
+                x, u_vec = np.array([state.v_x, state.omega]), np.array([u.u_v, u.u_omega])
+            else:
+                x, u_vec = np.array([state.v_y, state.omega]), np.array([u.u_delta])
+            xdot = (np.zeros(2) if k == 0 else vehicle.measured(state, u, eta)
+                    + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
+            feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
+                                                  vehicle.half)
+            a_n, b_n = vehicle.vp.residual_model(state)
+            y = res.residual(xdot, x, u_vec, a_n, b_n, period)
+            if k >= warmup:
+                rows.append((x, u_vec, feats, y))
+            if t >= next_redraw:
+                u = vehicle.redraw(in_rng)
+                next_redraw = t + in_rng.uniform(*ds.hold_range_s)
+            if not (mx <= state.p_x <= w - mx and my <= state.p_y <= h - my):
+                bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
+                u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
+            for _ in range(n_sub):
+                eta = eta_under_robot(world, state.p_x, state.p_y)
+                state = integrate_step(state, u, vehicle.vp, sim.dt_plant, vehicle.eta(eta))
+        trajs.append(rows)
+        clamps += provider.clamp_count
+    x, u, e, y = (np.array([[row[i] for row in rows] for rows in trajs]) for i in range(4))
+    return x, u, e, y, clamps
+
+
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+def test_dataset_equals_per_sample_loop(vehicle):
+    """Driving first and observing the whole trajectory afterwards logs the
+    same bits as observing each sample while driving, with feature and
+    measurement noise on and the robot reaching the map border."""
+    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle, "dataset.steps": 300,
+                                       "dataset.margin_frac": 0.02,
+                                       "provider.noise_std": 0.05}))
+    world = build_world_for(cfg)
+    ds = generate_dataset(cfg, world)
+    x, u, e, y, clamps = per_sample_dataset(cfg, world)
+    assert clamps > 0
+    for name, want in zip("xuey", (x, u, e, y)):
+        np.testing.assert_array_equal(getattr(ds, name), want, err_msg=name)
+
+
+def test_ackermann_cruise_range_at_or_below_v_min_refused(tmp_path, capsys):
+    """Such a range used to stop gen-data mid-trajectory with exit 1 and a
+    SlipUndefinedError; it is refused before driving, as a config error. A
+    scenario-only config with the same vehicle stays valid."""
+    for cruise in ([0.05, 0.5], [0.1, 0.5]):
+        raw = base_raw(tmp_path, **{"vehicle.type": "ackermann",
+                                    "dataset.cruise_range": cruise})
+        cfg = config_from_dict(raw)
+        with pytest.raises(ConfigError, match="dataset.cruise_range"):
+            generate_dataset(cfg, build_world_for(cfg))
+        path = tmp_path / "slow.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["gen-data", "-c", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "dataset.cruise_range" in err["message"]
+    raw = base_raw(**{"vehicle.type": "ackermann", "dataset.cruise_range": [0.11, 0.5],
+                      "dataset.steps": 20, "dataset.n_traj": 1})
+    cfg = config_from_dict(raw)
+    assert generate_dataset(cfg, build_world_for(cfg)).x.shape == (1, 20, 2)
 
 
 def test_dataset_recovers_constant_basis_truth():

@@ -264,6 +264,107 @@ def test_ackermann_step_is_exactly_rk4_over_derivative(y, u, eta, dt):
         generic_rk4(ackermann_derivative, state, inp, params, dt, eta))
 
 
+def striped_terrain(eta_of_stripe, width=0.05):
+    """Terrain lookup whose eta changes every `width` metres in x, so that
+    the substeps of one tick cross cell borders; records every query."""
+    queries = []
+
+    def terrain(x, y):
+        queries.append((x, y))
+        return eta_of_stripe(math.floor(x / width))
+    return terrain, queries
+
+
+def single_steps(state, inp, params, dt, n_sub, terrain):
+    """The per-substep loop that a multi-substep call replaces."""
+    for _ in range(n_sub):
+        state = integrate_step(state, inp, params, dt, terrain(state.p_x, state.p_y))
+    return state
+
+
+tracked_stripes = lambda i: ((0.6, 1.3), (1.0, 1.0), (1.7, 0.4))[i % 3]
+ackermann_stripes = lambda i: (0.6, 1.0, 1.7)[i % 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-math.pi, math.pi),
+                 st.floats(-3, 3), st.floats(-3, 3)),
+       st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+       st.integers(1, 8), plant_dt)
+def test_tracked_substeps_equal_single_steps(y, u, n_sub, dt):
+    state, inp, params = TrackedState(*y), TrackedInput(*u), TrackedParams(x_icr=0.05)
+    terrain, _ = striped_terrain(tracked_stripes)
+    np.testing.assert_array_equal(
+        integrate_step(state, inp, params, dt, n_sub=n_sub, terrain=terrain).as_array(),
+        single_steps(state, inp, params, dt, n_sub, terrain).as_array())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-math.pi, math.pi),
+                 st.floats(1.0, 3.0), unit, unit),
+       st.tuples(st.floats(1.0, 3.0), st.floats(-0.4, 0.4)),
+       st.integers(1, 8), st.floats(1e-3, 0.02))
+def test_ackermann_substeps_equal_single_steps(y, u, n_sub, dt):
+    # speeds above 1 m/s stay above v_min over at most 0.16 s
+    state, inp, params = AckermannState(*y), AckermannInput(*u), AckermannParams()
+    terrain, _ = striped_terrain(ackermann_stripes)
+    np.testing.assert_array_equal(
+        integrate_step(state, inp, params, dt, n_sub=n_sub, terrain=terrain).as_array(),
+        single_steps(state, inp, params, dt, n_sub, terrain).as_array())
+
+
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+def test_substeps_look_up_terrain_at_each_substep_start(vehicle):
+    """A tick that crosses cell borders: terrain is queried once per
+    substep, at the substep's start, and sees more than one cell."""
+    if vehicle == "tracked":
+        state, inp, params = TrackedState(0.0, 0.0, 0.0, 2.0, 0.0), TrackedInput(2.0, 0.3), \
+            TrackedParams()
+        stripes = tracked_stripes
+    else:
+        state, inp, params = AckermannState(0.0, 0.0, 0.0, 2.0, 0.0, 0.0), \
+            AckermannInput(2.0, 0.1), AckermannParams()
+        stripes = ackermann_stripes
+    terrain, queries = striped_terrain(stripes)
+    out = integrate_step(state, inp, params, 0.01, n_sub=5, terrain=terrain)
+    oracle, oracle_queries = striped_terrain(stripes)
+    expected = single_steps(state, inp, params, 0.01, 5, oracle)
+    np.testing.assert_array_equal(out.as_array(), expected.as_array())
+    assert queries == oracle_queries and len(queries) == 5
+    assert queries[0] == (0.0, 0.0)
+    assert len({math.floor(x / 0.05) for x, _ in queries}) > 1     # borders crossed
+
+
+def test_substep_checks():
+    p, s, u = TrackedParams(), TrackedState(0, 0, 0, 0.5, 0.1), TrackedInput(1.0, 0.0)
+    with pytest.raises(ValueError, match="n_sub"):
+        integrate_step(s, u, p, 0.01, n_sub=0)
+    with pytest.raises(ValueError, match="not both"):
+        integrate_step(s, u, p, 0.01, (1.0, 1.0), terrain=lambda x, y: (1.0, 1.0))
+    # eta is still checked at every substep
+    calls = iter([(1.0, 1.0), (1.0, 1.0), (2.5, 1.0)])
+    with pytest.raises(ValueError, match="eta"):
+        integrate_step(s, u, p, 0.01, n_sub=3, terrain=lambda x, y: next(calls))
+    # a result that overflowed is refused on exit
+    with pytest.raises(NonFiniteError):
+        integrate_step(TrackedState(0, 0, 0, 1e308, 0), TrackedInput(0, 0), p, 0.01)
+    # a substep that diverged is reported as such, even when the next terrain
+    # lookup, which refuses a non-finite position, is what trips over it
+    def lookup(x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("non-finite world query")
+        return (1.0, 1.0)
+    stiff = TrackedParams(tau_v=1e-300, tau_omega=1e-300)
+    with pytest.raises(NonFiniteError):
+        integrate_step(TrackedState(0, 0, 0, 0, 0), TrackedInput(2.0, 0.0), stiff, 0.01,
+                       n_sub=5, terrain=lookup)
+    # the Ackermann speed floor is checked at every substep, not only on entry
+    car, slowing = AckermannParams(), AckermannState(0, 0, 0, 0.12, 0, 0)
+    integrate_step(slowing, AckermannInput(0.0, 0.0), car, 0.01)
+    with pytest.raises(SlipUndefinedError):
+        integrate_step(slowing, AckermannInput(0.0, 0.0), car, 0.01, n_sub=10)
+
+
 def test_integrate_step_wraps_heading():
     state = TrackedState(0, 0, math.pi - 0.001, 0.0, 2.0)
     out = integrate_step(state, TrackedInput(0, 2.0), TrackedParams(), 0.05)

@@ -13,7 +13,10 @@ from terradapt.world import (
     WorldSpec,
     build_world,
     cell_index,
+    cell_indices,
+    eta_along,
     eta_under_robot,
+    features_along,
     features_under_robot,
     linear_margin_stats,
     load_world,
@@ -176,6 +179,77 @@ def test_eta_under_robot_returns_copy():
     np.testing.assert_array_equal(eta, w.eta_table[w.class_grid[0, 0]])
     eta[0] = -99.0
     assert w.eta_table[w.class_grid[0, 0]][0] > 0
+
+
+def trajectory_poses(w, n=400, seed=3):
+    """Poses on, near and well off the map, some exactly on cell borders."""
+    rng = np.random.default_rng(seed)
+    width, height = w.extent
+    x = rng.uniform(-2.0, width + 2.0, n)
+    y = rng.uniform(-2.0, height + 2.0, n)
+    x[:20] = np.arange(20) * w.cell_size           # exact borders
+    y[20:40] = -np.arange(20) * 1e-3                # just below the map
+    x[40], y[40] = 1e300, -1e300                    # far off, no int overflow
+    psi = rng.uniform(-math.pi, math.pi, n)
+    psi[:10] = (0.0, math.pi / 2, -math.pi / 2, math.pi, 1e-17, -0.0, 3.0, -3.0, 0.5, 2.5)
+    return x, y, psi
+
+
+def test_cell_indices_follow_cell_index():
+    w = build_world(three_class_spec())
+    x, y, _ = trajectory_poses(w)
+    rows, cols, clamped = cell_indices(w, x, y)
+    assert rows.dtype == cols.dtype == np.int64
+    assert [(int(r), int(c), bool(k)) for r, c, k in zip(rows, cols, clamped)] \
+        == [cell_index(w, a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert clamped.any() and not clamped.all()
+    with pytest.raises(ValueError):
+        cell_indices(w, [0.0, float("nan")], [0.0, 0.0])
+
+
+def test_gathers_equal_per_pose_queries():
+    """One array gather gives the values and clamp flags of one query per pose."""
+    w = build_world(three_class_spec())
+    x, y, psi = trajectory_poses(w)
+    feats, clamped = features_along(w, x, y, psi, 0.3)
+    per_pose = [features_under_robot(w, a, b, p, 0.3)
+                for a, b, p in zip(x.tolist(), y.tolist(), psi.tolist())]
+    np.testing.assert_array_equal(feats, np.array([f for f, _ in per_pose]))
+    np.testing.assert_array_equal(clamped, [c for _, c in per_pose])
+    np.testing.assert_array_equal(
+        eta_along(w, x, y), np.array([eta_under_robot(w, a, b)
+                                      for a, b in zip(x.tolist(), y.tolist())]))
+
+
+@pytest.mark.parametrize("noise_std, brightness", [(0.0, 1.0), (0.07, 0.6)])
+def test_provider_trajectory_equals_per_pose_calls(noise_std, brightness):
+    """Values, clamp count and the noise stream match one call per pose in
+    order: the provider's generator ends in the same state."""
+    w = build_world(three_class_spec())
+    x, y, psi = trajectory_poses(w)
+    batch = FeatureProvider(w, noise_std, brightness, seed=11)
+    single = FeatureProvider(w, noise_std, brightness, seed=11)
+    got = batch.features_along(x, y, psi, 0.3)
+    want = np.array([single.features_under_robot(a, b, p, 0.3)
+                     for a, b, p in zip(x.tolist(), y.tolist(), psi.tolist())])
+    np.testing.assert_array_equal(got, want)
+    assert batch.clamp_count == single.clamp_count > 0
+    assert batch.rng.random() == single.rng.random()
+
+
+def test_eta_table_is_built_once_from_python_floats():
+    w = build_world(three_class_spec())
+    cells = w.eta_cells
+    assert w.eta_cells is cells
+    assert len(cells) == w.rows and all(len(line) == w.cols for line in cells)
+    for (row, col) in [(0, 0), (17, 93), (w.rows - 1, w.cols - 1)]:
+        eta = cells[row][col]
+        assert type(eta) is tuple and all(type(v) is float for v in eta)
+        assert eta == tuple(w.eta_table[w.class_grid[row, col]])
+    assert w.eta_at(-3.0, 100.0) == cells[w.rows - 1][0]   # clamped to the border
+    # eta_under_robot hands out a fresh array built from the same table
+    a, b = eta_under_robot(w, 5.0, 7.0), eta_under_robot(w, 5.0, 7.0)
+    assert a is not b and tuple(a) == w.eta_at(5.0, 7.0)
 
 
 def test_provider_determinism_and_noise():
