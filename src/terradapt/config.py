@@ -24,6 +24,13 @@ class ConfigError(ValueError):
     """Bad or inconsistent configuration."""
 
 
+# Largest dt_plant / tau at which one classic RK4 step does not amplify the
+# decay mode vdot = -v / tau: the real z < 0 where the step's stability
+# polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 returns to 1, i.e. the real root
+# of z^3 + 4 z^2 + 12 z + 24 = 0, negated.
+RK4_REAL_LIMIT = 2.785293563405289
+
+
 def _build(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
@@ -294,7 +301,21 @@ def config_from_dict(raw: dict) -> Config:
         cfg.scenario = _build(ScenarioConfig, s, "scenario")
         if fault is not None:
             cfg.scenario.fault = _build(FaultConfig, fault, "scenario.fault")
+    _check_rk4_stable(cfg)
     return cfg
+
+
+def _check_rk4_stable(cfg: Config) -> None:
+    """Refuse plant time constants that fixed-step RK4 at sim.dt_plant cannot
+    integrate: the velocity would grow each step until it overflows."""
+    dt = cfg.sim.dt_plant
+    for key, tau in (("vehicle.tracked.tau_v", cfg.vehicle.tracked.tau_v),
+                     ("vehicle.tracked.tau_omega", cfg.vehicle.tracked.tau_omega),
+                     ("vehicle.ackermann.tau_v", cfg.vehicle.ackermann.tau_v)):
+        if dt / tau > RK4_REAL_LIMIT:
+            raise ConfigError(f"{key}={tau} is too small for sim.dt_plant={dt}: "
+                              f"dt_plant / tau = {dt / tau:.4g} exceeds RK4's real-axis "
+                              f"stability limit {RK4_REAL_LIMIT:.4f}")
 
 
 def load_config(path) -> Config:

@@ -30,14 +30,25 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import contract
 from .vehicles import AckermannInput, AckermannParams, TrackedInput, TrackedParams, wrap_angle
 
 log = logging.getLogger(__name__)
+
+# smallest normal float: LAPACK's getf2 scales a pivot column by the pivot's
+# reciprocal only above it, since 1 / pivot would overflow below
+_SFMIN = sys.float_info.min
+
+
+def _floats(x):
+    """x as Python floats: an array through tolist(), a sequence as given.
+    The controller tick runs on Python floats; its public functions still
+    take arrays."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
 
 
 # ---------------------------------------------------------------- gains
@@ -134,7 +145,7 @@ class AdaptState:
         if self.gain.ndim == 1:
             if self.gain.shape != (n,):
                 raise ValueError("gamma vector must match theta_hat length")
-            if np.any(self.gain <= 0):
+            if any(g <= 0.0 for g in self.gain.tolist()):
                 raise ValueError("all gamma entries must be positive")
         elif self.gain.ndim == 2:
             if self.gain.shape != (n, n):
@@ -159,7 +170,8 @@ class AdaptState:
 
 @dataclass
 class ReferenceState:
-    """Velocity-level reference for the tracked loop."""
+    """Velocity-level reference for the tracked loop. The two velocity pairs
+    may be arrays or sequences of floats."""
 
     v_ref: np.ndarray           # [v_ref_x, omega_ref]
     vdot_ref: np.ndarray        # time derivative of v_ref
@@ -199,13 +211,17 @@ class LowPassFilter:
         self.tau = 1.0 / (2.0 * math.pi * cutoff_hz)
         self.state = None
 
-    def update(self, x, dt: float):
-        x = np.asarray(x, dtype=float)
+    def update(self, x, dt: float) -> list:
+        """Filter one sample of channels x (array or sequence); returns the
+        filtered channels as a new list of Python floats, which round
+        exactly as the elementwise array update does."""
+        x = _floats(x)
         if self.state is None:
-            self.state = x.copy()
+            self.state = [float(v) for v in x]
         else:
-            self.state = _lowpass_step(self.state, x, dt / (self.tau + dt))
-        return self.state.copy()
+            alpha = dt / (self.tau + dt)
+            self.state = [_lowpass_step(f, v, alpha) for f, v in zip(self.state, x, strict=True)]
+        return list(self.state)
 
     def run(self, xs, dt: float) -> np.ndarray:
         """update() over the rows of xs in order; returns the (T, n) outputs.
@@ -216,18 +232,18 @@ class LowPassFilter:
         out = np.empty_like(xs)
         k0 = 0
         if self.state is None:          # the first row initializes, as in update()
-            self.state = xs[0].copy()
+            self.state = xs[0].tolist()
             out[0] = xs[0]
             k0 = 1
         alpha = dt / (self.tau + dt)
         for j, channel in enumerate(xs[k0:].T.tolist()):
-            f = float(self.state[j])
+            f = self.state[j]
             filtered = []
             for x in channel:
                 f = _lowpass_step(f, x, alpha)
                 filtered.append(f)
             out[k0:, j] = filtered
-        self.state = out[-1].copy()
+        self.state = out[-1].tolist()
         return out
 
     def reset(self):
@@ -246,10 +262,14 @@ class ResidualFilter:
         self.lpf = LowPassFilter(cutoff_hz)
 
     def residual(self, vdot_meas, v, u_vec, a_n: np.ndarray, b_n: np.ndarray,
-                 dt: float) -> np.ndarray:
-        filtered = self.lpf.update(np.asarray(vdot_meas, dtype=float), dt)
-        return filtered - (a_n @ np.asarray(v, dtype=float)
-                           + b_n @ np.asarray(u_vec, dtype=float))
+                 dt: float) -> list:
+        """One residual as a list of Python floats. The low-pass and the sums
+        run on floats; the nominal model's two products stay numpy (ndarray.dot,
+        which rounds as the stacked matmul of residuals() does): BLAS forms a
+        2x2 product with FMA, which float arithmetic cannot reproduce."""
+        filtered = self.lpf.update(vdot_meas, dt)
+        a_v, b_u = a_n.dot(v).tolist(), b_n.dot(u_vec).tolist()
+        return [f - (x + y) for f, x, y in zip(filtered, a_v, b_u, strict=True)]
 
     def residuals(self, vdot_meas, v, u_vec, a_n: np.ndarray, b_n: np.ndarray,
                   dt: float) -> np.ndarray:
@@ -334,7 +354,7 @@ def cond_2x2(m) -> float:
     entries are first scaled by the largest magnitude so that neither f nor
     det can overflow. Returns inf for a singular or non-finite matrix.
     """
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = _floats(m)
     big = max(abs(a), abs(b), abs(c), abs(d))
     if not 0.0 < big < math.inf:        # zero, infinite or NaN
         return math.inf
@@ -346,9 +366,41 @@ def cond_2x2(m) -> float:
     return (f + math.sqrt(max(f * f - 4.0 * det * det, 0.0))) / (2.0 * det)
 
 
-def tracking_error(v, ref: ReferenceState) -> np.ndarray:
+def tracking_error(v, ref: ReferenceState) -> tuple[float, float]:
     """s = [v_x - v_ref_x, omega - omega_ref]."""
-    return np.asarray(v, dtype=float) - ref.v_ref
+    (v_x, omega), (v_ref_x, omega_ref) = _floats(v), _floats(ref.v_ref)
+    return v_x - v_ref_x, omega - omega_ref
+
+
+def _influence(b_n, phi, theta_hat):
+    """B_hat = B_n + sum_i theta_i Phi_i for 2x2 matrices, as nested tuples
+    of Python floats; phi is (n_theta, 2, 2)."""
+    c00 = c01 = c10 = c11 = 0.0
+    for t, ((p00, p01), (p10, p11)) in zip(_floats(theta_hat), _floats(phi), strict=True):
+        c00 += t * p00
+        c01 += t * p01
+        c10 += t * p10
+        c11 += t * p11
+    (b00, b01), (b10, b11) = b_n
+    return (b00 + c00, b01 + c01), (b10 + c10, b11 + c11)
+
+
+def _solve_2x2(m, r0: float, r1: float) -> tuple[float, float]:
+    """x with M x = r by LU with partial pivoting, in the order of LAPACK's
+    getf2 (the first largest entry of the column pivots, the column below it
+    is scaled by the pivot's reciprocal). Raises LinAlgError on an exactly
+    zero pivot, as np.linalg.solve does."""
+    (a, b), (c, d) = m
+    if abs(c) > abs(a):
+        a, b, c, d, r0, r1 = c, d, a, b, r1, r0
+    if a == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    low = c * (1.0 / a) if abs(a) >= _SFMIN else c / a
+    d = d - low * b
+    if d == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    x1 = (r1 - low * r0) / d
+    return (r0 - b * x1) / a, x1
 
 
 def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParams,
@@ -359,27 +411,34 @@ def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParam
     Returns (TrackedInput, info). If B_hat is near singular (condition number
     at or above cond_limit) the nominal B_n is used instead and info["fallback"]
     is set; the caller should skip the adaptation update for that step.
-    Commands are clamped to u_limits and clamping is reported.
+    Commands are clamped to u_limits and clamping is reported. The law runs on
+    Python floats (s, the reference pairs, phi and theta_hat may be arrays);
+    info["b_hat"] is the B_hat used, as nested tuples.
     """
-    a_n = params.a_n()
-    b_n = params.b_n()
+    (a00, a01), (a10, a11) = params.a_n().tolist()
+    b_n = params.b_n().tolist()
     info = {"fallback": False, "clamped": False}
-    b_hat = b_n if phi is None else b_n + contract(phi, theta_hat)
+    b_hat = b_n if phi is None else _influence(b_n, phi, theta_hat)
     cond = cond_2x2(b_hat)
     if cond >= cond_limit:
         log.debug("B_hat condition number %.3e >= %.1e, falling back to B_n", cond, cond_limit)
         b_hat = b_n
         info["fallback"] = True
-    k = np.array([gains.k_dx, gains.k_domega])      # the diagonal of K
-    rhs = k * np.asarray(s, dtype=float) + a_n @ ref.v_ref - ref.vdot_ref
-    u_vec = -np.linalg.solve(b_hat, rhs)
-    lim = np.asarray(u_limits, dtype=float)
-    clipped = np.clip(u_vec, -lim, lim)
-    if not np.array_equal(clipped, u_vec):
+    s0, s1 = _floats(s)
+    (v0, v1), (vdot0, vdot1) = _floats(ref.v_ref), _floats(ref.vdot_ref)
+    # K s + A_n v_ref - vdot_ref, K = diag(k_dx, k_domega)
+    r0 = gains.k_dx * s0 + (a00 * v0 + a01 * v1) - vdot0
+    r1 = gains.k_domega * s1 + (a10 * v0 + a11 * v1) - vdot1
+    x0, x1 = _solve_2x2(b_hat, r0, r1)
+    u_v, u_omega = -x0, -x1
+    lim_v, lim_omega = float(u_limits[0]), float(u_limits[1])
+    clip_v = min(max(u_v, -lim_v), lim_v)
+    clip_omega = min(max(u_omega, -lim_omega), lim_omega)
+    if clip_v != u_v or clip_omega != u_omega:      # NaN counts as clamped
         info["clamped"] = True
-        log.debug("tracked command clamped: %s -> %s", u_vec, clipped)
+        log.debug("tracked command clamped: %s -> %s", (u_v, u_omega), (clip_v, clip_omega))
     info["b_hat"] = b_hat
-    return TrackedInput(float(clipped[0]), float(clipped[1])), info
+    return TrackedInput(clip_v, clip_omega), info
 
 
 # ---------------------------------------------------------------- adaptation
@@ -392,6 +451,30 @@ def h_matrix(phi: np.ndarray, u_vec) -> np.ndarray:
     return np.einsum("inm,m->ni", np.asarray(phi, dtype=float), u)
 
 
+def _h_columns(phi, u_vec) -> list:
+    """The columns h_i = Phi_i u of H as pairs of Python floats, for phi of
+    shape (n_theta, 2, m) with m = 1 or 2."""
+    u = _floats(u_vec)
+    if len(u) == 1:
+        (u0,) = u
+        return [(p0 * u0, p1 * u0) for (p0,), (p1,) in _floats(phi)]
+    u0, u1 = u
+    return [(p00 * u0 + p01 * u1, p10 * u0 + p11 * u1)
+            for (p00, p01), (p10, p11) in _floats(phi)]
+
+
+def _q_entries(params: AdaptParams, n_theta: int) -> list:
+    """The n_theta diagonal entries of Q: q_diag as given, or its one entry
+    for every component."""
+    q = params.q().tolist()
+    if len(q) == 1:
+        return q * n_theta
+    if len(q) != n_theta:
+        raise ValueError(f"q_diag has {len(q)} entries for {n_theta} parameters; "
+                         f"give 1 or {n_theta}")
+    return q
+
+
 def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
                       params: AdaptParams):
     """One Euler step of the per-component composite law.
@@ -401,27 +484,38 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
 
     Gains are clamped to [gamma_min, gamma_max]. A non-finite update is
     rejected: the state is held and the rejection is reported in the second
-    return value.
+    return value. Runs on Python floats for two residual channels, any
+    n_theta and one or two inputs; a one-entry r_diag or q_diag stands for
+    every channel or component.
     """
     if state.gain.ndim != 1:
         raise ValueError("scalar law requires a gamma vector state")
-    h = h_matrix(phi, u_vec)
-    pred = h @ state.theta_hat - np.asarray(y, dtype=float)
-    hr = h * params.r_inv()[:, None]              # R^-1-weighted columns
-    quad = (hr * h).sum(axis=0)                   # h_i^T R^-1 h_i
-    theta_dot = (-params.lam * state.theta_hat
-                 - state.gain * (hr.T @ pred)
-                 + state.gain * (h.T @ np.asarray(s, dtype=float)))
-    gamma_dot = (-2.0 * params.lam * state.gain
-                 + params.q()
-                 + state.gain * quad * state.gain)
-    theta_new = state.theta_hat + dt * theta_dot
-    gamma_new = state.gain + dt * gamma_dot
-    if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(gamma_new))):
+    theta, gamma = state.theta_hat.tolist(), state.gain.tolist()
+    h = _h_columns(phi, u_vec)
+    q = _q_entries(params, len(theta))
+    r = params.r_inv().tolist()
+    r0, r1 = r * 2 if len(r) == 1 else r
+    s0, s1 = _floats(s)
+    y0, y1 = _floats(y)
+    pred0 = pred1 = 0.0                             # H theta - y
+    for th, (h0, h1) in zip(theta, h, strict=True):
+        pred0 += h0 * th
+        pred1 += h1 * th
+    pred0 -= y0
+    pred1 -= y1
+    lam, two_lam = params.lam, 2.0 * params.lam
+    theta_new, gamma_new = [], []
+    for th, g, (h0, h1), q_i in zip(theta, gamma, h, q):
+        hr0, hr1 = h0 * r0, h1 * r1                 # R^-1-weighted column
+        theta_dot = -lam * th - g * (hr0 * pred0 + hr1 * pred1) + g * (h0 * s0 + h1 * s1)
+        gamma_dot = -two_lam * g + q_i + g * (hr0 * h0 + hr1 * h1) * g
+        theta_new.append(th + dt * theta_dot)
+        gamma_new.append(g + dt * gamma_dot)
+    if not (all(map(math.isfinite, theta_new)) and all(map(math.isfinite, gamma_new))):
         log.debug("scalar adaptation produced a non-finite update; step rejected")
         return state, True
-    gamma_new = np.clip(gamma_new, params.gamma_min, params.gamma_max)
-    return AdaptState(theta_new, gamma_new), False
+    lo, hi = params.gamma_min, params.gamma_max
+    return AdaptState(theta_new, [min(max(g, lo), hi) for g in gamma_new]), False
 
 
 def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
@@ -437,10 +531,7 @@ def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
     if state.gain.ndim != 2:
         raise ValueError("matrix law requires a gain matrix state")
     h = h_matrix(phi, u_vec)
-    n_theta = state.theta_hat.shape[0]
-    q_diag = params.q()
-    q_mat = np.diag(q_diag if q_diag.shape[0] == n_theta
-                    else np.full(n_theta, q_diag[0]))
+    q_mat = np.diag(_q_entries(params, state.theta_hat.shape[0]))
     pred = h @ state.theta_hat - np.asarray(y, dtype=float)
     hr = h * params.r_inv()[:, None]
     theta_dot = (-params.lam * state.theta_hat
@@ -482,10 +573,11 @@ def lateral_errors(p, psi: float, v_x: float, v_y: float, p_d, psi_d: float,
     """
     if not math.isfinite(path_speed) or abs(path_speed) < 1e-9:
         raise ValueError("degenerate path tangent: desired speed is zero")
-    p_err = np.asarray(p, dtype=float) - np.asarray(p_d, dtype=float)
+    (p_x, p_y), (p_dx, p_dy) = _floats(p), _floats(p_d)
+    e_x, e_y = p_x - p_dx, p_y - p_dy
     cd, sd = math.cos(psi_d), math.sin(psi_d)
-    e_par = cd * p_err[0] + sd * p_err[1]
-    e_perp = -sd * p_err[0] + cd * p_err[1]
+    e_par = cd * e_x + sd * e_y
+    e_perp = -sd * e_x + cd * e_y
     psi_e = wrap_angle(psi - psi_d)
     e_perp_dot = v_y + v_x * psi_e
     return LateralErrorState(e_par, e_perp, psi_e, e_perp_dot,
@@ -509,8 +601,10 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
     b_nom = params.c_y / params.m
     b_hat = b_nom
     if phi_row is not None:
-        b_hat = b_nom + float(np.asarray(phi_row, dtype=float)
-                              @ np.asarray(theta_hat, dtype=float))
+        adapted = 0.0
+        for p, t in zip(_floats(phi_row), _floats(theta_hat), strict=True):
+            adapted += p * t
+        b_hat = b_nom + adapted
     if abs(b_hat) < gains.b_min:
         log.debug("b_hat=%.3e below b_min=%.1e, dropping adapted part", b_hat, gains.b_min)
         b_hat = b_nom
@@ -520,7 +614,7 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
           + vdot_x * lat.psi_e
           - v_x * omega_d
           + gains.k_p * lat.e_perp_dot) / b_hat
-    clipped = float(np.clip(u, -u_delta_max, u_delta_max))
+    clipped = float(min(max(u, -u_delta_max), u_delta_max))
     if clipped != u:
         info["clamped"] = True
         log.debug("steering clamped: %.3f -> %.3f", u, clipped)
@@ -532,11 +626,13 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
 
 @dataclass
 class TickTelemetry:
-    """Per-tick controller internals, recorded by the harness."""
+    """Per-tick controller internals, recorded by the harness: s, u and y
+    as sequences of Python floats, theta_hat and the gain diagonal as
+    arrays (empty without a basis)."""
 
-    s: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
+    s: tuple
+    u: tuple
+    y: tuple | list
     theta_hat: np.ndarray
     gain_diag: np.ndarray
     psi_ref: float
@@ -546,10 +642,15 @@ class TickTelemetry:
     lat: LateralErrorState | None = None    # Ackermann path-frame errors
 
 
+_NO_RESIDUAL = (math.nan, math.nan)     # y before the first residual exists
+
+
 class _AdaptiveController:
     """Tick bookkeeping shared by both vehicles: the adapted state, the
     residual of the previous tick's input, the composite adaptation step and
     the telemetry record. Subclasses supply the reference and the control law.
+    The tick carries its vectors as Python floats; phi is converted once per
+    tick, to nested lists, and serves the law and the next adaptation step.
 
     variant: "pd" (no basis, no adaptation), "constant" or "dnn" (basis with
     adaptation), plus adapt=False to freeze theta_hat at its initial value.
@@ -576,7 +677,8 @@ class _AdaptiveController:
         self.prev_phi = None
 
     def _phi(self, x, features):
-        return self.basis.eval(x, features) if self.basis is not None else None
+        """The basis at (x, features) as nested lists of floats, or None."""
+        return self.basis.eval(x, features).tolist() if self.basis is not None else None
 
     def _theta(self):
         return self.state.theta_hat if self.state is not None else None
@@ -585,7 +687,7 @@ class _AdaptiveController:
         """Residual of the previous tick's input and, unless the law fell back,
         one adaptation step on it. Returns (y, rejected) and keeps (u_vec, phi)
         for the next tick."""
-        y = np.full(2, np.nan)
+        y = _NO_RESIDUAL
         rejected = False
         if self.prev_u is not None:
             a_n, b_n = self.params.residual_model(state)
@@ -633,18 +735,18 @@ class TrackedController(_AdaptiveController):
         return self._tick(state, vdot_meas, features, ref)
 
     def tick_velocity(self, state, vdot_meas, features, v_ref, vdot_ref):
-        ref = ReferenceState(np.asarray(v_ref, dtype=float),
-                             np.asarray(vdot_ref, dtype=float),
+        """v_ref and vdot_ref are [v_x, omega] pairs, arrays or sequences."""
+        ref = ReferenceState(_floats(v_ref), _floats(vdot_ref),
                              psi_ref=state.psi, psi_dot_ref=0.0)
         return self._tick(state, vdot_meas, features, ref)
 
     def _tick(self, state, vdot_meas, features, ref: ReferenceState):
-        v = np.array([state.v_x, state.omega])
+        v = (state.v_x, state.omega)
         phi = self._phi(v, features)
         s = tracking_error(v, ref)
         u, info = control_tracked(s, ref, phi, self._theta(), self.params, self.gains,
                                   self.u_limits)
-        u_vec = u.as_array()
+        u_vec = (u.u_v, u.u_omega)
         y, rejected = self._adapt(state, v, vdot_meas, phi, u_vec, s, info["fallback"])
         return u, self._telemetry(s, u_vec, y, ref.psi_ref, info, rejected)
 
@@ -662,19 +764,19 @@ class AckermannController(_AdaptiveController):
 
     def tick(self, state, xdot_meas, features, p_d, psi_d, omega_d, speed_d):
         """xdot_meas is the measured [vdot_y, omegadot]."""
-        lat = lateral_errors(np.array([state.p_x, state.p_y]), state.psi,
+        lat = lateral_errors((state.p_x, state.p_y), state.psi,
                              state.v_x, state.v_y, p_d, psi_d, speed_d,
                              self.gains.k_p)
-        x_lat = np.array([state.v_y, state.omega])
+        x_lat = (state.v_y, state.omega)
         phi = self._phi(x_lat, features)
-        phi_row = phi[:, 0, 0] if phi is not None else None
+        phi_row = [p[0][0] for p in phi] if phi is not None else None
         u_v = speed_d - self.gains.k_fwd * (state.v_x - speed_d)
         vdot_x_nom = (u_v - state.v_x) / self.params.tau_v
         u_delta, info = control_ackermann(lat, state.v_x, state.v_y, omega_d,
                                           vdot_x_nom, phi_row, self._theta(),
                                           self.params, self.gains, self.u_delta_max)
-        y, rejected = self._adapt(state, x_lat, xdot_meas, phi, np.array([u_delta]),
-                                  np.array([lat.s_perp, 0.0]), info["fallback"])
-        tele = self._telemetry(np.array([lat.s_perp]), np.array([u_v, u_delta]), y,
+        y, rejected = self._adapt(state, x_lat, xdot_meas, phi, (u_delta,),
+                                  (lat.s_perp, 0.0), info["fallback"])
+        tele = self._telemetry((lat.s_perp,), (u_v, u_delta), y,
                                psi_d, info, rejected, lat)
         return AckermannInput(u_v, u_delta), tele

@@ -16,6 +16,12 @@ Timing model per controller tick (period = sim.control_period):
      to the next tick in one integrate_step call of control_period / dt_plant
      substeps, looking the terrain eta up at the start of every substep.
 
+The tick runs on Python floats, not on small arrays: states, references,
+the control law, the scalar adaptation step and the telemetry rows are
+floats, and the basis output is converted to nested lists once per tick.
+Only the basis forward pass, the terrain and feature lookups, the noise
+draws, the residual's nominal-model product and the matrix law use numpy.
+
 The dataset loop keeps the same model but runs it in two passes per
 trajectory. Driving (steps 3-4 with random inputs in place of a
 controller) never reads an observation, so it runs first, alone; steps 1-2
@@ -85,11 +91,15 @@ def split_variant(variant: str) -> tuple[str, bool]:
     return base, not variant.endswith("-frozen")
 
 
-def _adapt_params_for(cfg: Config, n_theta: int) -> AdaptParams:
+def _adapt_params_for(cfg: Config, n_theta: int | None) -> AdaptParams:
+    """Adaptation constants for a controller adapting n_theta parameters, or
+    for one that adapts none (n_theta None). q_diag must give one entry for
+    every parameter, or one for all of them."""
     a = cfg.controller.adaptation
     q = tuple(a.q_diag)
-    if len(q) != n_theta:
-        q = (float(a.q_diag[0]),) * n_theta
+    if n_theta is not None and len(q) not in (1, n_theta):
+        raise ConfigError(f"controller.adaptation.q_diag has {len(q)} entries; the basis "
+                          f"has n_theta={n_theta}, so give 1 or {n_theta}")
     return AdaptParams(lam=a.lam, r_diag=tuple(a.r_diag), q_diag=q,
                        gamma0=a.gamma0, gamma_min=a.gamma_min, gamma_max=a.gamma_max)
 
@@ -114,7 +124,7 @@ def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
         basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
         if theta0 is None:
             theta0 = theta_r
-    n_theta = basis.n_theta if basis is not None else 1
+    n_theta = basis.n_theta if basis is not None and adapt else None
     return vehicle.controller(
         _adapt_params_for(cfg, n_theta), basis=basis,
         law=cfg.controller.adaptation.law, theta0=theta0, adapt=adapt,
@@ -174,7 +184,7 @@ class RandomVelocityReference:
         w, h = world.extent
         self.world = world
         self.margin_frac = margin_frac
-        self.center = np.array([0.5 * w, 0.5 * h])
+        self.center = (0.5 * w, 0.5 * h)
         self.margin = (margin_frac * w, margin_frac * h)
         self.extent = (w, h)
         self.omega_cap = max(abs(omega_range[0]), abs(omega_range[1]), 1.0)
@@ -183,7 +193,8 @@ class RandomVelocityReference:
         x, y, psi = _interior_start(rng, self.world, self.margin_frac)
         return TrackedState(x, y, psi, 0.0, 0.0)
 
-    def refs(self, t: float, state) -> tuple[np.ndarray, np.ndarray]:
+    def refs(self, t: float, state) -> tuple[tuple, tuple]:
+        """([v_ref, omega_ref], its derivative) at time t, as float pairs."""
         seg = self.segments[0]
         for cand in self.segments:
             if cand[0] <= t:
@@ -197,9 +208,9 @@ class RandomVelocityReference:
             bearing = math.atan2(self.center[1] - state.p_y,
                                  self.center[0] - state.p_x)
             err = wrap_angle(bearing - state.psi)
-            omega_ref = float(np.clip(2.0 * err, -self.omega_cap, self.omega_cap))
+            omega_ref = min(max(2.0 * err, -self.omega_cap), self.omega_cap)
             v_ref = max(0.4, min(abs(v_ref), 0.8))
-        return np.array([v_ref, omega_ref]), np.zeros(2)
+        return (v_ref, omega_ref), (0.0, 0.0)
 
 
 class Figure8Reference:
@@ -208,23 +219,24 @@ class Figure8Reference:
     mode = "position"
 
     def __init__(self, center, amp_x: float, amp_y: float, period_s: float):
-        self.center = np.asarray(center, dtype=float)
+        c_x, c_y = np.asarray(center, dtype=float).tolist()
+        self.center = (c_x, c_y)
         self.amp_x = amp_x
         self.amp_y = amp_y
         self.w = 2.0 * math.pi / period_s
 
     def refs(self, t: float, state=None):
+        """(p_d, v_d, psi_d), the vectors as float pairs."""
         w = self.w
-        p_d = self.center + np.array([self.amp_x * math.sin(w * t),
-                                      self.amp_y * math.sin(2.0 * w * t)])
-        v_d = np.array([self.amp_x * w * math.cos(w * t),
-                        2.0 * self.amp_y * w * math.cos(2.0 * w * t)])
+        c_x, c_y = self.center
+        p_d = (c_x + self.amp_x * math.sin(w * t), c_y + self.amp_y * math.sin(2.0 * w * t))
+        v_d = (self.amp_x * w * math.cos(w * t), 2.0 * self.amp_y * w * math.cos(2.0 * w * t))
         psi_d = math.atan2(v_d[1], v_d[0])
         return p_d, v_d, psi_d
 
     def start_pose(self, rng) -> TrackedState:
         p_d, _, psi_d = self.refs(0.0)
-        off = rng.uniform(-0.3, 0.3, size=2)
+        off = rng.uniform(-0.3, 0.3, size=2).tolist()
         dpsi = rng.uniform(-0.2, 0.2)
         return TrackedState(p_d[0] + off[0], p_d[1] + off[1],
                             wrap_angle(psi_d + dpsi), 0.0, 0.0)
@@ -238,15 +250,18 @@ class CircleReference:
     def __init__(self, center, radius: float, speed: float, phase0: float = 0.0):
         if radius <= 0 or speed <= 0:
             raise ValueError("circle radius and speed must be positive")
-        self.center = np.asarray(center, dtype=float)
+        c_x, c_y = np.asarray(center, dtype=float).tolist()
+        self.center = (c_x, c_y)
         self.radius = radius
         self.speed = speed
         self.phase0 = phase0
         self.omega_d = speed / radius
 
     def refs(self, t: float, state=None):
+        """(p_d as a float pair, psi_d, omega_d, speed) at time t."""
         ang = self.phase0 + self.omega_d * t
-        p_d = self.center + self.radius * np.array([math.cos(ang), math.sin(ang)])
+        c_x, c_y = self.center
+        p_d = (c_x + self.radius * math.cos(ang), c_y + self.radius * math.sin(ang))
         psi_d = wrap_angle(ang + 0.5 * math.pi)
         return p_d, psi_d, self.omega_d, self.speed
 
@@ -254,8 +269,10 @@ class CircleReference:
         ang = self.phase0
         radial = rng.uniform(-0.2, 0.2)
         dpsi = rng.uniform(-0.1, 0.1)
-        p = self.center + (self.radius + radial) * np.array([math.cos(ang), math.sin(ang)])
-        return AckermannState(p[0], p[1], wrap_angle(ang + 0.5 * math.pi + dpsi),
+        r = self.radius + radial
+        c_x, c_y = self.center
+        return AckermannState(c_x + r * math.cos(ang), c_y + r * math.sin(ang),
+                              wrap_angle(ang + 0.5 * math.pi + dpsi),
                               self.speed, 0.0, self.omega_d)
 
 
@@ -507,7 +524,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
         t = k * period
         eta = eta_under_robot(world, state.p_x, state.p_y)
         if k == 0:
-            xdot_meas = np.zeros(2)
+            xdot_meas = (0.0, 0.0)
         else:
             xdot_meas = (vehicle.measured(state, u_applied, eta)
                          + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
@@ -532,7 +549,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
             p_rows.append([state.p_x, state.p_y])
             pd_rows.append(p_d)
         row += vehicle.tele_row(state, refs, tele)
-        row += list(tele.theta_hat) + list(tele.gain_diag)
+        row += tele.theta_hat.tolist() + tele.gain_diag.tolist()
         row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
         rows.append(row)
         s_rows.append(tele.s)

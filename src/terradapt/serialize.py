@@ -105,13 +105,24 @@ def fmt_float(x) -> str:
 
 
 def write_csv(path, columns: list[str], rows) -> None:
-    """Write rows of mixed ints/floats/strings as CSV with round-trip floats."""
+    """Write rows of mixed ints/floats/strings as CSV with round-trip floats.
+
+    Booleans are written 1/0 and integers as integers, Python or numpy
+    alike. The exact Python types, which the simulation rows hold, are tested
+    first; numpy scalars and subclasses take the isinstance checks after."""
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
         for row in rows:
             parts = []
             for v in row:
-                if isinstance(v, (bool, np.bool_)):
+                kind = type(v)
+                if kind is float:
+                    parts.append(repr(v))
+                elif kind is bool:
+                    parts.append("1" if v else "0")
+                elif kind is int:
+                    parts.append(str(v))
+                elif isinstance(v, (bool, np.bool_)):
                     parts.append("1" if v else "0")
                 elif isinstance(v, (int, np.integer)):
                     parts.append(str(int(v)))

@@ -240,26 +240,28 @@ def ackermann_derivative(state: AckermannState, u: AckermannInput, params: Acker
         raise SlipUndefinedError(
             f"v_x={state.v_x} at or below v_min={params.v_min}: slip angles undefined")
     return np.array(_ackermann_rhs(
-        (state.p_x, state.p_y, state.psi, state.v_x, state.v_y, state.omega),
-        u.u_v, u.u_delta, params, eta))
+        state.psi, state.v_x, state.v_y, state.omega, u.u_v, u.u_delta,
+        math.cos(u.u_delta), 0.5 * params.wheelbase, eta * params.c_y,
+        params.tau_v, params.m, params.i_z))
 
 
-def _ackermann_rhs(y, u_v, u_delta, p: AckermannParams, eta):
-    _, _, psi, v_x, v_y, omega = y
-    half_l = 0.5 * p.wheelbase
+def _ackermann_rhs(psi, v_x, v_y, omega, u_v, u_delta, cos_d, half_l, eta_c_y,
+                   tau_v, m, i_z):
+    """Ackermann derivative with the terms fixed over a substep already
+    formed: cos_d = cos(u_delta), half_l = wheelbase / 2 and
+    eta_c_y = eta c_y; the position does not enter it."""
     alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
     alpha_r = -math.atan2(v_y - half_l * omega, v_x)
-    f_yf = eta * p.c_y * alpha_f
-    f_yr = eta * p.c_y * alpha_r
-    cos_d = math.cos(u_delta)
+    f_yf = eta_c_y * alpha_f
+    f_yr = eta_c_y * alpha_r
     c, s = math.cos(psi), math.sin(psi)
     return (
         c * v_x - s * v_y,
         s * v_x + c * v_y,
         omega,
-        (-v_x + u_v) / p.tau_v,
-        (f_yr + f_yf * cos_d) / p.m - omega * v_x,
-        half_l * (f_yf * cos_d - f_yr) / p.i_z,
+        (-v_x + u_v) / tau_v,
+        (f_yr + f_yf * cos_d) / m - omega * v_x,
+        half_l * (f_yf * cos_d - f_yr) / i_z,
     )
 
 
@@ -307,6 +309,10 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
         _check_finite("ackermann input", u.u_v, u.u_delta)
         fixed = 1.0 if eta is None else eta
         u_v, u_delta, v_min = u.u_v, u.u_delta, params.v_min
+        # coefficients and steering terms are fixed over the call, eta c_y
+        # over a substep
+        cos_d, half_l = math.cos(u_delta), 0.5 * params.wheelbase
+        c_y, tau_v, m, i_z = params.c_y, params.tau_v, params.m, params.i_z
         try:
             for _ in range(n_sub):
                 if y[3] <= v_min:
@@ -315,7 +321,9 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
                 ev = float(fixed if terrain is None else terrain(y[0], y[1]))
                 if not (math.isfinite(ev) and 0.0 < ev <= 2.0):
                     raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
-                y = _rk4(y, lambda z: _ackermann_rhs(z, u_v, u_delta, params, ev), dt)
+                eta_c_y = ev * c_y
+                y = _rk4(y, lambda z: _ackermann_rhs(z[2], z[3], z[4], z[5], u_v, u_delta,
+                                                     cos_d, half_l, eta_c_y, tau_v, m, i_z), dt)
                 y[2] = wrap_angle(y[2])
         except ValueError:
             _check_finite("ackermann state", *y)

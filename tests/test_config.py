@@ -1,14 +1,23 @@
 """Configuration loading: defaults, strict keys, coercions, YAML round trip."""
 
-import pytest
+import glob
+import json
+import os
 
+import pytest
+import yaml
+
+from terradapt import cli
 from terradapt.config import (
+    RK4_REAL_LIMIT,
     Config,
     ConfigError,
     config_from_dict,
     config_to_dict,
     load_config,
 )
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_empty_config_gives_defaults():
@@ -167,3 +176,39 @@ def test_cruise_range_order_checked_at_load():
     with pytest.raises(ConfigError, match="dataset.*cruise_range"):
         config_from_dict({"dataset": {"cruise_range": [2.0, 1.0]}})
     assert config_from_dict({"dataset": {"cruise_range": [1.0, 1.0]}})
+
+
+def test_shipped_configs_load():
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
+    assert len(paths) >= 3
+    for path in paths:
+        load_config(path)
+
+
+def test_rk4_unstable_time_constants_refused_at_load():
+    # dt_plant / tau just inside the real-axis limit loads; just outside does not
+    dt = 0.01
+    ok = dt / (RK4_REAL_LIMIT * (1 - 1e-9))
+    bad = dt / (RK4_REAL_LIMIT * (1 + 1e-9))
+    for section, key in (("tracked", "tau_v"), ("tracked", "tau_omega"), ("ackermann", "tau_v")):
+        config_from_dict({"sim": {"dt_plant": dt}, "vehicle": {section: {key: ok}}})
+        with pytest.raises(ConfigError, match=rf"vehicle\.{section}\.{key}="):
+            config_from_dict({"sim": {"dt_plant": dt}, "vehicle": {section: {key: bad}}})
+    # a smaller plant step makes the same time constant integrable
+    config_from_dict({"sim": {"dt_plant": 0.002}, "vehicle": {"tracked": {"tau_v": 1e-3}}})
+
+
+def test_quickstart_with_millisecond_time_constants_exits_2(tmp_path, capsys):
+    """At tau 1e-3 gen-data used to integrate to overflow and stop with exit 1
+    ("math domain error"); the loader now refuses the config."""
+    with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
+        raw = yaml.safe_load(f)
+    raw["output_dir"] = str(tmp_path / "out")
+    raw["vehicle"]["tracked"] = {"tau_v": 1e-3, "tau_omega": 1e-3}
+    path = tmp_path / "fast_plant.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["gen-data", "-c", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "vehicle.tracked.tau_v" in err["message"] and "sim.dt_plant" in err["message"]
+    assert not (tmp_path / "out" / "dataset.tdc").exists()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from terradapt.basis import ConstantBasis
+from terradapt.basis import ConstantBasis, contract
 from terradapt.control import (
     AckermannController,
     AckermannGains,
@@ -379,6 +379,104 @@ def test_control_tracked_zero_everything_gives_zero_command():
     assert u.u_v == 0.0 and u.u_omega == 0.0
 
 
+def numpy_control_tracked(s, ref, b_hat, params, gains, u_limits):
+    """The law in its array form, solved by np.linalg.solve: the reference
+    for the float law. Returns (unclamped u, clamped u, clamp flag)."""
+    k = np.array([gains.k_dx, gains.k_domega])
+    rhs = k * np.asarray(s) + params.a_n() @ np.asarray(ref.v_ref) - np.asarray(ref.vdot_ref)
+    u_vec = -np.linalg.solve(b_hat, rhs)
+    lim = np.asarray(u_limits, dtype=float)
+    clipped = np.clip(u_vec, -lim, lim)
+    return u_vec, clipped, not np.array_equal(clipped, u_vec)
+
+
+def conditioned_matrix(rng, max_log_cond):
+    """A random 2x2 matrix of condition number up to 10**max_log_cond."""
+    q1, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    q2, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    scale = 10.0 ** rng.uniform(-1, 1)
+    return scale * q1 @ np.diag([1.0, 10.0 ** -rng.uniform(0, max_log_cond)]) @ q2
+
+
+@pytest.mark.parametrize("max_log_cond", [None, 5.99], ids=["random", "near-fallback"])
+def test_control_tracked_matches_numpy_solve(max_log_cond):
+    """The float law (pivoted 2x2 LU) against np.linalg.solve: relative error
+    of the command vector at most 1e-12, also at condition numbers just below
+    the 1e6 fallback threshold. The two differ in the last bit only where
+    LAPACK's FMA rounds once where float arithmetic rounds twice."""
+    params, gains = TrackedParams(), TrackedGains()
+    phi = ConstantBasis(2, 2).eval(None, None)
+    rng = np.random.default_rng(21)
+    limits = (1e12, 1e12)
+    checked = 0
+    for _ in range(2000):
+        b_hat = (rng.normal(size=(2, 2)) if max_log_cond is None
+                 else conditioned_matrix(rng, max_log_cond))
+        theta = (b_hat - params.b_n()).reshape(-1)
+        b_used = params.b_n() + contract(phi, theta)     # B_hat as the law forms it
+        if cond_2x2(b_used) >= 1e6:
+            continue                                    # falls back; tested elsewhere
+        s = rng.normal(size=2)
+        ref = ReferenceState(rng.normal(size=2), rng.normal(size=2), 0.0, 0.0)
+        u, info = control_tracked(s, ref, phi, theta, params, gains, u_limits=limits)
+        want, _, _ = numpy_control_tracked(s, ref, b_used, params, gains, limits)
+        got = np.array([u.u_v, u.u_omega])
+        assert not info["fallback"] and not info["clamped"]
+        np.testing.assert_array_equal(info["b_hat"], b_used)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        checked += 1
+    assert checked > 1900
+
+
+@pytest.mark.parametrize("limits", [(2.0, 3.0), (50.0, 0.3), (0.3, 50.0)],
+                         ids=["both", "omega-only", "v-only"])
+def test_control_tracked_clamp_flag_matches_numpy(limits):
+    params, gains = TrackedParams(), TrackedGains()
+    phi = ConstantBasis(2, 2).eval(None, None)
+    rng = np.random.default_rng(22)
+    flags = []
+    for _ in range(300):
+        theta = rng.uniform(-1.0, 1.0, 4)
+        s = rng.normal(size=2)
+        ref = ReferenceState(rng.uniform(-1.5, 1.5, 2), rng.normal(size=2), 0.0, 0.0)
+        u, info = control_tracked(s, ref, phi, theta, params, gains, u_limits=limits)
+        b_hat = params.b_n() + contract(phi, theta)
+        if info["fallback"]:
+            b_hat = params.b_n()
+        _, clipped, flag = numpy_control_tracked(s, ref, b_hat, params, gains, limits)
+        assert info["clamped"] == flag
+        for got, want, lim in zip((u.u_v, u.u_omega), clipped, limits):
+            if abs(want) == lim:        # a clamped entry sits exactly on its limit
+                assert got == want
+        flags.append(flag)
+    assert 0 < sum(flags) < len(flags)      # both outcomes occur
+
+
+class _RankDeficientPlant:
+    """Stands in for TrackedParams with a B_n that the fallback cannot use."""
+
+    def __init__(self, b_n):
+        self._b_n = np.array(b_n, dtype=float)
+
+    def a_n(self):
+        return TrackedParams().a_n()
+
+    def b_n(self):
+        return self._b_n
+
+
+@pytest.mark.parametrize("b_n", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]],
+                                 [[0.0, 0.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, 0.0]]])
+def test_control_tracked_raises_on_exactly_singular_b_hat(b_n):
+    # B_hat = B_n (no basis) is singular, so the fallback to B_n is too: the
+    # solve raises, as np.linalg.solve does on the same matrix
+    ref = ReferenceState(np.array([1.0, 0.5]), np.zeros(2), 0.0, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array(b_n), np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+        control_tracked(np.zeros(2), ref, None, None, _RankDeficientPlant(b_n), TrackedGains())
+
+
 # --------------------------------------------------------------- adaptation
 
 
@@ -523,6 +621,75 @@ def test_scalar_gain_stays_in_bounds_under_random_driving():
         assert not rejected
         assert np.all(state.gain >= p.gamma_min) and np.all(state.gain <= p.gamma_max)
         assert np.all(np.isfinite(state.theta_hat))
+
+
+def random_step_inputs(rng, n_theta, m):
+    state = AdaptState(rng.uniform(-1, 1, n_theta), rng.uniform(0.1, 1.9, n_theta))
+    return (state, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
+            rng.uniform(-1, 1, (n_theta, 2, m)), rng.uniform(-2, 2, m))
+
+
+def test_scalar_step_one_entry_weights_stand_for_all():
+    rng = np.random.default_rng(6)
+    one = AdaptParams(lam=0.02, r_diag=(0.4,), q_diag=(0.3,), gamma0=0.5, gamma_max=2.0)
+    full = AdaptParams(lam=0.02, r_diag=(0.4, 0.4), q_diag=(0.3,) * 4, gamma0=0.5,
+                       gamma_max=2.0)
+    for _ in range(50):
+        state, s, y, phi, u = random_step_inputs(rng, 4, 2)
+        new_one, rejected_one = adapt_step_scalar(state, s, y, phi, u, 0.05, one)
+        new_full, rejected_full = adapt_step_scalar(state, s, y, phi, u, 0.05, full)
+        assert not rejected_one and not rejected_full
+        np.testing.assert_array_equal(new_one.theta_hat, new_full.theta_hat)
+        np.testing.assert_array_equal(new_one.gain, new_full.gain)
+        want_theta, want_gamma = scalar_oracle(state, s, y, phi, u, 0.05, full)
+        np.testing.assert_allclose(new_one.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(new_one.gain, want_gamma, rtol=1e-12, atol=1e-14)
+
+
+def test_scalar_step_ackermann_shape_matches_oracle():
+    """n_theta 2 and a single steering input (phi of shape (2, 2, 1))."""
+    rng = np.random.default_rng(7)
+    p = AdaptParams(lam=0.01, r_diag=(1.0, 0.5), q_diag=(0.05, 0.02), gamma0=0.05,
+                    gamma_max=2.0)
+    for _ in range(50):
+        state, s, y, phi, u = random_step_inputs(rng, 2, 1)
+        s[1] = 0.0                  # the car's tracking error has one channel
+        new, rejected = adapt_step_scalar(state, s, y, phi, u, 0.05, p)
+        want_theta, want_gamma = scalar_oracle(state, s, y, phi, u, 0.05, p)
+        assert not rejected
+        np.testing.assert_allclose(new.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(new.gain, want_gamma, rtol=1e-12, atol=1e-14)
+
+
+def test_q_diag_must_match_n_theta_or_have_one_entry():
+    p = AdaptParams(q_diag=(0.1, 0.1, 0.1))
+    args = (np.zeros(2), np.zeros(2), np.ones((4, 2, 2)), np.ones(2), 0.05, p)
+    with pytest.raises(ValueError, match="q_diag has 3 entries for 4"):
+        adapt_step_scalar(AdaptState(np.zeros(4), np.full(4, 0.01)), *args)
+    with pytest.raises(ValueError, match="q_diag has 3 entries for 4"):
+        adapt_step_matrix(AdaptState(np.zeros(4), 0.01 * np.eye(4)), *args)
+
+
+@pytest.mark.parametrize("where, bad", [("s", math.nan), ("s", math.inf),
+                                        ("y", math.nan), ("y", -math.inf)])
+def test_scalar_step_rejects_non_finite_s_and_y(where, bad):
+    state = AdaptState(np.zeros(4), np.full(4, 0.01))
+    s, y = [0.1, -0.2], [0.3, 0.1]
+    (s if where == "s" else y)[1] = bad
+    new, rejected = adapt_step_scalar(state, s, y, np.ones((4, 2, 2)), np.ones(2), 0.05,
+                                      AdaptParams())
+    assert rejected and new is state
+
+
+def test_scalar_step_clamps_gains_at_both_bounds():
+    zero = (np.zeros(2), np.zeros(2), np.zeros((3, 2, 2)), np.zeros(2), 0.05)
+    # no excitation: gamma_i = 0.1 + 0.05 (q_i - 2 lam 0.1) = 4.95, 0.1 and -0.05
+    p = AdaptParams(lam=15.0, r_diag=(1.0, 1.0), q_diag=(100.0, 3.0, 0.0), gamma0=0.1,
+                    gamma_min=0.05, gamma_max=0.2)
+    new, rejected = adapt_step_scalar(AdaptState(np.zeros(3), np.full(3, 0.1)), *zero, p)
+    assert not rejected
+    assert new.gain.tolist() == [0.2, new.gain[1], 0.05]
+    assert new.gain[1] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_law_shape_guards():

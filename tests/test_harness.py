@@ -423,9 +423,10 @@ def test_telemetry_records_fault_windows(tmp_path):
 
 def test_diverging_run_is_reported_aborted(tmp_path):
     raw = base_raw(**{"scenario.runs": 1, "scenario.duration_s": 4.0})
-    # time constants far below the integrator step: the plant blows up
-    raw["vehicle"] = {"tracked": {"tau_v": 0.003, "tau_omega": 0.003}}
     cfg = config_from_dict(raw)
+    # time constants far below the integrator step: the plant blows up. The
+    # loader refuses them (RK4 is unstable there), so they are set after it.
+    cfg.vehicle.tracked = TrackedParams(tau_v=0.003, tau_omega=0.003)
     summary = run_scenario(cfg, ["pd"], str(tmp_path))
     assert summary["variants"]["pd"]["aborted"] == 1
     assert summary["variants"]["pd"]["velocity_rmse"] is None
@@ -670,6 +671,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["simulate", "-c", write_cfg(tmp_path, mism), "--variant", "pd"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
+
+
+def test_q_diag_of_the_wrong_length_exits_2(tmp_path, capsys):
+    # three entries against the constant basis' four parameters used to be
+    # replaced by (q_diag[0],) * 4 without a word
+    raw = base_raw(out_dir=tmp_path / "q", **{"scenario.runs": 1, "scenario.duration_s": 1.0})
+    raw["controller"]["adaptation"]["q_diag"] = [0.05, 0.05, 0.05]
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli.main(["evaluate", "-c", cfg_path, "--variants", "constant"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "controller.adaptation.q_diag" in err["message"] and "n_theta=4" in err["message"]
+    # pd has no basis to adapt, a frozen basis adapts nothing: both still run
+    assert cli.main(["evaluate", "-c", cfg_path, "--variants", "pd", "constant-frozen"]) == 0
+    capsys.readouterr()
+    # one entry stands for every parameter
+    raw["controller"]["adaptation"]["q_diag"] = [0.05]
+    assert cli.main(["evaluate", "-c", write_cfg(tmp_path, raw), "--variants", "constant"]) == 0
 
 
 def test_module_entry_point_passes_exit_code(tmp_path):

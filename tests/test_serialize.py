@@ -129,6 +129,18 @@ def test_csv_roundtrip_types(tmp_path):
     assert float(got_rows[1][1]) == 1e-17
 
 
+def test_csv_cell_forms_are_pinned(tmp_path):
+    """Python and numpy scalars of one kind write the same text."""
+    row = [True, False, np.bool_(True), np.bool_(False), 7, -12, np.int64(-3), np.int32(5),
+           0.1, 1 / 3, np.float64(2 / 3), float("nan"), np.float64("nan"), float("inf"),
+           -float("inf"), np.float64("-inf"), -0.0, np.float64(-0.0), 1e300, "abc"]
+    path = tmp_path / "cells.csv"
+    write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    assert path.read_text().splitlines()[1] == (
+        "1,0,1,0,7,-12,-3,5,0.1,0.3333333333333333,0.6666666666666666,"
+        "nan,nan,inf,-inf,-inf,-0.0,-0.0,1e+300,abc")
+
+
 def test_csv_write_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     rows = [[i, i * 0.3333333333333333] for i in range(50)]
