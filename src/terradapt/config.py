@@ -5,6 +5,15 @@ with desk-scale defaults): seed, output_dir, vehicle, world, provider, sim,
 dataset, training, controller, scenario. Unknown keys anywhere are an error;
 the environment variable TERRADAPT_OUT overrides output_dir when set.
 See the README for the full key reference.
+
+A section the program has a class for is built as that class, which
+declares its defaults and checks: vehicle.tracked, vehicle.ackermann,
+training, controller.gains, controller.adaptation, scenario.fault. Every
+section's values are checked here, at load. Only the length of
+controller.adaptation.q_diag waits for the basis, when a controller is built;
+checks that pair a section with what a command does with it (scenario kind
+and vehicle type, a recorded provider's world file, the Ackermann cruise
+range against v_min) are made when the command needs them.
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from .control import AdaptParams, Gains
 from .training import TrainerConfig
-from .vehicles import AckermannParams, TrackedParams
+from .vehicles import AckermannParams, FaultSchedule, TrackedParams
 from .world import TerrainClassSpec, WorldSpec
 
 
@@ -71,6 +81,10 @@ class ProviderConfig:
     def __post_init__(self):
         if self.mode not in ("synthetic", "recorded"):
             raise ValueError(f"provider mode must be synthetic or recorded, got {self.mode!r}")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not self.brightness > 0:
+            raise ValueError(f"brightness must be positive, got {self.brightness}")
 
 
 @dataclass
@@ -111,66 +125,17 @@ class DatasetConfig:
 
 
 @dataclass
-class AdaptConfig:
-    law: str = "scalar"                 # scalar | matrix
-    lam: float = 0.01
-    r_diag: tuple = (0.1, 0.1)
-    q_diag: tuple = (1.0, 1.0, 1.0, 1.0)
-    gamma0: float = 0.01
-    gamma_min: float = 1e-4
-    gamma_max: float = 1e3
-
-    def __post_init__(self):
-        if self.law not in ("scalar", "matrix"):
-            raise ValueError(f"adaptation law must be scalar or matrix, got {self.law!r}")
-
-
-@dataclass
-class GainConfig:
-    k_px: float = 0.8
-    k_py: float = 0.8
-    k_psi: float = 2.3
-    k_dx: float = 0.05
-    k_domega: float = 0.1
-    v_eps: float = 1e-3
-    # ackermann loop
-    k_p: float = 1.0
-    k_v: float = 1.0
-    k_fwd: float = 0.5
-    b_min: float = 1e-3
-
-
-@dataclass
 class ControllerConfig:
     variant: str = "dnn"                # pd | constant | dnn, optional -frozen suffix
     checkpoint: str = "basis.tdc"       # required by the dnn variants
     theta0: tuple | None = None         # default: zeros (constant), theta_r (dnn)
-    gains: GainConfig = field(default_factory=GainConfig)
-    adaptation: AdaptConfig = field(default_factory=AdaptConfig)
+    gains: Gains = field(default_factory=Gains)
+    adaptation: AdaptParams = field(default_factory=AdaptParams)
 
     def __post_init__(self):
         base = self.variant.removesuffix("-frozen")
         if base not in ("pd", "constant", "dnn"):
             raise ValueError(f"unknown controller variant {self.variant!r}")
-
-
-@dataclass
-class FaultConfig:
-    kind: str = "none"                  # none | track-square
-    period_s: float = 3.0
-    scale: float = 0.3                  # surviving fraction of the faulted track
-    track: str = "right"
-    start_s: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "track-square"):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.track not in ("left", "right"):
-            raise ValueError("fault track must be left or right")
-        if not 0.0 <= self.scale <= 1.0:
-            raise ValueError("fault scale must lie in [0, 1]")
-        if self.period_s <= 0:
-            raise ValueError("fault period must be positive")
 
 
 @dataclass
@@ -187,7 +152,7 @@ class ScenarioConfig:
     fig8_period_s: float = 30.0
     circle_radius: float = 2.5
     circle_speed: float = 1.5
-    fault: FaultConfig = field(default_factory=FaultConfig)
+    fault: FaultSchedule = field(default_factory=FaultSchedule)
     telemetry: bool = True
 
     def __post_init__(self):
@@ -291,16 +256,16 @@ def config_from_dict(raw: dict) -> Config:
         adaptation = c.pop("adaptation", None)
         cfg.controller = _build(ControllerConfig, c, "controller")
         if gains is not None:
-            cfg.controller.gains = _build(GainConfig, gains, "controller.gains")
+            cfg.controller.gains = _build(Gains, gains, "controller.gains")
         if adaptation is not None:
-            cfg.controller.adaptation = _build(AdaptConfig, adaptation, "controller.adaptation")
+            cfg.controller.adaptation = _build(AdaptParams, adaptation, "controller.adaptation")
 
     if "scenario" in raw:
         s = dict(raw["scenario"])
         fault = s.pop("fault", None)
         cfg.scenario = _build(ScenarioConfig, s, "scenario")
         if fault is not None:
-            cfg.scenario.fault = _build(FaultConfig, fault, "scenario.fault")
+            cfg.scenario.fault = _build(FaultSchedule, fault, "scenario.fault")
     _check_rk4_stable(cfg)
     return cfg
 

@@ -53,52 +53,56 @@ def _floats(x):
 
 # ---------------------------------------------------------------- gains
 
-@dataclass
-class TrackedGains:
-    """Loop gains for the tracked controller; all must be positive."""
+@dataclass(frozen=True)
+class Gains:
+    """Loop gains of both controllers, as the config's controller.gains.
+
+    Tracked: the position loop (k_px, k_py), the heading loop (k_psi), the
+    velocity feedback (k_dx, k_domega) and the squared-speed threshold v_eps
+    of the heading branch. Ackermann: k_p on the cross-track error, k_v on the
+    composite rate, k_fwd on the forward speed and b_min, the smallest usable
+    steering effectiveness. All must be positive, k_fwd nonnegative.
+    """
 
     k_px: float = 0.8
     k_py: float = 0.8
     k_psi: float = 2.3
-    k_dx: float = 0.05      # velocity feedback on the forward channel
-    k_domega: float = 0.1   # velocity feedback on the yaw channel
-    v_eps: float = 1e-3     # squared-speed threshold for the heading branch
-
-    def __post_init__(self):
-        if min(self.k_px, self.k_py, self.k_psi, self.k_dx, self.k_domega) <= 0:
-            raise ValueError("tracked gains must be positive")
-        if self.v_eps <= 0:
-            raise ValueError("v_eps must be positive")
-        log.info("tracked gains accepted: %s", self)
-
-
-@dataclass
-class AckermannGains:
-    """Cross-track loop gains: k_p on the error, k_v on the composite rate."""
-
+    k_dx: float = 0.05
+    k_domega: float = 0.1
+    v_eps: float = 1e-3
+    # ackermann loop
     k_p: float = 1.0
     k_v: float = 1.0
-    k_fwd: float = 0.5      # forward speed feedback on the lag channel
-    b_min: float = 1e-3     # smallest usable steering effectiveness
+    k_fwd: float = 0.5
+    b_min: float = 1e-3
 
     def __post_init__(self):
-        if min(self.k_p, self.k_v) <= 0 or self.b_min <= 0 or self.k_fwd < 0:
+        # written as "not > 0" so that NaN fails too
+        if not all(g > 0 for g in (self.k_px, self.k_py, self.k_psi, self.k_dx, self.k_domega)):
+            raise ValueError("tracked gains must be positive")
+        if not self.v_eps > 0:
+            raise ValueError("v_eps must be positive")
+        if not (self.k_p > 0 and self.k_v > 0 and self.b_min > 0 and self.k_fwd >= 0):
             raise ValueError("ackermann gains must be positive (k_fwd nonnegative)")
-        log.info("ackermann gains accepted: %s", self)
+        log.info("controller gains accepted: %s", self)
 
 
 @dataclass(frozen=True)
 class AdaptParams:
-    """Adaptation constants shared by both gain laws.
+    """The gain law and its constants, as the config's controller.adaptation.
 
-    r_diag are the diagonal entries of the prediction-error weighting R
-    (positive definite), q_diag the gain forcing Q, lam the forgetting rate.
-    gamma_min / gamma_max clamp the per-component gains; gamma_min doubles as
-    the eigenvalue floor of the matrix law. Frozen, because the diagonal of
-    R^-1 and the Q diagonal are built once from them (read-only) and read by
-    every adaptation step.
+    law picks the per-component ("scalar") or the full-matrix ("matrix") gain
+    dynamics. r_diag are the diagonal entries of the prediction-error
+    weighting R (positive definite), one per residual channel or one for
+    both; q_diag the gain forcing Q, lam the forgetting rate. gamma_min /
+    gamma_max clamp the per-component gains; gamma_min doubles as the
+    eigenvalue floor of the matrix law. The length of q_diag is checked
+    against the basis when a controller is built. Frozen, because the
+    diagonal of R^-1 and the Q diagonal are built once from them (read-only)
+    and read by every adaptation step.
     """
 
+    law: str = "scalar"                 # scalar | matrix
     lam: float = 0.01
     r_diag: tuple = (0.1, 0.1)
     q_diag: tuple = (1.0, 1.0, 1.0, 1.0)
@@ -107,8 +111,13 @@ class AdaptParams:
     gamma_max: float = 1e3
 
     def __post_init__(self):
+        if self.law not in ("scalar", "matrix"):
+            raise ValueError(f"adaptation law must be scalar or matrix, got {self.law!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
+        if len(self.r_diag) not in (1, 2):
+            raise ValueError(f"r_diag has {len(self.r_diag)} entries; the residual has "
+                             "2 channels, so give 1 or 2")
         if any(r <= 0 for r in self.r_diag):
             raise ValueError("R must be positive definite")
         if any(q < 0 for q in self.q_diag):
@@ -158,14 +167,12 @@ class AdaptState:
             raise ValueError("gain must be a vector or a square matrix")
 
     @classmethod
-    def fresh(cls, n_theta: int, params: AdaptParams, law: str = "scalar",
-              theta0=None) -> "AdaptState":
+    def fresh(cls, n_theta: int, params: AdaptParams, *, theta0=None) -> "AdaptState":
+        """theta0 (zeros by default) with the initial gain of params.law."""
         theta = np.zeros(n_theta) if theta0 is None else np.asarray(theta0, dtype=float)
-        if law == "scalar":
+        if params.law == "scalar":
             return cls(theta, np.full(n_theta, params.gamma0))
-        if law == "matrix":
-            return cls(theta, params.gamma0 * np.eye(n_theta))
-        raise ValueError(f"unknown adaptation law {law!r}")
+        return cls(theta, params.gamma0 * np.eye(n_theta))
 
 
 @dataclass
@@ -289,7 +296,7 @@ class ResidualFilter:
 # ---------------------------------------------------------------- tracked loop
 
 def reference_velocities(p, psi: float, p_d, v_d, psi_d: float,
-                         gains: TrackedGains, psi_dot_ref: float = 0.0) -> ReferenceState:
+                         gains: Gains, psi_dot_ref: float = 0.0) -> ReferenceState:
     """Pose error -> body-frame velocity references.
 
     psi_dot_ref is supplied by the caller (finite-differenced and filtered at
@@ -314,7 +321,7 @@ class PositionReferenceTracker:
     """Stateful wrapper producing reference derivatives by filtered backward
     differences at the control rate."""
 
-    def __init__(self, gains: TrackedGains, cutoff_hz: float = 2.0):
+    def __init__(self, gains: Gains, cutoff_hz: float = 2.0):
         self.gains = gains
         self.psi_dot_lpf = LowPassFilter(cutoff_hz)
         self.vdot_lpf = LowPassFilter(cutoff_hz)
@@ -322,15 +329,16 @@ class PositionReferenceTracker:
         self.prev_v_ref = None
 
     def step(self, p, psi, p_d, v_d, psi_d, dt: float) -> ReferenceState:
-        base = reference_velocities(p, psi, p_d, v_d, psi_d, self.gains, 0.0)
+        ref = reference_velocities(p, psi, p_d, v_d, psi_d, self.gains, 0.0)
         if self.prev_psi_ref is None:
             psi_dot = float(self.psi_dot_lpf.update(np.zeros(1), dt)[0])
         else:
-            raw = wrap_angle(base.psi_ref - self.prev_psi_ref) / dt
+            raw = wrap_angle(ref.psi_ref - self.prev_psi_ref) / dt
             psi_dot = float(self.psi_dot_lpf.update(np.array([raw]), dt)[0])
-        self.prev_psi_ref = base.psi_ref
-        # rebuild omega_ref now that psi_dot_ref is known
-        ref = reference_velocities(p, psi, p_d, v_d, psi_d, self.gains, psi_dot)
+        self.prev_psi_ref = ref.psi_ref
+        # omega_ref again now that psi_dot_ref is known, as reference_velocities forms it
+        ref.v_ref[1] = psi_dot - self.gains.k_psi * wrap_angle(psi - ref.psi_ref)
+        ref.psi_dot_ref = psi_dot
         if self.prev_v_ref is None:
             vdot = self.vdot_lpf.update(np.zeros(2), dt)
         else:
@@ -404,7 +412,7 @@ def _solve_2x2(m, r0: float, r1: float) -> tuple[float, float]:
 
 
 def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParams,
-                    gains: TrackedGains, u_limits=(2.0, 3.0),
+                    gains: Gains, u_limits=(2.0, 3.0),
                     cond_limit: float = 1e6):
     """Feedback-linearizing velocity control with the adapted influence matrix.
 
@@ -586,7 +594,7 @@ def lateral_errors(p, psi: float, v_x: float, v_y: float, p_d, psi_d: float,
 
 def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
                       omega_d: float, vdot_x: float, phi_row, theta_hat,
-                      params: AckermannParams, gains: AckermannGains,
+                      params: AckermannParams, gains: Gains,
                       u_delta_max: float = 0.45):
     """Steering command from the cross-track sliding variable.
 
@@ -656,16 +664,15 @@ class _AdaptiveController:
     adaptation), plus adapt=False to freeze theta_hat at its initial value.
     """
 
-    def __init__(self, params, gains, adapt_params: AdaptParams, basis, law: str,
+    def __init__(self, params, gains: Gains, adapt_params: AdaptParams, basis,
                  theta0, adapt: bool, residual_cutoff_hz: float, control_period: float):
         self.params = params
         self.gains = gains
         self.adapt_params = adapt_params
         self.basis = basis
-        self.law = law
         self.adapt = adapt and basis is not None
         self.dt = control_period
-        self.state = (AdaptState.fresh(basis.n_theta, adapt_params, law, theta0)
+        self.state = (AdaptState.fresh(basis.n_theta, adapt_params, theta0=theta0)
                       if basis is not None else None)
         self.res_filter = ResidualFilter(residual_cutoff_hz)
         self.prev_u = None
@@ -693,7 +700,8 @@ class _AdaptiveController:
             a_n, b_n = self.params.residual_model(state)
             y = self.res_filter.residual(xdot_meas, x, self.prev_u, a_n, b_n, self.dt)
             if self.adapt and not fallback and self.prev_phi is not None:
-                step = adapt_step_scalar if self.law == "scalar" else adapt_step_matrix
+                step = (adapt_step_scalar if self.adapt_params.law == "scalar"
+                        else adapt_step_matrix)
                 self.state, rejected = step(self.state, s, y, self.prev_phi,
                                             self.prev_u, self.dt, self.adapt_params)
         self.prev_u = u_vec
@@ -716,11 +724,11 @@ class TrackedController(_AdaptiveController):
     """Complete tracked-vehicle controller: reference handling, feedback
     linearization, residual filtering, and composite adaptation."""
 
-    def __init__(self, params: TrackedParams, gains: TrackedGains,
-                 adapt_params: AdaptParams, basis=None, law: str = "scalar",
-                 theta0=None, adapt: bool = True, u_limits=(2.0, 3.0),
+    def __init__(self, params: TrackedParams, gains: Gains,
+                 adapt_params: AdaptParams, basis=None, theta0=None,
+                 adapt: bool = True, u_limits=(2.0, 3.0),
                  residual_cutoff_hz: float = 2.0, control_period: float = 0.05):
-        super().__init__(params, gains, adapt_params, basis, law, theta0, adapt,
+        super().__init__(params, gains, adapt_params, basis, theta0, adapt,
                          residual_cutoff_hz, control_period)
         self.u_limits = u_limits
         self.ref_tracker = PositionReferenceTracker(gains, residual_cutoff_hz)
@@ -754,11 +762,11 @@ class TrackedController(_AdaptiveController):
 class AckermannController(_AdaptiveController):
     """Cross-track adaptive steering plus a simple forward-speed loop."""
 
-    def __init__(self, params: AckermannParams, gains: AckermannGains,
-                 adapt_params: AdaptParams, basis=None, law: str = "scalar",
-                 theta0=None, adapt: bool = True, u_delta_max: float = 0.45,
+    def __init__(self, params: AckermannParams, gains: Gains,
+                 adapt_params: AdaptParams, basis=None, theta0=None,
+                 adapt: bool = True, u_delta_max: float = 0.45,
                  residual_cutoff_hz: float = 2.0, control_period: float = 0.05):
-        super().__init__(params, gains, adapt_params, basis, law, theta0, adapt,
+        super().__init__(params, gains, adapt_params, basis, theta0, adapt,
                          residual_cutoff_hz, control_period)
         self.u_delta_max = u_delta_max
 

@@ -43,11 +43,10 @@ import numpy as np
 from . import __version__
 from .basis import ConstantBasis, load_checkpoint
 from .config import Config, ConfigError, config_to_dict
-from .control import (AckermannController, AckermannGains, AdaptParams,
-                      ResidualFilter, TrackedController, TrackedGains)
+from .control import AckermannController, ResidualFilter, TrackedController
 from .serialize import write_csv, read_csv
 from .training import TrajectoryDataset
-from .vehicles import (AckermannInput, AckermannState, NonFiniteError,
+from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
                        TrackedInput, TrackedState, apply_track_fault,
                        integrate_step, tracked_derivative,
                        ackermann_derivative, wrap_angle)
@@ -91,19 +90,6 @@ def split_variant(variant: str) -> tuple[str, bool]:
     return base, not variant.endswith("-frozen")
 
 
-def _adapt_params_for(cfg: Config, n_theta: int | None) -> AdaptParams:
-    """Adaptation constants for a controller adapting n_theta parameters, or
-    for one that adapts none (n_theta None). q_diag must give one entry for
-    every parameter, or one for all of them."""
-    a = cfg.controller.adaptation
-    q = tuple(a.q_diag)
-    if n_theta is not None and len(q) not in (1, n_theta):
-        raise ConfigError(f"controller.adaptation.q_diag has {len(q)} entries; the basis "
-                          f"has n_theta={n_theta}, so give 1 or {n_theta}")
-    return AdaptParams(lam=a.lam, r_diag=tuple(a.r_diag), q_diag=q,
-                       gamma0=a.gamma0, gamma_min=a.gamma_min, gamma_max=a.gamma_max)
-
-
 def _load_basis(cfg: Config, out_dir: str):
     """(net, theta_r) from the configured checkpoint."""
     net, meta = load_checkpoint(resolve_path(cfg.controller.checkpoint, out_dir))
@@ -124,39 +110,16 @@ def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
         basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
         if theta0 is None:
             theta0 = theta_r
-    n_theta = basis.n_theta if basis is not None and adapt else None
+    if basis is not None and adapt:
+        # the one controller.adaptation check that needs the basis
+        n_q = len(cfg.controller.adaptation.q_diag)
+        if n_q not in (1, basis.n_theta):
+            raise ConfigError(f"controller.adaptation.q_diag has {n_q} entries; the basis "
+                              f"has n_theta={basis.n_theta}, so give 1 or {basis.n_theta}")
     return vehicle.controller(
-        _adapt_params_for(cfg, n_theta), basis=basis,
-        law=cfg.controller.adaptation.law, theta0=theta0, adapt=adapt,
+        basis=basis, theta0=theta0, adapt=adapt,
         residual_cutoff_hz=cfg.sim.residual_cutoff_hz,
         control_period=cfg.sim.control_period)
-
-
-class FaultSchedule:
-    """Actuator fault as a function of time; returns per-track scale factors."""
-
-    def __init__(self, kind: str = "none", period_s: float = 3.0,
-                 scale: float = 0.3, track: str = "right", start_s: float = 0.0):
-        self.kind = kind
-        self.period_s = period_s
-        self.scale = scale
-        self.track = track
-        self.start_s = start_s
-
-    @classmethod
-    def from_config(cls, fc) -> "FaultSchedule":
-        return cls(fc.kind, fc.period_s, fc.scale, fc.track, fc.start_s)
-
-    def scales(self, t: float) -> tuple[float, float]:
-        if self.kind == "none" or t < self.start_s:
-            return 1.0, 1.0
-        # square wave: fault active during the first half of each period
-        phase = (t - self.start_s) % self.period_s
-        if phase >= 0.5 * self.period_s:
-            return 1.0, 1.0
-        if self.track == "left":
-            return self.scale, 1.0
-        return 1.0, self.scale
 
 
 # ---------------------------------------------------------------- references
@@ -397,12 +360,10 @@ class _Tracked(_Vehicle):
         left, right = fault.scales(t)
         return apply_track_fault(u_cmd, left, right, self.half), [left, right]
 
-    def controller(self, adapt_params: AdaptParams, **kwargs) -> TrackedController:
-        g = self.cfg.controller.gains
-        gains = TrackedGains(k_px=g.k_px, k_py=g.k_py, k_psi=g.k_psi,
-                             k_dx=g.k_dx, k_domega=g.k_domega, v_eps=g.v_eps)
+    def controller(self, **kwargs) -> TrackedController:
+        c = self.cfg.controller
         limits = (self.cfg.vehicle.u_v_max, self.cfg.vehicle.u_omega_max)
-        return TrackedController(self.vp, gains, adapt_params, u_limits=limits, **kwargs)
+        return TrackedController(self.vp, c.gains, c.adaptation, u_limits=limits, **kwargs)
 
     @staticmethod
     def tele_row(state, refs, tele) -> list:
@@ -454,10 +415,9 @@ class _Ackermann(_Vehicle):
     def actuate(u_cmd: AckermannInput, fault: FaultSchedule, t: float):
         return u_cmd, []
 
-    def controller(self, adapt_params: AdaptParams, **kwargs) -> AckermannController:
-        g = self.cfg.controller.gains
-        gains = AckermannGains(k_p=g.k_p, k_v=g.k_v, k_fwd=g.k_fwd, b_min=g.b_min)
-        return AckermannController(self.vp, gains, adapt_params,
+    def controller(self, **kwargs) -> AckermannController:
+        c = self.cfg.controller
+        return AckermannController(self.vp, c.gains, c.adaptation,
                                    u_delta_max=self.cfg.vehicle.u_delta_max, **kwargs)
 
     @staticmethod
@@ -488,7 +448,7 @@ def _finite_state(state) -> bool:
 
 def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
                      provider: FeatureProvider, meas_rng, start, duration_s: float,
-                     fault: FaultSchedule | None = None):
+                     fault: FaultSchedule = FaultSchedule()):
     """Run one closed-loop episode of the configured vehicle.
 
     Returns (RunResult fields as a dict, telemetry rows, telemetry columns).
@@ -497,7 +457,6 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     period = sim.control_period
     n_sub = int(round(period / sim.dt_plant))
     n_ticks = int(round(duration_s / period))
-    fault = fault or FaultSchedule()
     vehicle = _vehicle(cfg)
     tick = getattr(controller, _TICK[policy.mode])
     has_position = policy.mode != "velocity"
@@ -720,7 +679,6 @@ def run_scenario(cfg: Config, variants: list | None = None,
     # one network for every dnn episode: controllers only evaluate it
     checkpoint = (_load_basis(cfg, out_dir)
                   if any(split_variant(v)[0] == "dnn" for v in variants) else None)
-    fault = FaultSchedule.from_config(sc.fault)
     results: list[RunResult] = []
     for r in range(sc.runs):
         ss = np.random.SeedSequence([cfg.seed, _SCENARIO_DOMAIN, r])
@@ -734,7 +692,7 @@ def run_scenario(cfg: Config, variants: list | None = None,
             controller = build_controller(cfg, variant, out_dir, checkpoint)
             res, rows, cols = simulate_episode(world, cfg, controller, policy,
                                                provider, meas_rng, start,
-                                               sc.duration_s, fault)
+                                               sc.duration_s, sc.fault)
             results.append(RunResult(variant=variant, run=r, **res))
             if sc.telemetry:
                 write_csv(os.path.join(tele_dir, f"{variant}_run{r:03d}.csv"),

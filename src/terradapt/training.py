@@ -156,7 +156,6 @@ class TrainerConfig:
     conv_tol: float = 1e-5
     conv_window: int = 50
     seed: int = 0
-    track_norms: bool = True
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.lambda_r < 0:
@@ -364,7 +363,7 @@ class Adam:
 @dataclass
 class TrainResult:
     net: BasisNet
-    history: list = field(default_factory=list)   # dicts: iteration, loss, wall_time_s, max_w_norm
+    history: list = field(default_factory=list)   # dicts: iteration, loss, wall_time_s
     converged: bool = False
     iterations: int = 0
 
@@ -416,10 +415,8 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
                 f"last losses: {losses[-5:]}, "
                 f"max |param|: {np.max(np.abs(net.get_flat_params())):.3e}")
         losses.append(loss)
-        rec = {"iteration": it, "loss": loss, "wall_time_s": time.perf_counter() - t0}
-        if cfg.track_norms:
-            rec["max_w_norm"] = max(net.weight_norms())
-        result.history.append(rec)
+        result.history.append({"iteration": it, "loss": loss,
+                               "wall_time_s": time.perf_counter() - t0})
         result.iterations = it + 1
         if len(losses) >= 2 * cfg.conv_window:
             prev = float(np.mean(losses[-2 * cfg.conv_window : -cfg.conv_window]))

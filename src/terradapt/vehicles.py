@@ -114,9 +114,13 @@ class TrackedParams:
         return self.a_n(), self.b_n()
 
 
-@dataclass
+@dataclass(frozen=True)
 class AckermannParams:
-    """Single-track car coefficients; all physical values must be positive."""
+    """Single-track car coefficients; all physical values must be positive.
+
+    Frozen, because B_n and its column form are built once from them and
+    shared (read-only) by every caller; A_n depends on the forward speed.
+    """
 
     m: float = 8.0          # mass [kg]
     i_z: float = 0.25       # yaw inertia [kg m^2]
@@ -129,6 +133,10 @@ class AckermannParams:
         vals = (self.m, self.i_z, self.wheelbase, self.c_y, self.tau_v, self.v_min)
         if not all(v > 0 for v in vals):
             raise ValueError("Ackermann parameters must be positive")
+        b_n = np.array([self.c_y / self.m, 0.5 * self.wheelbase * self.c_y / self.i_z])
+        b_n.flags.writeable = False
+        object.__setattr__(self, "_b_n", b_n)
+        object.__setattr__(self, "_b_col", b_n.reshape(2, 1))
 
     def a_n(self, v_x: float) -> np.ndarray:
         """Linearized lateral/yaw system matrix at forward speed v_x."""
@@ -142,12 +150,12 @@ class AckermannParams:
 
     def b_n(self) -> np.ndarray:
         """Linearized steering influence on [v_y, omega]."""
-        return np.array([self.c_y / self.m, 0.5 * self.wheelbase * self.c_y / self.i_z])
+        return self._b_n
 
     def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
         """(A_n, B_n) of the lateral residual: A_n at the state's forward speed,
         held just above v_min, and B_n as a column for the steering input."""
-        return self.a_n(max(state.v_x, self.v_min * 1.01)), self.b_n().reshape(2, 1)
+        return self.a_n(max(state.v_x, self.v_min * 1.01)), self._b_col
 
 
 @dataclass
@@ -387,3 +395,41 @@ def apply_track_fault(u: TrackedInput, left_scale: float, right_scale: float,
         return u
     left, right = track_speeds(u, half_spacing)
     return from_track_speeds(left * left_scale, right * right_scale, half_spacing)
+
+
+@dataclass(frozen=True)
+class FaultSchedule:
+    """Actuator fault as a function of time, as the config's scenario.fault.
+
+    kind "track-square" scales one track's speed (track, left or right) to
+    the surviving fraction scale during the first half of every period_s
+    seconds from start_s on; kind "none" never does.
+    """
+
+    kind: str = "none"                  # none | track-square
+    period_s: float = 3.0
+    scale: float = 0.3                  # surviving fraction of the faulted track
+    track: str = "right"
+    start_s: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("none", "track-square"):
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+        if self.track not in ("left", "right"):
+            raise ValueError("fault track must be left or right")
+        if not 0.0 <= self.scale <= 1.0:
+            raise ValueError("fault scale must lie in [0, 1]")
+        if not self.period_s > 0:
+            raise ValueError("fault period must be positive")
+
+    def scales(self, t: float) -> tuple[float, float]:
+        """(left, right) track scale factors at time t."""
+        if self.kind == "none" or t < self.start_s:
+            return 1.0, 1.0
+        # square wave: fault active during the first half of each period
+        phase = (t - self.start_s) % self.period_s
+        if phase >= 0.5 * self.period_s:
+            return 1.0, 1.0
+        if self.track == "left":
+            return self.scale, 1.0
+        return 1.0, self.scale

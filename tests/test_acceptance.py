@@ -21,8 +21,7 @@ import yaml
 
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import config_from_dict
-from terradapt.control import (AdaptParams, TrackedController, TrackedGains,
-                               lyapunov_value)
+from terradapt.control import AdaptParams, Gains, TrackedController, lyapunov_value
 from terradapt.harness import build_world_for, generate_dataset, run_scenario
 from terradapt.training import (TrainerConfig, TrajectoryDataset, WindowSpec,
                                 build_h, gradcheck_meta, solve_theta_star, train,
@@ -88,15 +87,26 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def trained(workdir):
-    """World + driving dataset + meta-trained basis, built once."""
+    """World + driving dataset + meta-trained basis, built once, with the
+    largest weight norm after every training step's spectral projection."""
     cfg = config_from_dict(base_raw())
     world = build_world_for(cfg)
     dataset = generate_dataset(cfg, world)
-    result = train(dataset, cfg.training)
+    norms = []
+    project = BasisNet.spectral_normalize
+
+    def recording(net):
+        project(net)
+        norms.append(max(net.weight_norms()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BasisNet, "spectral_normalize", recording)
+        result = train(dataset, cfg.training)
     ckpt = str(workdir / "basis.tdc")
     result.net.save(ckpt, extra_meta={"theta_r": THETA_R})
+    # the first projection is BasisNet.init's, before any step
     return {"cfg": cfg, "world": world, "dataset": dataset,
-            "result": result, "checkpoint": ckpt}
+            "result": result, "step_norms": norms[1:], "checkpoint": ckpt}
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +193,10 @@ def test_c5_ideal_loop_exponential_convergence(capsys):
     b_n = params.b_n()
     theta_true = np.array([(eta[0] - 1.0) * b_n[0, 0], 0.0, 0.0,
                            (eta[1] - 1.0) * b_n[1, 1]])
-    ap = AdaptParams(lam=0.0, r_diag=(0.3, 0.3), q_diag=(0.0,) * 4,
+    ap = AdaptParams(law="scalar", lam=0.0, r_diag=(0.3, 0.3), q_diag=(0.0,) * 4,
                      gamma0=0.3, gamma_min=1e-4, gamma_max=0.3)
-    ctl = TrackedController(params, TrackedGains(), ap,
-                            basis=ConstantBasis(2, 2), law="scalar",
+    ctl = TrackedController(params, Gains(), ap,
+                            basis=ConstantBasis(2, 2),
                             theta0=(0.0,) * 4, adapt=True,
                             residual_cutoff_hz=2.0, control_period=0.05)
     tp = 2.0 * math.pi
@@ -351,8 +361,7 @@ def test_c7_ridge_solver_matches_normal_equations(capsys):
 
 
 def test_c8_spectral_constraint_and_lipschitz(trained, capsys):
-    history = trained["result"].history
-    norms = np.array([rec["max_w_norm"] for rec in history])
+    norms = np.array(trained["step_norms"])
     net = trained["result"].net
 
     rng = np.random.default_rng(41)

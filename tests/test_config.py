@@ -77,6 +77,18 @@ def test_error_messages_name_the_section():
         config_from_dict({"world": {"classes": [{"name": "a", "eta": [3.0, 3.0]}]}})
     with pytest.raises(ConfigError, match="classes"):
         config_from_dict({"world": {"classes": []}})
+    # the controller's own classes check their sections at load
+    for adaptation in ({"gamma0": 5.0, "gamma_max": 1.0}, {"r_diag": [0.0, 0.1]},
+                       {"law": "kalman"}):
+        with pytest.raises(ConfigError, match=r"^controller\.adaptation: "):
+            config_from_dict({"controller": {"adaptation": adaptation}})
+    for gains in ({"k_px": -1.0}, {"k_px": 0.0}, {"b_min": -1.0}):
+        # b_min steers only the Ackermann loop, but is refused on a tracked config too
+        with pytest.raises(ConfigError, match=r"^controller\.gains: "):
+            config_from_dict({"vehicle": {"type": "tracked"}, "controller": {"gains": gains}})
+    for provider in ({"noise_std": -0.1}, {"brightness": 0.0}, {"brightness": -1.0}):
+        with pytest.raises(ConfigError, match=r"^provider: "):
+            config_from_dict({"provider": provider})
 
 
 def test_variant_suffix_accepted():
@@ -212,3 +224,46 @@ def test_quickstart_with_millisecond_time_constants_exits_2(tmp_path, capsys):
     assert err["error"] == "ConfigError"
     assert "vehicle.tracked.tau_v" in err["message"] and "sim.dt_plant" in err["message"]
     assert not (tmp_path / "out" / "dataset.tdc").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "simulate", "evaluate"])
+def test_bad_controller_or_provider_value_exits_2_before_any_output(tmp_path, capsys,
+                                                                    command):
+    """gen-data and train never built a controller, so they ran on bad
+    controller values; evaluate stopped halfway with exit 1."""
+    with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
+        quickstart = yaml.safe_load(f)
+    extra = ["--variants", "pd", "dnn"] if command == "evaluate" else []
+    bad = (("controller.adaptation", "controller", "adaptation",
+            {"gamma0": 5.0, "gamma_max": 1.0}),
+           ("controller.gains", "controller", "gains", {"k_px": -1.0}),
+           ("provider", None, "provider", {"noise_std": -0.5}))
+    for i, (section, parent, key, values) in enumerate(bad):
+        raw = yaml.safe_load(yaml.safe_dump(quickstart))
+        out = tmp_path / f"out{i}"
+        raw["output_dir"] = str(out)
+        (raw[parent] if parent else raw)[key].update(values)
+        path = tmp_path / f"bad{i}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main([command, "-c", str(path), *extra]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{section}: ")
+        assert not out.exists()
+
+
+def test_default_controller_and_fault_sections_are_pinned():
+    """The classes these sections are built as keep the config schema: the
+    same keys and defaults, echoed into every sidecar."""
+    d = config_to_dict(config_from_dict({}))
+    assert d["controller"]["gains"] == {
+        "k_px": 0.8, "k_py": 0.8, "k_psi": 2.3, "k_dx": 0.05, "k_domega": 0.1,
+        "v_eps": 1e-3, "k_p": 1.0, "k_v": 1.0, "k_fwd": 0.5, "b_min": 1e-3}
+    assert d["controller"]["adaptation"] == {
+        "law": "scalar", "lam": 0.01, "r_diag": (0.1, 0.1), "q_diag": (1.0, 1.0, 1.0, 1.0),
+        "gamma0": 0.01, "gamma_min": 1e-4, "gamma_max": 1e3}
+    assert d["scenario"]["fault"] == {
+        "kind": "none", "period_s": 3.0, "scale": 0.3, "track": "right", "start_s": 0.0}
+    assert list(d["controller"]["adaptation"]) == [
+        "law", "lam", "r_diag", "q_diag", "gamma0", "gamma_min", "gamma_max"]
+    assert list(d["scenario"]["fault"]) == ["kind", "period_s", "scale", "track", "start_s"]

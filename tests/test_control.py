@@ -9,15 +9,14 @@ import pytest
 from terradapt.basis import ConstantBasis, contract
 from terradapt.control import (
     AckermannController,
-    AckermannGains,
     AdaptParams,
     AdaptState,
+    Gains,
     LowPassFilter,
     PositionReferenceTracker,
     ReferenceState,
     ResidualFilter,
     TrackedController,
-    TrackedGains,
     adapt_step_matrix,
     adapt_step_scalar,
     control_ackermann,
@@ -47,25 +46,31 @@ from terradapt.vehicles import (
 
 def test_published_tracked_settings_accepted(caplog):
     with caplog.at_level(logging.INFO, logger="terradapt.control"):
-        TrackedGains(k_dx=0.05, k_domega=0.1)
+        Gains(k_dx=0.05, k_domega=0.1)
         AdaptParams(lam=0.01, r_diag=(0.1, 0.1), q_diag=(1.0, 1.0, 1.0, 1.0), gamma0=0.01)
     assert any("accepted" in r.message for r in caplog.records)
 
 
 def test_published_ackermann_settings_accepted(caplog):
     with caplog.at_level(logging.INFO, logger="terradapt.control"):
-        AckermannGains(k_p=1.0, k_v=1.0)
+        Gains(k_p=1.0, k_v=1.0)
         AdaptParams(lam=0.05, r_diag=(0.01, 0.01), q_diag=(1.0, 1.0), gamma0=1.5)
     assert any("accepted" in r.message for r in caplog.records)
 
 
 def test_gain_validation():
     with pytest.raises(ValueError):
-        TrackedGains(k_px=0.0)
+        Gains(k_px=0.0)
     with pytest.raises(ValueError):
-        TrackedGains(v_eps=-1.0)
+        Gains(v_eps=-1.0)
     with pytest.raises(ValueError):
-        AckermannGains(k_p=0.0)
+        Gains(k_p=0.0)
+    with pytest.raises(ValueError):
+        Gains(k_dx=math.nan)
+    with pytest.raises(ValueError):
+        Gains(b_min=0.0)
+    with pytest.raises(ValueError):
+        AdaptParams(r_diag=(0.1, 0.1, 0.1))    # the residual has two channels
     with pytest.raises(ValueError):
         AdaptParams(lam=-0.1)
     with pytest.raises(ValueError):
@@ -105,15 +110,15 @@ def test_adapt_state_validation():
         AdaptState(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         AdaptState(np.zeros(2), -np.eye(2))
-    fresh = AdaptState.fresh(4, AdaptParams(), "scalar")
+    fresh = AdaptState.fresh(4, AdaptParams())
     np.testing.assert_array_equal(fresh.theta_hat, np.zeros(4))
     np.testing.assert_array_equal(fresh.gain, np.full(4, 0.01))
-    fresh_m = AdaptState.fresh(3, AdaptParams(q_diag=(1.0,) * 3), "matrix")
+    fresh_m = AdaptState.fresh(3, AdaptParams(law="matrix", q_diag=(1.0,) * 3))
     np.testing.assert_array_equal(fresh_m.gain, 0.01 * np.eye(3))
     with pytest.raises(ValueError):
-        AdaptState.fresh(2, AdaptParams(), "kalman")
+        AdaptParams(law="kalman")
     with pytest.raises(ValueError):
-        AdaptState.fresh(4, AdaptParams(), "scalar", theta0=[1.0, 2.0])
+        AdaptState.fresh(4, AdaptParams(), theta0=[1.0, 2.0])
 
 
 # ------------------------------------------------------------------ filters
@@ -234,14 +239,14 @@ def test_residuals_equal_residual_loop():
 
 
 def test_reference_straight_line_tracking():
-    g = TrackedGains()
+    g = Gains()
     ref = reference_velocities([0.0, 0.0], 0.0, [0.0, 0.0], [1.0, 0.0], 0.0, g)
     np.testing.assert_allclose(ref.v_ref, [1.0, 0.0], atol=1e-15)
     assert ref.psi_ref == 0.0
 
 
 def test_reference_points_at_offset_target():
-    g = TrackedGains()
+    g = Gains()
     # target one meter up: desired motion is straight +y, heading pi/2
     ref = reference_velocities([0.0, 0.0], 0.0, [0.0, 1.0], [0.0, 0.0], 0.0, g)
     assert ref.v_ref[0] == pytest.approx(0.0, abs=1e-15)  # +y is sideways at psi=0
@@ -250,14 +255,14 @@ def test_reference_points_at_offset_target():
 
 
 def test_reference_heading_falls_back_below_speed_threshold():
-    g = TrackedGains()
+    g = Gains()
     ref = reference_velocities([2.0, 3.0], 0.4, [2.0, 3.0], [0.0, 0.0], 1.1, g)
     assert ref.psi_ref == 1.1  # turn-in-place uses the desired heading
     assert ref.v_ref[1] == pytest.approx(-g.k_psi * wrap_angle(0.4 - 1.1))
 
 
 def test_reference_error_gains_enter_componentwise():
-    g = TrackedGains(k_px=0.5, k_py=2.0)
+    g = Gains(k_px=0.5, k_py=2.0)
     ref = reference_velocities([1.0, 1.0], 0.0, [0.0, 0.0], [0.0, 0.0], 0.0, g)
     # v_ref^I = -[0.5, 2.0]; forward part is its x component at psi = 0
     assert ref.v_ref[0] == pytest.approx(-0.5)
@@ -270,7 +275,7 @@ def test_tracking_error_definition():
 
 
 def test_position_tracker_first_step_and_statics():
-    tracker = PositionReferenceTracker(TrackedGains())
+    tracker = PositionReferenceTracker(Gains())
     ref = tracker.step([0.0, 0.0], 0.0, [1.0, 0.0], [0.5, 0.0], 0.0, 0.05)
     assert ref.psi_dot_ref == 0.0
     np.testing.assert_array_equal(ref.vdot_ref, [0.0, 0.0])
@@ -281,7 +286,7 @@ def test_position_tracker_first_step_and_statics():
 
 
 def test_position_tracker_wraps_reference_heading_rate():
-    tracker = PositionReferenceTracker(TrackedGains())
+    tracker = PositionReferenceTracker(Gains())
     tracker.step([0.0, 0.0], 3.0, [-10.0, -0.7], [0.0, 0.0], 0.0, 0.05)
     first = tracker.prev_psi_ref
     assert first == pytest.approx(math.atan2(-0.7 * 0.8, -10 * 0.8))
@@ -297,7 +302,7 @@ def test_position_tracker_wraps_reference_heading_rate():
 
 def test_control_tracked_inverts_nominal_dynamics():
     params = TrackedParams()
-    gains = TrackedGains()
+    gains = Gains()
     s = np.array([0.2, -0.1])
     ref = ReferenceState(np.array([1.0, 0.3]), np.array([0.15, -0.05]), 0.0, 0.0)
     u, info = control_tracked(s, ref, None, None, params, gains)
@@ -309,7 +314,7 @@ def test_control_tracked_inverts_nominal_dynamics():
 
 def test_control_tracked_uses_adapted_influence():
     params = TrackedParams()
-    gains = TrackedGains()
+    gains = Gains()
     basis = ConstantBasis(2, 2)
     theta = np.array([0.5, 0.1, -0.2, 0.8])
     phi = basis.eval(None, None)
@@ -329,7 +334,7 @@ def test_control_tracked_singular_estimate_falls_back():
     theta = np.array([-params.b_n()[0, 0], 0.0, 0.0, -params.b_n()[1, 1]])
     ref = ReferenceState(np.array([1.0, 0.0]), np.zeros(2), 0.0, 0.0)
     u, info = control_tracked(np.zeros(2), ref, basis.eval(None, None), theta,
-                              params, TrackedGains())
+                              params, Gains())
     assert info["fallback"]
     np.testing.assert_allclose(info["b_hat"], params.b_n())
     rhs = params.a_n() @ ref.v_ref
@@ -367,7 +372,7 @@ def test_cond_2x2_singular_and_non_finite_are_infinite():
 def test_control_tracked_clamps_commands():
     params = TrackedParams()
     ref = ReferenceState(np.array([50.0, 0.0]), np.zeros(2), 0.0, 0.0)
-    u, info = control_tracked(np.zeros(2), ref, None, None, params, TrackedGains(),
+    u, info = control_tracked(np.zeros(2), ref, None, None, params, Gains(),
                               u_limits=(2.0, 3.0))
     assert info["clamped"]
     assert abs(u.u_v) <= 2.0 and abs(u.u_omega) <= 3.0
@@ -375,7 +380,7 @@ def test_control_tracked_clamps_commands():
 
 def test_control_tracked_zero_everything_gives_zero_command():
     ref = ReferenceState(np.zeros(2), np.zeros(2), 0.0, 0.0)
-    u, info = control_tracked(np.zeros(2), ref, None, None, TrackedParams(), TrackedGains())
+    u, info = control_tracked(np.zeros(2), ref, None, None, TrackedParams(), Gains())
     assert u.u_v == 0.0 and u.u_omega == 0.0
 
 
@@ -404,7 +409,7 @@ def test_control_tracked_matches_numpy_solve(max_log_cond):
     of the command vector at most 1e-12, also at condition numbers just below
     the 1e6 fallback threshold. The two differ in the last bit only where
     LAPACK's FMA rounds once where float arithmetic rounds twice."""
-    params, gains = TrackedParams(), TrackedGains()
+    params, gains = TrackedParams(), Gains()
     phi = ConstantBasis(2, 2).eval(None, None)
     rng = np.random.default_rng(21)
     limits = (1e12, 1e12)
@@ -431,7 +436,7 @@ def test_control_tracked_matches_numpy_solve(max_log_cond):
 @pytest.mark.parametrize("limits", [(2.0, 3.0), (50.0, 0.3), (0.3, 50.0)],
                          ids=["both", "omega-only", "v-only"])
 def test_control_tracked_clamp_flag_matches_numpy(limits):
-    params, gains = TrackedParams(), TrackedGains()
+    params, gains = TrackedParams(), Gains()
     phi = ConstantBasis(2, 2).eval(None, None)
     rng = np.random.default_rng(22)
     flags = []
@@ -474,7 +479,7 @@ def test_control_tracked_raises_on_exactly_singular_b_hat(b_n):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.array(b_n), np.ones(2))
     with pytest.raises(np.linalg.LinAlgError, match="Singular"):
-        control_tracked(np.zeros(2), ref, None, None, _RankDeficientPlant(b_n), TrackedGains())
+        control_tracked(np.zeros(2), ref, None, None, _RankDeficientPlant(b_n), Gains())
 
 
 # --------------------------------------------------------------- adaptation
@@ -612,7 +617,7 @@ def test_adaptation_rejects_non_finite_updates():
 def test_scalar_gain_stays_in_bounds_under_random_driving():
     p = AdaptParams(lam=0.01, r_diag=(1.0, 1.0), q_diag=(0.05,) * 4,
                     gamma0=0.05, gamma_max=0.2)
-    state = AdaptState.fresh(4, p, "scalar")
+    state = AdaptState.fresh(4, p)
     rng = np.random.default_rng(4)
     for _ in range(300):
         state, rejected = adapt_step_scalar(
@@ -748,7 +753,7 @@ def test_lateral_errors_degenerate_tangent():
 
 def test_control_ackermann_reconstruction():
     params = AckermannParams()
-    gains = AckermannGains()
+    gains = Gains()
     lat = lateral_errors([0.2, -0.1], 0.05, 1.5, 0.03, [0.0, 0.0], 0.0, 1.5, gains.k_p)
     phi_row = np.array([0.4, -0.3])
     theta = np.array([1.0, 0.5])
@@ -766,7 +771,7 @@ def test_control_ackermann_reconstruction():
 
 def test_control_ackermann_guards():
     params = AckermannParams()
-    gains = AckermannGains()
+    gains = Gains()
     lat = lateral_errors([0, 0], 0.0, 1.5, 0.0, [0, 0], 0.0, 1.5, gains.k_p)
     with pytest.raises(ValueError, match="v_min"):
         control_ackermann(lat, 0.05, 0.0, 0.5, 0.0, None, None, params, gains)
@@ -787,7 +792,7 @@ def test_control_ackermann_guards():
 
 
 def test_tracked_controller_first_tick_has_no_residual():
-    ctrl = TrackedController(TrackedParams(), TrackedGains(), AdaptParams(),
+    ctrl = TrackedController(TrackedParams(), Gains(), AdaptParams(),
                              basis=ConstantBasis(2, 2))
     state = TrackedState(0, 0, 0, 0.5, 0.0)
     u, tele = ctrl.tick_velocity(state, np.zeros(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
@@ -803,11 +808,11 @@ def test_tracked_controller_first_tick_has_no_residual():
 def test_tracked_controller_variants():
     state = TrackedState(0, 0, 0, 0.5, 0.0)
     meas = np.array([0.2, 0.05])
-    pd = TrackedController(TrackedParams(), TrackedGains(), AdaptParams(), basis=None)
+    pd = TrackedController(TrackedParams(), Gains(), AdaptParams(), basis=None)
     _, tele_pd = pd.tick_velocity(state, meas, None, [0.8, 0.0], [0.0, 0.0])
     assert tele_pd.theta_hat.size == 0 and tele_pd.gain_diag.size == 0
 
-    frozen = TrackedController(TrackedParams(), TrackedGains(), AdaptParams(),
+    frozen = TrackedController(TrackedParams(), Gains(), AdaptParams(),
                                basis=ConstantBasis(2, 2), adapt=False,
                                theta0=[0.1, 0.0, 0.0, 0.2])
     for _ in range(4):
@@ -816,9 +821,9 @@ def test_tracked_controller_variants():
 
 
 def test_tracked_controller_matrix_law_ticks():
-    ctrl = TrackedController(TrackedParams(), TrackedGains(),
-                             AdaptParams(q_diag=(0.1,) * 4, gamma0=0.05),
-                             basis=ConstantBasis(2, 2), law="matrix")
+    ctrl = TrackedController(TrackedParams(), Gains(),
+                             AdaptParams(law="matrix", q_diag=(0.1,) * 4, gamma0=0.05),
+                             basis=ConstantBasis(2, 2))
     state = TrackedState(0, 0, 0, 0.5, 0.1)
     for _ in range(3):
         _, tele = ctrl.tick_velocity(state, np.array([0.1, 0.0]), np.zeros(4),
@@ -828,7 +833,7 @@ def test_tracked_controller_matrix_law_ticks():
 
 
 def test_tracked_controller_reset():
-    ctrl = TrackedController(TrackedParams(), TrackedGains(), AdaptParams(),
+    ctrl = TrackedController(TrackedParams(), Gains(), AdaptParams(),
                              basis=ConstantBasis(2, 2))
     state = TrackedState(0, 0, 0, 0.5, 0.0)
     ctrl.tick_velocity(state, np.zeros(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
@@ -842,7 +847,7 @@ def test_heading_error_bounded_by_yaw_tracking_quality():
     """Loop hierarchy on a gentle closed path: the heading error is slaved to
     the yaw-rate tracking error through k_psi."""
     params = TrackedParams()
-    gains = TrackedGains()
+    gains = Gains()
     ctrl = TrackedController(params, gains, AdaptParams(), basis=None)
     state = TrackedState(0.3, -0.2, 0.4, 0.0, 0.0)
     dtc, sub = 0.05, 5
@@ -871,7 +876,7 @@ def test_cross_track_error_bounded_by_sliding_variable():
     """Ackermann circle: after the transient the cross-track error obeys the
     first-order bound |e_perp| <= 1.5 max|s_perp| / k_p plus discretization slack."""
     params = AckermannParams()
-    gains = AckermannGains()
+    gains = Gains()
     ctrl = AckermannController(params, gains, AdaptParams(r_diag=(1.0, 1.0)), basis=None)
     r, speed = 2.5, 1.5
     omega_d = speed / r
@@ -899,7 +904,7 @@ def test_cross_track_error_bounded_by_sliding_variable():
 
 
 def test_ackermann_controller_speed_loop_and_telemetry():
-    ctrl = AckermannController(AckermannParams(), AckermannGains(),
+    ctrl = AckermannController(AckermannParams(), Gains(),
                                AdaptParams(r_diag=(1.0, 1.0), q_diag=(0.05,), gamma0=0.05),
                                basis=ConstantBasis(2, 1))
     state = AckermannState(2.5, 0.0, math.pi / 2, 1.2, 0.0, 0.5)
@@ -920,7 +925,7 @@ def test_adaptation_converges_to_planted_diagonal_parameters():
                            0.0, (eta[1] - 1) * params.b_n()[1, 1]])
     adapt = AdaptParams(lam=0.01, r_diag=(1.0, 1.0), q_diag=(0.05,) * 4,
                         gamma0=0.05, gamma_max=0.2)
-    ctrl = TrackedController(params, TrackedGains(), adapt, basis=ConstantBasis(2, 2))
+    ctrl = TrackedController(params, Gains(), adapt, basis=ConstantBasis(2, 2))
     state = TrackedState(0, 0, 0, 0.9, 0.0)
     dtc, sub = 0.05, 5
     prev_u = TrackedInput(0.0, 0.0)

@@ -17,7 +17,6 @@ from terradapt.config import ConfigError, config_from_dict
 from terradapt.control import ResidualFilter
 from terradapt.harness import (
     CircleReference,
-    FaultSchedule,
     Figure8Reference,
     RandomVelocityReference,
     RunResult,
@@ -33,7 +32,8 @@ from terradapt.harness import (
 )
 from terradapt.serialize import read_csv
 from terradapt.training import build_h, solve_theta_star
-from terradapt.vehicles import TrackedParams, TrackedState, integrate_step, wrap_angle
+from terradapt.vehicles import (FaultSchedule, TrackedParams, TrackedState, integrate_step,
+                                wrap_angle)
 from terradapt.world import FeatureProvider, build_world, eta_under_robot
 
 

@@ -389,21 +389,36 @@ def test_training_is_deterministic():
         np.testing.assert_array_equal(b1, b2)
 
 
-def test_training_keeps_spectral_constraint():
+def record_projected_norms(monkeypatch) -> list:
+    """Wrap BasisNet.spectral_normalize so that every projection appends the
+    largest weight norm it leaves; train() projects once in BasisNet.init,
+    then once per step."""
+    norms = []
+    project = BasisNet.spectral_normalize
+
+    def recording(net):
+        project(net)
+        norms.append(max(net.weight_norms()))
+
+    monkeypatch.setattr(BasisNet, "spectral_normalize", recording)
+    return norms
+
+
+def test_training_keeps_spectral_constraint(monkeypatch):
     ds, _ = planted_dataset(seed=9, length=150)
-    result = train(ds, small_cfg(max_iters=25, track_norms=True))
-    norms = [h["max_w_norm"] for h in result.history]
-    assert len(norms) == 25
+    norms = record_projected_norms(monkeypatch)
+    result = train(ds, small_cfg(max_iters=25))
+    assert result.iterations == 25 and len(norms) == 1 + 25
     assert max(norms) <= 1.0 + 1e-6
 
 
-def test_training_norms_exact_after_every_step():
+def test_training_norms_exact_after_every_step(monkeypatch):
     # a learning rate large enough to push layers past the bound on every
     # step: each projection must land on it to rounding, not an estimate above
     ds, _ = planted_dataset(seed=9, length=150)
+    norms = record_projected_norms(monkeypatch)
     result = train(ds, small_cfg(max_iters=30, learning_rate=0.05, hidden=(24, 24)))
-    norms = [h["max_w_norm"] for h in result.history]
-    assert len(norms) == 30
+    assert result.iterations == 30 and len(norms) == 1 + 30
     assert max(norms) <= 1.0 + 8 * np.finfo(float).eps
 
 
@@ -436,8 +451,8 @@ def test_training_resumes_from_given_net():
 
 
 def test_loss_history_csv(tmp_path):
-    history = [{"iteration": 0, "loss": 1.5, "wall_time_s": 0.1, "max_w_norm": 1.0},
-               {"iteration": 1, "loss": 0.75, "wall_time_s": 0.2, "max_w_norm": 0.9}]
+    history = [{"iteration": 0, "loss": 1.5, "wall_time_s": 0.1},
+               {"iteration": 1, "loss": 0.75, "wall_time_s": 0.2}]
     path = tmp_path / "loss.csv"
     write_loss_history(path, history)
     cols, rows = read_csv(path)

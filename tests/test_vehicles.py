@@ -165,7 +165,8 @@ def test_params_validation():
 
 def test_tracked_nominal_model_is_built_once_and_read_only():
     """A_n and B_n are shared by every caller, so neither they nor the
-    coefficients they come from can be changed after construction."""
+    coefficients they come from can be changed after construction. The
+    Ackermann B_n, and the column the residual reads, likewise."""
     p = TrackedParams(k1=1.2, k2=0.9, tau_v=0.25, tau_omega=0.15)
     assert p.a_n() is p.a_n() and p.b_n() is p.b_n()
     assert p.residual_model(None) == (p.a_n(), p.b_n())
@@ -175,6 +176,19 @@ def test_tracked_nominal_model_is_built_once_and_read_only():
         p.b_n()[0, 0] = 0.0
     with pytest.raises(AttributeError):
         p.tau_v = 1.0
+
+    car = AckermannParams(m=6.0, i_z=0.3, wheelbase=0.5, c_y=50.0)
+    state = AckermannState(0.0, 0.0, 0.0, 1.5, 0.1, 0.2)
+    (a_1, col_1), (a_2, col_2) = car.residual_model(state), car.residual_model(state)
+    assert car.b_n() is car.b_n() and col_1 is col_2
+    np.testing.assert_array_equal(car.b_n(), [50.0 / 6.0, 0.25 * 50.0 / 0.3])
+    np.testing.assert_array_equal(col_1, car.b_n().reshape(2, 1))
+    np.testing.assert_array_equal(a_1, car.a_n(1.5))
+    for b in (car.b_n(), col_1):
+        with pytest.raises(ValueError):
+            b[0] = 0.0
+    with pytest.raises(AttributeError):
+        car.c_y = 1.0
 
 
 # ------------------------------------------------------------- integration
