@@ -9,7 +9,8 @@ See the README for the full key reference.
 A section the program has a class for is built as that class, which
 declares its defaults and checks: vehicle.tracked, vehicle.ackermann,
 training, controller.gains, controller.adaptation, scenario.fault. Every
-section's values are checked here, at load. Only the length of
+section's values are checked here, at load, and so is the width of the
+world's eta rows against the vehicle type. Only the length of
 controller.adaptation.q_diag waits for the basis, when a controller is built;
 checks that pair a section with what a command does with it (scenario kind
 and vehicle type, a recorded provider's world file, the Ackermann cruise
@@ -167,11 +168,7 @@ class Config:
     seed: int = 0
     output_dir: str = "out"
     vehicle: VehicleConfig = field(default_factory=VehicleConfig)
-    world: WorldSpec = field(default_factory=lambda: WorldSpec(classes=[
-        TerrainClassSpec("nominal", (1.0, 1.0)),
-        TerrainClassSpec("grass", (0.78, 0.84)),
-        TerrainClassSpec("ice", (0.55, 0.62)),
-    ]))
+    world: WorldSpec = field(default_factory=WorldSpec)
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     sim: SimConfig = field(default_factory=SimConfig)
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -231,8 +228,6 @@ def config_from_dict(raw: dict) -> Config:
         if classes is not None:
             cfg.world.classes = [_build(TerrainClassSpec, c, f"world.classes[{i}]")
                                  for i, c in enumerate(classes)]
-        if not cfg.world.classes:
-            raise ConfigError("world.classes must not be empty")
         try:
             cfg.world.validate()
         except ValueError as e:
@@ -267,6 +262,7 @@ def config_from_dict(raw: dict) -> Config:
         if fault is not None:
             cfg.scenario.fault = _build(FaultSchedule, fault, "scenario.fault")
     _check_rk4_stable(cfg)
+    _check_eta_width(cfg)
     return cfg
 
 
@@ -281,6 +277,17 @@ def _check_rk4_stable(cfg: Config) -> None:
             raise ConfigError(f"{key}={tau} is too small for sim.dt_plant={dt}: "
                               f"dt_plant / tau = {dt / tau:.4g} exceeds RK4's real-axis "
                               f"stability limit {RK4_REAL_LIMIT:.4f}")
+
+
+def _check_eta_width(cfg: Config) -> None:
+    """Refuse a tracked vehicle on a world whose classes do not give one eta
+    entry per channel. The Ackermann plant reads the first entry of any width."""
+    if cfg.vehicle.type != "tracked":
+        return
+    bad = [c.name for c in cfg.world.classes if len(c.eta) != 2]
+    if bad:
+        raise ConfigError(f"world.classes {bad}: the tracked vehicle needs two eta entries "
+                          "per class, one per channel")
 
 
 def load_config(path) -> Config:

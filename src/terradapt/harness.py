@@ -6,27 +6,29 @@ r uses the same start pose, reference draw, feature noise and measurement
 noise for every controller variant: comparisons are paired by construction.
 
 Timing model per controller tick (period = sim.control_period):
-  1. terrain eta and measured acceleration are sampled at the current state,
-     the acceleration being the plant derivative under the input applied over
-     the previous interval, plus white noise;
+  1. the measured acceleration is sampled at the current state: the plant
+     derivative under the input applied over the previous interval, at the
+     terrain eta under the robot, plus white noise;
   2. the appearance features under the robot are queried (noisy, possibly
      darkened);
   3. the controller produces the next command;
   4. actuator faults rescale the command, and the plant integrates forward
      to the next tick in one integrate_step call of control_period / dt_plant
      substeps, looking the terrain eta up at the start of every substep.
+Steps 1 and 4 look eta up through the same per-vehicle terrain function.
 
 The tick runs on Python floats, not on small arrays: states, references,
 the control law, the scalar adaptation step and the telemetry rows are
 floats, and the basis output is converted to nested lists once per tick.
-Only the basis forward pass, the terrain and feature lookups, the noise
-draws, the residual's nominal-model product and the matrix law use numpy.
+Only the basis forward pass, the feature lookups, the noise draws, the
+residual's nominal-model product and the matrix law use numpy.
 
 The dataset loop keeps the same model but runs it in two passes per
 trajectory. Driving (steps 3-4 with random inputs in place of a
 controller) never reads an observation, so it runs first, alone; steps 1-2
-and the residual are then derived for every sample at once, drawing each
-noise stream in the order the per-tick loop would.
+and the residual are then derived for the whole trajectory, drawing each
+noise stream in the order the per-tick loop would: the features in one
+gather, the eta and the measured acceleration per sample.
 """
 
 from __future__ import annotations
@@ -47,11 +49,9 @@ from .control import AckermannController, ResidualFilter, TrackedController
 from .serialize import write_csv, read_csv
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
-                       TrackedInput, TrackedState, apply_track_fault,
-                       integrate_step, tracked_derivative,
-                       ackermann_derivative, wrap_angle)
-from .world import (FeatureProvider, TerrainWorldMap, build_world, eta_along,
-                    eta_under_robot, load_world)
+                       TrackedInput, TrackedState, apply_track_fault, derivative,
+                       integrate_step, wrap_angle)
+from .world import FeatureProvider, TerrainWorldMap, build_world, load_world
 
 log = logging.getLogger(__name__)
 
@@ -144,12 +144,8 @@ class RandomVelocityReference:
             self.segments.append((t, rng.uniform(v_range[0], v_range[1]),
                                   rng.uniform(omega_range[0], omega_range[1])))
             t += hold
-        w, h = world.extent
         self.world = world
         self.margin_frac = margin_frac
-        self.center = (0.5 * w, 0.5 * h)
-        self.margin = (margin_frac * w, margin_frac * h)
-        self.extent = (w, h)
         self.omega_cap = max(abs(omega_range[0]), abs(omega_range[1]), 1.0)
 
     def start_pose(self, rng) -> TrackedState:
@@ -165,12 +161,8 @@ class RandomVelocityReference:
             else:
                 break
         v_ref, omega_ref = seg[1], seg[2]
-        mx, my = self.margin
-        if not (mx <= state.p_x <= self.extent[0] - mx
-                and my <= state.p_y <= self.extent[1] - my):
-            bearing = math.atan2(self.center[1] - state.p_y,
-                                 self.center[0] - state.p_x)
-            err = wrap_angle(bearing - state.psi)
+        err = _turn_back_error(self.world, self.margin_frac, state)
+        if err is not None:
             omega_ref = min(max(2.0 * err, -self.omega_cap), self.omega_cap)
             v_ref = max(0.4, min(abs(v_ref), 0.8))
         return (v_ref, omega_ref), (0.0, 0.0)
@@ -301,12 +293,22 @@ def _interior_start(rng, world: TerrainWorldMap, margin_frac: float):
     return x, y, psi
 
 
+def _turn_back_error(world: TerrainWorldMap, margin_frac: float, state):
+    """Heading error toward the map center once the state has left the
+    interior (margin_frac of the extent in from every border), else None."""
+    w, h = world.extent
+    mx, my = margin_frac * w, margin_frac * h
+    if mx <= state.p_x <= w - mx and my <= state.p_y <= h - my:
+        return None
+    return wrap_angle(math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x) - state.psi)
+
+
 class _Vehicle:
     """What the shared episode and dataset loops need to know about one
-    vehicle type. The plant and terrain functions are looked up in this
-    module on every call, not bound at import, so a wrapper installed on the
-    module name sees every call; the per-substep terrain lookups are made
-    inside the plant call, through terrain(world)."""
+    vehicle type. The plant functions are looked up in this module on every
+    call, not bound at import, so a wrapper installed on the module name sees
+    every call. Stepping and measuring look eta up through the same
+    terrain(world); the per-substep lookups are made inside the plant call."""
 
     def __init__(self, cfg: Config):
         self.cfg = cfg
@@ -320,11 +322,17 @@ class _Vehicle:
         return integrate_step(state, u, self.vp, dt, n_sub=n_sub,
                               terrain=self.terrain(world))
 
+    def measured(self, world: TerrainWorldMap, state, u) -> np.ndarray:
+        """Noise-free derivative of the logged channels x under input u, at
+        the eta under the robot."""
+        eta = self.terrain(world)(state.p_x, state.p_y)
+        return derivative(state, u, self.vp, eta)[self.x_cols]
+
 
 class _Tracked(_Vehicle):
     tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
     n_input = 2
-    state_cls, input_cls = TrackedState, TrackedInput
+    input_cls = TrackedInput
     # the dataset logs x = [v_x, omega] under both inputs
     x_cols, u_cols = slice(3, 5), slice(0, 2)
     tele_cols = ["v_ref_x", "omega_ref", "s_vx", "s_omega",
@@ -332,18 +340,8 @@ class _Tracked(_Vehicle):
     fault_cols = ["fault_left", "fault_right"]
 
     @staticmethod
-    def eta(eta) -> list:
-        """The looked-up eta row as two Python floats, the form the plant
-        checks with scalar compares."""
-        return eta.tolist()
-
-    @staticmethod
     def terrain(world: TerrainWorldMap):
         return world.eta_at
-
-    def measured(self, state, u, eta) -> np.ndarray:
-        """Noise-free [vdot_x, omegadot] under input u."""
-        return tracked_derivative(state, u, self.vp, self.eta(eta))[self.x_cols]
 
     def dataset_start(self, rng, world: TerrainWorldMap):
         x, y, psi = _interior_start(rng, world, self.ds.margin_frac)
@@ -375,7 +373,7 @@ class _Ackermann(_Vehicle):
     # the lateral law raises ValueError when engaged at or below v_min
     tick_errors = (NonFiniteError, ValueError, np.linalg.LinAlgError)
     n_input = 1
-    state_cls, input_cls = AckermannState, AckermannInput
+    input_cls = AckermannInput
     # the dataset logs x = [v_y, omega] under the steering input
     x_cols, u_cols = slice(4, 6), slice(1, 2)
     tele_cols = ["psi_d", "e_par", "e_perp", "psi_e", "s_perp",
@@ -383,17 +381,9 @@ class _Ackermann(_Vehicle):
     fault_cols = []
 
     @staticmethod
-    def eta(eta) -> float:
-        return float(eta[0])
-
-    @staticmethod
     def terrain(world: TerrainWorldMap):
         eta_at = world.eta_at
         return lambda x, y: eta_at(x, y)[0]
-
-    def measured(self, state, u, eta) -> np.ndarray:
-        """Noise-free [vdot_y, omegadot] under input u."""
-        return ackermann_derivative(state, u, self.vp, self.eta(eta))[self.x_cols]
 
     def dataset_start(self, rng, world: TerrainWorldMap):
         if self.ds.cruise_range[0] <= self.vp.v_min:
@@ -481,11 +471,10 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     rows, s_rows, p_rows, pd_rows = [], [], [], []
     for k in range(n_ticks):
         t = k * period
-        eta = eta_under_robot(world, state.p_x, state.p_y)
         if k == 0:
             xdot_meas = (0.0, 0.0)
         else:
-            xdot_meas = (vehicle.measured(state, u_applied, eta)
+            xdot_meas = (vehicle.measured(world, state, u_applied)
                          + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
         feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
                                               vehicle.half)
@@ -585,8 +574,6 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
     ds, sim = vehicle.ds, vehicle.cfg.sim
     period = sim.control_period
     n_sub = int(round(period / sim.dt_plant))
-    w, h = world.extent
-    mx, my = ds.margin_frac * w, ds.margin_frac * h
     state, u = vehicle.dataset_start(rng, world)
     states = np.empty((n, len(vars(state))))
     inputs = np.empty((n, len(vars(u))))
@@ -599,30 +586,31 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
         if t >= next_redraw:
             u = vehicle.redraw(rng)
             next_redraw = t + rng.uniform(*ds.hold_range_s)
-        if not (mx <= state.p_x <= w - mx and my <= state.p_y <= h - my):
-            bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
-            u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
+        err = _turn_back_error(world, ds.margin_frac, state)
+        if err is not None:
+            u = vehicle.turn_back(u, err)
         state = vehicle.advance(world, state, u, n_sub, sim.dt_plant)
     return states, inputs
 
 
 def _observe(vehicle: _Vehicle, provider: FeatureProvider, meas_rng, states, inputs):
     """Pass 2 of generate_dataset: the logged (x, u, e, y) of every sample
-    of one trajectory, equal to observing one sample at a time. Terrain and
-    features are one gather each, each noise stream one block draw; the
-    measured derivative and the nominal model are taken per sample (the
-    plant's math.atan2 is not np.arctan2's), the residual over all of them."""
+    of one trajectory, equal to observing one sample at a time. Features are
+    one gather and each noise stream one block draw. The measured derivative,
+    at the eta looked up under the robot as the plant looks it up, and the
+    nominal model are taken per sample (the plant's math.atan2 is not
+    np.arctan2's); the residual is taken over all of them at once."""
     sim = vehicle.cfg.sim
     n = len(states)
-    eta = eta_along(provider.world, states[:, 0], states[:, 1])
     feats = provider.features_along(states[:, 0], states[:, 1], states[:, 2], vehicle.half)
     xdot = np.zeros((n, 2))                 # sample 0 has no previous input
     a_n = np.empty((n, 2, 2))
     b_n = np.empty((n, 2, vehicle.n_input))
     for k in range(n):
-        state = vehicle.state_cls(*states[k].tolist())
+        state = vehicle.vp.state_cls(*states[k].tolist())
         if k:
-            xdot[k] = vehicle.measured(state, vehicle.input_cls(*inputs[k].tolist()), eta[k])
+            xdot[k] = vehicle.measured(provider.world, state,
+                                       vehicle.input_cls(*inputs[k].tolist()))
         a_n[k], b_n[k] = vehicle.vp.residual_model(state)
     xdot[1:] += meas_rng.normal(0.0, sim.vdot_noise_std, (n - 1, 2))
     x, u = states[:, vehicle.x_cols], inputs[:, vehicle.u_cols]

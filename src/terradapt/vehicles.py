@@ -18,6 +18,10 @@ whose constraint row A(q) = [-sin psi, cos psi, x_icr] satisfies
 A(q) S(q) v = 0 identically. The Ackermann model is a nonlinear single-track
 (bicycle) model with linear tire forces, the center of gravity at the
 wheelbase midpoint, and the forward channel reduced to a first-order lag.
+
+Both vehicles share one stepping path, integrate_step, and one derivative.
+The params object picks the vehicle: each params class supplies only its
+state class and its substep derivative.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ class TrackedParams:
     tau_v: float = 0.3       # forward channel time constant [s]
     tau_omega: float = 0.2   # yaw channel time constant [s]
     x_icr: float = 0.0       # instantaneous center of rotation offset [m]
+    state_cls = TrackedState
 
     def __post_init__(self):
         if not (self.k1 > 0 and self.k2 > 0 and self.tau_v > 0 and self.tau_omega > 0):
@@ -113,6 +118,27 @@ class TrackedParams:
         """(A_n, B_n) the dynamics residual is measured against."""
         return self.a_n(), self.b_n()
 
+    def substep_derivative(self, u: TrackedInput):
+        """The derivative under the held input u, for integrate_step and
+        derivative: substep(y, eta) checks the eta pair (None: nominal) and
+        returns rhs(z), the derivative at state values z with the input terms
+        f = eta k u formed. Input and coefficients are read once, here."""
+        u_v, u_omega = u.u_v, u.u_omega
+        _check_finite("TrackedInput", u_v, u_omega)
+        k1, k2, x_icr, tau_v, tau_omega = self.k1, self.k2, self.x_icr, self.tau_v, self.tau_omega
+
+        def substep(y, eta):
+            e1, e2 = _check_eta_tracked((1.0, 1.0) if eta is None else eta)
+            f_v, f_omega = e1 * k1 * u_v, e2 * k2 * u_omega
+
+            def rhs(z):
+                psi, v_x, omega = z[2], z[3], z[4]     # the position does not enter
+                c, s = math.cos(psi), math.sin(psi)
+                return (c * v_x + x_icr * s * omega, s * v_x - x_icr * c * omega, omega,
+                        (-v_x + f_v) / tau_v, (-omega + f_omega) / tau_omega)
+            return rhs
+        return substep
+
 
 @dataclass(frozen=True)
 class AckermannParams:
@@ -128,6 +154,7 @@ class AckermannParams:
     c_y: float = 60.0       # cornering stiffness per axle [N/rad]
     tau_v: float = 0.25     # forward channel time constant [s]
     v_min: float = 0.1      # lateral model validity threshold [m/s]
+    state_cls = AckermannState
 
     def __post_init__(self):
         vals = (self.m, self.i_z, self.wheelbase, self.c_y, self.tau_v, self.v_min)
@@ -156,6 +183,48 @@ class AckermannParams:
         """(A_n, B_n) of the lateral residual: A_n at the state's forward speed,
         held just above v_min, and B_n as a column for the steering input."""
         return self.a_n(max(state.v_x, self.v_min * 1.01)), self._b_col
+
+    def substep_derivative(self, u: AckermannInput):
+        """The derivative under the held input u, for integrate_step and
+        derivative: substep(y, eta) refuses a forward speed y[3] at or below
+        v_min, checks the scalar eta (None: nominal; it scales the lateral
+        force production) and returns rhs(z), the derivative at state values
+        z. Input, coefficients and steering terms are read once, here.
+
+        Tire slip angles follow the single-track convention with the CG at
+        the wheelbase midpoint:
+
+            alpha_f = u_delta - atan2(v_y + (L/2) omega, v_x)
+            alpha_r = -atan2(v_y - (L/2) omega, v_x)
+
+        The front axle is undriven (no longitudinal front force), so the
+        lateral and yaw balances carry only the cornering forces.
+        """
+        u_v, u_delta = u.u_v, u.u_delta
+        _check_finite("AckermannInput", u_v, u_delta)
+        v_min, c_y, tau_v, m, i_z = self.v_min, self.c_y, self.tau_v, self.m, self.i_z
+        cos_d, half_l = math.cos(u_delta), 0.5 * self.wheelbase
+
+        def substep(y, eta):
+            if y[3] <= v_min:
+                raise SlipUndefinedError(
+                    f"v_x={y[3]} at or below v_min={v_min}: slip angles undefined")
+            ev = 1.0 if eta is None else float(eta)
+            if not (math.isfinite(ev) and 0.0 < ev <= 2.0):
+                raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
+            eta_c_y = ev * c_y
+
+            def rhs(z):
+                psi, v_x, v_y, omega = z[2], z[3], z[4], z[5]
+                alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
+                alpha_r = -math.atan2(v_y - half_l * omega, v_x)
+                f_yf, f_yr = eta_c_y * alpha_f, eta_c_y * alpha_r
+                c, s = math.cos(psi), math.sin(psi)
+                return (c * v_x - s * v_y, s * v_x + c * v_y, omega, (-v_x + u_v) / tau_v,
+                        (f_yr + f_yf * cos_d) / m - omega * v_x,
+                        half_l * (f_yf * cos_d - f_yr) / i_z)
+            return rhs
+        return substep
 
 
 @dataclass
@@ -199,78 +268,15 @@ def _check_eta_tracked(eta) -> tuple[float, float]:
     return float(e[0]), float(e[1])
 
 
-def tracked_derivative(state: TrackedState, u: TrackedInput, params: TrackedParams,
-                       eta=(1.0, 1.0)) -> np.ndarray:
-    """Time derivative of the tracked state under terrain scaling eta.
+def derivative(state, u, params, eta=None) -> np.ndarray:
+    """Time derivative of the state under input u and terrain factor eta,
+    nominal (1) when None, with the checks of one integrate_step substep.
 
-    Returns [pdot_x, pdot_y, psidot, vdot_x, omegadot].
+    Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
+    [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
     """
-    _check_finite("tracked state", state.p_x, state.p_y, state.psi, state.v_x, state.omega)
-    _check_finite("tracked input", u.u_v, u.u_omega)
-    e1, e2 = _check_eta_tracked(eta)
-    return np.array(_tracked_rhs(state.psi, state.v_x, state.omega, params.x_icr,
-                                 e1 * params.k1 * u.u_v, params.tau_v,
-                                 e2 * params.k2 * u.u_omega, params.tau_omega))
-
-
-def _tracked_rhs(psi, v_x, omega, x_icr, f_v, tau_v, f_omega, tau_omega):
-    """Tracked derivative with the input terms f = eta k u already formed;
-    the pose does not enter it."""
-    c, s = math.cos(psi), math.sin(psi)
-    return (
-        c * v_x + x_icr * s * omega,
-        s * v_x - x_icr * c * omega,
-        omega,
-        (-v_x + f_v) / tau_v,
-        (-omega + f_omega) / tau_omega,
-    )
-
-
-def ackermann_derivative(state: AckermannState, u: AckermannInput, params: AckermannParams,
-                         eta: float = 1.0) -> np.ndarray:
-    """Time derivative of the car state; eta scales lateral force production.
-
-    Tire slip angles follow the single-track convention with the CG at the
-    wheelbase midpoint:
-
-        alpha_f = u_delta - atan2(v_y + (L/2) omega, v_x)
-        alpha_r = -atan2(v_y - (L/2) omega, v_x)
-
-    The front axle is undriven (no longitudinal front force), so the lateral
-    and yaw balances carry only the cornering forces.
-    """
-    _check_finite("ackermann state", state.p_x, state.p_y, state.psi,
-                  state.v_x, state.v_y, state.omega)
-    _check_finite("ackermann input", u.u_v, u.u_delta)
-    if not (math.isfinite(eta) and 0.0 < eta <= 2.0):
-        raise ValueError(f"ackermann eta must lie in (0, 2], got {eta}")
-    if state.v_x <= params.v_min:
-        raise SlipUndefinedError(
-            f"v_x={state.v_x} at or below v_min={params.v_min}: slip angles undefined")
-    return np.array(_ackermann_rhs(
-        state.psi, state.v_x, state.v_y, state.omega, u.u_v, u.u_delta,
-        math.cos(u.u_delta), 0.5 * params.wheelbase, eta * params.c_y,
-        params.tau_v, params.m, params.i_z))
-
-
-def _ackermann_rhs(psi, v_x, v_y, omega, u_v, u_delta, cos_d, half_l, eta_c_y,
-                   tau_v, m, i_z):
-    """Ackermann derivative with the terms fixed over a substep already
-    formed: cos_d = cos(u_delta), half_l = wheelbase / 2 and
-    eta_c_y = eta c_y; the position does not enter it."""
-    alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
-    alpha_r = -math.atan2(v_y - half_l * omega, v_x)
-    f_yf = eta_c_y * alpha_f
-    f_yr = eta_c_y * alpha_r
-    c, s = math.cos(psi), math.sin(psi)
-    return (
-        c * v_x - s * v_y,
-        s * v_x + c * v_y,
-        omega,
-        (-v_x + u_v) / tau_v,
-        (f_yr + f_yf * cos_d) / m - omega * v_x,
-        half_l * (f_yf * cos_d - f_yr) / i_z,
-    )
+    y = _entry_values(state, params)
+    return np.array(params.substep_derivative(u)(y, eta)(y))
 
 
 def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
@@ -289,56 +295,29 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
     if terrain is not None and eta is not None:
         raise ValueError("pass eta or terrain, not both")
-    if isinstance(state, TrackedState):
-        y = (state.p_x, state.p_y, state.psi, state.v_x, state.omega)
-        _check_finite("tracked state", *y)
-        _check_finite("tracked input", u.u_v, u.u_omega)
-        fixed = (1.0, 1.0) if eta is None else eta
-        # coefficients are fixed over the call; the input terms only per substep
-        k1, k2, u_v, u_omega = params.k1, params.k2, u.u_v, u.u_omega
-        x_icr, tau_v, tau_omega = params.x_icr, params.tau_v, params.tau_omega
-        try:
-            for _ in range(n_sub):
-                e1, e2 = _check_eta_tracked(fixed if terrain is None else terrain(y[0], y[1]))
-                f_v, f_omega = e1 * k1 * u_v, e2 * k2 * u_omega
-                y = _rk4(y, lambda z: _tracked_rhs(z[2], z[3], z[4], x_icr, f_v, tau_v,
-                                                   f_omega, tau_omega), dt)
-                y[2] = wrap_angle(y[2])
-        except ValueError:
-            # a substep that diverged can make the next lookup or cos fail:
-            # report the divergence, as an entry check at that substep would
-            _check_finite("tracked state", *y)
-            raise
-        _check_finite("tracked state", *y)
-        return TrackedState(*y)
-    if isinstance(state, AckermannState):
-        y = (state.p_x, state.p_y, state.psi, state.v_x, state.v_y, state.omega)
-        _check_finite("ackermann state", *y)
-        _check_finite("ackermann input", u.u_v, u.u_delta)
-        fixed = 1.0 if eta is None else eta
-        u_v, u_delta, v_min = u.u_v, u.u_delta, params.v_min
-        # coefficients and steering terms are fixed over the call, eta c_y
-        # over a substep
-        cos_d, half_l = math.cos(u_delta), 0.5 * params.wheelbase
-        c_y, tau_v, m, i_z = params.c_y, params.tau_v, params.m, params.i_z
-        try:
-            for _ in range(n_sub):
-                if y[3] <= v_min:
-                    raise SlipUndefinedError(
-                        f"v_x={y[3]} at or below v_min={v_min}: slip angles undefined")
-                ev = float(fixed if terrain is None else terrain(y[0], y[1]))
-                if not (math.isfinite(ev) and 0.0 < ev <= 2.0):
-                    raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
-                eta_c_y = ev * c_y
-                y = _rk4(y, lambda z: _ackermann_rhs(z[2], z[3], z[4], z[5], u_v, u_delta,
-                                                     cos_d, half_l, eta_c_y, tau_v, m, i_z), dt)
-                y[2] = wrap_angle(y[2])
-        except ValueError:
-            _check_finite("ackermann state", *y)
-            raise
-        _check_finite("ackermann state", *y)
-        return AckermannState(*y)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    y = _entry_values(state, params)
+    substep = params.substep_derivative(u)
+    try:
+        for _ in range(n_sub):
+            y = _rk4(y, substep(y, eta if terrain is None else terrain(y[0], y[1])), dt)
+            y[2] = wrap_angle(y[2])
+    except ValueError:
+        # a substep that diverged can make the next lookup or cos fail:
+        # report the divergence, as an entry check at that substep would
+        _check_finite(type(state).__name__, *y)
+        raise
+    _check_finite(type(state).__name__, *y)
+    return params.state_cls(*y)
+
+
+def _entry_values(state, params) -> tuple:
+    """The state's fields as a tuple of floats, checked against params."""
+    if not isinstance(state, params.state_cls):
+        raise TypeError(f"{type(params).__name__} takes a {params.state_cls.__name__}, "
+                        f"got {type(state).__name__}")
+    y = tuple(vars(state).values())
+    _check_finite(type(state).__name__, *y)
+    return y
 
 
 def _rk4(y0, rhs, dt):

@@ -52,7 +52,11 @@ class WorldSpec:
     feature_noise: float = 0.15    # per-cell jitter std, frozen at build time
     min_separation: float = 3.0    # required distance between distinct centers
     seed: int = 0
-    classes: list = field(default_factory=list)
+    classes: list = field(default_factory=lambda: [
+        TerrainClassSpec("nominal", (1.0, 1.0)),
+        TerrainClassSpec("grass", (0.78, 0.84)),
+        TerrainClassSpec("ice", (0.55, 0.62)),
+    ])
 
     def validate(self):
         if self.rows <= 0 or self.cols <= 0 or self.cell_size <= 0:
@@ -68,7 +72,7 @@ class WorldSpec:
         if self.feature_noise < 0:
             raise ValueError("feature_noise must be nonnegative")
         if not self.classes:
-            raise ValueError("world needs at least one terrain class")
+            raise ValueError("classes must name at least one terrain class")
         widths = {len(c.eta) for c in self.classes}
         if len(widths) != 1:
             raise ValueError("all classes must define eta with the same width")
@@ -135,9 +139,9 @@ class TerrainWorldMap:
     def cols(self):
         return self.class_grid.shape[1]
 
-    @property
+    @cached_property
     def extent(self):
-        """(width, height) of the map in meters."""
+        """(width, height) of the map in meters, computed on first use."""
         return self.cols * self.cell_size, self.rows * self.cell_size
 
 
@@ -276,17 +280,6 @@ def features_along(world: TerrainWorldMap, x, y, psi,
     if clamped.any():
         log.debug("%d feature queries clamped to map border", int(clamped.sum()))
     return 0.5 * (world.features[r1, c1] + world.features[r2, c2]), clamped
-
-
-def eta_under_robot(world: TerrainWorldMap, x: float, y: float) -> np.ndarray:
-    """Terrain effectiveness entries for the cell under the robot center."""
-    return np.array(world.eta_at(x, y))
-
-
-def eta_along(world: TerrainWorldMap, x, y) -> np.ndarray:
-    """eta_under_robot over arrays of positions in one gather: (T, eta_dim)."""
-    row, col, _ = cell_indices(world, x, y)
-    return world.eta_table[world.class_grid[row, col]]
 
 
 class FeatureProvider:

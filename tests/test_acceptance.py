@@ -26,8 +26,7 @@ from terradapt.harness import build_world_for, generate_dataset, run_scenario
 from terradapt.training import (TrainerConfig, TrajectoryDataset, WindowSpec,
                                 build_h, gradcheck_meta, solve_theta_star, train,
                                 window_cost, window_cost_and_grad)
-from terradapt.vehicles import (TrackedParams, TrackedState, integrate_step,
-                                tracked_derivative)
+from terradapt.vehicles import TrackedParams, TrackedState, derivative, integrate_step
 
 CLASSES = [
     {"name": "nominal", "eta": [1.0, 1.0]},
@@ -222,7 +221,7 @@ def test_c5_ideal_loop_exponential_convergence(capsys):
         assert not (tel.fallback or tel.clamped or tel.rejected)
         for _ in range(int(round(dt_c / dt_p))):
             state = integrate_step(state, u, params, dt_p, eta=eta)
-        vdot_meas = tracked_derivative(state, u, params, eta=eta)[3:5]
+        vdot_meas = derivative(state, u, params, eta=eta)[3:5]
         s = np.array([state.v_x, state.omega]) - v_ref
         ts.append(t)
         vs.append(lyapunov_value(s, ctl.state.theta_hat, theta_true, ctl.state.gain))

@@ -252,6 +252,50 @@ def test_bad_controller_or_provider_value_exits_2_before_any_output(tmp_path, ca
         assert not out.exists()
 
 
+def test_world_section_without_classes_keeps_the_default_classes():
+    """Such a section used to be refused ("world.classes must not be empty"):
+    the default classes were set by Config, not declared by WorldSpec."""
+    cfg = config_from_dict({"world": {"rows": 30, "cols": 40, "tile_rows": 30,
+                                      "tile_cols": 40}})
+    assert cfg.world.rows == 30
+    assert cfg.world.classes == config_from_dict({}).world.classes
+    assert [c.eta for c in cfg.world.classes] == [(1.0, 1.0), (0.78, 0.84), (0.55, 0.62)]
+    with pytest.raises(ConfigError, match="classes"):
+        config_from_dict({"world": {"classes": []}})
+
+
+def test_eta_width_checked_against_the_vehicle_at_load():
+    """The tracked plant takes one eta entry per channel; the car reads the
+    first entry of a row of any width."""
+    for eta in ([1.0], [1.0, 1.0, 1.0]):
+        classes = [{"name": "a", "eta": eta}]
+        with pytest.raises(ConfigError, match=r"^world\.classes"):
+            config_from_dict({"world": {"classes": classes}})
+        cfg = config_from_dict({"vehicle": {"type": "ackermann"},
+                                "world": {"classes": classes}})
+        assert cfg.world.classes[0].eta == tuple(eta)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "simulate", "evaluate"])
+def test_tracked_world_with_one_eta_entry_exits_2_before_any_output(tmp_path, capsys,
+                                                                   command):
+    """Such a config used to load; gen-data and evaluate then stopped with
+    exit 1 in the plant ("tracked eta must have two diagonal entries")."""
+    with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
+        raw = yaml.safe_load(f)
+    out = tmp_path / "out"
+    raw["output_dir"] = str(out)
+    raw["world"]["classes"] = [{"name": "nominal", "eta": [1.0]},
+                               {"name": "ice", "eta": [0.55]}]
+    path = tmp_path / "narrow_eta.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    extra = ["--variants", "pd", "constant"] if command == "evaluate" else []
+    assert cli.main([command, "-c", str(path), *extra]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith("world.classes")
+    assert not out.exists()
+
+
 def test_default_controller_and_fault_sections_are_pinned():
     """The classes these sections are built as keep the config schema: the
     same keys and defaults, echoed into every sidecar."""

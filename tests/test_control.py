@@ -35,8 +35,8 @@ from terradapt.vehicles import (
     TrackedInput,
     TrackedParams,
     TrackedState,
+    derivative,
     integrate_step,
-    tracked_derivative,
     wrap_angle,
 )
 
@@ -859,7 +859,7 @@ def test_heading_error_bounded_by_yaw_tracking_quality():
         p_d = (2.0 * math.sin(w * t), 1.0 * math.sin(2 * w * t))
         v_d = (2.0 * w * math.cos(w * t), 2.0 * w * math.cos(2 * w * t))
         psi_d = math.atan2(v_d[1], v_d[0])
-        vdot_meas = tracked_derivative(state, prev_u, params)[3:5]
+        vdot_meas = derivative(state, prev_u, params)[3:5]
         psi_at_tick = state.psi
         u, tele = ctrl.tick_position(state, vdot_meas, None, p_d, v_d, psi_d)
         for _ in range(sub):
@@ -889,8 +889,7 @@ def test_cross_track_error_bounded_by_sliding_variable():
         ang = omega_d * t
         p_d = (r * math.cos(ang), r * math.sin(ang))
         psi_d = wrap_angle(ang + math.pi / 2)
-        from terradapt.vehicles import ackermann_derivative
-        xdot_meas = ackermann_derivative(state, prev_u, params)[4:6]
+        xdot_meas = derivative(state, prev_u, params)[4:6]
         u, tele = ctrl.tick(state, xdot_meas, None, p_d, psi_d, omega_d, speed)
         for _ in range(sub):
             state = integrate_step(state, u, params, dtc / sub)
@@ -934,7 +933,7 @@ def test_adaptation_converges_to_planted_diagonal_parameters():
         v_ref = [0.9 + 0.25 * math.sin(0.9 * t), 0.7 * math.sin(1.3 * t) + 0.4 * math.sin(2.1 * t)]
         vdot_ref = [0.25 * 0.9 * math.cos(0.9 * t),
                     0.7 * 1.3 * math.cos(1.3 * t) + 0.4 * 2.1 * math.cos(2.1 * t)]
-        vdot_meas = tracked_derivative(state, prev_u, params, eta)[3:5]
+        vdot_meas = derivative(state, prev_u, params, eta)[3:5]
         u, tele = ctrl.tick_velocity(state, vdot_meas, np.zeros(4), v_ref, vdot_ref)
         for _ in range(sub):
             state = integrate_step(state, u, params, dtc / sub, eta)

@@ -32,9 +32,9 @@ from terradapt.harness import (
 )
 from terradapt.serialize import read_csv
 from terradapt.training import build_h, solve_theta_star
-from terradapt.vehicles import (FaultSchedule, TrackedParams, TrackedState, integrate_step,
-                                wrap_angle)
-from terradapt.world import FeatureProvider, build_world, eta_under_robot
+from terradapt.vehicles import (FaultSchedule, TrackedParams, TrackedState, derivative,
+                                integrate_step, wrap_angle)
+from terradapt.world import FeatureProvider, build_world
 
 
 def base_raw(out_dir=None, **extra):
@@ -203,13 +203,19 @@ def per_sample_dataset(cfg, world):
     """The sample-at-a-time dataset loop that generate_dataset replaced,
     kept as its oracle: every sample is observed while it is driven, and the
     plant takes one single-substep call per substep. Also returns the feature
-    clamp count, so a test can see that off-map queries were covered."""
+    clamp count, so a test can see that off-map queries were covered. eta is
+    read from the world here, not through the vehicle's terrain lookup."""
     ds, sim = cfg.dataset, cfg.sim
     period = sim.control_period
     n_sub = int(round(period / sim.dt_plant))
     warmup = int(round(ds.warmup_s / period))
     vehicle = harness._vehicle(cfg)
     tracked = cfg.vehicle.type == "tracked"
+
+    def eta_at(x, y):
+        # the tracked plant takes the class's eta pair, the car its first entry
+        return world.eta_at(x, y) if tracked else world.eta_at(x, y)[0]
+
     w, h = world.extent
     mx, my = ds.margin_frac * w, ds.margin_frac * h
     trajs, clamps = [], 0
@@ -225,13 +231,16 @@ def per_sample_dataset(cfg, world):
         rows = []
         for k in range(warmup + ds.steps):
             t = k * period
-            eta = eta_under_robot(world, state.p_x, state.p_y)
             if tracked:
                 x, u_vec = np.array([state.v_x, state.omega]), np.array([u.u_v, u.u_omega])
             else:
                 x, u_vec = np.array([state.v_y, state.omega]), np.array([u.u_delta])
-            xdot = (np.zeros(2) if k == 0 else vehicle.measured(state, u, eta)
-                    + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
+            if k == 0:
+                xdot = np.zeros(2)
+            else:
+                eta = eta_at(state.p_x, state.p_y)
+                xdot = (derivative(state, u, vehicle.vp, eta)[vehicle.x_cols]
+                        + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
             feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
                                                   vehicle.half)
             a_n, b_n = vehicle.vp.residual_model(state)
@@ -245,8 +254,8 @@ def per_sample_dataset(cfg, world):
                 bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
                 u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
             for _ in range(n_sub):
-                eta = eta_under_robot(world, state.p_x, state.p_y)
-                state = integrate_step(state, u, vehicle.vp, sim.dt_plant, vehicle.eta(eta))
+                state = integrate_step(state, u, vehicle.vp, sim.dt_plant,
+                                       eta_at(state.p_x, state.p_y))
         trajs.append(rows)
         clamps += provider.clamp_count
     x, u, e, y = (np.array([[row[i] for row in rows] for rows in trajs]) for i in range(4))

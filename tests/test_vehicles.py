@@ -15,13 +15,12 @@ from terradapt.vehicles import (
     TrackedInput,
     TrackedParams,
     TrackedState,
-    ackermann_derivative,
     apply_track_fault,
+    derivative,
     from_track_speeds,
     integrate_step,
     longitudinal_slip,
     track_speeds,
-    tracked_derivative,
     wrap_angle,
 )
 
@@ -68,7 +67,7 @@ def test_tracked_derivative_matches_matrix_oracle():
         state = TrackedState(*rng.uniform(-3, 3, 3), *rng.uniform(-2, 2, 2))
         u = TrackedInput(*rng.uniform(-2, 2, 2))
         eta = rng.uniform(0.2, 2.0, 2)
-        d = tracked_derivative(state, u, params, eta)
+        d = derivative(state, u, params, eta)
         np.testing.assert_allclose(d, tracked_oracle(state, u, params, eta),
                                    rtol=1e-13, atol=1e-13)
 
@@ -79,7 +78,7 @@ def test_tracked_constraint_row_annihilates_pose_rate():
     params = TrackedParams(x_icr=0.11)
     for _ in range(100):
         state = TrackedState(*rng.uniform(-3, 3, 3), *rng.uniform(-2, 2, 2))
-        d = tracked_derivative(state, TrackedInput(0.4, -0.2), params)
+        d = derivative(state, TrackedInput(0.4, -0.2), params)
         a_row = np.array([-math.sin(state.psi), math.cos(state.psi), params.x_icr])
         assert abs(a_row @ d[:3]) < 1e-14
 
@@ -87,14 +86,13 @@ def test_tracked_constraint_row_annihilates_pose_rate():
 def test_tracked_pose_speed_matches_body_speed():
     params = TrackedParams(x_icr=0.05)
     state = TrackedState(1.0, -2.0, 0.9, 1.2, -0.8)
-    d = tracked_derivative(state, TrackedInput(0.0, 0.0), params)
+    d = derivative(state, TrackedInput(0.0, 0.0), params)
     want = math.hypot(state.v_x, params.x_icr * state.omega)
     assert math.hypot(d[0], d[1]) == pytest.approx(want, rel=1e-12)
 
 
 def test_turn_in_place_moves_no_position_without_icr_offset():
-    d = tracked_derivative(TrackedState(0, 0, 0.5, 0.0, 2.0),
-                           TrackedInput(0, 1.0), TrackedParams())
+    d = derivative(TrackedState(0, 0, 0.5, 0.0, 2.0), TrackedInput(0, 1.0), TrackedParams())
     assert d[0] == 0.0 and d[1] == 0.0
 
 
@@ -103,7 +101,7 @@ def test_tracked_derivative_affine_in_input(a, b, c, d):
     params = TrackedParams()
     state = TrackedState(0.3, -0.1, 1.1, 0.7, -0.4)
     eta = (0.8, 1.2)
-    f = lambda uv, uo: tracked_derivative(state, TrackedInput(uv, uo), params, eta)
+    f = lambda uv, uo: derivative(state, TrackedInput(uv, uo), params, eta)
     lhs = f(a + c, b + d) + f(0.0, 0.0)
     rhs = f(a, b) + f(c, d)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -115,11 +113,11 @@ def test_eta_validation_tracked():
     p = TrackedParams()
     for bad in [(0.0, 1.0), (-0.1, 1.0), (1.0, 2.1), (float("nan"), 1.0)]:
         with pytest.raises(ValueError):
-            tracked_derivative(state, u, p, bad)
+            derivative(state, u, p, bad)
     with pytest.raises(ValueError):
-        tracked_derivative(state, u, p, (1.0, 1.0, 1.0))
+        derivative(state, u, p, (1.0, 1.0, 1.0))
     # the boundary value 2.0 is allowed
-    tracked_derivative(state, u, p, (2.0, 2.0))
+    derivative(state, u, p, (2.0, 2.0))
 
 
 ETA_FORMS = {
@@ -136,8 +134,8 @@ def test_eta_forms_tracked_accepted(form):
     u = TrackedInput(1.0, -0.3)
     p = TrackedParams(x_icr=0.05)
     eta = ETA_FORMS[form]
-    np.testing.assert_array_equal(tracked_derivative(state, u, p, eta),
-                                  tracked_derivative(state, u, p, (0.8, 1.2)))
+    np.testing.assert_array_equal(derivative(state, u, p, eta),
+                                  derivative(state, u, p, (0.8, 1.2)))
     np.testing.assert_array_equal(integrate_step(state, u, p, 0.01, eta).as_array(),
                                   integrate_step(state, u, p, 0.01, (0.8, 1.2)).as_array())
 
@@ -145,11 +143,11 @@ def test_eta_forms_tracked_accepted(form):
 def test_non_finite_state_raises():
     p = TrackedParams()
     with pytest.raises(NonFiniteError):
-        tracked_derivative(TrackedState(0, 0, float("nan"), 0, 0), TrackedInput(0, 0), p)
+        derivative(TrackedState(0, 0, float("nan"), 0, 0), TrackedInput(0, 0), p)
     with pytest.raises(NonFiniteError):
         integrate_step(TrackedState(0, 0, 0, float("inf"), 0), TrackedInput(0, 0), p, 0.01)
     with pytest.raises(NonFiniteError):
-        tracked_derivative(TrackedState(0, 0, 0, 0, 0), TrackedInput(float("nan"), 0), p)
+        derivative(TrackedState(0, 0, 0, 0, 0), TrackedInput(float("nan"), 0), p)
 
 
 def test_params_validation():
@@ -233,8 +231,8 @@ def test_tracked_arc_matches_closed_form():
     assert state.v_x == v0 and state.omega == w0
 
 
-def generic_rk4(derivative, state, u, params, dt, eta):
-    """Textbook RK4 over a public derivative, in the integrator's order of
+def generic_rk4(state, u, params, dt, eta):
+    """Textbook RK4 over the public derivative, in the integrator's order of
     operations: y + dt/6 (k1 + 2 k2 + 2 k3 + k4), heading wrapped."""
     cls = type(state)
     y0 = state.as_array()
@@ -262,7 +260,7 @@ def test_tracked_step_is_exactly_rk4_over_derivative(y, u, p, eta, dt):
     state, inp, params = TrackedState(*y), TrackedInput(*u), TrackedParams(*p)
     np.testing.assert_array_equal(
         integrate_step(state, inp, params, dt, eta).as_array(),
-        generic_rk4(tracked_derivative, state, inp, params, dt, eta))
+        generic_rk4(state, inp, params, dt, eta))
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,7 +273,7 @@ def test_ackermann_step_is_exactly_rk4_over_derivative(y, u, eta, dt):
     state, inp, params = AckermannState(*y), AckermannInput(*u), AckermannParams()
     np.testing.assert_array_equal(
         integrate_step(state, inp, params, dt, eta).as_array(),
-        generic_rk4(ackermann_derivative, state, inp, params, dt, eta))
+        generic_rk4(state, inp, params, dt, eta))
 
 
 def striped_terrain(eta_of_stripe, width=0.05):
@@ -396,6 +394,17 @@ def test_integrate_step_dt_bounds():
         integrate_step(object(), TrackedInput(0, 0), TrackedParams(), 0.01)
 
 
+@pytest.mark.parametrize("plant", [lambda s, u, p: integrate_step(s, u, p, 0.01), derivative],
+                         ids=["integrate_step", "derivative"])
+def test_plant_refuses_state_of_other_vehicle(plant):
+    """The params pick the vehicle; a state of the other one is a TypeError,
+    not an AttributeError from deep inside the step."""
+    with pytest.raises(TypeError, match="AckermannState"):
+        plant(AckermannState(0, 0, 0, 1.0, 0, 0), TrackedInput(1.0, 0.0), TrackedParams())
+    with pytest.raises(TypeError, match="TrackedState"):
+        plant(TrackedState(0, 0, 0, 1.0, 0), AckermannInput(1.0, 0.0), AckermannParams())
+
+
 # ------------------------------------------------------------------- slip
 
 
@@ -478,7 +487,7 @@ def test_ackermann_jacobian_matches_linearization():
 
     def lat(v_y, omega, delta):
         s = AckermannState(0, 0, 0, v_x, v_y, omega)
-        return ackermann_derivative(s, AckermannInput(v_x, delta), p)[4:6]
+        return derivative(s, AckermannInput(v_x, delta), p)[4:6]
 
     jac = np.column_stack([
         (lat(h, 0, 0) - lat(-h, 0, 0)) / (2 * h),
@@ -488,7 +497,7 @@ def test_ackermann_jacobian_matches_linearization():
     b_fd = (lat(0, 0, h) - lat(0, 0, -h)) / (2 * h)
     np.testing.assert_allclose(b_fd, p.b_n(), rtol=1e-6)
     # forward channel is a plain first-order lag
-    d = ackermann_derivative(base, u0, p)
+    d = derivative(base, u0, p)
     assert d[3] == pytest.approx((-v_x + u0.u_v) / p.tau_v)
 
 
@@ -510,7 +519,7 @@ def test_ackermann_speed_floor_raises():
     p = AckermannParams()
     slow = AckermannState(0, 0, 0, 0.05, 0, 0)
     with pytest.raises(SlipUndefinedError):
-        ackermann_derivative(slow, AckermannInput(1.0, 0.0), p)
+        derivative(slow, AckermannInput(1.0, 0.0), p)
     with pytest.raises(SlipUndefinedError):
         integrate_step(slow, AckermannInput(1.0, 0.0), p, 0.01)
     with pytest.raises(SlipUndefinedError):
@@ -521,16 +530,16 @@ def test_ackermann_eta_bounds():
     p = AckermannParams()
     s = AckermannState(0, 0, 0, 1.0, 0, 0)
     with pytest.raises(ValueError):
-        ackermann_derivative(s, AckermannInput(1.0, 0.0), p, eta=0.0)
+        derivative(s, AckermannInput(1.0, 0.0), p, eta=0.0)
     with pytest.raises(ValueError):
-        ackermann_derivative(s, AckermannInput(1.0, 0.0), p, eta=2.2)
-    ackermann_derivative(s, AckermannInput(1.0, 0.0), p, eta=2.0)
+        derivative(s, AckermannInput(1.0, 0.0), p, eta=2.2)
+    derivative(s, AckermannInput(1.0, 0.0), p, eta=2.0)
 
 
 def test_ackermann_straight_running_is_equilibrium():
     p = AckermannParams()
     s = AckermannState(0, 0, 0, 1.0, 0.0, 0.0)
-    d = ackermann_derivative(s, AckermannInput(1.0, 0.0), p)
+    d = derivative(s, AckermannInput(1.0, 0.0), p)
     np.testing.assert_allclose(d[2:], 0.0, atol=1e-15)
     np.testing.assert_allclose(d[:2], [1.0, 0.0], atol=1e-15)
 

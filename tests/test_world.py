@@ -14,8 +14,6 @@ from terradapt.world import (
     build_world,
     cell_index,
     cell_indices,
-    eta_along,
-    eta_under_robot,
     features_along,
     features_under_robot,
     linear_margin_stats,
@@ -173,14 +171,6 @@ def test_features_clamp_at_border():
     assert clamped  # one patch falls below y = 0
 
 
-def test_eta_under_robot_returns_copy():
-    w = build_world(three_class_spec())
-    eta = eta_under_robot(w, 0.1, 0.1)
-    np.testing.assert_array_equal(eta, w.eta_table[w.class_grid[0, 0]])
-    eta[0] = -99.0
-    assert w.eta_table[w.class_grid[0, 0]][0] > 0
-
-
 def trajectory_poses(w, n=400, seed=3):
     """Poses on, near and well off the map, some exactly on cell borders."""
     rng = np.random.default_rng(seed)
@@ -216,9 +206,16 @@ def test_gathers_equal_per_pose_queries():
                 for a, b, p in zip(x.tolist(), y.tolist(), psi.tolist())]
     np.testing.assert_array_equal(feats, np.array([f for f, _ in per_pose]))
     np.testing.assert_array_equal(clamped, [c for _, c in per_pose])
-    np.testing.assert_array_equal(
-        eta_along(w, x, y), np.array([eta_under_robot(w, a, b)
-                                      for a, b in zip(x.tolist(), y.tolist())]))
+
+
+def test_eta_at_follows_cell_index():
+    """eta_at gives the table row of the class under the position, clamped to
+    the border like cell_index, on, off and exactly on the edges of the map."""
+    w = build_world(three_class_spec())
+    x, y, _ = trajectory_poses(w)
+    for a, b in zip(x.tolist(), y.tolist()):
+        row, col, _ = cell_index(w, a, b)
+        assert w.eta_at(a, b) == tuple(w.eta_table[w.class_grid[row, col]])
 
 
 @pytest.mark.parametrize("noise_std, brightness", [(0.0, 1.0), (0.07, 0.6)])
@@ -247,9 +244,6 @@ def test_eta_table_is_built_once_from_python_floats():
         assert type(eta) is tuple and all(type(v) is float for v in eta)
         assert eta == tuple(w.eta_table[w.class_grid[row, col]])
     assert w.eta_at(-3.0, 100.0) == cells[w.rows - 1][0]   # clamped to the border
-    # eta_under_robot hands out a fresh array built from the same table
-    a, b = eta_under_robot(w, 5.0, 7.0), eta_under_robot(w, 5.0, 7.0)
-    assert a is not b and tuple(a) == w.eta_at(5.0, 7.0)
 
 
 def test_provider_determinism_and_noise():
