@@ -2,25 +2,31 @@
 
 One YAML file drives every CLI command. Top-level sections (all optional,
 with desk-scale defaults): seed, output_dir, vehicle, world, provider, sim,
-dataset, training, controller, scenario. Unknown keys anywhere are an error;
-the environment variable TERRADAPT_OUT overrides output_dir when set.
-See the README for the full key reference.
+dataset, training, controller, scenario. The environment variable
+TERRADAPT_OUT overrides output_dir when set. See the README for the full key
+reference.
 
-A section the program has a class for is built as that class, which
-declares its defaults and checks: vehicle.tracked, vehicle.ackermann,
-training, controller.gains, controller.adaptation, scenario.fault. Every
-section's values are checked here, at load, and so is the width of the
-world's eta rows against the vehicle type. Only the length of
-controller.adaptation.q_diag waits for the basis, when a controller is built;
-checks that pair a section with what a command does with it (scenario kind
-and vehicle type, a recorded provider's world file, the Ackermann cruise
-range against v_min) are made when the command needs them.
+The dataclasses are the schema: each section is built as the class its
+field is annotated with, the program's own parameter class where it has one
+(vehicle.tracked and vehicle.ackermann, world and its classes, training,
+controller.gains, controller.adaptation, scenario.fault). _build reads the
+annotations and refuses an unknown key, a value of the wrong type and a
+list of the wrong length with a ConfigError naming the key's path; each
+class then checks its own values, and Config the pairings of two sections.
+All of it runs at load, by every command, except two pairings that need
+what a command builds: the lengths of controller.adaptation.q_diag and
+controller.theta0 are checked against the basis when a controller is built,
+and the Ackermann dataset.cruise_range against vehicle.ackermann.v_min in
+gen-data, because a config used only for scenarios may set v_min above a
+cruise range it never drives.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 import yaml
@@ -28,7 +34,7 @@ import yaml
 from .control import AdaptParams, Gains
 from .training import TrainerConfig
 from .vehicles import AckermannParams, FaultSchedule, TrackedParams
-from .world import TerrainClassSpec, WorldSpec
+from .world import WorldSpec
 
 
 class ConfigError(ValueError):
@@ -40,19 +46,6 @@ class ConfigError(ValueError):
 # polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 returns to 1, i.e. the real root
 # of z^3 + 4 z^2 + 12 z + 24 = 0, negated.
 RK4_REAL_LIMIT = 2.785293563405289
-
-
-def _build(cls, data: dict, where: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a mapping, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; valid keys: {sorted(names)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
 
 
 @dataclass
@@ -86,6 +79,8 @@ class ProviderConfig:
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
         if not self.brightness > 0:
             raise ValueError(f"brightness must be positive, got {self.brightness}")
+        if self.mode == "recorded" and not self.world_file:
+            raise ValueError("mode 'recorded' requires world_file")
 
 
 @dataclass
@@ -108,11 +103,11 @@ class DatasetConfig:
     steps: int = 20000                  # recorded samples at the control rate
     n_traj: int = 1
     warmup_s: float = 1.0               # discard the residual filter transient
-    hold_range_s: tuple = (0.5, 2.0)    # random input segment durations
-    u_v_range: tuple = (-1.5, 1.5)
-    u_omega_range: tuple = (-2.0, 2.0)
-    u_delta_range: tuple = (-0.35, 0.35)
-    cruise_range: tuple = (1.0, 2.0)    # ackermann forward command range
+    hold_range_s: tuple[float, float] = (0.5, 2.0)  # random input segment durations
+    u_v_range: tuple[float, float] = (-1.5, 1.5)
+    u_omega_range: tuple[float, float] = (-2.0, 2.0)
+    u_delta_range: tuple[float, float] = (-0.35, 0.35)
+    cruise_range: tuple[float, float] = (1.0, 2.0)  # ackermann forward command range
     margin_frac: float = 0.1            # interior margin triggering the bounce turn
     file: str = "dataset.tdc"
 
@@ -129,7 +124,7 @@ class DatasetConfig:
 class ControllerConfig:
     variant: str = "dnn"                # pd | constant | dnn, optional -frozen suffix
     checkpoint: str = "basis.tdc"       # required by the dnn variants
-    theta0: tuple | None = None         # default: zeros (constant), theta_r (dnn)
+    theta0: tuple[float, ...] | None = None  # default: zeros (constant), theta_r (dnn)
     gains: Gains = field(default_factory=Gains)
     adaptation: AdaptParams = field(default_factory=AdaptParams)
 
@@ -145,9 +140,9 @@ class ScenarioConfig:
     duration_s: float = 40.0
     runs: int = 40
     start_margin_frac: float = 0.1
-    v_range: tuple = (0.4, 1.3)
-    omega_range: tuple = (-1.0, 1.0)
-    hold_range_s: tuple = (2.0, 4.0)
+    v_range: tuple[float, float] = (0.4, 1.3)
+    omega_range: tuple[float, float] = (-1.0, 1.0)
+    hold_range_s: tuple[float, float] = (2.0, 4.0)
     fig8_amp_x: float = 3.0
     fig8_amp_y: float = 1.5
     fig8_period_s: float = 30.0
@@ -161,6 +156,16 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.duration_s <= 0 or self.runs < 1:
             raise ValueError("duration_s must be positive and runs at least 1")
+        # a hold at or below zero never moves the reference draw forward
+        if not min(self.hold_range_s) > 0:
+            raise ValueError(f"hold_range_s must hold positive durations, got {self.hold_range_s}")
+        if not self.fig8_period_s > 0:
+            raise ValueError(f"fig8_period_s must be positive, got {self.fig8_period_s}")
+        if not (self.circle_radius > 0 and self.circle_speed > 0):
+            raise ValueError("circle_radius and circle_speed must be positive")
+        if self.kind == "ackermann-circle" and self.fault.kind != "none":
+            raise ValueError("kind ackermann-circle supports no fault, got "
+                             f"fault.kind {self.fault.kind!r}")
 
 
 @dataclass
@@ -176,94 +181,76 @@ class Config:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
+    def __post_init__(self):
+        # each section has checked itself; these pair two of them
+        _check_rk4_stable(self)
+        _check_eta_width(self)
+        _check_scenario_vehicle(self)
+
     def resolved_output_dir(self) -> str:
         return os.environ.get("TERRADAPT_OUT", self.output_dir)
 
 
-_TUPLE_FIELDS = {"hold_range_s", "u_v_range", "u_omega_range", "u_delta_range",
-                 "cruise_range", "v_range", "omega_range", "r_diag", "q_diag",
-                 "theta_r", "theta0", "hidden", "eta"}
+# the scalar annotations and the YAML values each accepts; an int stands for a float
+_SCALARS = {bool: bool, int: int, float: (int, float), str: str}
 
 
-def _normalize(d):
-    """Recursively convert YAML lists to tuples for fixed-size fields."""
-    if isinstance(d, dict):
-        return {k: (tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list)
-                    else _normalize(v)) for k, v in d.items()}
-    if isinstance(d, list):
-        return [_normalize(v) for v in d]
-    return d
+def _build(cls, data, where: str = ""):
+    """cls built from the mapping data, whose key path in the file is where.
 
-
-def config_from_dict(raw: dict) -> Config:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    raw = _normalize(raw)
-    known = {"seed", "output_dir", "vehicle", "world", "provider", "sim",
-             "dataset", "training", "controller", "scenario"}
-    unknown = sorted(set(raw) - known)
+    The annotations of cls are the schema: each key is converted to its
+    field's type by _convert, a missing key keeps the class default and an
+    unknown key is refused. The class's own checks then run, and what they
+    refuse is a ConfigError naming where.
+    """
+    section = where or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = [k for k in data if k not in names]
     if unknown:
-        raise ConfigError(f"unknown top-level keys {unknown}; valid keys: {sorted(known)}")
+        raise ConfigError(f"{section}: unknown keys {unknown}; valid keys: {sorted(names)}")
+    values = {k: _convert(hints[k], v, f"{where}.{k}" if where else k) for k, v in data.items()}
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{section}: {e}") from e
 
-    cfg = Config()
-    cfg.seed = int(raw.get("seed", 0))
-    cfg.output_dir = str(raw.get("output_dir", "out"))
 
-    if "vehicle" in raw:
-        v = dict(raw["vehicle"])
-        tracked = v.pop("tracked", None)
-        ackermann = v.pop("ackermann", None)
-        cfg.vehicle = _build(VehicleConfig, v, "vehicle")
-        if tracked is not None:
-            cfg.vehicle.tracked = _build(TrackedParams, tracked, "vehicle.tracked")
-        if ackermann is not None:
-            cfg.vehicle.ackermann = _build(AckermannParams, ackermann, "vehicle.ackermann")
+def _convert(tp, value, where: str):
+    """value checked against the annotation tp and built as it: a dataclass
+    from its mapping, a list or tuple from a YAML list item by item (a
+    tuple[X, Y] also checks the count), None for X | None, and a scalar kept
+    as given."""
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _convert(tp, value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected a list of {len(args)} entries, "
+                              f"got {len(value)}")
+        return origin(_convert(a, v, f"{where}[{i}]")
+                      for i, (a, v) in enumerate(zip(args, value)))
+    if not isinstance(value, _SCALARS[tp]) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
+    return value
 
-    if "world" in raw:
-        w = dict(raw["world"])
-        classes = w.pop("classes", None)
-        cfg.world = _build(WorldSpec, w, "world")
-        if classes is not None:
-            cfg.world.classes = [_build(TerrainClassSpec, c, f"world.classes[{i}]")
-                                 for i, c in enumerate(classes)]
-        try:
-            cfg.world.validate()
-        except ValueError as e:
-            raise ConfigError(f"world: {e}") from e
 
-    if "provider" in raw:
-        cfg.provider = _build(ProviderConfig, raw["provider"], "provider")
-    if "sim" in raw:
-        cfg.sim = _build(SimConfig, raw["sim"], "sim")
-    if "dataset" in raw:
-        cfg.dataset = _build(DatasetConfig, raw["dataset"], "dataset")
-    if "training" in raw:
-        t = dict(raw["training"])
-        if "hidden" in t:
-            t["hidden"] = tuple(t["hidden"])
-        cfg.training = _build(TrainerConfig, t, "training")
-
-    if "controller" in raw:
-        c = dict(raw["controller"])
-        gains = c.pop("gains", None)
-        adaptation = c.pop("adaptation", None)
-        cfg.controller = _build(ControllerConfig, c, "controller")
-        if gains is not None:
-            cfg.controller.gains = _build(Gains, gains, "controller.gains")
-        if adaptation is not None:
-            cfg.controller.adaptation = _build(AdaptParams, adaptation, "controller.adaptation")
-
-    if "scenario" in raw:
-        s = dict(raw["scenario"])
-        fault = s.pop("fault", None)
-        cfg.scenario = _build(ScenarioConfig, s, "scenario")
-        if fault is not None:
-            cfg.scenario.fault = _build(FaultSchedule, fault, "scenario.fault")
-    _check_rk4_stable(cfg)
-    _check_eta_width(cfg)
-    return cfg
+def config_from_dict(raw: dict | None) -> Config:
+    """The config of a parsed YAML file, checked; None gives the defaults."""
+    return _build(Config, {} if raw is None else raw)
 
 
 def _check_rk4_stable(cfg: Config) -> None:
@@ -288,6 +275,15 @@ def _check_eta_width(cfg: Config) -> None:
     if bad:
         raise ConfigError(f"world.classes {bad}: the tracked vehicle needs two eta entries "
                           "per class, one per channel")
+
+
+def _check_scenario_vehicle(cfg: Config) -> None:
+    """Refuse a scenario the vehicle cannot drive: ackermann-circle is the
+    car's, velocity-random and figure8 the tracked vehicle's."""
+    want = "ackermann" if cfg.scenario.kind == "ackermann-circle" else "tracked"
+    if cfg.vehicle.type != want:
+        raise ConfigError(f"scenario.kind {cfg.scenario.kind} requires vehicle.type {want}, "
+                          f"got {cfg.vehicle.type}")
 
 
 def load_config(path) -> Config:

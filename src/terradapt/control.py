@@ -104,8 +104,8 @@ class AdaptParams:
 
     law: str = "scalar"                 # scalar | matrix
     lam: float = 0.01
-    r_diag: tuple = (0.1, 0.1)
-    q_diag: tuple = (1.0, 1.0, 1.0, 1.0)
+    r_diag: tuple[float, ...] = (0.1, 0.1)
+    q_diag: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     gamma0: float = 0.01
     gamma_min: float = 1e-4
     gamma_max: float = 1e3

@@ -78,8 +78,6 @@ def resolve_path(name: str, out_dir: str) -> str:
 
 def build_world_for(cfg: Config) -> TerrainWorldMap:
     if cfg.provider.mode == "recorded":
-        if not cfg.provider.world_file:
-            raise ValueError("provider mode 'recorded' requires provider.world_file")
         return load_world(resolve_path(cfg.provider.world_file, resolve_out_dir(cfg)))
     return build_world(cfg.world)
 
@@ -110,8 +108,13 @@ def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
         basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
         if theta0 is None:
             theta0 = theta_r
+    # the two config checks that need the basis
+    if basis is not None and cfg.controller.theta0 is not None:
+        n_0 = len(cfg.controller.theta0)
+        if n_0 != basis.n_theta:
+            raise ConfigError(f"controller.theta0 has {n_0} entries; the basis has "
+                              f"n_theta={basis.n_theta}")
     if basis is not None and adapt:
-        # the one controller.adaptation check that needs the basis
         n_q = len(cfg.controller.adaptation.q_diag)
         if n_q not in (1, basis.n_theta):
             raise ConfigError(f"controller.adaptation.q_diag has {n_q} entries; the basis "
@@ -631,10 +634,8 @@ def _policy_for_run(cfg: Config, world: TerrainWorldMap, ref_rng):
                                        sc.start_margin_frac)
     if sc.kind == "figure8":
         return Figure8Reference(center, sc.fig8_amp_x, sc.fig8_amp_y, sc.fig8_period_s)
-    if sc.kind == "ackermann-circle":
-        return CircleReference(center, sc.circle_radius, sc.circle_speed,
-                               phase0=float(ref_rng.uniform(0.0, 2.0 * math.pi)))
-    raise ValueError(f"unknown scenario kind {sc.kind!r}")
+    return CircleReference(center, sc.circle_radius, sc.circle_speed,
+                           phase0=float(ref_rng.uniform(0.0, 2.0 * math.pi)))
 
 
 def run_scenario(cfg: Config, variants: list | None = None,
@@ -651,38 +652,29 @@ def run_scenario(cfg: Config, variants: list | None = None,
     sc = cfg.scenario
     variants = list(variants) if variants else [cfg.controller.variant]
     world = build_world_for(cfg)
-    is_ackermann = sc.kind == "ackermann-circle"
-    if is_ackermann and cfg.vehicle.type != "ackermann":
-        raise ValueError("scenario ackermann-circle requires vehicle.type ackermann")
-    if is_ackermann and sc.fault.kind != "none":
-        raise ValueError("scenario ackermann-circle supports no fault, got "
-                         f"scenario.fault.kind {sc.fault.kind!r}")
-    if not is_ackermann and cfg.vehicle.type != "tracked":
-        raise ValueError(f"scenario {sc.kind} requires vehicle.type tracked")
-
-    tele_dir = os.path.join(out_dir, "telemetry")
-    if sc.telemetry:
-        os.makedirs(tele_dir, exist_ok=True)
-
     # one network for every dnn episode: controllers only evaluate it
     checkpoint = (_load_basis(cfg, out_dir)
                   if any(split_variant(v)[0] == "dnn" for v in variants) else None)
+    tele_dir = os.path.join(out_dir, "telemetry")
     results: list[RunResult] = []
     for r in range(sc.runs):
         ss = np.random.SeedSequence([cfg.seed, _SCENARIO_DOMAIN, r])
         start_ss, ref_ss, prov_ss, meas_ss = ss.spawn(4)
         policy = _policy_for_run(cfg, world, np.random.default_rng(ref_ss))
         start = policy.start_pose(np.random.default_rng(start_ss))
-        for variant in variants:
+        # built before any episode runs: the first run refuses a theta0 or
+        # q_diag that does not fit a variant's basis before any output
+        controllers = [build_controller(cfg, v, out_dir, checkpoint) for v in variants]
+        for variant, controller in zip(variants, controllers):
             provider = FeatureProvider(world, cfg.provider.noise_std,
                                        cfg.provider.brightness, seed=prov_ss)
             meas_rng = np.random.default_rng(meas_ss)
-            controller = build_controller(cfg, variant, out_dir, checkpoint)
             res, rows, cols = simulate_episode(world, cfg, controller, policy,
                                                provider, meas_rng, start,
                                                sc.duration_s, sc.fault)
             results.append(RunResult(variant=variant, run=r, **res))
             if sc.telemetry:
+                os.makedirs(tele_dir, exist_ok=True)
                 write_csv(os.path.join(tele_dir, f"{variant}_run{r:03d}.csv"),
                           cols, rows)
 

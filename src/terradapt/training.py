@@ -144,13 +144,13 @@ class TrainerConfig:
     per batch); sizes are desk scale."""
 
     learning_rate: float = 0.001
-    theta_r: tuple = (1.0, 1.0, 1.0, 1.0)
+    theta_r: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     lambda_r: float = 0.1
     window_min_s: float = 1.2
     window_max_s: float = 30.0
     batch_windows: int = 70
     n_theta: int = 4
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     activation: str = "tanh"
     max_iters: int = 1500
     conv_tol: float = 1e-5

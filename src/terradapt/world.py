@@ -33,13 +33,14 @@ class TerrainClassSpec:
     """
 
     name: str
-    eta: tuple
+    eta: tuple[float, ...]
     features_like: str | None = None
 
 
 @dataclass
 class WorldSpec:
-    """Everything needed to build a world deterministically."""
+    """Everything needed to build a world deterministically. Checked when
+    made, and again by build_world, since a spec may change in between."""
 
     rows: int = 60
     cols: int = 120
@@ -52,15 +53,18 @@ class WorldSpec:
     feature_noise: float = 0.15    # per-cell jitter std, frozen at build time
     min_separation: float = 3.0    # required distance between distinct centers
     seed: int = 0
-    classes: list = field(default_factory=lambda: [
+    classes: list[TerrainClassSpec] = field(default_factory=lambda: [
         TerrainClassSpec("nominal", (1.0, 1.0)),
         TerrainClassSpec("grass", (0.78, 0.84)),
         TerrainClassSpec("ice", (0.55, 0.62)),
     ])
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        if self.rows <= 0 or self.cols <= 0 or self.cell_size <= 0:
-            raise ValueError("world dimensions and cell size must be positive")
+        if min(self.rows, self.cols, self.tile_rows, self.tile_cols) <= 0 or self.cell_size <= 0:
+            raise ValueError("world and tile dimensions and cell size must be positive")
         if self.rows % self.tile_rows or self.cols % self.tile_cols:
             raise ValueError(
                 f"map {self.rows}x{self.cols} must be an exact multiple of the "

@@ -77,6 +77,8 @@ def test_error_messages_name_the_section():
         config_from_dict({"world": {"classes": [{"name": "a", "eta": [3.0, 3.0]}]}})
     with pytest.raises(ConfigError, match="classes"):
         config_from_dict({"world": {"classes": []}})
+    with pytest.raises(ConfigError, match=r"^world: .*tile"):   # was a ZeroDivisionError
+        config_from_dict({"world": {"tile_rows": 0}})
     # the controller's own classes check their sections at load
     for adaptation in ({"gamma0": 5.0, "gamma_max": 1.0}, {"r_diag": [0.0, 0.1]},
                        {"law": "kalman"}):
@@ -119,7 +121,8 @@ def test_yaml_lists_become_tuples():
 def test_nested_overrides_apply():
     cfg = config_from_dict({
         "seed": 7,
-        "vehicle": {"type": "ackermann", "tracked": {"k1": 1.2},
+        # figure8 and the fault need the tracked vehicle; both plants' sections apply
+        "vehicle": {"type": "tracked", "tracked": {"k1": 1.2},
                     "ackermann": {"wheelbase": 0.6}},
         "controller": {"variant": "constant",
                        "gains": {"k_psi": 3.0},
@@ -272,6 +275,7 @@ def test_eta_width_checked_against_the_vehicle_at_load():
         with pytest.raises(ConfigError, match=r"^world\.classes"):
             config_from_dict({"world": {"classes": classes}})
         cfg = config_from_dict({"vehicle": {"type": "ackermann"},
+                                "scenario": {"kind": "ackermann-circle"},
                                 "world": {"classes": classes}})
         assert cfg.world.classes[0].eta == tuple(eta)
 
@@ -311,3 +315,96 @@ def test_default_controller_and_fault_sections_are_pinned():
     assert list(d["controller"]["adaptation"]) == [
         "law", "lam", "r_diag", "q_diag", "gamma0", "gamma_min", "gamma_max"]
     assert list(d["scenario"]["fault"]) == ["kind", "period_s", "scale", "track", "start_s"]
+
+
+def test_malformed_shapes_refused_with_the_key_path():
+    """The field annotations are the schema: a value of the wrong shape or
+    type is refused at load, naming its key path. A scalar eta used to stop
+    the loader with a TypeError traceback, a one-entry range the run with an
+    IndexError."""
+    cases = [
+        ({"world": {"classes": [{"name": "a", "eta": 1.0}]}}, r"world\.classes\[0\]\.eta"),
+        ({"world": {"classes": [{"name": "a", "eta": [1.0, None]}]}},
+         r"world\.classes\[0\]\.eta\[1\]"),
+        ({"world": {"classes": [{"name": "a", "eta": [1.0, 1.0]}, {"name": 2, "eta": [1.0]}]}},
+         r"world\.classes\[1\]\.name"),
+        ({"world": {"classes": {"name": "a"}}}, "world.classes"),
+        ({"scenario": {"v_range": [0.5]}}, "scenario.v_range"),
+        ({"dataset": {"u_v_range": [-1.0, 0.0, 1.0]}}, "dataset.u_v_range"),
+        ({"scenario": {"omega_range": 1.0}}, "scenario.omega_range"),
+        ({"dataset": {"cruise_range": "1.0, 2.0"}}, "dataset.cruise_range"),
+        ({"training": {"hidden": 8}}, "training.hidden"),
+        ({"training": {"hidden": [8.0, 8]}}, r"training\.hidden\[0\]"),
+        ({"controller": {"adaptation": {"q_diag": 0.1}}}, "controller.adaptation.q_diag"),
+        ({"controller": {"theta0": [0.0, "x"]}}, r"controller\.theta0\[1\]"),
+        ({"vehicle": [1, 2]}, "vehicle"),
+        ({"vehicle": {"tracked": None}}, "vehicle.tracked"),
+        ({"seed": 3.0}, "seed"),
+        ({"scenario": {"runs": 2.5}}, "scenario.runs"),
+        ({"scenario": {"runs": True}}, "scenario.runs"),
+        ({"scenario": {"telemetry": "yes"}}, "scenario.telemetry"),
+        ({"sim": {"dt_plant": "0.01"}}, "sim.dt_plant"),
+        ({"output_dir": 5}, "output_dir"),
+    ]
+    for raw, where in cases:
+        with pytest.raises(ConfigError, match=rf"^{where}: expected"):
+            config_from_dict(raw)
+    # None passes through an optional key; an int stands for a float
+    cfg = config_from_dict({"controller": {"theta0": None}, "sim": {"vdot_noise_std": 0},
+                            "provider": {"world_file": None}})
+    assert cfg.controller.theta0 is None and cfg.sim.vdot_noise_std == 0
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"scenario.hold_range_s": [0.0, 0.0]}, "scenario: hold_range_s"),
+    ({"scenario.hold_range_s": [-1.0, 2.0]}, "scenario: hold_range_s"),
+    ({"scenario.fig8_period_s": 0.0}, "scenario: fig8_period_s"),
+    ({"scenario.kind": "figure8", "scenario.fig8_period_s": -30.0},
+     "scenario: fig8_period_s"),
+    ({"scenario.circle_radius": -2.5}, "scenario: circle_radius"),
+    ({"scenario.circle_speed": 0.0}, "scenario: circle_radius and circle_speed"),
+    ({"scenario.v_range": [0.5]}, "scenario.v_range: "),
+    ({"scenario.omega_range": 0.7}, "scenario.omega_range: "),
+    ({"world.classes": [{"name": "nominal", "eta": 1.0}]}, "world.classes[0].eta: "),
+    ({"scenario.kind": "ackermann-circle"}, "scenario.kind ackermann-circle requires"),
+    ({"vehicle.type": "ackermann", "scenario.kind": "ackermann-circle",
+      "scenario.fault": {"kind": "track-square"}}, "scenario: kind ackermann-circle"),
+    ({"provider.mode": "recorded"}, "provider: mode 'recorded'"),
+], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
+        "circle-speed", "short-range", "scalar-range", "scalar-eta",
+        "kind-vehicle", "circle-fault", "recorded"])
+def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
+    """A hold at or below zero made the velocity reference loop forever, a
+    zero figure-8 period divided by zero, a nonpositive circle stopped
+    evaluate with exit 1 after its telemetry directory was made, a short or
+    scalar range or eta stopped with a traceback, and the pairings exited 1
+    at run time (gen-data and train ran to the end on them)."""
+    with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
+        raw = yaml.safe_load(f)
+    out = tmp_path / "out"
+    raw["output_dir"] = str(out)
+    for key, value in patch.items():
+        section, _, name = key.partition(".")
+        raw[section][name] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["evaluate", "-c", str(path), "--variants", "pd", "constant"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith(message)
+    assert not out.exists()
+
+
+def test_config_dict_round_trip():
+    """config_from_dict inverts config_to_dict, for every kind of field the
+    builder converts: sections, nested sections, a list of classes, fixed and
+    open tuples, optional keys set and unset."""
+    cfgs = [config_from_dict({}),
+            config_from_dict({"controller": {"theta0": [0.5, 0.0, 0.0, 0.5]},
+                              "world": {"classes": [{"name": "a", "eta": [1.0, 1.0]},
+                                                    {"name": "b", "eta": [0.5, 0.6],
+                                                     "features_like": "a"}]}})]
+    cfgs += [load_config(p) for p in sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))]
+    for cfg in cfgs:
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        # and from the JSON sidecar echo, which has lists where the dict has tuples
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg

@@ -71,6 +71,10 @@ def base_raw(out_dir=None, **extra):
     return raw
 
 
+# the scenario kind each vehicle drives; a config pairing any other is refused
+SCENARIO_OF = {"tracked": "velocity-random", "ackermann": "ackermann-circle"}
+
+
 # ------------------------------------------------------------------- faults
 
 
@@ -174,7 +178,8 @@ def test_circle_reference_geometry():
 @pytest.mark.parametrize("vehicle, n_u", [("tracked", 2), ("ackermann", 1)],
                          ids=["tracked", "ackermann"])
 def test_dataset_shapes_and_determinism(vehicle, n_u):
-    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle}))
+    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle,
+                                       "scenario.kind": SCENARIO_OF[vehicle]}))
     world = build_world_for(cfg)
     ds1 = generate_dataset(cfg, world)
     ds2 = generate_dataset(cfg, world)
@@ -190,6 +195,7 @@ def test_dataset_shapes_and_determinism(vehicle, n_u):
 
 def test_ackermann_dataset_dispatch():
     cfg = config_from_dict(base_raw(**{"vehicle.type": "ackermann",
+                                       "scenario.kind": "ackermann-circle",
                                        "dataset.steps": 30,
                                        "dataset.n_traj": 1}))
     world = build_world_for(cfg)
@@ -267,7 +273,9 @@ def test_dataset_equals_per_sample_loop(vehicle):
     """Driving first and observing the whole trajectory afterwards logs the
     same bits as observing each sample while driving, with feature and
     measurement noise on and the robot reaching the map border."""
-    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle, "dataset.steps": 300,
+    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle,
+                                       "scenario.kind": SCENARIO_OF[vehicle],
+                                       "dataset.steps": 300,
                                        "dataset.margin_frac": 0.02,
                                        "provider.noise_std": 0.05}))
     world = build_world_for(cfg)
@@ -284,6 +292,7 @@ def test_ackermann_cruise_range_at_or_below_v_min_refused(tmp_path, capsys):
     scenario-only config with the same vehicle stays valid."""
     for cruise in ([0.05, 0.5], [0.1, 0.5]):
         raw = base_raw(tmp_path, **{"vehicle.type": "ackermann",
+                                    "scenario.kind": "ackermann-circle",
                                     "dataset.cruise_range": cruise})
         cfg = config_from_dict(raw)
         with pytest.raises(ConfigError, match="dataset.cruise_range"):
@@ -293,7 +302,8 @@ def test_ackermann_cruise_range_at_or_below_v_min_refused(tmp_path, capsys):
         assert cli.main(["gen-data", "-c", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "dataset.cruise_range" in err["message"]
-    raw = base_raw(**{"vehicle.type": "ackermann", "dataset.cruise_range": [0.11, 0.5],
+    raw = base_raw(**{"vehicle.type": "ackermann", "scenario.kind": "ackermann-circle",
+                      "dataset.cruise_range": [0.11, 0.5],
                       "dataset.steps": 20, "dataset.n_traj": 1})
     cfg = config_from_dict(raw)
     assert generate_dataset(cfg, build_world_for(cfg)).x.shape == (1, 20, 2)
@@ -479,19 +489,21 @@ def test_clamp_only_runs_log_one_warning_per_evaluate(tmp_path, caplog):
     assert f"6 of 6 runs had clamped ticks only, {total} in all" in warnings[0].getMessage()
 
 
-def test_scenario_vehicle_mismatch_raises(tmp_path):
-    cfg = config_from_dict(base_raw(**{"scenario.kind": "ackermann-circle"}))
-    with pytest.raises(ValueError, match="ackermann"):
-        run_scenario(cfg, ["pd"], str(tmp_path))
+def test_scenario_vehicle_mismatch_raises():
+    # refused at load, so gen-data and train refuse it too
+    for vehicle, kind in (("tracked", "ackermann-circle"), ("ackermann", "velocity-random"),
+                          ("ackermann", "figure8")):
+        with pytest.raises(ConfigError, match=rf"scenario\.kind {kind} requires vehicle\.type"):
+            config_from_dict(base_raw(**{"vehicle.type": vehicle, "scenario.kind": kind}))
 
 
-def test_ackermann_scenario_rejects_fault(tmp_path):
+def test_ackermann_scenario_rejects_fault():
     # a track fault has no meaning for the car: refuse it instead of ignoring it
     raw = base_raw(**{"vehicle.type": "ackermann"},
                    scenario={"kind": "ackermann-circle", "runs": 1,
                              "fault": {"kind": "track-square", "scale": 0.0}})
-    with pytest.raises(ValueError, match="fault"):
-        run_scenario(config_from_dict(raw), ["pd"], str(tmp_path))
+    with pytest.raises(ConfigError, match="^scenario: .*fault"):
+        config_from_dict(raw)
 
 
 def test_ackermann_controller_error_aborts_the_run(tmp_path):
@@ -586,9 +598,10 @@ def test_recorded_world_mode(tmp_path):
     loaded = build_world_for(cfg2)
     np.testing.assert_array_equal(loaded.class_grid, world.class_grid)
     np.testing.assert_array_equal(loaded.features, world.features)
+    # a recorded provider without its world file is refused at load
     raw_bad = base_raw(out_dir=tmp_path, provider={"mode": "recorded"})
-    with pytest.raises(ValueError, match="world_file"):
-        build_world_for(config_from_dict(raw_bad))
+    with pytest.raises(ConfigError, match="^provider: .*world_file"):
+        config_from_dict(raw_bad)
 
 
 def test_resolve_path_rules(tmp_path):
@@ -675,11 +688,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["simulate", "-c", cfg_path, "--variant", "dnn"]) == 1
     capsys.readouterr()
 
-    # scenario and vehicle type disagree
+    # scenario and vehicle type disagree: refused at load, before any output
     mism = base_raw(out_dir=tmp_path / "m", **{"scenario.kind": "ackermann-circle"})
-    assert cli.main(["simulate", "-c", write_cfg(tmp_path, mism), "--variant", "pd"]) == 1
+    assert cli.main(["simulate", "-c", write_cfg(tmp_path, mism), "--variant", "pd"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError"
+    assert err["error"] == "ConfigError" and err["message"].startswith("scenario.kind")
+    assert not (tmp_path / "m").exists()
 
 
 def test_q_diag_of_the_wrong_length_exits_2(tmp_path, capsys):
@@ -698,6 +712,24 @@ def test_q_diag_of_the_wrong_length_exits_2(tmp_path, capsys):
     # one entry stands for every parameter
     raw["controller"]["adaptation"]["q_diag"] = [0.05]
     assert cli.main(["evaluate", "-c", write_cfg(tmp_path, raw), "--variants", "constant"]) == 0
+
+
+def test_theta0_of_the_wrong_length_exits_2_before_any_run_output(tmp_path, capsys):
+    """It used to stop evaluate with exit 1 ("gamma vector must match
+    theta_hat length") after the pd runs had written their telemetry."""
+    out = tmp_path / "t"
+    raw = base_raw(out_dir=out, **{"scenario.runs": 1, "scenario.duration_s": 1.0,
+                                   "controller.theta0": [0.0, 0.0, 0.0]})
+    cfg_path = write_cfg(tmp_path, raw)
+    for variants in (["pd", "constant"], ["constant-frozen"]):
+        assert cli.main(["evaluate", "-c", cfg_path, "--variants", *variants]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "controller.theta0 has 3 entries" in err["message"]
+        assert "n_theta=4" in err["message"]
+        assert os.listdir(out) == []   # the CLI makes the directory, nothing in it
+    # pd has no basis to start from
+    assert cli.main(["evaluate", "-c", cfg_path, "--variants", "pd"]) == 0
 
 
 def test_module_entry_point_passes_exit_code(tmp_path):
