@@ -63,6 +63,10 @@ class VehicleConfig:
             raise ValueError(f"vehicle type must be tracked or ackermann, got {self.type!r}")
         if self.half_spacing <= 0:
             raise ValueError("half_spacing must be positive")
+        # a limit at or below zero clamps every command (NaN fails the compare)
+        for key in ("u_v_max", "u_omega_max", "u_delta_max"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 @dataclass
@@ -96,6 +100,10 @@ class SimConfig:
         ratio = self.control_period / self.dt_plant
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("control_period must be an integer multiple of dt_plant")
+        if not self.vdot_noise_std >= 0:
+            raise ValueError(f"vdot_noise_std must be nonnegative, got {self.vdot_noise_std}")
+        if not self.residual_cutoff_hz > 0:
+            raise ValueError(f"residual_cutoff_hz must be positive, got {self.residual_cutoff_hz}")
 
 
 @dataclass
@@ -116,6 +124,8 @@ class DatasetConfig:
             raise ValueError("steps and n_traj must be positive")
         if not 0 <= self.margin_frac < 0.5:
             raise ValueError("margin_frac must lie in [0, 0.5)")
+        if not self.warmup_s >= 0:
+            raise ValueError(f"warmup_s must be nonnegative, got {self.warmup_s}")
         if self.cruise_range[0] > self.cruise_range[1]:
             raise ValueError(f"cruise_range low end above its high end: {self.cruise_range}")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisNet
+from .basis import _ACTIVATIONS, BasisNet
 from .serialize import load_arrays, save_arrays, write_csv
 
 log = logging.getLogger(__name__)
@@ -166,6 +166,8 @@ class TrainerConfig:
             raise ValueError("batch_windows and max_iters must be at least 1")
         if len(self.theta_r) != self.n_theta:
             raise ValueError(f"theta_r has {len(self.theta_r)} entries, n_theta={self.n_theta}")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {_ACTIVATIONS}, got {self.activation!r}")
         log.info(
             "trainer settings accepted: lr=%g theta_r=%s lambda_r=%g "
             "window=[%g, %g]s batch=%d n_theta=%d hidden=%s",

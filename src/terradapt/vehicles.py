@@ -19,9 +19,10 @@ A(q) S(q) v = 0 identically. The Ackermann model is a nonlinear single-track
 (bicycle) model with linear tire forces, the center of gravity at the
 wheelbase midpoint, and the forward channel reduced to a first-order lag.
 
-Both vehicles share one stepping path, integrate_step, and one derivative.
-The params object picks the vehicle: each params class supplies only its
-state class and its substep derivative.
+Both vehicles share one stepping path, integrate_step, and one derivative,
+and the RK4 scheme is written once, in _rk4. The params object picks the
+vehicle: each params class supplies only its state class and its substep
+derivative, whose RK4 stages form only the state components it reads.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ class TrackedParams:
     def substep_derivative(self, u: TrackedInput):
         """The derivative under the held input u, for integrate_step and
         derivative: substep(y, eta) checks the eta pair (None: nominal) and
-        returns rhs(z), the derivative at state values z with the input terms
-        f = eta k u formed. Input and coefficients are read once, here."""
+        returns rhs(y0, k, h), the derivative at y0 + h k (y0 when k is None)
+        with the input terms f = eta k u formed; only psi, v_x and omega of
+        that stage state are formed. Input and coefficients are read once."""
         u_v, u_omega = u.u_v, u.u_omega
         _check_finite("TrackedInput", u_v, u_omega)
         k1, k2, x_icr, tau_v, tau_omega = self.k1, self.k2, self.x_icr, self.tau_v, self.tau_omega
@@ -131,8 +133,9 @@ class TrackedParams:
             e1, e2 = _check_eta_tracked((1.0, 1.0) if eta is None else eta)
             f_v, f_omega = e1 * k1 * u_v, e2 * k2 * u_omega
 
-            def rhs(z):
-                psi, v_x, omega = z[2], z[3], z[4]     # the position does not enter
+            def rhs(y0, k, h):                     # the position does not enter
+                psi, v_x, omega = y0[2:] if k is None else (
+                    y0[2] + h * k[2], y0[3] + h * k[3], y0[4] + h * k[4])
                 c, s = math.cos(psi), math.sin(psi)
                 return (c * v_x + x_icr * s * omega, s * v_x - x_icr * c * omega, omega,
                         (-v_x + f_v) / tau_v, (-omega + f_omega) / tau_omega)
@@ -188,8 +191,9 @@ class AckermannParams:
         """The derivative under the held input u, for integrate_step and
         derivative: substep(y, eta) refuses a forward speed y[3] at or below
         v_min, checks the scalar eta (None: nominal; it scales the lateral
-        force production) and returns rhs(z), the derivative at state values
-        z. Input, coefficients and steering terms are read once, here.
+        force production) and returns rhs(y0, k, h), the derivative at
+        y0 + h k (y0 when k is None), forming psi and the velocities of that
+        stage state only. Input, coefficients and steering terms are read once.
 
         Tire slip angles follow the single-track convention with the CG at
         the wheelbase midpoint:
@@ -214,8 +218,9 @@ class AckermannParams:
                 raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
             eta_c_y = ev * c_y
 
-            def rhs(z):
-                psi, v_x, v_y, omega = z[2], z[3], z[4], z[5]
+            def rhs(y0, k, h):
+                psi, v_x, v_y, omega = y0[2:] if k is None else (
+                    y0[2] + h * k[2], y0[3] + h * k[3], y0[4] + h * k[4], y0[5] + h * k[5])
                 alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
                 alpha_r = -math.atan2(v_y - half_l * omega, v_x)
                 f_yf, f_yr = eta_c_y * alpha_f, eta_c_y * alpha_r
@@ -276,7 +281,7 @@ def derivative(state, u, params, eta=None) -> np.ndarray:
     [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
     """
     y = _entry_values(state, params)
-    return np.array(params.substep_derivative(u)(y, eta)(y))
+    return np.array(params.substep_derivative(u)(y, eta)(y, None, 0.0))
 
 
 def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
@@ -321,13 +326,16 @@ def _entry_values(state, params) -> tuple:
 
 
 def _rk4(y0, rhs, dt):
-    """One classic RK4 step of y' = rhs(y) from the sequence y0; returns a
-    list. h is formed once per stage weight, as y + (0.5 dt) k rounds."""
+    """One classic RK4 step from the sequence y0, the one RK4 body of both
+    vehicles; returns a list. rhs(y0, k, h) is the derivative at the stage
+    state y0 + h k (y0 when k is None): it forms only the components its
+    vehicle reads, each as y + h k, so every stage rounds as a full stage
+    state would. h is formed once per stage weight, as y + (0.5 dt) k rounds."""
     h = 0.5 * dt
-    k1 = rhs(y0)
-    k2 = rhs([y + h * k for y, k in zip(y0, k1)])
-    k3 = rhs([y + h * k for y, k in zip(y0, k2)])
-    k4 = rhs([y + dt * k for y, k in zip(y0, k3)])
+    k1 = rhs(y0, None, h)
+    k2 = rhs(y0, k1, h)
+    k3 = rhs(y0, k2, h)
+    k4 = rhs(y0, k3, dt)
     h = dt / 6.0
     return [y + h * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
 

@@ -135,11 +135,11 @@ class TerrainWorldMap:
             log.debug("eta query clamped to map border at (%.2f, %.2f)", x, y)
         return self.eta_cells[row][col]
 
-    @property
+    @cached_property
     def rows(self):
         return self.class_grid.shape[0]
 
-    @property
+    @cached_property
     def cols(self):
         return self.class_grid.shape[1]
 

@@ -1,5 +1,6 @@
 """Configuration loading: defaults, strict keys, coercions, YAML round trip."""
 
+import copy
 import glob
 import json
 import os
@@ -91,6 +92,19 @@ def test_error_messages_name_the_section():
     for provider in ({"noise_std": -0.1}, {"brightness": 0.0}, {"brightness": -1.0}):
         with pytest.raises(ConfigError, match=r"^provider: "):
             config_from_dict({"provider": provider})
+    for key in ("u_v_max", "u_omega_max", "u_delta_max"):
+        for value in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ConfigError, match=rf"^vehicle: {key} must be positive"):
+                config_from_dict({"vehicle": {key: value}})
+    for key, value in (("residual_cutoff_hz", 0.0), ("residual_cutoff_hz", float("nan")),
+                       ("vdot_noise_std", -0.1), ("vdot_noise_std", float("nan"))):
+        with pytest.raises(ConfigError, match=rf"^sim: {key} "):
+            config_from_dict({"sim": {key: value}})
+    for warmup in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match=r"^dataset: warmup_s "):
+            config_from_dict({"dataset": {"warmup_s": warmup}})
+    with pytest.raises(ConfigError, match=r"^training: activation must be one of"):
+        config_from_dict({"training": {"activation": "relu6"}})
 
 
 def test_variant_suffix_accepted():
@@ -370,15 +384,27 @@ def test_malformed_shapes_refused_with_the_key_path():
     ({"vehicle.type": "ackermann", "scenario.kind": "ackermann-circle",
       "scenario.fault": {"kind": "track-square"}}, "scenario: kind ackermann-circle"),
     ({"provider.mode": "recorded"}, "provider: mode 'recorded'"),
+    ({"vehicle.u_v_max": -1.0}, "vehicle: u_v_max must be positive"),
+    ({"vehicle.u_omega_max": 0.0}, "vehicle: u_omega_max must be positive"),
+    ({"vehicle.u_delta_max": -0.45}, "vehicle: u_delta_max must be positive"),
+    ({"sim.residual_cutoff_hz": 0.0}, "sim: residual_cutoff_hz must be positive"),
+    ({"sim.vdot_noise_std": -0.1}, "sim: vdot_noise_std must be nonnegative"),
+    ({"dataset.warmup_s": -1.0}, "dataset: warmup_s must be nonnegative"),
+    ({"training.activation": "relu6"}, "training: activation must be one of"),
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
-        "kind-vehicle", "circle-fault", "recorded"])
+        "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
+        "residual-cutoff", "vdot-noise", "warmup", "activation"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
     evaluate with exit 1 after its telemetry directory was made, a short or
     scalar range or eta stopped with a traceback, and the pairings exited 1
-    at run time (gen-data and train ran to the end on them)."""
+    at run time (gen-data and train ran to the end on them). A nonpositive
+    actuator limit clamped every tick of a run that reported a normal
+    summary; a zero residual cutoff, a negative noise std or warmup stopped
+    gen-data with exit 1 after its output directory was made, and an unknown
+    activation let gen-data finish and stopped train."""
     with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
         raw = yaml.safe_load(f)
     out = tmp_path / "out"
@@ -392,6 +418,29 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and err["message"].startswith(message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["gen-data"], ["train"], ["simulate"],
+                                     ["evaluate", "--variants", "pd"]],
+                         ids=["gen-data", "train", "simulate", "evaluate"])
+def test_value_refusals_stop_every_command(tmp_path, capsys, command):
+    """The actuator, sim, dataset and training values refused at load stop
+    every command with exit 2 before its output directory is made."""
+    with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
+        base = yaml.safe_load(f)
+    for section, name, value in (("vehicle", "u_v_max", -1.0), ("sim", "residual_cutoff_hz", 0),
+                                 ("sim", "vdot_noise_std", -0.1), ("dataset", "warmup_s", -1.0),
+                                 ("training", "activation", "relu6")):
+        raw = copy.deepcopy(base)
+        out = tmp_path / name
+        raw["output_dir"] = str(out)
+        raw[section][name] = value
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(command + ["-c", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and name in err["message"]
+        assert not out.exists()
 
 
 def test_config_dict_round_trip():

@@ -23,6 +23,7 @@ from terradapt.vehicles import (
     track_speeds,
     wrap_angle,
 )
+from terradapt.world import WorldSpec, build_world
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e5, max_value=1e5)
 
@@ -274,6 +275,58 @@ def test_ackermann_step_is_exactly_rk4_over_derivative(y, u, eta, dt):
     np.testing.assert_array_equal(
         integrate_step(state, inp, params, dt, eta).as_array(),
         generic_rk4(state, inp, params, dt, eta))
+
+
+# 4 x 6 cells of 0.25 m in 2 x 3 blocks of the three default classes
+SMALL_WORLD = build_world(WorldSpec(rows=4, cols=6, tile_rows=4, tile_cols=6, layout="blocks"))
+# start coordinates inside the map, on a cell border, and beyond an edge
+world_x = st.one_of(st.floats(0.0, 1.5), st.integers(-2, 8).map(lambda i: 0.25 * i),
+                    st.floats(-1.0, 0.0), st.floats(1.5, 2.5))
+world_y = st.one_of(st.floats(0.0, 1.0), st.integers(-2, 6).map(lambda i: 0.25 * i),
+                    st.floats(-1.0, 0.0), st.floats(1.0, 2.0))
+
+
+def eta_under(world, x, y):
+    """The eta table row of the cell under (x, y), with the floor-and-clamp
+    index written out: the row from y, the column from x, each clamped to
+    the grid."""
+    n_rows, n_cols = world.class_grid.shape
+    row = min(max(math.floor(y / world.cell_size), 0), n_rows - 1)
+    col = min(max(math.floor(x / world.cell_size), 0), n_cols - 1)
+    return world.eta_table[world.class_grid[row, col]]
+
+
+def oracle_steps(state, inp, params, dt, n_sub, eta_of):
+    """n_sub generic_rk4 steps, eta looked up by the test at each step's start."""
+    for _ in range(n_sub):
+        y = generic_rk4(state, inp, params, dt, eta_of(eta_under(SMALL_WORLD, state.p_x,
+                                                                 state.p_y)))
+        state = type(state)(*y.tolist())
+    return state.as_array()
+
+
+@settings(max_examples=150, deadline=None)
+@given(world_x, world_y, st.floats(-math.pi, math.pi), st.floats(-3, 3), st.floats(-3, 3),
+       st.tuples(st.floats(-3, 3), st.floats(-3, 3)))
+def test_tracked_world_step_is_exactly_rk4_over_the_world_eta(x, y, psi, v_x, omega, u):
+    state, inp, params = TrackedState(x, y, psi, v_x, omega), TrackedInput(*u), \
+        TrackedParams(x_icr=0.05)
+    np.testing.assert_array_equal(
+        integrate_step(state, inp, params, 0.01, n_sub=5, terrain=SMALL_WORLD.eta_at).as_array(),
+        oracle_steps(state, inp, params, 0.01, 5, lambda row: row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(world_x, world_y, st.floats(-math.pi, math.pi), st.floats(0.5, 3.0), unit, unit,
+       st.tuples(st.floats(0.5, 3.0), st.floats(-0.4, 0.4)))
+def test_ackermann_world_step_is_exactly_rk4_over_the_world_eta(x, y, psi, v_x, v_y, omega, u):
+    # the car reads the first eta entry, as the harness's terrain lookup passes it
+    state, inp, params = AckermannState(x, y, psi, v_x, v_y, omega), AckermannInput(*u), \
+        AckermannParams()
+    terrain = lambda px, py: SMALL_WORLD.eta_at(px, py)[0]
+    np.testing.assert_array_equal(
+        integrate_step(state, inp, params, 0.01, n_sub=5, terrain=terrain).as_array(),
+        oracle_steps(state, inp, params, 0.01, 5, lambda row: float(row[0])))
 
 
 def striped_terrain(eta_of_stripe, width=0.05):
