@@ -296,9 +296,3 @@ def load_checkpoint(path) -> tuple[BasisNet, dict]:
         net.weights[i] = w.astype(float)
         net.biases[i] = b.astype(float)
     return net, meta
-
-
-def read_checkpoint_meta(path) -> dict:
-    """Checkpoint header without loading the weights into a net."""
-    _, meta = load_arrays(path, expect_kind=CHECKPOINT_KIND)
-    return meta

@@ -13,17 +13,20 @@ controller.gains, controller.adaptation, scenario.fault). _build reads the
 annotations and refuses an unknown key, a value of the wrong type and a
 list of the wrong length with a ConfigError naming the key's path; each
 class then checks its own values, and Config the pairings of two sections.
-All of it runs at load, by every command, except two pairings that need
-what a command builds: the lengths of controller.adaptation.q_diag and
-controller.theta0 are checked against the basis when a controller is built,
-and the Ackermann dataset.cruise_range against vehicle.ackermann.v_min in
-gen-data, because a config used only for scenarios may set v_min above a
-cruise range it never drives.
+All of it runs at load, by every command, except the checks that need a
+file or what a command builds, which run before the command writes output:
+a recorded world's eta width against the tracked vehicle; in simulate and
+evaluate, the checkpoint against the vehicle and the world, the lengths of
+controller.adaptation.q_diag and controller.theta0 against the basis, and
+scenario.circle_speed against vehicle.ackermann.v_min; in gen-data,
+dataset.cruise_range against v_min. A config used by one command only may
+set v_min above a speed the other command drives.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import types
 import typing
@@ -142,6 +145,8 @@ class ControllerConfig:
         base = self.variant.removesuffix("-frozen")
         if base not in ("pd", "constant", "dnn"):
             raise ValueError(f"unknown controller variant {self.variant!r}")
+        if self.theta0 is not None and not all(math.isfinite(t) for t in self.theta0):
+            raise ValueError(f"theta0 entries must be finite, got {self.theta0}")
 
 
 @dataclass

@@ -142,34 +142,21 @@ class AdaptParams:
 @dataclass
 class AdaptState:
     """Adapted parameters plus their gain: a vector gamma for the
-    per-component law or a full SPD matrix for the matrix law."""
+    per-component law or a full SPD matrix for the matrix law. fresh() is the
+    one checked constructor: each law step builds the next state, refusing a
+    non-finite update and clamping or flooring the gain itself. A state is
+    never changed in place."""
 
     theta_hat: np.ndarray
     gain: np.ndarray
 
-    def __post_init__(self):
-        self.theta_hat = np.asarray(self.theta_hat, dtype=float).reshape(-1)
-        self.gain = np.asarray(self.gain, dtype=float)
-        n = self.theta_hat.shape[0]
-        if self.gain.ndim == 1:
-            if self.gain.shape != (n,):
-                raise ValueError("gamma vector must match theta_hat length")
-            if any(g <= 0.0 for g in self.gain.tolist()):
-                raise ValueError("all gamma entries must be positive")
-        elif self.gain.ndim == 2:
-            if self.gain.shape != (n, n):
-                raise ValueError("gain matrix must be square matching theta_hat")
-            if not np.allclose(self.gain, self.gain.T, atol=1e-12):
-                raise ValueError("gain matrix must be symmetric")
-            if np.any(np.linalg.eigvalsh(self.gain) <= 0):
-                raise ValueError("gain matrix must be positive definite")
-        else:
-            raise ValueError("gain must be a vector or a square matrix")
-
     @classmethod
     def fresh(cls, n_theta: int, params: AdaptParams, *, theta0=None) -> "AdaptState":
-        """theta0 (zeros by default) with the initial gain of params.law."""
-        theta = np.zeros(n_theta) if theta0 is None else np.asarray(theta0, dtype=float)
+        """theta0 (zeros by default), which must give n_theta finite entries,
+        with the initial gain of params.law."""
+        theta = np.zeros(n_theta) if theta0 is None else np.array(theta0, dtype=float).reshape(-1)
+        if theta.shape != (n_theta,) or not np.all(np.isfinite(theta)):
+            raise ValueError(f"theta0 must give {n_theta} finite entries, got {theta0}")
         if params.law == "scalar":
             return cls(theta, np.full(n_theta, params.gamma0))
         return cls(theta, params.gamma0 * np.eye(n_theta))
@@ -523,7 +510,8 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
         log.debug("scalar adaptation produced a non-finite update; step rejected")
         return state, True
     lo, hi = params.gamma_min, params.gamma_max
-    return AdaptState(theta_new, [min(max(g, lo), hi) for g in gamma_new]), False
+    gamma_new = [min(max(g, lo), hi) for g in gamma_new]
+    return AdaptState(np.array(theta_new), np.array(gamma_new)), False
 
 
 def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
@@ -672,13 +660,14 @@ class _AdaptiveController:
         self.basis = basis
         self.adapt = adapt and basis is not None
         self.dt = control_period
-        self.state = (AdaptState.fresh(basis.n_theta, adapt_params, theta0=theta0)
-                      if basis is not None else None)
+        self.state0 = (AdaptState.fresh(basis.n_theta, adapt_params, theta0=theta0)
+                       if basis is not None else None)
         self.res_filter = ResidualFilter(residual_cutoff_hz)
-        self.prev_u = None
-        self.prev_phi = None
+        _AdaptiveController.reset(self)         # a subclass's parts are not built yet
 
     def reset(self):
+        """Start an episode from the fresh theta_hat and gain, empty filters."""
+        self.state = self.state0
         self.res_filter.reset()
         self.prev_u = None
         self.prev_phi = None

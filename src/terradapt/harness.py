@@ -78,7 +78,11 @@ def resolve_path(name: str, out_dir: str) -> str:
 
 def build_world_for(cfg: Config) -> TerrainWorldMap:
     if cfg.provider.mode == "recorded":
-        return load_world(resolve_path(cfg.provider.world_file, resolve_out_dir(cfg)))
+        world = load_world(resolve_path(cfg.provider.world_file, resolve_out_dir(cfg)))
+        if cfg.vehicle.type == "tracked" and world.eta_table.shape[1] != 2:
+            raise ConfigError(f"provider.world_file: the tracked vehicle needs two eta "
+                              f"entries per class, got {world.eta_table.shape[1]}")
+        return world
     return build_world(cfg.world)
 
 
@@ -88,16 +92,31 @@ def split_variant(variant: str) -> tuple[str, bool]:
     return base, not variant.endswith("-frozen")
 
 
-def _load_basis(cfg: Config, out_dir: str):
-    """(net, theta_r) from the configured checkpoint."""
+def _load_basis(cfg: Config, out_dir: str, world: TerrainWorldMap):
+    """(net, theta_r) from the configured checkpoint, refused unless the net
+    fits the vehicle and the world and theta_r gives n_theta finite entries."""
     net, meta = load_checkpoint(resolve_path(cfg.controller.checkpoint, out_dir))
-    return net, meta.get("theta_r")
+    where = f"controller.checkpoint {cfg.controller.checkpoint}"
+    # both vehicles log two velocity channels and two residual channels
+    want = {"state_dim": 2, "feature_dim": world.features.shape[-1], "n": 2,
+            "m": _vehicle(cfg).n_input}
+    got = {k: getattr(net, k) for k in want}
+    if got != want:
+        raise ConfigError(f"{where}: the basis has {got}; the {cfg.vehicle.type} vehicle "
+                          f"on this world needs {want}")
+    theta_r = meta.get("theta_r")
+    if theta_r is not None:
+        theta_r = np.array(theta_r, dtype=float).reshape(-1)
+        if theta_r.shape != (net.n_theta,) or not np.all(np.isfinite(theta_r)):
+            raise ConfigError(f"{where}: theta_r must give n_theta={net.n_theta} finite "
+                              f"entries, got {theta_r.tolist()}")
+    return net, theta_r
 
 
 def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
     """Controller for one variant on the configured vehicle. A dnn variant
     uses checkpoint, the (net, theta_r) pair of _load_basis, or reads it from
-    out_dir when None."""
+    out_dir, on the configured world, when None."""
     base, adapt = split_variant(variant)
     vehicle = _vehicle(cfg)
     basis = None
@@ -105,7 +124,7 @@ def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
     if base == "constant":
         basis = ConstantBasis(2, vehicle.n_input)
     elif base == "dnn":
-        basis, theta_r = checkpoint or _load_basis(cfg, out_dir)
+        basis, theta_r = checkpoint or _load_basis(cfg, out_dir, build_world_for(cfg))
         if theta0 is None:
             theta0 = theta_r
     # the two config checks that need the basis
@@ -313,6 +332,8 @@ class _Vehicle:
     every call. Stepping and measuring look eta up through the same
     terrain(world); the per-substep lookups are made inside the plant call."""
 
+    tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
+
     def __init__(self, cfg: Config):
         self.cfg = cfg
         self.ds = cfg.dataset
@@ -333,7 +354,6 @@ class _Vehicle:
 
 
 class _Tracked(_Vehicle):
-    tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
     n_input = 2
     input_cls = TrackedInput
     # the dataset logs x = [v_x, omega] under both inputs
@@ -373,8 +393,6 @@ class _Tracked(_Vehicle):
 
 
 class _Ackermann(_Vehicle):
-    # the lateral law raises ValueError when engaged at or below v_min
-    tick_errors = (NonFiniteError, ValueError, np.linalg.LinAlgError)
     n_input = 1
     input_cls = AckermannInput
     # the dataset logs x = [v_y, omega] under the steering input
@@ -433,10 +451,9 @@ def _vehicle(cfg: Config) -> _Vehicle:
 
 # ---------------------------------------------------------------- sim loops
 
-def _finite_state(state) -> bool:
-    vals = tuple(vars(state).values())      # the state's fields, in order
-    return all(math.isfinite(v) for v in vals) and \
-        max(abs(v) for v in vals[3:]) < _SPEED_ABORT
+def _speeds_bounded(state) -> bool:
+    # the velocities follow the pose; integrate_step refused a non-finite state
+    return max(abs(v) for v in tuple(vars(state).values())[3:]) < _SPEED_ABORT
 
 
 def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
@@ -511,7 +528,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
             log.warning("plant diverged at t=%.2f: %s", t, e)
             aborted = True
             break
-        if not _finite_state(state):
+        if not _speeds_bounded(state):
             log.warning("state left the trust region at t=%.2f", t)
             aborted = True
             break
@@ -647,14 +664,21 @@ def run_scenario(cfg: Config, variants: list | None = None,
     (runs.csv), a summary (summary.json), an execution sidecar
     (run_info.json) and optional per-run telemetry CSVs.
     """
+    sc = cfg.scenario
+    if sc.kind == "ackermann-circle" and sc.circle_speed <= cfg.vehicle.ackermann.v_min:
+        # the car holds circle_speed; at or below v_min its slip angles are undefined
+        raise ConfigError(f"scenario.circle_speed {sc.circle_speed} must lie above "
+                          f"vehicle.ackermann.v_min={cfg.vehicle.ackermann.v_min}")
     out_dir = out_dir or resolve_out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    sc = cfg.scenario
     variants = list(variants) if variants else [cfg.controller.variant]
     world = build_world_for(cfg)
     # one network for every dnn episode: controllers only evaluate it
-    checkpoint = (_load_basis(cfg, out_dir)
+    checkpoint = (_load_basis(cfg, out_dir, world)
                   if any(split_variant(v)[0] == "dnn" for v in variants) else None)
+    # one controller per variant, checked before any output; every episode
+    # resets it to its fresh state
+    controllers = [build_controller(cfg, v, out_dir, checkpoint) for v in variants]
     tele_dir = os.path.join(out_dir, "telemetry")
     results: list[RunResult] = []
     for r in range(sc.runs):
@@ -662,9 +686,6 @@ def run_scenario(cfg: Config, variants: list | None = None,
         start_ss, ref_ss, prov_ss, meas_ss = ss.spawn(4)
         policy = _policy_for_run(cfg, world, np.random.default_rng(ref_ss))
         start = policy.start_pose(np.random.default_rng(start_ss))
-        # built before any episode runs: the first run refuses a theta0 or
-        # q_diag that does not fit a variant's basis before any output
-        controllers = [build_controller(cfg, v, out_dir, checkpoint) for v in variants]
         for variant, controller in zip(variants, controllers):
             provider = FeatureProvider(world, cfg.provider.noise_std,
                                        cfg.provider.brightness, seed=prov_ss)

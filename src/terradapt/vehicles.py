@@ -21,8 +21,8 @@ wheelbase midpoint, and the forward channel reduced to a first-order lag.
 
 Both vehicles share one stepping path, integrate_step, and one derivative,
 and the RK4 scheme is written once, in _rk4. The params object picks the
-vehicle: each params class supplies only its state class and its substep
-derivative, whose RK4 stages form only the state components it reads.
+vehicle: each params class supplies only its state class, eta_value and its
+substep derivative, whose RK4 stages form only the state components it reads.
 """
 
 from __future__ import annotations
@@ -119,9 +119,17 @@ class TrackedParams:
         """(A_n, B_n) the dynamics residual is measured against."""
         return self.a_n(), self.b_n()
 
+    @staticmethod
+    def eta_value(eta) -> tuple[float, float]:
+        """An explicit eta, two entries in (0, 2] in any form, as floats; None: 1."""
+        e = [1.0, 1.0] if eta is None else np.ravel(eta).tolist()
+        if len(e) != 2 or not all(0.0 < v <= 2.0 for v in e):     # NaN fails too
+            raise ValueError(f"tracked eta must be two entries in (0, 2], got {eta}")
+        return float(e[0]), float(e[1])
+
     def substep_derivative(self, u: TrackedInput):
         """The derivative under the held input u, for integrate_step and
-        derivative: substep(y, eta) checks the eta pair (None: nominal) and
+        derivative: substep(y, eta), for a checked or looked-up eta pair,
         returns rhs(y0, k, h), the derivative at y0 + h k (y0 when k is None)
         with the input terms f = eta k u formed; only psi, v_x and omega of
         that stage state are formed. Input and coefficients are read once."""
@@ -130,7 +138,7 @@ class TrackedParams:
         k1, k2, x_icr, tau_v, tau_omega = self.k1, self.k2, self.x_icr, self.tau_v, self.tau_omega
 
         def substep(y, eta):
-            e1, e2 = _check_eta_tracked((1.0, 1.0) if eta is None else eta)
+            e1, e2 = eta
             f_v, f_omega = e1 * k1 * u_v, e2 * k2 * u_omega
 
             def rhs(y0, k, h):                     # the position does not enter
@@ -187,13 +195,21 @@ class AckermannParams:
         held just above v_min, and B_n as a column for the steering input."""
         return self.a_n(max(state.v_x, self.v_min * 1.01)), self._b_col
 
+    @staticmethod
+    def eta_value(eta) -> float:
+        """An explicit eta, scaling the lateral forces, as a float in (0, 2]; None: 1."""
+        ev = 1.0 if eta is None else float(eta)
+        if not 0.0 < ev <= 2.0:                                   # NaN fails too
+            raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
+        return ev
+
     def substep_derivative(self, u: AckermannInput):
         """The derivative under the held input u, for integrate_step and
         derivative: substep(y, eta) refuses a forward speed y[3] at or below
-        v_min, checks the scalar eta (None: nominal; it scales the lateral
-        force production) and returns rhs(y0, k, h), the derivative at
-        y0 + h k (y0 when k is None), forming psi and the velocities of that
-        stage state only. Input, coefficients and steering terms are read once.
+        v_min and, for a checked or looked-up eta, returns rhs(y0, k, h), the
+        derivative at y0 + h k (y0 when k is None), forming psi and the
+        velocities of that stage state only. Input, coefficients and
+        steering terms are read once.
 
         Tire slip angles follow the single-track convention with the CG at
         the wheelbase midpoint:
@@ -213,10 +229,7 @@ class AckermannParams:
             if y[3] <= v_min:
                 raise SlipUndefinedError(
                     f"v_x={y[3]} at or below v_min={v_min}: slip angles undefined")
-            ev = 1.0 if eta is None else float(eta)
-            if not (math.isfinite(ev) and 0.0 < ev <= 2.0):
-                raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
-            eta_c_y = ev * c_y
+            eta_c_y = eta * c_y
 
             def rhs(y0, k, h):
                 psi, v_x, v_y, omega = y0[2:] if k is None else (
@@ -257,31 +270,15 @@ def _check_finite(label: str, *values: float) -> None:
             raise NonFiniteError(f"non-finite value in {label}: {values}")
 
 
-def _check_eta_tracked(eta) -> tuple[float, float]:
-    # two plain floats, the form the simulation loops pass, are checked with
-    # scalar compares (which also fail on NaN); anything else, or a value
-    # that fails, goes through the array path, which converts or raises
-    if type(eta) in (tuple, list) and len(eta) == 2:
-        e1, e2 = eta
-        if type(e1) is float and type(e2) is float and 0.0 < e1 <= 2.0 and 0.0 < e2 <= 2.0:
-            return e1, e2
-    e = np.asarray(eta, dtype=float).reshape(-1)
-    if e.shape != (2,):
-        raise ValueError(f"tracked eta must have two diagonal entries, got shape {e.shape}")
-    if not np.all(np.isfinite(e)) or np.any(e <= 0) or np.any(e > 2.0):
-        raise ValueError(f"tracked eta entries must lie in (0, 2], got {e}")
-    return float(e[0]), float(e[1])
-
-
 def derivative(state, u, params, eta=None) -> np.ndarray:
     """Time derivative of the state under input u and terrain factor eta,
-    nominal (1) when None, with the checks of one integrate_step substep.
+    nominal (1) when None, with the checks of integrate_step.
 
     Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
     [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
     """
     y = _entry_values(state, params)
-    return np.array(params.substep_derivative(u)(y, eta)(y, None, 0.0))
+    return np.array(params.substep_derivative(u)(y, params.eta_value(eta))(y, None, 0.0))
 
 
 def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
@@ -290,9 +287,10 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
     dt must lie in (0, 0.1]. The input is held over every substep, and the
     heading is wrapped to (-pi, pi] after each. The terrain factor is either
     eta, held over the whole call, or terrain(p_x, p_y), looked up at the
-    start of every substep and returning eta in the same form; not both.
-    State and input are checked once on entry and the result once on exit;
-    eta, and the Ackermann forward speed against v_min, at every substep.
+    start of every substep; not both. State, input and eta are checked on
+    entry, the result on exit. A looked-up eta is trusted, as the world map
+    checks its rows; only the Ackermann forward speed, which moves within a
+    call, is checked against v_min at every substep.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
@@ -302,6 +300,8 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
         raise ValueError("pass eta or terrain, not both")
     y = _entry_values(state, params)
     substep = params.substep_derivative(u)
+    if terrain is None:
+        eta = params.eta_value(eta)
     try:
         for _ in range(n_sub):
             y = _rk4(y, substep(y, eta if terrain is None else terrain(y[0], y[1])), dt)
@@ -339,17 +339,6 @@ def _rk4(y0, rhs, dt):
     h = dt / 6.0
     return [y + h * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
 
-
-def longitudinal_slip(v_x: float, u_v: float, v_min: float = 0.1) -> float:
-    """Longitudinal slip ratio kappa = -(v_x - u_v) / v_x. Diagnostic only.
-
-    kappa = 0 when the commanded and actual speeds agree, positive when the
-    tracks spin faster than the vehicle moves. Undefined below v_min.
-    """
-    _check_finite("slip inputs", v_x, u_v)
-    if abs(v_x) < v_min:
-        raise SlipUndefinedError(f"|v_x|={abs(v_x)} below v_min={v_min}: slip undefined")
-    return -(v_x - u_v) / v_x
 
 
 def track_speeds(u: TrackedInput, half_spacing: float) -> tuple[float, float]:

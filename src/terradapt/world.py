@@ -123,8 +123,8 @@ class TerrainWorldMap:
     @cached_property
     def eta_cells(self) -> list:
         """Each cell's eta row as a tuple of Python floats, indexed
-        [row][col] and built on first use: the form the plant checks with
-        scalar compares at every substep."""
+        [row][col] and built on first use: the form the plant reads at every
+        substep, unchecked, since __post_init__ checked every row."""
         by_class = [tuple(r) for r in self.eta_table.tolist()]
         return [[by_class[c] for c in line] for line in self.class_grid.tolist()]
 

@@ -10,7 +10,7 @@ from terradapt.basis import (
     DimensionError,
     contract,
     flatten_output,
-    read_checkpoint_meta,
+    load_checkpoint,
     reshape_output,
 )
 from terradapt.serialize import ContainerError, load_arrays, save_arrays
@@ -296,7 +296,7 @@ def test_extra_meta_roundtrip_and_protection(tmp_path):
     net = BasisNet.init(2, 4, 2, 2, 4, rng=0)
     path = tmp_path / "m.tdc"
     net.save(path, extra_meta={"theta_r": [1, 1, 1, 1], "train_seed": 3})
-    meta = read_checkpoint_meta(path)
+    _, meta = load_checkpoint(path)
     assert meta["theta_r"] == [1, 1, 1, 1]
     assert meta["train_seed"] == 3
     assert meta["n_theta"] == 4

@@ -100,25 +100,23 @@ def test_adapt_params_build_weights_once():
 
 
 def test_adapt_state_validation():
-    AdaptState(np.zeros(3), np.ones(3))
-    AdaptState(np.zeros(2), np.eye(2))
-    with pytest.raises(ValueError):
-        AdaptState(np.zeros(3), np.ones(2))
-    with pytest.raises(ValueError):
-        AdaptState(np.zeros(2), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        AdaptState(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        AdaptState(np.zeros(2), -np.eye(2))
+    """fresh() is the one checked constructor: the laws build every later
+    state from it. Its gain comes from the checked AdaptParams."""
     fresh = AdaptState.fresh(4, AdaptParams())
     np.testing.assert_array_equal(fresh.theta_hat, np.zeros(4))
     np.testing.assert_array_equal(fresh.gain, np.full(4, 0.01))
     fresh_m = AdaptState.fresh(3, AdaptParams(law="matrix", q_diag=(1.0,) * 3))
     np.testing.assert_array_equal(fresh_m.gain, 0.01 * np.eye(3))
+    theta0 = np.array([0.1, 0.2])
+    started = AdaptState.fresh(2, AdaptParams(), theta0=theta0)
+    np.testing.assert_array_equal(started.theta_hat, theta0)
+    theta0[0] = 9.0                         # the caller's array is copied
+    assert started.theta_hat[0] == 0.1
     with pytest.raises(ValueError):
         AdaptParams(law="kalman")
-    with pytest.raises(ValueError):
-        AdaptState.fresh(4, AdaptParams(), theta0=[1.0, 2.0])
+    for bad in ([1.0, 2.0], [0.0, 0.0, 0.0, math.nan], [0.0, math.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="theta0 must give 4 finite entries"):
+            AdaptState.fresh(4, AdaptParams(), theta0=bad)
 
 
 # ------------------------------------------------------------------ filters
@@ -838,9 +836,12 @@ def test_tracked_controller_reset():
     state = TrackedState(0, 0, 0, 0.5, 0.0)
     ctrl.tick_velocity(state, np.zeros(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
     assert ctrl.prev_u is not None
+    ctrl.tick_velocity(state, np.ones(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
+    assert ctrl.state is not ctrl.state0        # adapted
     ctrl.reset()
     assert ctrl.prev_u is None and ctrl.prev_phi is None
     assert ctrl.res_filter.lpf.state is None
+    assert ctrl.state is ctrl.state0            # a new episode starts fresh
 
 
 def test_heading_error_bounded_by_yaw_tracking_quality():

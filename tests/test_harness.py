@@ -506,20 +506,27 @@ def test_ackermann_scenario_rejects_fault():
         config_from_dict(raw)
 
 
-def test_ackermann_controller_error_aborts_the_run(tmp_path):
-    # the lateral law raises ValueError below v_min; for the car that aborts
-    # the run (tracked runs abort only on NonFiniteError and LinAlgError)
-    raw = base_raw(**{"vehicle.type": "ackermann"},
+def test_circle_speed_at_or_below_v_min_is_refused(tmp_path, capsys):
+    """The car holds the circle speed, and its lateral law and slip angles
+    are undefined at or below v_min: simulate and evaluate refuse the pair
+    before any output (every run used to abort at t = 0 with exit 0)."""
+    out = tmp_path / "c"
+    raw = base_raw(out_dir=out, **{"vehicle.type": "ackermann"},
                    scenario={"kind": "ackermann-circle", "duration_s": 2.0,
-                             "runs": 1, "circle_radius": 1.5,
-                             "circle_speed": 1.0})
-    raw["vehicle"]["ackermann"] = {"v_min": 1.5}
-    summary = run_scenario(config_from_dict(raw), ["pd"], str(tmp_path))
-    assert summary["variants"]["pd"]["aborted"] == 1
-    cols, rows = read_csv(tmp_path / "runs.csv")
-    idx = {c: i for i, c in enumerate(cols)}
-    assert rows[0][idx["aborted"]] == "1"
-    assert int(rows[0][idx["ticks"]]) == 0
+                             "runs": 1, "circle_radius": 1.5, "circle_speed": 1.0})
+    for v_min in (1.5, 1.0):
+        raw["vehicle"]["ackermann"] = {"v_min": v_min}
+        cfg_path = write_cfg(tmp_path, raw)
+        for cmd in (["simulate", "--variant", "pd"], ["evaluate", "--variants", "pd"]):
+            assert cli.main([cmd[0], "-c", cfg_path, *cmd[1:]]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert err["message"].startswith("scenario.circle_speed 1.0 must lie above "
+                                             f"vehicle.ackermann.v_min={v_min}")
+            assert os.listdir(out) == []
+    raw["vehicle"]["ackermann"] = {"v_min": 0.9}
+    assert cli.main(["simulate", "-c", write_cfg(tmp_path, raw), "--variant", "pd"]) == 0
+    assert (out / "runs.csv").exists()
 
 
 def test_ackermann_circle_scenario_runs(tmp_path):
@@ -581,9 +588,39 @@ def test_run_scenario_reads_checkpoint_once(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "build_controller", recording_build)
     summary = run_scenario(cfg, ["dnn", "dnn-frozen"], str(tmp_path))
     assert len(reads) == 1
-    assert len(bases) == 4 and all(b is bases[0] for b in bases)
+    # one controller per variant, reused by both runs
+    assert len(bases) == 2 and all(b is bases[0] for b in bases)
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written == json.loads(json.dumps(summary))
+
+
+@pytest.mark.parametrize("vehicle, law", [("tracked", "scalar"), ("tracked", "matrix"),
+                                          ("ackermann", "scalar")])
+def test_reused_controller_matches_fresh_ones(tmp_path, vehicle, law):
+    """Two episodes on one controller give the rows of two fresh controllers:
+    reset() restores the fresh theta_hat and gain, not only the filters."""
+    raw = base_raw(out_dir=tmp_path, **{"vehicle.type": vehicle,
+                                        "scenario.kind": SCENARIO_OF[vehicle]})
+    raw["controller"]["adaptation"].update(law=law, q_diag=[0.05])
+    cfg = config_from_dict(raw)
+    world = build_world_for(cfg)
+
+    def episode(controller, r):
+        policy = harness._policy_for_run(cfg, world, np.random.default_rng(r))
+        start = policy.start_pose(np.random.default_rng(10 + r))
+        provider = FeatureProvider(world, 0.01, 1.0, seed=20 + r)
+        _, rows, _ = harness.simulate_episode(world, cfg, controller, policy, provider,
+                                              np.random.default_rng(30 + r), start, 2.0)
+        return np.array(rows, dtype=float)
+
+    reused = build_controller(cfg, "constant", str(tmp_path))
+    first = episode(reused, 0)
+    assert not np.array_equal(reused.state.theta_hat, reused.state0.theta_hat)  # adapted
+    second = episode(reused, 1)
+    np.testing.assert_array_equal(first, episode(build_controller(cfg, "constant",
+                                                                  str(tmp_path)), 0))
+    np.testing.assert_array_equal(second, episode(build_controller(cfg, "constant",
+                                                                   str(tmp_path)), 1))
 
 
 def test_recorded_world_mode(tmp_path):
@@ -602,6 +639,23 @@ def test_recorded_world_mode(tmp_path):
     raw_bad = base_raw(out_dir=tmp_path, provider={"mode": "recorded"})
     with pytest.raises(ConfigError, match="^provider: .*world_file"):
         config_from_dict(raw_bad)
+
+
+def test_recorded_world_eta_width_is_checked_at_load(tmp_path):
+    """The plant trusts a looked-up eta, so a recorded world of one eta
+    entry per class is refused for the tracked vehicle when it is loaded,
+    as a built one is refused at config load; the car reads the first entry."""
+    import dataclasses
+    from terradapt.world import save_world
+    world = build_world_for(config_from_dict(base_raw(out_dir=tmp_path)))
+    path = tmp_path / "w1.tdc"
+    save_world(path, dataclasses.replace(world, eta_table=world.eta_table[:, :1].copy()))
+    recorded = {"mode": "recorded", "world_file": str(path)}
+    with pytest.raises(ConfigError, match="^provider.world_file: the tracked vehicle needs two"):
+        build_world_for(config_from_dict(base_raw(out_dir=tmp_path, provider=recorded)))
+    car = base_raw(out_dir=tmp_path, provider=recorded,
+                   **{"vehicle.type": "ackermann", "scenario.kind": "ackermann-circle"})
+    assert build_world_for(config_from_dict(car)).eta_table.shape[1] == 1
 
 
 def test_resolve_path_rules(tmp_path):
@@ -730,6 +784,56 @@ def test_theta0_of_the_wrong_length_exits_2_before_any_run_output(tmp_path, caps
         assert os.listdir(out) == []   # the CLI makes the directory, nothing in it
     # pd has no basis to start from
     assert cli.main(["evaluate", "-c", cfg_path, "--variants", "pd"]) == 0
+
+
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+@pytest.mark.parametrize("fault", ["feature_dim", "m", "theta_r_length", "theta_r_nan"])
+def test_checkpoint_that_does_not_fit_exits_2(tmp_path, capsys, vehicle, fault):
+    """A checkpoint is checked where it is loaded. The car used to abort every
+    dnn run at tick 0 and exit 0; the tracked vehicle stopped with exit 1."""
+    out = tmp_path / "k"
+    raw = base_raw(out_dir=out, **{"vehicle.type": vehicle, "scenario.kind": SCENARIO_OF[vehicle],
+                                   "scenario.runs": 1, "scenario.duration_s": 1.0})
+    raw["controller"]["adaptation"]["q_diag"] = [0.05]
+    m = 2 if vehicle == "tracked" else 1
+    feature_dim, theta_r = 4, [1.0, 1.0]
+    if fault == "feature_dim":
+        feature_dim = 3
+    elif fault == "m":
+        m = 3 - m
+    elif fault == "theta_r_length":
+        theta_r = [1.0, 1.0, 1.0]
+    else:
+        theta_r = [1.0, math.nan]
+    os.makedirs(out)
+    BasisNet.init(2, feature_dim, 2, m, 2, hidden=(8,), rng=0).save(
+        out / "basis.tdc", extra_meta={"theta_r": theta_r})
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli.main(["evaluate", "-c", cfg_path, "--variants", "pd", "dnn"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("controller.checkpoint basis.tdc: ")
+    assert ("theta_r" in err["message"]) == fault.startswith("theta_r")
+    assert os.listdir(out) == ["basis.tdc"]
+    if fault == "feature_dim":
+        return
+    # the same checkpoint with the fault mended runs
+    m = 2 if vehicle == "tracked" else 1
+    BasisNet.init(2, 4, 2, m, 2, hidden=(8,), rng=0).save(out / "basis.tdc",
+                                                          extra_meta={"theta_r": [1.0, 1.0]})
+    assert cli.main(["evaluate", "-c", cfg_path, "--variants", "pd", "dnn"]) == 0
+
+
+def test_non_finite_theta0_exits_2(tmp_path, capsys):
+    """A NaN theta0 used to load, and every tick of every adapting run fell
+    back to the nominal model."""
+    raw = base_raw(out_dir=tmp_path / "n", **{"scenario.runs": 1, "scenario.duration_s": 1.0})
+    raw["controller"]["theta0"] = [math.nan, 0.0, 0.0, 0.0]
+    assert cli.main(["evaluate", "-c", write_cfg(tmp_path, raw), "--variants", "constant"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("controller: theta0 entries must be finite")
+    assert not (tmp_path / "n").exists()
 
 
 def test_module_entry_point_passes_exit_code(tmp_path):

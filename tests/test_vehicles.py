@@ -19,7 +19,6 @@ from terradapt.vehicles import (
     derivative,
     from_track_speeds,
     integrate_step,
-    longitudinal_slip,
     track_speeds,
     wrap_angle,
 )
@@ -406,10 +405,9 @@ def test_substep_checks():
         integrate_step(s, u, p, 0.01, n_sub=0)
     with pytest.raises(ValueError, match="not both"):
         integrate_step(s, u, p, 0.01, (1.0, 1.0), terrain=lambda x, y: (1.0, 1.0))
-    # eta is still checked at every substep
-    calls = iter([(1.0, 1.0), (1.0, 1.0), (2.5, 1.0)])
+    # an explicit eta is checked once, before the first substep
     with pytest.raises(ValueError, match="eta"):
-        integrate_step(s, u, p, 0.01, n_sub=3, terrain=lambda x, y: next(calls))
+        integrate_step(s, u, p, 0.01, (2.5, 1.0), n_sub=3)
     # a result that overflowed is refused on exit
     with pytest.raises(NonFiniteError):
         integrate_step(TrackedState(0, 0, 0, 1e308, 0), TrackedInput(0, 0), p, 0.01)
@@ -456,25 +454,6 @@ def test_plant_refuses_state_of_other_vehicle(plant):
         plant(AckermannState(0, 0, 0, 1.0, 0, 0), TrackedInput(1.0, 0.0), TrackedParams())
     with pytest.raises(TypeError, match="TrackedState"):
         plant(TrackedState(0, 0, 0, 1.0, 0), AckermannInput(1.0, 0.0), AckermannParams())
-
-
-# ------------------------------------------------------------------- slip
-
-
-def test_slip_examples():
-    assert longitudinal_slip(0.5, 1.0) == pytest.approx(1.0)
-    assert longitudinal_slip(1.0, 0.0) == pytest.approx(-1.0)
-    assert longitudinal_slip(1.3, 1.3) == 0.0
-    with pytest.raises(SlipUndefinedError):
-        longitudinal_slip(0.05, 1.0)
-    with pytest.raises(NonFiniteError):
-        longitudinal_slip(float("nan"), 1.0)
-
-
-@given(st.floats(0.2, 5.0), st.floats(-3.0, 3.0))
-def test_slip_sign_tracks_command_excess(v_x, u_v):
-    k = longitudinal_slip(v_x, u_v)
-    assert math.copysign(1.0, k) == math.copysign(1.0, u_v - v_x) or k == 0.0
 
 
 # ------------------------------------------------------------------ faults
