@@ -48,7 +48,7 @@ def _write_sidecar(path, payload: dict):
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(cfg, args)
-    world = build_world_for(cfg)
+    world = build_world_for(cfg, out)
     dataset = generate_dataset(cfg, world)
     ds_path = resolve_path(cfg.dataset.file, out)
     dataset.save(ds_path, meta={"seed": cfg.seed, "vehicle": cfg.vehicle.type})

@@ -548,15 +548,6 @@ def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
     return AdaptState(theta_new, gain_new), False
 
 
-def lyapunov_value(s, theta_hat, theta_true, gain) -> float:
-    """V = s^T s + theta_err^T gain^-1 theta_err, for either gain form."""
-    s = np.asarray(s, dtype=float)
-    err = np.asarray(theta_hat, dtype=float) - np.asarray(theta_true, dtype=float)
-    if np.asarray(gain).ndim == 1:
-        return float(s @ s + np.sum(err * err / np.asarray(gain, dtype=float)))
-    return float(s @ s + err @ np.linalg.solve(np.asarray(gain, dtype=float), err))
-
-
 # ---------------------------------------------------------------- ackermann loop
 
 def lateral_errors(p, psi: float, v_x: float, v_y: float, p_d, psi_d: float,

@@ -28,7 +28,12 @@ trajectory. Driving (steps 3-4 with random inputs in place of a
 controller) never reads an observation, so it runs first, alone; steps 1-2
 and the residual are then derived for the whole trajectory, drawing each
 noise stream in the order the per-tick loop would: the features in one
-gather, the eta and the measured acceleration per sample.
+gather, the eta and the measured acceleration per sample, on each row's
+floats through the plant's own stage_rates. RK4 is written only in the
+plant, once per vehicle (vehicles.*Params.rk4_substep), where named floats
+beat a generic scheme.
+
+Relative config file names resolve inside the output dir, never the CWD.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from . import __version__
 from .basis import ConstantBasis, load_checkpoint
 from .config import Config, ConfigError, config_to_dict
 from .control import AckermannController, ResidualFilter, TrackedController
-from .serialize import write_csv, read_csv
+from .serialize import write_csv
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
                        TrackedInput, TrackedState, apply_track_fault, derivative,
@@ -70,15 +75,17 @@ def resolve_out_dir(cfg: Config) -> str:
 
 
 def resolve_path(name: str, out_dir: str) -> str:
-    """Config file names resolve against the output dir unless absolute."""
-    if os.path.isabs(name) or os.path.exists(name):
-        return name
-    return os.path.join(out_dir, name)
+    """A config file name: an absolute one as given, a relative one inside
+    the output dir, whatever the working directory holds."""
+    return name if os.path.isabs(name) else os.path.join(out_dir, name)
 
 
-def build_world_for(cfg: Config) -> TerrainWorldMap:
+def build_world_for(cfg: Config, out_dir: str | None = None) -> TerrainWorldMap:
+    """The configured world; a recorded one is read from provider.world_file,
+    resolved against out_dir (the config's output dir when None)."""
     if cfg.provider.mode == "recorded":
-        world = load_world(resolve_path(cfg.provider.world_file, resolve_out_dir(cfg)))
+        world = load_world(resolve_path(cfg.provider.world_file,
+                                        out_dir or resolve_out_dir(cfg)))
         if cfg.vehicle.type == "tracked" and world.eta_table.shape[1] != 2:
             raise ConfigError(f"provider.world_file: the tracked vehicle needs two eta "
                               f"entries per class, got {world.eta_table.shape[1]}")
@@ -124,7 +131,7 @@ def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
     if base == "constant":
         basis = ConstantBasis(2, vehicle.n_input)
     elif base == "dnn":
-        basis, theta_r = checkpoint or _load_basis(cfg, out_dir, build_world_for(cfg))
+        basis, theta_r = checkpoint or _load_basis(cfg, out_dir, build_world_for(cfg, out_dir))
         if theta0 is None:
             theta0 = theta_r
     # the two config checks that need the basis
@@ -292,19 +299,6 @@ def compute_metrics(period: float, s_rows, p_rows=None, pd_rows=None):
     return position_rmse, velocity_rmse, cum
 
 
-def metrics_from_telemetry(path, period: float):
-    """Recompute the run metrics from a telemetry CSV."""
-    cols, rows = read_csv(path)
-    idx = {c: i for i, c in enumerate(cols)}
-    s_cols = [idx[c] for c in cols if c.startswith("s_")]
-    s = [[row[i] for i in s_cols] for row in rows]
-    p = pd = None
-    if "p_d_x" in idx:
-        p = [[row[idx["p_x"]], row[idx["p_y"]]] for row in rows]
-        pd = [[row[idx["p_d_x"]], row[idx["p_d_y"]]] for row in rows]
-    return compute_metrics(period, s, p, pd)
-
-
 # ---------------------------------------------------------------- vehicles
 
 def _interior_start(rng, world: TerrainWorldMap, margin_frac: float):
@@ -355,7 +349,6 @@ class _Vehicle:
 
 class _Tracked(_Vehicle):
     n_input = 2
-    input_cls = TrackedInput
     # the dataset logs x = [v_x, omega] under both inputs
     x_cols, u_cols = slice(3, 5), slice(0, 2)
     tele_cols = ["v_ref_x", "omega_ref", "s_vx", "s_omega",
@@ -394,7 +387,6 @@ class _Tracked(_Vehicle):
 
 class _Ackermann(_Vehicle):
     n_input = 1
-    input_cls = AckermannInput
     # the dataset logs x = [v_y, omega] under the steering input
     x_cols, u_cols = slice(4, 6), slice(1, 2)
     tele_cols = ["psi_d", "e_par", "e_perp", "psi_e", "s_perp",
@@ -616,23 +608,25 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
 def _observe(vehicle: _Vehicle, provider: FeatureProvider, meas_rng, states, inputs):
     """Pass 2 of generate_dataset: the logged (x, u, e, y) of every sample
     of one trajectory, equal to observing one sample at a time. Features are
-    one gather and each noise stream one block draw. The measured derivative,
-    at the eta looked up under the robot as the plant looks it up, and the
-    nominal model are taken per sample (the plant's math.atan2 is not
-    np.arctan2's); the residual is taken over all of them at once."""
-    sim = vehicle.cfg.sim
+    one gather and each noise stream one block draw. The measured derivative
+    is taken per sample on the row's floats (the plant's math.atan2 is not
+    np.arctan2's): the eta under the robot through the plant's terrain
+    function, then the stage_rates every RK4 stage calls (RK4 itself is
+    written per vehicle, in vehicles' rk4_substep), with no State, Input or
+    array per sample. Rows are read one at a time: a whole trajectory as
+    lists costs more memory than it saves time. The nominal model comes
+    once, stacked over the rows, and the residual over all samples at once."""
+    sim, vp = vehicle.cfg.sim, vehicle.vp
     n = len(states)
     feats = provider.features_along(states[:, 0], states[:, 1], states[:, 2], vehicle.half)
+    terrain = vehicle.terrain(provider.world)
     xdot = np.zeros((n, 2))                 # sample 0 has no previous input
-    a_n = np.empty((n, 2, 2))
-    b_n = np.empty((n, 2, vehicle.n_input))
-    for k in range(n):
-        state = vehicle.vp.state_cls(*states[k].tolist())
-        if k:
-            xdot[k] = vehicle.measured(provider.world, state,
-                                       vehicle.input_cls(*inputs[k].tolist()))
-        a_n[k], b_n[k] = vehicle.vp.residual_model(state)
+    for k in range(1, n):
+        y = states[k].tolist()
+        rates = vp.stage_rates(*inputs[k].tolist())
+        xdot[k] = rates(terrain(y[0], y[1]), *y[2:])[vehicle.x_cols]
     xdot[1:] += meas_rng.normal(0.0, sim.vdot_noise_std, (n - 1, 2))
+    a_n, b_n = vp.residual_model(vp.state_cls(*states.T))
     x, u = states[:, vehicle.x_cols], inputs[:, vehicle.u_cols]
     y = ResidualFilter(sim.residual_cutoff_hz).residuals(xdot, x, u, a_n, b_n,
                                                          sim.control_period)
@@ -672,7 +666,7 @@ def run_scenario(cfg: Config, variants: list | None = None,
     out_dir = out_dir or resolve_out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     variants = list(variants) if variants else [cfg.controller.variant]
-    world = build_world_for(cfg)
+    world = build_world_for(cfg, out_dir)
     # one network for every dnn episode: controllers only evaluate it
     checkpoint = (_load_basis(cfg, out_dir, world)
                   if any(split_variant(v)[0] == "dnn" for v in variants) else None)

@@ -19,10 +19,14 @@ A(q) S(q) v = 0 identically. The Ackermann model is a nonlinear single-track
 (bicycle) model with linear tire forces, the center of gravity at the
 wheelbase midpoint, and the forward channel reduced to a first-order lag.
 
-Both vehicles share one stepping path, integrate_step, and one derivative,
-and the RK4 scheme is written once, in _rk4. The params object picks the
-vehicle: each params class supplies only its state class, eta_value and its
-substep derivative, whose RK4 stages form only the state components it reads.
+Both vehicles share one stepping path, integrate_step, and one derivative.
+Each params class holds its physics once, in stage_rates, and writes one
+RK4 step out on named floats in rk4_substep: four stage_rates calls, each
+stage component y + h k and the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4)
+per component. The combination thus appears once per vehicle, not once in a
+generic scheme, because combining per-stage tuples generically cost a third
+of a plant call; derivative() calls the same stage_rates, so a generic RK4
+over derivative() is the bit-exact oracle of rk4_substep.
 """
 
 from __future__ import annotations
@@ -85,166 +89,6 @@ class AckermannState:
         return np.array([self.p_x, self.p_y, self.psi, self.v_x, self.v_y, self.omega])
 
 
-@dataclass(frozen=True)
-class TrackedParams:
-    """Tracked plant coefficients. Gains and time constants must be positive.
-
-    Frozen, because A_n and B_n are built once from them and shared
-    (read-only) by every caller.
-    """
-
-    k1: float = 1.0          # forward speed gain, u_v -> v_x at steady state
-    k2: float = 1.0          # yaw rate gain, u_omega -> omega at steady state
-    tau_v: float = 0.3       # forward channel time constant [s]
-    tau_omega: float = 0.2   # yaw channel time constant [s]
-    x_icr: float = 0.0       # instantaneous center of rotation offset [m]
-    state_cls = TrackedState
-
-    def __post_init__(self):
-        if not (self.k1 > 0 and self.k2 > 0 and self.tau_v > 0 and self.tau_omega > 0):
-            raise ValueError("tracked gains and time constants must be positive")
-        a_n = np.diag([-1.0 / self.tau_v, -1.0 / self.tau_omega])
-        b_n = np.diag([self.k1 / self.tau_v, self.k2 / self.tau_omega])
-        a_n.flags.writeable = b_n.flags.writeable = False
-        object.__setattr__(self, "_a_n", a_n)
-        object.__setattr__(self, "_b_n", b_n)
-
-    def a_n(self) -> np.ndarray:
-        return self._a_n
-
-    def b_n(self) -> np.ndarray:
-        return self._b_n
-
-    def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
-        """(A_n, B_n) the dynamics residual is measured against."""
-        return self.a_n(), self.b_n()
-
-    @staticmethod
-    def eta_value(eta) -> tuple[float, float]:
-        """An explicit eta, two entries in (0, 2] in any form, as floats; None: 1."""
-        e = [1.0, 1.0] if eta is None else np.ravel(eta).tolist()
-        if len(e) != 2 or not all(0.0 < v <= 2.0 for v in e):     # NaN fails too
-            raise ValueError(f"tracked eta must be two entries in (0, 2], got {eta}")
-        return float(e[0]), float(e[1])
-
-    def substep_derivative(self, u: TrackedInput):
-        """The derivative under the held input u, for integrate_step and
-        derivative: substep(y, eta), for a checked or looked-up eta pair,
-        returns rhs(y0, k, h), the derivative at y0 + h k (y0 when k is None)
-        with the input terms f = eta k u formed; only psi, v_x and omega of
-        that stage state are formed. Input and coefficients are read once."""
-        u_v, u_omega = u.u_v, u.u_omega
-        _check_finite("TrackedInput", u_v, u_omega)
-        k1, k2, x_icr, tau_v, tau_omega = self.k1, self.k2, self.x_icr, self.tau_v, self.tau_omega
-
-        def substep(y, eta):
-            e1, e2 = eta
-            f_v, f_omega = e1 * k1 * u_v, e2 * k2 * u_omega
-
-            def rhs(y0, k, h):                     # the position does not enter
-                psi, v_x, omega = y0[2:] if k is None else (
-                    y0[2] + h * k[2], y0[3] + h * k[3], y0[4] + h * k[4])
-                c, s = math.cos(psi), math.sin(psi)
-                return (c * v_x + x_icr * s * omega, s * v_x - x_icr * c * omega, omega,
-                        (-v_x + f_v) / tau_v, (-omega + f_omega) / tau_omega)
-            return rhs
-        return substep
-
-
-@dataclass(frozen=True)
-class AckermannParams:
-    """Single-track car coefficients; all physical values must be positive.
-
-    Frozen, because B_n and its column form are built once from them and
-    shared (read-only) by every caller; A_n depends on the forward speed.
-    """
-
-    m: float = 8.0          # mass [kg]
-    i_z: float = 0.25       # yaw inertia [kg m^2]
-    wheelbase: float = 0.48  # axle-to-axle distance [m], CG at midpoint
-    c_y: float = 60.0       # cornering stiffness per axle [N/rad]
-    tau_v: float = 0.25     # forward channel time constant [s]
-    v_min: float = 0.1      # lateral model validity threshold [m/s]
-    state_cls = AckermannState
-
-    def __post_init__(self):
-        vals = (self.m, self.i_z, self.wheelbase, self.c_y, self.tau_v, self.v_min)
-        if not all(v > 0 for v in vals):
-            raise ValueError("Ackermann parameters must be positive")
-        b_n = np.array([self.c_y / self.m, 0.5 * self.wheelbase * self.c_y / self.i_z])
-        b_n.flags.writeable = False
-        object.__setattr__(self, "_b_n", b_n)
-        object.__setattr__(self, "_b_col", b_n.reshape(2, 1))
-
-    def a_n(self, v_x: float) -> np.ndarray:
-        """Linearized lateral/yaw system matrix at forward speed v_x."""
-        if v_x <= self.v_min:
-            raise SlipUndefinedError(f"v_x={v_x} at or below v_min={self.v_min}")
-        half_l = 0.5 * self.wheelbase
-        return np.array([
-            [-2.0 * self.c_y / (self.m * v_x), -v_x],
-            [0.0, -self.c_y * 2.0 * half_l * half_l / (v_x * self.i_z)],
-        ])
-
-    def b_n(self) -> np.ndarray:
-        """Linearized steering influence on [v_y, omega]."""
-        return self._b_n
-
-    def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
-        """(A_n, B_n) of the lateral residual: A_n at the state's forward speed,
-        held just above v_min, and B_n as a column for the steering input."""
-        return self.a_n(max(state.v_x, self.v_min * 1.01)), self._b_col
-
-    @staticmethod
-    def eta_value(eta) -> float:
-        """An explicit eta, scaling the lateral forces, as a float in (0, 2]; None: 1."""
-        ev = 1.0 if eta is None else float(eta)
-        if not 0.0 < ev <= 2.0:                                   # NaN fails too
-            raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
-        return ev
-
-    def substep_derivative(self, u: AckermannInput):
-        """The derivative under the held input u, for integrate_step and
-        derivative: substep(y, eta) refuses a forward speed y[3] at or below
-        v_min and, for a checked or looked-up eta, returns rhs(y0, k, h), the
-        derivative at y0 + h k (y0 when k is None), forming psi and the
-        velocities of that stage state only. Input, coefficients and
-        steering terms are read once.
-
-        Tire slip angles follow the single-track convention with the CG at
-        the wheelbase midpoint:
-
-            alpha_f = u_delta - atan2(v_y + (L/2) omega, v_x)
-            alpha_r = -atan2(v_y - (L/2) omega, v_x)
-
-        The front axle is undriven (no longitudinal front force), so the
-        lateral and yaw balances carry only the cornering forces.
-        """
-        u_v, u_delta = u.u_v, u.u_delta
-        _check_finite("AckermannInput", u_v, u_delta)
-        v_min, c_y, tau_v, m, i_z = self.v_min, self.c_y, self.tau_v, self.m, self.i_z
-        cos_d, half_l = math.cos(u_delta), 0.5 * self.wheelbase
-
-        def substep(y, eta):
-            if y[3] <= v_min:
-                raise SlipUndefinedError(
-                    f"v_x={y[3]} at or below v_min={v_min}: slip angles undefined")
-            eta_c_y = eta * c_y
-
-            def rhs(y0, k, h):
-                psi, v_x, v_y, omega = y0[2:] if k is None else (
-                    y0[2] + h * k[2], y0[3] + h * k[3], y0[4] + h * k[4], y0[5] + h * k[5])
-                alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
-                alpha_r = -math.atan2(v_y - half_l * omega, v_x)
-                f_yf, f_yr = eta_c_y * alpha_f, eta_c_y * alpha_r
-                c, s = math.cos(psi), math.sin(psi)
-                return (c * v_x - s * v_y, s * v_x + c * v_y, omega, (-v_x + u_v) / tau_v,
-                        (f_yr + f_yf * cos_d) / m - omega * v_x,
-                        half_l * (f_yf * cos_d - f_yr) / i_z)
-            return rhs
-        return substep
-
-
 @dataclass
 class TrackedInput:
     """Commanded forward speed and yaw rate for the tracked vehicle."""
@@ -264,6 +108,205 @@ class AckermannInput:
     u_delta: float
 
 
+@dataclass(frozen=True)
+class TrackedParams:
+    """Tracked plant coefficients. Gains and time constants must be positive.
+
+    Frozen, because A_n and B_n are built once from them and shared
+    (read-only) by every caller.
+    """
+
+    k1: float = 1.0          # forward speed gain, u_v -> v_x at steady state
+    k2: float = 1.0          # yaw rate gain, u_omega -> omega at steady state
+    tau_v: float = 0.3       # forward channel time constant [s]
+    tau_omega: float = 0.2   # yaw channel time constant [s]
+    x_icr: float = 0.0       # instantaneous center of rotation offset [m]
+    state_cls, input_cls = TrackedState, TrackedInput
+
+    def __post_init__(self):
+        if not (self.k1 > 0 and self.k2 > 0 and self.tau_v > 0 and self.tau_omega > 0):
+            raise ValueError("tracked gains and time constants must be positive")
+        a_n = np.diag([-1.0 / self.tau_v, -1.0 / self.tau_omega])
+        b_n = np.diag([self.k1 / self.tau_v, self.k2 / self.tau_omega])
+        a_n.flags.writeable = b_n.flags.writeable = False
+        object.__setattr__(self, "_a_n", a_n)
+        object.__setattr__(self, "_b_n", b_n)
+
+    def a_n(self) -> np.ndarray:
+        return self._a_n
+
+    def b_n(self) -> np.ndarray:
+        return self._b_n
+
+    def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """(A_n, B_n) the dynamics residual is measured against, at any state;
+        a state of column arrays broadcasts them over its rows."""
+        return self.a_n(), self.b_n()
+
+    @staticmethod
+    def eta_value(eta) -> tuple[float, float]:
+        """An explicit eta, two entries in (0, 2] in any form, as floats; None: 1."""
+        e = [1.0, 1.0] if eta is None else np.ravel(eta).tolist()
+        if len(e) != 2 or not all(0.0 < v <= 2.0 for v in e):     # NaN fails too
+            raise ValueError(f"tracked eta must be two entries in (0, 2], got {eta}")
+        return float(e[0]), float(e[1])
+
+    @staticmethod
+    def check_speed(v_x: float) -> None:
+        """The tracked plant is defined at every forward speed."""
+
+    def stage_rates(self, u_v: float, u_omega: float):
+        """The tracked physics, written once, under the held input: returns
+        rates(eta, psi, v_x, omega), the state derivative for an eta pair at
+        any state of that heading and velocity (the position does not enter),
+        with the input terms eta k u. Coefficients are read once."""
+        k1, k2, x_icr, tau_v, tau_omega = self.k1, self.k2, self.x_icr, self.tau_v, self.tau_omega
+
+        def rates(eta, psi, v_x, omega):
+            e1, e2 = eta
+            c, s = math.cos(psi), math.sin(psi)
+            return (c * v_x + x_icr * s * omega, s * v_x - x_icr * c * omega, omega,
+                    (-v_x + e1 * k1 * u_v) / tau_v, (-omega + e2 * k2 * u_omega) / tau_omega)
+        return rates
+
+    @staticmethod
+    def rk4_substep(rates, y, eta, dt: float) -> list:
+        """One classic RK4 step of dt from the state values y; returns a list.
+        Each stage component is y + h k, h = 0.5 dt formed once, and the step
+        y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4), per component."""
+        p_x, p_y, psi, v_x, omega = y
+        h = 0.5 * dt
+        dx1, dy1, dpsi1, dv1, dw1 = rates(eta, psi, v_x, omega)
+        dx2, dy2, dpsi2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * dv1, omega + h * dw1)
+        dx3, dy3, dpsi3, dv3, dw3 = rates(eta, psi + h * dpsi2, v_x + h * dv2, omega + h * dw2)
+        dx4, dy4, dpsi4, dv4, dw4 = rates(eta, psi + dt * dpsi3, v_x + dt * dv3,
+                                          omega + dt * dw3)
+        h = dt / 6.0
+        return [p_x + h * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+                p_y + h * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
+                psi + h * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4),
+                v_x + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+                omega + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)]
+
+
+@dataclass(frozen=True)
+class AckermannParams:
+    """Single-track car coefficients; all physical values must be positive.
+
+    Frozen, because B_n and its column form are built once from them and
+    shared (read-only) by every caller; A_n depends on the forward speed.
+    """
+
+    m: float = 8.0          # mass [kg]
+    i_z: float = 0.25       # yaw inertia [kg m^2]
+    wheelbase: float = 0.48  # axle-to-axle distance [m], CG at midpoint
+    c_y: float = 60.0       # cornering stiffness per axle [N/rad]
+    tau_v: float = 0.25     # forward channel time constant [s]
+    v_min: float = 0.1      # lateral model validity threshold [m/s]
+    state_cls, input_cls = AckermannState, AckermannInput
+
+    def __post_init__(self):
+        vals = (self.m, self.i_z, self.wheelbase, self.c_y, self.tau_v, self.v_min)
+        if not all(v > 0 for v in vals):
+            raise ValueError("Ackermann parameters must be positive")
+        b_n = np.array([self.c_y / self.m, 0.5 * self.wheelbase * self.c_y / self.i_z])
+        b_n.flags.writeable = False
+        object.__setattr__(self, "_b_n", b_n)
+        object.__setattr__(self, "_b_col", b_n.reshape(2, 1))
+
+    def a_n(self, v_x) -> np.ndarray:
+        """Linearized lateral/yaw system matrix at forward speed v_x: (2, 2) at
+        a float, the (n, 2, 2) stack at an array of n speeds."""
+        if (v_x.min() if isinstance(v_x, np.ndarray) else v_x) <= self.v_min:
+            raise SlipUndefinedError(f"v_x={v_x} at or below v_min={self.v_min}")
+        half_l = 0.5 * self.wheelbase
+        a = np.array([
+            [-2.0 * self.c_y / (self.m * v_x), -v_x],
+            [0.0 * v_x, -self.c_y * 2.0 * half_l * half_l / (v_x * self.i_z)],
+        ])
+        # n speeds give (2, 2, n): the speed axis goes first
+        return np.ascontiguousarray(np.moveaxis(a, -1, 0)) if a.ndim == 3 else a
+
+    def b_n(self) -> np.ndarray:
+        """Linearized steering influence on [v_y, omega]."""
+        return self._b_n
+
+    def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
+        """(A_n, B_n) of the lateral residual: A_n at the state's forward speed,
+        held just above v_min, and B_n as a column for the steering input. A
+        state of column arrays gives the (n, 2, 2) stack of A_n, one per row."""
+        v_x, floor = state.v_x, self.v_min * 1.01
+        if isinstance(v_x, np.ndarray):      # a float stays one: numpy scalars are slow
+            return self.a_n(np.maximum(v_x, floor)), self._b_col
+        return self.a_n(max(v_x, floor)), self._b_col
+
+    @staticmethod
+    def eta_value(eta) -> float:
+        """An explicit eta, scaling the lateral forces, as a float in (0, 2]; None: 1."""
+        ev = 1.0 if eta is None else float(eta)
+        if not 0.0 < ev <= 2.0:                                   # NaN fails too
+            raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
+        return ev
+
+    def check_speed(self, v_x: float) -> None:
+        """Refuse a forward speed at or below v_min, where slip is undefined."""
+        if v_x <= self.v_min:
+            raise SlipUndefinedError(
+                f"v_x={v_x} at or below v_min={self.v_min}: slip angles undefined")
+
+    def stage_rates(self, u_v: float, u_delta: float):
+        """The single-track physics, written once, under the held input:
+        returns rates(eta, psi, v_x, v_y, omega), the state derivative for an
+        eta at any state of that heading and velocity (the position does not
+        enter). Coefficients and steering terms are read once.
+
+        Tire slip angles follow the single-track convention with the CG at
+        the wheelbase midpoint:
+
+            alpha_f = u_delta - atan2(v_y + (L/2) omega, v_x)
+            alpha_r = -atan2(v_y - (L/2) omega, v_x)
+
+        The front axle is undriven (no longitudinal front force), so the
+        lateral and yaw balances carry only the cornering forces.
+        """
+        c_y, tau_v, m, i_z = self.c_y, self.tau_v, self.m, self.i_z
+        cos_d, half_l = math.cos(u_delta), 0.5 * self.wheelbase
+
+        def rates(eta, psi, v_x, v_y, omega):
+            eta_c_y = eta * c_y
+            alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
+            alpha_r = -math.atan2(v_y - half_l * omega, v_x)
+            f_yf, f_yr = eta_c_y * alpha_f, eta_c_y * alpha_r
+            c, s = math.cos(psi), math.sin(psi)
+            return (c * v_x - s * v_y, s * v_x + c * v_y, omega, (-v_x + u_v) / tau_v,
+                    (f_yr + f_yf * cos_d) / m - omega * v_x,
+                    half_l * (f_yf * cos_d - f_yr) / i_z)
+        return rates
+
+    def rk4_substep(self, rates, y, eta, dt: float) -> list:
+        """One classic RK4 step of dt from the state values y, refused at a
+        forward speed at or below v_min; returns a list. Each stage component
+        is y + h k, h = 0.5 dt formed once, and the step
+        y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4), per component."""
+        p_x, p_y, psi, v_x, v_y, omega = y
+        self.check_speed(v_x)
+        h = 0.5 * dt
+        dx1, dy1, dpsi1, du1, dv1, dw1 = rates(eta, psi, v_x, v_y, omega)
+        dx2, dy2, dpsi2, du2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * du1,
+                                               v_y + h * dv1, omega + h * dw1)
+        dx3, dy3, dpsi3, du3, dv3, dw3 = rates(eta, psi + h * dpsi2, v_x + h * du2,
+                                               v_y + h * dv2, omega + h * dw2)
+        dx4, dy4, dpsi4, du4, dv4, dw4 = rates(eta, psi + dt * dpsi3, v_x + dt * du3,
+                                               v_y + dt * dv3, omega + dt * dw3)
+        h = dt / 6.0
+        return [p_x + h * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
+                p_y + h * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
+                psi + h * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4),
+                v_x + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
+                v_y + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+                omega + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)]
+
+
 def _check_finite(label: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
@@ -272,13 +315,16 @@ def _check_finite(label: str, *values: float) -> None:
 
 def derivative(state, u, params, eta=None) -> np.ndarray:
     """Time derivative of the state under input u and terrain factor eta,
-    nominal (1) when None, with the checks of integrate_step.
+    nominal (1) when None, with the checks of integrate_step: the params'
+    stage_rates at the state.
 
     Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
     [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
     """
-    y = _entry_values(state, params)
-    return np.array(params.substep_derivative(u)(y, params.eta_value(eta))(y, None, 0.0))
+    y, u_values = _entry_values(state, u, params)
+    eta = params.eta_value(eta)
+    params.check_speed(y[3])
+    return np.array(params.stage_rates(*u_values)(eta, *y[2:]))
 
 
 def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
@@ -290,7 +336,9 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
     start of every substep; not both. State, input and eta are checked on
     entry, the result on exit. A looked-up eta is trusted, as the world map
     checks its rows; only the Ackermann forward speed, which moves within a
-    call, is checked against v_min at every substep.
+    call, is checked against v_min at every substep. Each substep is the
+    params' rk4_substep: RK4 written out per vehicle on named floats, since
+    a generic combination of stage tuples cost a third of the call.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
@@ -298,13 +346,13 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
     if terrain is not None and eta is not None:
         raise ValueError("pass eta or terrain, not both")
-    y = _entry_values(state, params)
-    substep = params.substep_derivative(u)
+    y, u_values = _entry_values(state, u, params)
+    rates, substep = params.stage_rates(*u_values), params.rk4_substep
     if terrain is None:
         eta = params.eta_value(eta)
     try:
         for _ in range(n_sub):
-            y = _rk4(y, substep(y, eta if terrain is None else terrain(y[0], y[1])), dt)
+            y = substep(rates, y, eta if terrain is None else terrain(y[0], y[1]), dt)
             y[2] = wrap_angle(y[2])
     except ValueError:
         # a substep that diverged can make the next lookup or cos fail:
@@ -315,30 +363,17 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
     return params.state_cls(*y)
 
 
-def _entry_values(state, params) -> tuple:
-    """The state's fields as a tuple of floats, checked against params."""
-    if not isinstance(state, params.state_cls):
-        raise TypeError(f"{type(params).__name__} takes a {params.state_cls.__name__}, "
-                        f"got {type(state).__name__}")
-    y = tuple(vars(state).values())
+def _entry_values(state, u, params) -> tuple[tuple, tuple]:
+    """The fields of the state and of the input as tuples of floats, each
+    checked against params."""
+    for obj, cls in ((state, params.state_cls), (u, params.input_cls)):
+        if not isinstance(obj, cls):
+            raise TypeError(f"{type(params).__name__} takes a {cls.__name__}, "
+                            f"got {type(obj).__name__}")
+    y, u_values = tuple(vars(state).values()), tuple(vars(u).values())
     _check_finite(type(state).__name__, *y)
-    return y
-
-
-def _rk4(y0, rhs, dt):
-    """One classic RK4 step from the sequence y0, the one RK4 body of both
-    vehicles; returns a list. rhs(y0, k, h) is the derivative at the stage
-    state y0 + h k (y0 when k is None): it forms only the components its
-    vehicle reads, each as y + h k, so every stage rounds as a full stage
-    state would. h is formed once per stage weight, as y + (0.5 dt) k rounds."""
-    h = 0.5 * dt
-    k1 = rhs(y0, None, h)
-    k2 = rhs(y0, k1, h)
-    k3 = rhs(y0, k2, h)
-    k4 = rhs(y0, k3, dt)
-    h = dt / 6.0
-    return [y + h * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
-
+    _check_finite(type(u).__name__, *u_values)
+    return y, u_values
 
 
 def track_speeds(u: TrackedInput, half_spacing: float) -> tuple[float, float]:

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 import yaml
 
+from oracles import lyapunov_value
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import config_from_dict
-from terradapt.control import AdaptParams, Gains, TrackedController, lyapunov_value
+from terradapt.control import AdaptParams, Gains, TrackedController
 from terradapt.harness import build_world_for, generate_dataset, run_scenario
 from terradapt.training import (TrainerConfig, TrajectoryDataset, WindowSpec,
                                 build_h, gradcheck_meta, solve_theta_star, train,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import lyapunov_value
 from terradapt.basis import ConstantBasis, contract
 from terradapt.control import (
     AckermannController,
@@ -24,7 +25,6 @@ from terradapt.control import (
     control_tracked,
     h_matrix,
     lateral_errors,
-    lyapunov_value,
     reference_velocities,
     tracking_error,
 )

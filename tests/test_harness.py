@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+from oracles import metrics_from_telemetry
 from terradapt import cli, harness
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import ConfigError, config_from_dict
@@ -24,7 +25,6 @@ from terradapt.harness import (
     build_world_for,
     compute_metrics,
     generate_dataset,
-    metrics_from_telemetry,
     resolve_path,
     run_scenario,
     split_variant,
@@ -705,6 +705,30 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert "dnn_vs_pd" in summary["improvements"]
     assert (out / "runs.csv").exists()
     assert (out / "summary.json").exists()
+
+
+def test_relative_file_names_resolve_inside_out_not_the_cwd(tmp_path, capsys, monkeypatch):
+    """Stray files named like the dataset, the checkpoint and the world in
+    the working directory are neither read nor overwritten: the outputs land
+    in --out, and a recorded world named relatively is read from there."""
+    monkeypatch.chdir(tmp_path)
+    stray = {"dataset.tdc": b"unrelated dataset bytes", "basis.tdc": b"unrelated basis bytes",
+             "world.tdc": b"unrelated world bytes"}
+    for name, data in stray.items():
+        (tmp_path / name).write_bytes(data)
+    raw = base_raw(out_dir=tmp_path / "ignored", **{"scenario.runs": 1})
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli.main(["gen-data", "-c", cfg_path, "--out", "out/q"]) == 0
+    assert cli.main(["train", "-c", cfg_path, "--out", "out/q"]) == 0
+    raw["provider"] = {"mode": "recorded", "world_file": "world.tdc"}
+    recorded_path = str(tmp_path / "recorded.yaml")
+    with open(recorded_path, "w") as f:
+        yaml.safe_dump(raw, f)
+    assert cli.main(["simulate", "-c", recorded_path, "--out", "out/q", "--variant", "dnn"]) == 0
+    for name, data in stray.items():
+        assert (tmp_path / name).read_bytes() == data
+        assert (tmp_path / "out" / "q" / name).stat().st_size > 0
+    assert not (tmp_path / "ignored").exists()
 
 
 def test_cli_out_flag_and_env(tmp_path, capsys, monkeypatch):

@@ -189,6 +189,68 @@ def test_tracked_nominal_model_is_built_once_and_read_only():
         car.c_y = 1.0
 
 
+def test_residual_model_over_column_arrays_equals_per_state_calls():
+    """A state of column arrays gives one A_n per row, each bit for bit the
+    one a single state gives, also at and below the v_min * 1.01 floor."""
+    car = AckermannParams(m=6.0, i_z=0.3, wheelbase=0.5, c_y=50.0, v_min=0.2)
+    floor = car.v_min * 1.01
+    v_x = [2.5, 1.3, 0.7, np.nextafter(floor, 1.0), floor, np.nextafter(floor, 0.0),
+           car.v_min, 0.05, -0.4]
+    rng = np.random.default_rng(11)
+    rows = rng.uniform(-1.0, 1.0, (len(v_x), 6))
+    rows[:, 3] = v_x
+    a_n, b_n = car.residual_model(AckermannState(*rows.T))
+    assert a_n.shape == (len(v_x), 2, 2) and a_n.flags.c_contiguous
+    for a_k, row in zip(a_n, rows):
+        a_1, b_1 = car.residual_model(AckermannState(*row.tolist()))
+        assert a_1.shape == (2, 2)
+        np.testing.assert_array_equal(a_k, a_1)
+        assert b_n is b_1
+    np.testing.assert_array_equal(a_n[4:], np.broadcast_to(car.a_n(floor), (5, 2, 2)))
+    with pytest.raises(SlipUndefinedError):
+        car.a_n(np.array([1.0, car.v_min]))
+    tracked = TrackedParams(x_icr=0.05)
+    a_t, b_t = tracked.residual_model(TrackedState(*rng.uniform(-1.0, 1.0, (5, 5)).T))
+    assert a_t is tracked.a_n() and b_t is tracked.b_n()
+
+
+# ------------------------------------------------------- ackermann derivative
+
+
+def ackermann_oracle(state, u, params, eta):
+    """The single-track equations written out: the pose moves with the body
+    velocity rotated by psi, the forward speed lags its command, and the
+    lateral and yaw balances carry the two axle cornering forces
+    eta c_y alpha, the front one rotated by the steering angle."""
+    half_l = 0.5 * params.wheelbase
+    alpha_front = u.u_delta - np.arctan2(state.v_y + half_l * state.omega, state.v_x)
+    alpha_rear = -np.arctan2(state.v_y - half_l * state.omega, state.v_x)
+    force_front, force_rear = eta * params.c_y * alpha_front, eta * params.c_y * alpha_rear
+    rot = np.array([[np.cos(state.psi), -np.sin(state.psi)],
+                    [np.sin(state.psi), np.cos(state.psi)]])
+    p_dot = rot @ np.array([state.v_x, state.v_y])
+    v_y_dot = (force_front * np.cos(u.u_delta) + force_rear) / params.m - state.v_x * state.omega
+    omega_dot = half_l * (force_front * np.cos(u.u_delta) - force_rear) / params.i_z
+    return np.array([p_dot[0], p_dot[1], state.omega, (u.u_v - state.v_x) / params.tau_v,
+                     v_y_dot, omega_dot])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.floats(-50, 50), st.floats(-50, 50), st.floats(-math.pi, math.pi),
+                 st.floats(0.2, 5.0), st.floats(-2, 2), st.floats(-3, 3)),
+       st.tuples(st.floats(-1, 5), st.floats(-0.6, 0.6)),
+       st.tuples(st.floats(1.0, 20.0), st.floats(0.05, 1.0), st.floats(0.2, 1.0),
+                 st.floats(10.0, 120.0), st.floats(0.05, 1.0)),
+       st.floats(0.05, 2.0))
+def test_ackermann_derivative_matches_single_track_oracle(y, u, p, eta):
+    # np.arctan2 and math.atan2 differ in the last bit on some inputs
+    state, inp = AckermannState(*y), AckermannInput(*u)
+    params = AckermannParams(*p, v_min=0.1)
+    np.testing.assert_allclose(derivative(state, inp, params, eta),
+                               ackermann_oracle(state, inp, params, eta),
+                               rtol=1e-12, atol=1e-12)
+
+
 # ------------------------------------------------------------- integration
 
 
