@@ -88,10 +88,6 @@ class ConstantBasis:
     def eval(self, x, e) -> np.ndarray:
         return self._phi
 
-    def eval_batch(self, x_batch, e_batch) -> np.ndarray:
-        t = np.asarray(x_batch).shape[0]
-        return np.broadcast_to(self._phi, (t,) + self._phi.shape)
-
 
 class BasisNet:
     """Fully-connected basis network with exact reverse-mode gradients.
@@ -172,9 +168,6 @@ class BasisNet:
     def eval(self, x, e) -> np.ndarray:
         """Single-sample forward pass, returns (n_theta, n, m)."""
         return self.forward_batch(np.asarray(x)[None, :], np.asarray(e)[None, :])[0]
-
-    def eval_batch(self, x_batch, e_batch) -> np.ndarray:
-        return self.forward_batch(x_batch, e_batch)
 
     def backward(self, acts, upstream) -> dict:
         """Exact gradients for a batch given upstream dJ/dPhi.

@@ -102,11 +102,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    """simulate (one variant, controller.variant by default) and evaluate."""
+    """simulate (one variant, controller.variant by default) and evaluate;
+    run_scenario checks the variant names before it makes the output dir."""
     cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
     variants = args.variants or [args.variant or cfg.controller.variant]
-    summary = run_scenario(cfg, variants, out)
+    summary = run_scenario(cfg, variants, args.out or cfg.resolved_output_dir())
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))
     return 0
 

@@ -133,6 +133,16 @@ class DatasetConfig:
             raise ValueError(f"cruise_range low end above its high end: {self.cruise_range}")
 
 
+def split_variant(variant: str) -> tuple[str, bool]:
+    """'dnn-frozen' -> ('dnn', False); adaptation is on unless frozen. An
+    unknown base name is refused."""
+    base = variant.removesuffix("-frozen")
+    if base not in ("pd", "constant", "dnn"):
+        raise ValueError(f"unknown controller variant {variant!r}; give pd, constant "
+                         "or dnn, each optionally with -frozen")
+    return base, base == variant
+
+
 @dataclass
 class ControllerConfig:
     variant: str = "dnn"                # pd | constant | dnn, optional -frozen suffix
@@ -142,9 +152,7 @@ class ControllerConfig:
     adaptation: AdaptParams = field(default_factory=AdaptParams)
 
     def __post_init__(self):
-        base = self.variant.removesuffix("-frozen")
-        if base not in ("pd", "constant", "dnn"):
-            raise ValueError(f"unknown controller variant {self.variant!r}")
+        split_variant(self.variant)
         if self.theta0 is not None and not all(math.isfinite(t) for t in self.theta0):
             raise ValueError(f"theta0 entries must be finite, got {self.theta0}")
 

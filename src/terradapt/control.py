@@ -551,15 +551,13 @@ def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
 # ---------------------------------------------------------------- ackermann loop
 
 def lateral_errors(p, psi: float, v_x: float, v_y: float, p_d, psi_d: float,
-                   path_speed: float, k_p: float) -> LateralErrorState:
+                   k_p: float) -> LateralErrorState:
     """Path-frame position errors and the composite cross-track variable.
 
-    The desired frame has its x axis along the path tangent, so a degenerate
-    tangent (path_speed ~ 0) leaves the frame undefined and raises.
-    e_perp_dot uses the small heading-error linearization v_y + v_x psi_e.
+    The desired frame has its x axis along the path heading psi_d, which
+    defines it at every path speed. e_perp_dot uses the small heading-error
+    linearization v_y + v_x psi_e.
     """
-    if not math.isfinite(path_speed) or abs(path_speed) < 1e-9:
-        raise ValueError("degenerate path tangent: desired speed is zero")
     (p_x, p_y), (p_dx, p_dy) = _floats(p), _floats(p_d)
     e_x, e_y = p_x - p_dx, p_y - p_dy
     cd, sd = math.cos(psi_d), math.sin(psi_d)
@@ -753,8 +751,7 @@ class AckermannController(_AdaptiveController):
     def tick(self, state, xdot_meas, features, p_d, psi_d, omega_d, speed_d):
         """xdot_meas is the measured [vdot_y, omegadot]."""
         lat = lateral_errors((state.p_x, state.p_y), state.psi,
-                             state.v_x, state.v_y, p_d, psi_d, speed_d,
-                             self.gains.k_p)
+                             state.v_x, state.v_y, p_d, psi_d, self.gains.k_p)
         x_lat = (state.v_y, state.omega)
         phi = self._phi(x_lat, features)
         phi_row = [p[0][0] for p in phi] if phi is not None else None

@@ -6,9 +6,10 @@ r uses the same start pose, reference draw, feature noise and measurement
 noise for every controller variant: comparisons are paired by construction.
 
 Timing model per controller tick (period = sim.control_period):
-  1. the measured acceleration is sampled at the current state: the plant
-     derivative under the input applied over the previous interval, at the
-     terrain eta under the robot, plus white noise;
+  1. the measured acceleration is sampled at the current state: the plant's
+     stage_rates under the input applied over the previous interval, at the
+     terrain eta under the robot, plus white noise, unchecked, since the
+     plant call that made the state checked it and that input;
   2. the appearance features under the robot are queried (noisy, possibly
      darkened);
   3. the controller produces the next command;
@@ -28,10 +29,10 @@ trajectory. Driving (steps 3-4 with random inputs in place of a
 controller) never reads an observation, so it runs first, alone; steps 1-2
 and the residual are then derived for the whole trajectory, drawing each
 noise stream in the order the per-tick loop would: the features in one
-gather, the eta and the measured acceleration per sample, on each row's
-floats through the plant's own stage_rates. RK4 is written only in the
-plant, once per vehicle (vehicles.*Params.rk4_substep), where named floats
-beat a generic scheme.
+gather, and the measured acceleration per sample, on each row's floats
+through the tick's own measurement. RK4 is written only in the plant, once
+per vehicle (vehicles.*Params.rk4_substep), where named floats beat a
+generic scheme.
 
 Relative config file names resolve inside the output dir, never the CWD.
 """
@@ -49,13 +50,13 @@ import numpy as np
 
 from . import __version__
 from .basis import ConstantBasis, load_checkpoint
-from .config import Config, ConfigError, config_to_dict
+from .config import Config, ConfigError, config_to_dict, split_variant
 from .control import AckermannController, ResidualFilter, TrackedController
 from .serialize import write_csv
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
-                       TrackedInput, TrackedState, apply_track_fault, derivative,
-                       integrate_step, wrap_angle)
+                       TrackedInput, TrackedState, apply_track_fault, integrate_step,
+                       wrap_angle)
 from .world import FeatureProvider, TerrainWorldMap, build_world, load_world
 
 log = logging.getLogger(__name__)
@@ -68,12 +69,6 @@ _SPEED_ABORT = 50.0     # |v| beyond this is treated as a diverged run
 
 # ---------------------------------------------------------------- plumbing
 
-def resolve_out_dir(cfg: Config) -> str:
-    out = cfg.resolved_output_dir()
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def resolve_path(name: str, out_dir: str) -> str:
     """A config file name: an absolute one as given, a relative one inside
     the output dir, whatever the working directory holds."""
@@ -85,18 +80,12 @@ def build_world_for(cfg: Config, out_dir: str | None = None) -> TerrainWorldMap:
     resolved against out_dir (the config's output dir when None)."""
     if cfg.provider.mode == "recorded":
         world = load_world(resolve_path(cfg.provider.world_file,
-                                        out_dir or resolve_out_dir(cfg)))
+                                        out_dir or cfg.resolved_output_dir()))
         if cfg.vehicle.type == "tracked" and world.eta_table.shape[1] != 2:
             raise ConfigError(f"provider.world_file: the tracked vehicle needs two eta "
                               f"entries per class, got {world.eta_table.shape[1]}")
         return world
     return build_world(cfg.world)
-
-
-def split_variant(variant: str) -> tuple[str, bool]:
-    """'dnn-frozen' -> ('dnn', False); adaptation is on unless frozen."""
-    base = variant.removesuffix("-frozen")
-    return base, not variant.endswith("-frozen")
 
 
 def _load_basis(cfg: Config, out_dir: str, world: TerrainWorldMap):
@@ -323,8 +312,9 @@ class _Vehicle:
     """What the shared episode and dataset loops need to know about one
     vehicle type. The plant functions are looked up in this module on every
     call, not bound at import, so a wrapper installed on the module name sees
-    every call. Stepping and measuring look eta up through the same
-    terrain(world); the per-substep lookups are made inside the plant call."""
+    every call. Stepping and measuring look eta up through the same terrain
+    function, terrain(world), which each loop resolves once; the per-substep
+    lookups are made inside the plant call."""
 
     tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
 
@@ -334,17 +324,15 @@ class _Vehicle:
         self.vp = getattr(cfg.vehicle, cfg.vehicle.type)
         self.half = cfg.vehicle.half_spacing
 
-    def advance(self, world: TerrainWorldMap, state, u, n_sub: int, dt: float):
+    def advance(self, terrain, state, u, n_sub: int, dt: float):
         """n_sub plant steps under input u, terrain looked up every step, in
         one plant call."""
-        return integrate_step(state, u, self.vp, dt, n_sub=n_sub,
-                              terrain=self.terrain(world))
+        return integrate_step(state, u, self.vp, dt, n_sub=n_sub, terrain=terrain)
 
-    def measured(self, world: TerrainWorldMap, state, u) -> np.ndarray:
-        """Noise-free derivative of the logged channels x under input u, at
-        the eta under the robot."""
-        eta = self.terrain(world)(state.p_x, state.p_y)
-        return derivative(state, u, self.vp, eta)[self.x_cols]
+    def measured(self, terrain, y, u) -> tuple:
+        """Noise-free derivative of the logged channels x at the state values
+        y under the input values u, at the eta under the robot, as floats."""
+        return self.vp.stage_rates(*u)(terrain(y[0], y[1]), *y[2:])[self.x_cols]
 
 
 class _Tracked(_Vehicle):
@@ -460,6 +448,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     n_sub = int(round(period / sim.dt_plant))
     n_ticks = int(round(duration_s / period))
     vehicle = _vehicle(cfg)
+    terrain = vehicle.terrain(world)
     tick = getattr(controller, _TICK[policy.mode])
     has_position = policy.mode != "velocity"
     controller.reset()
@@ -486,8 +475,10 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
         if k == 0:
             xdot_meas = (0.0, 0.0)
         else:
-            xdot_meas = (vehicle.measured(world, state, u_applied)
-                         + meas_rng.normal(0.0, sim.vdot_noise_std, 2))
+            m_x, m_w = vehicle.measured(terrain, tuple(vars(state).values()),
+                                        tuple(vars(u_applied).values()))
+            n_x, n_w = meas_rng.normal(0.0, sim.vdot_noise_std, 2).tolist()
+            xdot_meas = (m_x + n_x, m_w + n_w)
         feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
                                               vehicle.half)
         refs = policy.refs(t, state)
@@ -515,7 +506,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
         s_rows.append(tele.s)
 
         try:
-            state = vehicle.advance(world, state, u_applied, n_sub, sim.dt_plant)
+            state = vehicle.advance(terrain, state, u_applied, n_sub, sim.dt_plant)
         except NonFiniteError as e:
             log.warning("plant diverged at t=%.2f: %s", t, e)
             aborted = True
@@ -587,6 +578,7 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
     period = sim.control_period
     n_sub = int(round(period / sim.dt_plant))
     state, u = vehicle.dataset_start(rng, world)
+    terrain = vehicle.terrain(world)
     states = np.empty((n, len(vars(state))))
     inputs = np.empty((n, len(vars(u))))
     next_redraw = 0.0
@@ -601,7 +593,7 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
         err = _turn_back_error(world, ds.margin_frac, state)
         if err is not None:
             u = vehicle.turn_back(u, err)
-        state = vehicle.advance(world, state, u, n_sub, sim.dt_plant)
+        state = vehicle.advance(terrain, state, u, n_sub, sim.dt_plant)
     return states, inputs
 
 
@@ -610,21 +602,18 @@ def _observe(vehicle: _Vehicle, provider: FeatureProvider, meas_rng, states, inp
     of one trajectory, equal to observing one sample at a time. Features are
     one gather and each noise stream one block draw. The measured derivative
     is taken per sample on the row's floats (the plant's math.atan2 is not
-    np.arctan2's): the eta under the robot through the plant's terrain
-    function, then the stage_rates every RK4 stage calls (RK4 itself is
-    written per vehicle, in vehicles' rk4_substep), with no State, Input or
-    array per sample. Rows are read one at a time: a whole trajectory as
-    lists costs more memory than it saves time. The nominal model comes
-    once, stacked over the rows, and the residual over all samples at once."""
+    np.arctan2's), by the episode's own measurement, _Vehicle.measured,
+    with no State, Input or array per sample. Rows are read one at a time:
+    a whole trajectory as lists costs more memory than it saves time. The
+    nominal model comes once, stacked over the rows, and the residual over
+    all samples at once."""
     sim, vp = vehicle.cfg.sim, vehicle.vp
     n = len(states)
     feats = provider.features_along(states[:, 0], states[:, 1], states[:, 2], vehicle.half)
     terrain = vehicle.terrain(provider.world)
     xdot = np.zeros((n, 2))                 # sample 0 has no previous input
     for k in range(1, n):
-        y = states[k].tolist()
-        rates = vp.stage_rates(*inputs[k].tolist())
-        xdot[k] = rates(terrain(y[0], y[1]), *y[2:])[vehicle.x_cols]
+        xdot[k] = vehicle.measured(terrain, states[k].tolist(), inputs[k].tolist())
     xdot[1:] += meas_rng.normal(0.0, sim.vdot_noise_std, (n - 1, 2))
     a_n, b_n = vp.residual_model(vp.state_cls(*states.T))
     x, u = states[:, vehicle.x_cols], inputs[:, vehicle.u_cols]
@@ -656,20 +645,26 @@ def run_scenario(cfg: Config, variants: list | None = None,
     Every run index r shares its start pose, reference draw, feature noise
     and measurement noise across the variants. Writes per-run metrics
     (runs.csv), a summary (summary.json), an execution sidecar
-    (run_info.json) and optional per-run telemetry CSVs.
+    (run_info.json) and optional per-run telemetry CSVs into out_dir, which
+    is made after an unknown or a repeated variant name is refused.
     """
+    variants = list(variants) if variants else [cfg.controller.variant]
+    try:
+        bases = [split_variant(v)[0] for v in variants]
+    except ValueError as e:
+        raise ConfigError(f"variants: {e}") from e
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"variants: each may be named once, got {variants}")
+    out_dir = out_dir or cfg.resolved_output_dir()
+    os.makedirs(out_dir, exist_ok=True)
     sc = cfg.scenario
     if sc.kind == "ackermann-circle" and sc.circle_speed <= cfg.vehicle.ackermann.v_min:
         # the car holds circle_speed; at or below v_min its slip angles are undefined
         raise ConfigError(f"scenario.circle_speed {sc.circle_speed} must lie above "
                           f"vehicle.ackermann.v_min={cfg.vehicle.ackermann.v_min}")
-    out_dir = out_dir or resolve_out_dir(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    variants = list(variants) if variants else [cfg.controller.variant]
     world = build_world_for(cfg, out_dir)
     # one network for every dnn episode: controllers only evaluate it
-    checkpoint = (_load_basis(cfg, out_dir, world)
-                  if any(split_variant(v)[0] == "dnn" for v in variants) else None)
+    checkpoint = _load_basis(cfg, out_dir, world) if "dnn" in bases else None
     # one controller per variant, checked before any output; every episode
     # resets it to its fresh state
     controllers = [build_controller(cfg, v, out_dir, checkpoint) for v in variants]

@@ -240,7 +240,7 @@ def window_cost(net, window, lambda_r: float, theta_r) -> tuple[float, np.ndarra
     window is (x, u, e, y) arrays. Returns (cost, theta_star).
     """
     xw, uw, ew, yw = window
-    phi = net.eval_batch(xw, ew)
+    phi = net.forward_batch(xw, ew)
     theta, cost = solve_theta_star(build_h(phi, uw), yw, lambda_r, theta_r)
     return cost, theta
 

@@ -19,14 +19,15 @@ A(q) S(q) v = 0 identically. The Ackermann model is a nonlinear single-track
 (bicycle) model with linear tire forces, the center of gravity at the
 wheelbase midpoint, and the forward channel reduced to a first-order lag.
 
-Both vehicles share one stepping path, integrate_step, and one derivative.
-Each params class holds its physics once, in stage_rates, and writes one
-RK4 step out on named floats in rk4_substep: four stage_rates calls, each
-stage component y + h k and the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4)
-per component. The combination thus appears once per vehicle, not once in a
-generic scheme, because combining per-stage tuples generically cost a third
-of a plant call; derivative() calls the same stage_rates, so a generic RK4
-over derivative() is the bit-exact oracle of rk4_substep.
+Both vehicles share one stepping path, integrate_step, and one checked
+derivative, the library's entry point (the simulation loops call
+stage_rates on states integrate_step checked). Each params class holds its
+physics once, in stage_rates, and writes one RK4 step out on named floats
+in rk4_substep: four stage_rates calls, each stage component y + h k and
+the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, because
+combining per-stage tuples generically cost a third of a plant call.
+derivative() calls the same stage_rates, so a generic RK4 over
+derivative() is the bit-exact oracle of rk4_substep.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class TrackedState:
     v_x: float
     omega: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_x, self.p_y, self.psi, self.v_x, self.omega])
-
 
 @dataclass
 class AckermannState:
@@ -85,9 +83,6 @@ class AckermannState:
     v_y: float
     omega: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_x, self.p_y, self.psi, self.v_x, self.v_y, self.omega])
-
 
 @dataclass
 class TrackedInput:
@@ -95,9 +90,6 @@ class TrackedInput:
 
     u_v: float
     u_omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u_v, self.u_omega])
 
 
 @dataclass
@@ -395,13 +387,11 @@ def apply_track_fault(u: TrackedInput, left_scale: float, right_scale: float,
     """Scale individual track speeds to emulate a degraded track.
 
     The command is mixed into differential-drive track speeds, each track is
-    scaled by its factor in [0, 1], and the result is mixed back. Unity scales
-    return the input object unchanged, bit for bit.
+    scaled by its factor, and the result is mixed back. Unity scales return
+    the input object unchanged, bit for bit. Nothing is checked here: the
+    scales come from FaultSchedule, which checked them, and integrate_step
+    checks the input next.
     """
-    _check_finite("fault input", u.u_v, u.u_omega)
-    for name, sc in (("left_scale", left_scale), ("right_scale", right_scale)):
-        if not (math.isfinite(sc) and 0.0 <= sc <= 1.0):
-            raise ValueError(f"{name} must lie in [0, 1], got {sc}")
     if left_scale == 1.0 and right_scale == 1.0:
         return u
     left, right = track_speeds(u, half_spacing)
@@ -414,7 +404,8 @@ class FaultSchedule:
 
     kind "track-square" scales one track's speed (track, left or right) to
     the surviving fraction scale during the first half of every period_s
-    seconds from start_s on; kind "none" never does.
+    seconds from start_s on; kind "none" never does. scales(t) returns 1.0
+    or scale, refused outside [0, 1] here, when the schedule is built.
     """
 
     kind: str = "none"                  # none | track-square

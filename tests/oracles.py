@@ -5,10 +5,17 @@ uses, from its definition, so that a test can check the program against
 it. No code under src calls them.
 """
 
+import dataclasses
+
 import numpy as np
 
 from terradapt.harness import compute_metrics
 from terradapt.serialize import read_csv
+
+
+def as_array(obj) -> np.ndarray:
+    """The fields of a state or input dataclass, in order, as a float array."""
+    return np.array(dataclasses.astuple(obj), dtype=float)
 
 
 def lyapunov_value(s, theta_hat, theta_true, gain) -> float:

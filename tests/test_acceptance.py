@@ -397,7 +397,7 @@ def test_c9_planted_basis_recovery(capsys):
         y = np.zeros((n_traj, length, 2))
         for j in range(n_traj):
             th = theta_r + spread * rng.normal(size=4)
-            h = build_h(planted.eval_batch(x[j], e[j]), u[j])
+            h = build_h(planted.forward_batch(x[j], e[j]), u[j])
             y[j] = np.einsum("tni,i->tn", h, th) \
                 + sigma * rng.normal(size=(length, 2))
         return TrajectoryDataset(x, u, e, y, 0.05)

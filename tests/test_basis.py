@@ -65,8 +65,6 @@ def test_constant_basis_is_canonical():
     phi = basis.eval(np.zeros(2), np.zeros(8))
     assert phi.shape == (4, 2, 2)
     assert np.sum(phi) == 4.0  # one unit entry per stack slice
-    batch = basis.eval_batch(np.zeros((6, 2)), np.zeros((6, 8)))
-    assert batch.shape == (6, 4, 2, 2)
     with pytest.raises(ValueError):
         basis.eval(None, None)[0, 0, 0] = 2.0  # frozen
 

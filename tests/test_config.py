@@ -391,10 +391,14 @@ def test_malformed_shapes_refused_with_the_key_path():
     ({"sim.vdot_noise_std": -0.1}, "sim: vdot_noise_std must be nonnegative"),
     ({"dataset.warmup_s": -1.0}, "dataset: warmup_s must be nonnegative"),
     ({"training.activation": "relu6"}, "training: activation must be one of"),
+    ({"scenario.fault": {"kind": "track-square", "scale": 1.5}},
+     "scenario.fault: fault scale must lie in [0, 1]"),
+    ({"vehicle.half_spacing": 0.0}, "vehicle: half_spacing must be positive"),
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
         "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
-        "residual-cutoff", "vdot-noise", "warmup", "activation"])
+        "residual-cutoff", "vdot-noise", "warmup", "activation", "fault-scale",
+        "half-spacing"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
@@ -404,7 +408,10 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     actuator limit clamped every tick of a run that reported a normal
     summary; a zero residual cutoff, a negative noise std or warmup stopped
     gen-data with exit 1 after its output directory was made, and an unknown
-    activation let gen-data finish and stopped train."""
+    activation let gen-data finish and stopped train. The fault scale and
+    the patch half spacing are checked at load: the fault takes the scale,
+    and the feature lookups take the half spacing, unchecked on every
+    tick."""
     with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
         raw = yaml.safe_load(f)
     out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """Closed-loop harness: faults, references, datasets, paired scenarios, CLI."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -15,7 +16,7 @@ from oracles import metrics_from_telemetry
 from terradapt import cli, harness
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import ConfigError, config_from_dict
-from terradapt.control import ResidualFilter
+from terradapt.control import ResidualFilter, TrackedController
 from terradapt.harness import (
     CircleReference,
     Figure8Reference,
@@ -32,9 +33,9 @@ from terradapt.harness import (
 )
 from terradapt.serialize import read_csv
 from terradapt.training import build_h, solve_theta_star
-from terradapt.vehicles import (FaultSchedule, TrackedParams, TrackedState, derivative,
-                                integrate_step, wrap_angle)
-from terradapt.world import FeatureProvider, build_world
+from terradapt.vehicles import (FaultSchedule, TrackedInput, TrackedParams, TrackedState,
+                                derivative, integrate_step, wrap_angle)
+from terradapt.world import FeatureProvider, build_world, cell_index
 
 
 def base_raw(out_dir=None, **extra):
@@ -97,6 +98,9 @@ def test_split_variant():
     assert split_variant("dnn") == ("dnn", True)
     assert split_variant("dnn-frozen") == ("dnn", False)
     assert split_variant("pd") == ("pd", True)
+    for bad in ("frozen", "dnn-frozn", "pd-frozen-frozen"):
+        with pytest.raises(ValueError, match="unknown controller variant"):
+            split_variant(bad)
 
 
 # --------------------------------------------------------------- references
@@ -286,6 +290,34 @@ def test_dataset_equals_per_sample_loop(vehicle):
         np.testing.assert_array_equal(getattr(ds, name), want, err_msg=name)
 
 
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+def test_measured_equals_the_checked_derivative(vehicle):
+    """The float measurement both sim loops take is the logged channels of
+    derivative() at the eta under the robot, bit for bit, inside the map and
+    where the eta lookup is clamped at its border."""
+    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle,
+                                       "scenario.kind": SCENARIO_OF[vehicle]}))
+    world = build_world_for(cfg)
+    veh = harness._vehicle(cfg)
+    terrain = veh.terrain(world)
+    state_cls, input_cls = veh.vp.state_cls, veh.vp.input_cls
+    rng = np.random.default_rng(4)
+    w, h = world.extent
+    for p_x, p_y, clamped in ((0.3 * w, 0.6 * h, False), (-1.0, 0.5 * h, True),
+                              (w + 2.0, h + 0.5, True)):
+        assert cell_index(world, p_x, p_y)[2] == clamped
+        n_free = len(dataclasses.fields(state_cls)) - 2
+        y = [p_x, p_y, *rng.uniform(-1.0, 1.0, n_free).tolist()]
+        y[3] = 1.2                      # the car's slip is defined above v_min
+        u = rng.uniform(-0.4, 0.4, len(dataclasses.fields(input_cls))).tolist()
+        eta = world.eta_at(p_x, p_y)
+        want = derivative(state_cls(*y), input_cls(*u), veh.vp,
+                          eta if vehicle == "tracked" else eta[0])[veh.x_cols]
+        got = veh.measured(terrain, y, u)
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_ackermann_cruise_range_at_or_below_v_min_refused(tmp_path, capsys):
     """Such a range used to stop gen-data mid-trajectory with exit 1 and a
     SlipUndefinedError; it is refused before driving, as a config error. A
@@ -453,6 +485,26 @@ def test_diverging_run_is_reported_aborted(tmp_path):
     idx = {c: i for i, c in enumerate(cols)}
     assert rows[0][idx["aborted"]] == "1"
     assert int(rows[0][idx["ticks"]]) < 80
+
+
+@pytest.mark.parametrize("fault", ["none", "track-square"])
+def test_non_finite_command_aborts_the_run(tmp_path, monkeypatch, fault):
+    """The plant call checks the applied input inside the episode's guard,
+    with a track fault mixed in or not, so the run is reported aborted."""
+    real_tick = TrackedController.tick_velocity
+
+    def tick(self, state, *args):
+        u, tele = real_tick(self, state, *args)
+        self.n_ticks = getattr(self, "n_ticks", 0) + 1
+        return (TrackedInput(float("nan"), u.u_omega) if self.n_ticks == 6 else u), tele
+
+    monkeypatch.setattr(TrackedController, "tick_velocity", tick)
+    raw = base_raw(**{"scenario.runs": 1, "scenario.duration_s": 2.0,
+                      "scenario.fault": {"kind": fault}})
+    run_scenario(config_from_dict(raw), ["pd"], str(tmp_path))
+    cols, rows = read_csv(tmp_path / "runs.csv")
+    row = dict(zip(cols, rows[0]))
+    assert (row["ticks"], row["aborted"]) == ("6", "1")
 
 
 def test_fallback_on_every_tick_logs_one_summary_warning(tmp_path, caplog):
@@ -772,6 +824,22 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and err["message"].startswith("scenario.kind")
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--variants", "pd", "dnn-frozn"],
+                                     ["simulate", "--variant", "frozen"],
+                                     ["evaluate", "--variants", "pd", "pd"]],
+                         ids=["dnn-frozn", "frozen", "pd-pd"])
+def test_bad_variant_names_exit_2_before_any_output(tmp_path, capsys, command):
+    """Each used to exit 0: an unknown name ran as pd and reported 0 %
+    improvement, and a repeated one doubled the variant's runs in the
+    summary and wrote each of its telemetry CSVs twice."""
+    out = tmp_path / "v"
+    cfg_path = write_cfg(tmp_path, base_raw(out_dir=out, **{"scenario.runs": 1}))
+    assert cli.main([command[0], "-c", cfg_path, *command[1:]]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith("variants: ")
+    assert not out.exists()
 
 
 def test_q_diag_of_the_wrong_length_exits_2(tmp_path, capsys):

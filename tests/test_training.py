@@ -43,7 +43,7 @@ def planted_dataset(seed=0, length=400, noise=0.0, teacher=None,
     x = rng.uniform(-1, 1, (1, length, teacher.state_dim))
     e = rng.uniform(-1, 1, (1, length, teacher.feature_dim))
     u = rng.uniform(-1, 1, (1, length, teacher.m))
-    h = build_h(teacher.eval_batch(x[0], e[0]), u[0])
+    h = build_h(teacher.forward_batch(x[0], e[0]), u[0])
     y = np.einsum("tni,i->tn", h, theta_true)
     if noise:
         y = y + noise * rng.standard_normal(y.shape)
@@ -201,7 +201,7 @@ def test_window_cost_matches_manual_pipeline():
     window = WindowSpec(0, 3, 12).slice(ds)
     theta_r = np.zeros(2)
     cost, theta = window_cost(teacher, window, 0.05, theta_r)
-    phi = teacher.eval_batch(window[0], window[2])
+    phi = teacher.forward_batch(window[0], window[2])
     want_theta, want_cost = solve_theta_star(build_h(phi, window[1]), window[3], 0.05, theta_r)
     assert cost == pytest.approx(want_cost, rel=1e-14)
     np.testing.assert_allclose(theta, want_theta, rtol=1e-14)
@@ -282,7 +282,7 @@ def test_minibatch_matches_per_window_path():
             want_grad += net.grads_to_flat(grads)
             assert cost == pytest.approx(want_cost, rel=1e-12, abs=0.0), name
             # dense restatement of the same ridge fit
-            h = build_h(net.eval_batch(window[0], window[2]), window[1]).reshape(-1, 3)
+            h = build_h(net.forward_batch(window[0], window[2]), window[1]).reshape(-1, 3)
             theta = np.linalg.solve(h.T @ h + 0.3 * np.eye(3),
                                     h.T @ window[3].reshape(-1) + 0.3 * theta_r)
             r = h @ theta - window[3].reshape(-1)
