@@ -50,24 +50,6 @@ def flatten_output(phi: np.ndarray) -> np.ndarray:
     return phi.reshape(phi.shape[:-3] + (-1,))
 
 
-def contract(phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """sum_i theta_i Phi_i for a single stack (n_theta, n, m) or a batch.
-
-    Batched input has shape (T, n_theta, n, m) and returns (T, n, m).
-    """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if phi.ndim == 3:
-        if phi.shape[0] != theta.shape[0]:
-            raise DimensionError(f"theta has {theta.shape[0]} entries, basis has {phi.shape[0]}")
-        return (theta @ phi.reshape(phi.shape[0], -1)).reshape(phi.shape[1:])
-    if phi.ndim == 4:
-        if phi.shape[1] != theta.shape[0]:
-            raise DimensionError(f"theta has {theta.shape[0]} entries, basis has {phi.shape[1]}")
-        return np.einsum("tinm,i->tnm", phi, theta)
-    raise DimensionError(f"phi must have 3 or 4 dims, got {phi.ndim}")
-
-
 class ConstantBasis:
     """Canonical indicator basis: Phi_k has a single 1 at entry (k//m, k%m).
 

@@ -21,6 +21,9 @@ which for the true system equals (Phi theta) u up to representation error.
 Two gain dynamics are provided: a per-component law whose quadratic gain
 term carries a positive sign (faster convergence), and a full-matrix law
 with the Riccati-type negative sign. Both include exponential forgetting.
+One Euler step, adapt_step, serves both: AdaptState.fresh reads the law
+once and gives the gain its shape (a vector of per-component gains or a
+full matrix), and from then on the shape is the law.
 
 Ackermann vehicle: cross-track control in the path frame with the adapted
 scalar steering effectiveness b_hat = C_y/m + phi_row . theta_hat.
@@ -92,14 +95,16 @@ class AdaptParams:
     """The gain law and its constants, as the config's controller.adaptation.
 
     law picks the per-component ("scalar") or the full-matrix ("matrix") gain
-    dynamics. r_diag are the diagonal entries of the prediction-error
-    weighting R (positive definite), one per residual channel or one for
-    both; q_diag the gain forcing Q, lam the forgetting rate. gamma_min /
-    gamma_max clamp the per-component gains; gamma_min doubles as the
-    eigenvalue floor of the matrix law. The length of q_diag is checked
-    against the basis when a controller is built. Frozen, because the
-    diagonal of R^-1 and the Q diagonal are built once from them (read-only)
-    and read by every adaptation step.
+    dynamics; AdaptState.fresh reads it once, to give the gain its shape.
+    r_diag are the diagonal entries of the prediction-error weighting R
+    (positive definite), one per residual channel or one for both; q_diag
+    the gain forcing Q, one entry per component or one for all; lam the
+    forgetting rate. gamma_min / gamma_max clamp the per-component gains;
+    gamma_min doubles as the eigenvalue floor of the matrix law. The length
+    of q_diag is checked against the basis in AdaptState.fresh. Frozen,
+    because every adaptation step reads the floats built once from them:
+    r_inv, the diagonal of R^-1 for both residual channels, and q, the Q
+    entries as given.
     """
 
     law: str = "scalar"                 # scalar | matrix
@@ -124,39 +129,34 @@ class AdaptParams:
             raise ValueError("Q must be positive semidefinite")
         if not 0 < self.gamma_min <= self.gamma0 <= self.gamma_max:
             raise ValueError("need 0 < gamma_min <= gamma0 <= gamma_max")
-        r_inv = 1.0 / np.asarray(self.r_diag, dtype=float)
-        q = np.array(self.q_diag, dtype=float)
-        r_inv.flags.writeable = q.flags.writeable = False
-        object.__setattr__(self, "_r_inv", r_inv)
-        object.__setattr__(self, "_q", q)
-
-    def r_inv(self) -> np.ndarray:
-        """Diagonal of R^-1."""
-        return self._r_inv
-
-    def q(self) -> np.ndarray:
-        """Diagonal of Q, as given: one entry stands for every component."""
-        return self._q
+        r_inv = tuple(1.0 / float(r) for r in self.r_diag)
+        object.__setattr__(self, "r_inv", r_inv * 2 if len(r_inv) == 1 else r_inv)
+        object.__setattr__(self, "q", tuple(float(q) for q in self.q_diag))
 
 
 @dataclass
 class AdaptState:
-    """Adapted parameters plus their gain: a vector gamma for the
-    per-component law or a full SPD matrix for the matrix law. fresh() is the
-    one checked constructor: each law step builds the next state, refusing a
-    non-finite update and clamping or flooring the gain itself. A state is
-    never changed in place."""
+    """Adapted parameters plus their gain, whose shape is the law: a vector
+    gamma for the per-component law, a full SPD matrix for the matrix law.
+    fresh() is the one checked constructor: adapt_step builds each next
+    state, refusing a non-finite update and clamping or flooring the gain
+    itself. A state is never changed in place."""
 
     theta_hat: np.ndarray
     gain: np.ndarray
 
     @classmethod
-    def fresh(cls, n_theta: int, params: AdaptParams, *, theta0=None) -> "AdaptState":
+    def fresh(cls, n_theta: int, params: AdaptParams, *, theta0=None,
+              adapt: bool = True) -> "AdaptState":
         """theta0 (zeros by default), which must give n_theta finite entries,
-        with the initial gain of params.law."""
+        with the initial gain of params.law. q_diag must give 1 or n_theta
+        entries, unless adapt is False: a frozen state never steps."""
         theta = np.zeros(n_theta) if theta0 is None else np.array(theta0, dtype=float).reshape(-1)
         if theta.shape != (n_theta,) or not np.all(np.isfinite(theta)):
             raise ValueError(f"theta0 must give {n_theta} finite entries, got {theta0}")
+        if adapt and len(params.q_diag) not in (1, n_theta):
+            raise ValueError(f"q_diag has {len(params.q_diag)} entries for {n_theta} "
+                             f"parameters; give 1 or {n_theta}")
         if params.law == "scalar":
             return cls(theta, np.full(n_theta, params.gamma0))
         return cls(theta, params.gamma0 * np.eye(n_theta))
@@ -438,14 +438,6 @@ def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParam
 
 # ---------------------------------------------------------------- adaptation
 
-def h_matrix(phi: np.ndarray, u_vec) -> np.ndarray:
-    """Columns h_i = Phi_i u: (n_theta, n, m) x (m,) -> (n, n_theta)."""
-    u = np.asarray(u_vec, dtype=float).reshape(-1)
-    # einsum, not phi @ u: the stacked matmul rounds differently in the last
-    # bit, which moves the matrix law's gain and every later tick
-    return np.einsum("inm,m->ni", np.asarray(phi, dtype=float), u)
-
-
 def _h_columns(phi, u_vec) -> list:
     """The columns h_i = Phi_i u of H as pairs of Python floats, for phi of
     shape (n_theta, 2, m) with m = 1 or 2."""
@@ -458,38 +450,26 @@ def _h_columns(phi, u_vec) -> list:
             for (p00, p01), (p10, p11) in _floats(phi)]
 
 
-def _q_entries(params: AdaptParams, n_theta: int) -> list:
-    """The n_theta diagonal entries of Q: q_diag as given, or its one entry
-    for every component."""
-    q = params.q().tolist()
-    if len(q) == 1:
-        return q * n_theta
-    if len(q) != n_theta:
-        raise ValueError(f"q_diag has {len(q)} entries for {n_theta} parameters; "
-                         f"give 1 or {n_theta}")
-    return q
+def adapt_step(state: AdaptState, s, y, phi, u_vec, dt: float, params: AdaptParams):
+    """One Euler step of the composite law.
 
+    thetadot = -lam theta - G H^T R^-1 (H theta - y) + G H^T s
+    Gdot     = -2 lam G + Q +/- G H^T R^-1 H G
 
-def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
-                      params: AdaptParams):
-    """One Euler step of the per-component composite law.
-
-    thetadot_i = -lam theta_i - gamma_i h_i^T R^-1 (H theta - y) + gamma_i s^T h_i
-    gammadot_i = -2 lam gamma_i + q_i + gamma_i (h_i^T R^-1 h_i) gamma_i
-
-    Gains are clamped to [gamma_min, gamma_max]. A non-finite update is
-    rejected: the state is held and the rejection is reported in the second
-    return value. Runs on Python floats for two residual channels, any
-    n_theta and one or two inputs; a one-entry r_diag or q_diag stands for
-    every channel or component.
+    The gain's shape is the law. A vector gamma is the per-component law:
+    G = diag(gamma), only the diagonal of the quadratic term enters, with
+    the + sign, and the gains are clamped to [gamma_min, gamma_max]. A
+    matrix is the full-matrix law: the Riccati - sign, then the gain is
+    re-symmetrized and its eigenvalues are floored at gamma_min, keeping it
+    SPD. A non-finite update is rejected: the state is held and the
+    rejection is reported in the second return value. Runs on Python floats
+    (the matrix law's gain products and eigh on numpy) for two residual
+    channels, any n_theta and one or two inputs; a one-entry q_diag stands
+    for every component.
     """
-    if state.gain.ndim != 1:
-        raise ValueError("scalar law requires a gamma vector state")
-    theta, gamma = state.theta_hat.tolist(), state.gain.tolist()
+    theta = state.theta_hat.tolist()
     h = _h_columns(phi, u_vec)
-    q = _q_entries(params, len(theta))
-    r = params.r_inv().tolist()
-    r0, r1 = r * 2 if len(r) == 1 else r
+    r0, r1 = params.r_inv
     s0, s1 = _floats(s)
     y0, y1 = _floats(y)
     pred0 = pred1 = 0.0                             # H theta - y
@@ -498,54 +478,39 @@ def adapt_step_scalar(state: AdaptState, s, y, phi, u_vec, dt: float,
         pred1 += h1 * th
     pred0 -= y0
     pred1 -= y1
+    # per column: h_i^T R^-1 (H theta - y) and h_i^T s
+    proj = [(h0 * r0 * pred0 + h1 * r1 * pred1, h0 * s0 + h1 * s1) for h0, h1 in h]
+    q = params.q * len(theta) if len(params.q) == 1 else params.q
     lam, two_lam = params.lam, 2.0 * params.lam
-    theta_new, gamma_new = [], []
-    for th, g, (h0, h1), q_i in zip(theta, gamma, h, q):
-        hr0, hr1 = h0 * r0, h1 * r1                 # R^-1-weighted column
-        theta_dot = -lam * th - g * (hr0 * pred0 + hr1 * pred1) + g * (h0 * s0 + h1 * s1)
-        gamma_dot = -two_lam * g + q_i + g * (hr0 * h0 + hr1 * h1) * g
-        theta_new.append(th + dt * theta_dot)
-        gamma_new.append(g + dt * gamma_dot)
-    if not (all(map(math.isfinite, theta_new)) and all(map(math.isfinite, gamma_new))):
-        log.debug("scalar adaptation produced a non-finite update; step rejected")
+    gain = state.gain
+    # the gain product: the scalar law's gamma_i weights column i's projections
+    # in the theta step; the matrix law applies G first and steps with unit
+    # weights (1.0 * x is exact)
+    if gain.ndim == 1:
+        weights = gamma = gain.tolist()
+        gain_new = [g + dt * (-two_lam * g + q_i + g * (h0 * r0 * h0 + h1 * r1 * h1) * g)
+                    for g, q_i, (h0, h1) in zip(gamma, q, h)]
+        gain_values = gain_new
+    else:
+        weights = (1.0,) * len(theta)
+        proj = (gain @ np.array(proj)).tolist()
+        quad = np.array([[h0 * r0 * k0 + h1 * r1 * k1 for k0, k1 in h] for h0, h1 in h])
+        gain_new = gain + dt * (-two_lam * gain + np.diag(q) - gain @ quad @ gain)
+        gain_values = gain_new.ravel().tolist()
+    theta_new = [th + dt * (-lam * th - w * e + w * b)
+                 for th, w, (e, b) in zip(theta, weights, proj)]
+    if not all(map(math.isfinite, theta_new + gain_values)):
+        log.debug("adaptation produced a non-finite update; step rejected")
         return state, True
-    lo, hi = params.gamma_min, params.gamma_max
-    gamma_new = [min(max(g, lo), hi) for g in gamma_new]
-    return AdaptState(np.array(theta_new), np.array(gamma_new)), False
-
-
-def adapt_step_matrix(state: AdaptState, s, y, phi, u_vec, dt: float,
-                      params: AdaptParams):
-    """One Euler step of the full-matrix composite law.
-
-    thetadot = -lam theta - G H^T R^-1 (H theta - y) + G H^T s
-    Gdot     = -2 lam G + Q - G H^T R^-1 H G
-
-    After the step the gain matrix is re-symmetrized and its eigenvalues are
-    floored at gamma_min, keeping it SPD. Non-finite updates are rejected.
-    """
-    if state.gain.ndim != 2:
-        raise ValueError("matrix law requires a gain matrix state")
-    h = h_matrix(phi, u_vec)
-    q_mat = np.diag(_q_entries(params, state.theta_hat.shape[0]))
-    pred = h @ state.theta_hat - np.asarray(y, dtype=float)
-    hr = h * params.r_inv()[:, None]
-    theta_dot = (-params.lam * state.theta_hat
-                 - state.gain @ (hr.T @ pred)
-                 + state.gain @ (h.T @ np.asarray(s, dtype=float)))
-    gain_dot = (-2.0 * params.lam * state.gain + q_mat
-                - state.gain @ (hr.T @ h) @ state.gain)
-    theta_new = state.theta_hat + dt * theta_dot
-    gain_new = state.gain + dt * gain_dot
-    if not (np.all(np.isfinite(theta_new)) and np.all(np.isfinite(gain_new))):
-        log.debug("matrix adaptation produced a non-finite update; step rejected")
-        return state, True
-    gain_new = 0.5 * (gain_new + gain_new.T)
-    vals, vecs = np.linalg.eigh(gain_new)
-    vals = np.maximum(vals, params.gamma_min)
-    gain_new = (vecs * vals) @ vecs.T
-    gain_new = 0.5 * (gain_new + gain_new.T)
-    return AdaptState(theta_new, gain_new), False
+    if gain.ndim == 1:
+        lo, hi = params.gamma_min, params.gamma_max
+        gain_new = np.array([lo if g < lo else hi if g > hi else g for g in gain_new])
+    else:
+        gain_new = 0.5 * (gain_new + gain_new.T)
+        vals, vecs = np.linalg.eigh(gain_new)
+        gain_new = (vecs * np.maximum(vals, params.gamma_min)) @ vecs.T
+        gain_new = 0.5 * (gain_new + gain_new.T)
+    return AdaptState(np.array(theta_new), gain_new), False
 
 
 # ---------------------------------------------------------------- ackermann loop
@@ -649,7 +614,8 @@ class _AdaptiveController:
         self.basis = basis
         self.adapt = adapt and basis is not None
         self.dt = control_period
-        self.state0 = (AdaptState.fresh(basis.n_theta, adapt_params, theta0=theta0)
+        self.state0 = (AdaptState.fresh(basis.n_theta, adapt_params, theta0=theta0,
+                                        adapt=self.adapt)
                        if basis is not None else None)
         self.res_filter = ResidualFilter(residual_cutoff_hz)
         _AdaptiveController.reset(self)         # a subclass's parts are not built yet
@@ -678,10 +644,8 @@ class _AdaptiveController:
             a_n, b_n = self.params.residual_model(state)
             y = self.res_filter.residual(xdot_meas, x, self.prev_u, a_n, b_n, self.dt)
             if self.adapt and not fallback and self.prev_phi is not None:
-                step = (adapt_step_scalar if self.adapt_params.law == "scalar"
-                        else adapt_step_matrix)
-                self.state, rejected = step(self.state, s, y, self.prev_phi,
-                                            self.prev_u, self.dt, self.adapt_params)
+                self.state, rejected = adapt_step(self.state, s, y, self.prev_phi,
+                                                  self.prev_u, self.dt, self.adapt_params)
         self.prev_u = u_vec
         self.prev_phi = phi
         return y, rejected

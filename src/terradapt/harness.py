@@ -19,10 +19,10 @@ Timing model per controller tick (period = sim.control_period):
 Steps 1 and 4 look eta up through the same per-vehicle terrain function.
 
 The tick runs on Python floats, not on small arrays: states, references,
-the control law, the scalar adaptation step and the telemetry rows are
-floats, and the basis output is converted to nested lists once per tick.
-Only the basis forward pass, the feature lookups, the noise draws, the
-residual's nominal-model product and the matrix law use numpy.
+the control law, the adaptation step and the telemetry rows are floats,
+and the basis output is converted to nested lists once per tick. Only the
+basis forward pass, the feature lookups, the noise draws, the residual's
+nominal-model product and the matrix law's gain products use numpy.
 
 The dataset loop keeps the same model but runs it in two passes per
 trajectory. Driving (steps 3-4 with random inputs in place of a

@@ -131,11 +131,3 @@ def write_csv(path, columns: list[str], rows) -> None:
                 else:
                     parts.append(str(v))
             f.write(",".join(parts) + "\n")
-
-
-def read_csv(path):
-    """Read a CSV written by write_csv. Returns (columns, list of string rows)."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    columns = lines[0].split(",")
-    return columns, [ln.split(",") for ln in lines[1:]]

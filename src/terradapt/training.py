@@ -37,7 +37,6 @@ in cache and peak memory does not grow with the minibatch.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import time
@@ -212,39 +211,6 @@ def _ridge(h: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     return chol, theta, r
 
 
-def solve_theta_star(h: np.ndarray, y: np.ndarray, lambda_r: float, theta_r: np.ndarray):
-    """Ridge solution of the window least squares problem.
-
-    h is (T, n, n_theta), y is (T, n). Returns (theta_star, residual_cost)
-    where the cost excludes the regularization term. Requires a nonempty
-    window and lambda_r > 0 or enough excitation to keep the normal matrix
-    positive definite.
-    """
-    h = np.asarray(h, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if h.ndim != 3 or y.ndim != 2 or h.shape[0] != y.shape[0] or h.shape[1] != y.shape[1]:
-        raise ValueError(f"inconsistent window shapes h{h.shape}, y{y.shape}")
-    if h.shape[0] == 0:
-        raise ValueError("window is empty")
-    theta_r = np.asarray(theta_r, dtype=float).reshape(-1)
-    n_theta = h.shape[2]
-    if theta_r.shape[0] != n_theta:
-        raise ValueError(f"theta_r has {theta_r.shape[0]} entries, expected {n_theta}")
-    _, theta, r = _ridge(h, y, np.array([0]), np.array([h.shape[0]]), lambda_r, theta_r)
-    return theta[0], float(np.sum(r * r))
-
-
-def window_cost(net, window, lambda_r: float, theta_r) -> tuple[float, np.ndarray]:
-    """Meta-objective of one window under the current basis.
-
-    window is (x, u, e, y) arrays. Returns (cost, theta_star).
-    """
-    xw, uw, ew, yw = window
-    phi = net.forward_batch(xw, ew)
-    theta, cost = solve_theta_star(build_h(phi, uw), yw, lambda_r, theta_r)
-    return cost, theta
-
-
 def _chunk_cost_and_grad(net: BasisNet, x, u, e, y, lengths: np.ndarray,
                          lambda_r: float, theta_r: np.ndarray):
     """Costs, theta* and summed gradient of windows stored back to back.
@@ -268,23 +234,6 @@ def _chunk_cost_and_grad(net: BasisNet, x, u, e, y, lengths: np.ndarray,
            - h_mu[:, :, None] * theta_t[:, None, :])
     d_phi = np.einsum("tni,tm->tinm", d_h, u)
     return costs, theta, net.backward(acts, d_phi)
-
-
-def window_cost_and_grad(net: BasisNet, window, lambda_r: float, theta_r):
-    """Window cost plus exact gradient w.r.t. every network parameter.
-
-    An empty window contributes nothing: theta* degenerates to theta_r and
-    the gradient is identically zero.
-    """
-    xw, uw, ew, yw = (np.asarray(a, dtype=float) for a in window)
-    theta_r = np.asarray(theta_r, dtype=float).reshape(-1)
-    if xw.shape[0] == 0:
-        zero = {"W": [np.zeros_like(w) for w in net.weights],
-                "b": [np.zeros_like(b) for b in net.biases]}
-        return 0.0, theta_r.copy(), zero
-    costs, theta, grads = _chunk_cost_and_grad(net, xw, uw, ew, yw, np.array([xw.shape[0]]),
-                                               lambda_r, theta_r)
-    return float(costs[0]), theta[0], grads
 
 
 def _chunks(lengths):
@@ -433,43 +382,3 @@ def write_loss_history(path, history) -> None:
     """Loss history CSV: iteration, minibatch loss, wall time since start."""
     write_csv(path, ["iteration", "loss", "wall_time_s"],
               [(h["iteration"], h["loss"], h["wall_time_s"]) for h in history])
-
-
-def gradcheck_meta(net: BasisNet, windows, lambda_r: float, theta_r,
-                   h_step: float = 1e-5) -> float:
-    """Compare the analytic meta-gradient against central finite differences.
-
-    windows is a list of (x, u, e, y) tuples; the objective is the summed
-    window cost. Returns the maximum elementwise relative error over all
-    parameters. Everything runs in float64.
-    """
-    theta_r = np.asarray(theta_r, dtype=float)
-
-    def total_cost(candidate: BasisNet) -> float:
-        c = 0.0
-        for w in windows:
-            xw = np.asarray(w[0])
-            if xw.shape[0] == 0:
-                continue
-            c += window_cost(candidate, w, lambda_r, theta_r)[0]
-        return c
-
-    grad_flat = np.zeros(net.get_flat_params().size)
-    for w in windows:
-        _, _, grads = window_cost_and_grad(net, w, lambda_r, theta_r)
-        grad_flat += net.grads_to_flat(grads)
-
-    probe = copy.deepcopy(net)
-    base = net.get_flat_params()
-    fd = np.zeros_like(base)
-    for i in range(base.size):
-        p = base.copy()
-        p[i] = base[i] + h_step
-        probe.set_flat_params(p)
-        up = total_cost(probe)
-        p[i] = base[i] - h_step
-        probe.set_flat_params(p)
-        down = total_cost(probe)
-        fd[i] = (up - down) / (2.0 * h_step)
-    denom = np.maximum(np.maximum(np.abs(fd), np.abs(grad_flat)), 1e-8)
-    return float(np.max(np.abs(grad_flat - fd) / denom))

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import contract
 from terradapt.basis import (
     BasisNet,
     CHECKPOINT_VERSION,
     ConstantBasis,
     DimensionError,
-    contract,
     flatten_output,
     load_checkpoint,
     reshape_output,

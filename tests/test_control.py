@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import as_array, lyapunov_value
-from terradapt.basis import ConstantBasis, contract
+from oracles import as_array, contract, lyapunov_value
+from terradapt.basis import ConstantBasis
 from terradapt.control import (
     AckermannController,
     AdaptParams,
@@ -18,12 +18,10 @@ from terradapt.control import (
     ReferenceState,
     ResidualFilter,
     TrackedController,
-    adapt_step_matrix,
-    adapt_step_scalar,
+    adapt_step,
     control_ackermann,
     cond_2x2,
     control_tracked,
-    h_matrix,
     lateral_errors,
     reference_velocities,
     tracking_error,
@@ -84,19 +82,21 @@ def test_gain_validation():
 
 
 def test_adapt_params_build_weights_once():
-    """R^-1 and the Q diagonal are built once, read-only, from frozen fields."""
+    """R^-1 for both residual channels and the Q entries are built once, as
+    Python floats, from frozen fields."""
     p = AdaptParams(r_diag=(0.1, 0.4), q_diag=(0.5,))
-    assert p.r_inv() is p.r_inv() and p.q() is p.q()
-    np.testing.assert_array_equal(p.r_inv(), 1.0 / np.array([0.1, 0.4]))
-    np.testing.assert_array_equal(p.q(), [0.5])
-    with pytest.raises(ValueError):
-        p.r_inv()[0] = 1.0
+    assert p.r_inv == (1.0 / 0.1, 1.0 / 0.4) and p.q == (0.5,)
+    assert all(type(v) is float for v in p.r_inv + p.q)
+    assert AdaptParams(r_diag=(0.4,)).r_inv == (2.5, 2.5)  # one entry for both channels
     with pytest.raises(AttributeError):
         p.lam = 0.5
+    with pytest.raises(AttributeError):
+        p.r_inv = (1.0, 1.0)
     # a caller's array is copied, not frozen in place
     q = np.array([0.2, 0.3])
-    AdaptParams(q_diag=q)
+    copied = AdaptParams(q_diag=q)
     q[0] = 0.25
+    assert copied.q == (0.2, 0.3)
 
 
 def test_adapt_state_validation():
@@ -108,7 +108,7 @@ def test_adapt_state_validation():
     fresh_m = AdaptState.fresh(3, AdaptParams(law="matrix", q_diag=(1.0,) * 3))
     np.testing.assert_array_equal(fresh_m.gain, 0.01 * np.eye(3))
     theta0 = np.array([0.1, 0.2])
-    started = AdaptState.fresh(2, AdaptParams(), theta0=theta0)
+    started = AdaptState.fresh(2, AdaptParams(q_diag=(1.0,)), theta0=theta0)
     np.testing.assert_array_equal(started.theta_hat, theta0)
     theta0[0] = 9.0                         # the caller's array is copied
     assert started.theta_hat[0] == 0.1
@@ -514,7 +514,7 @@ def test_scalar_adaptation_matches_oracle():
         y = rng.uniform(-1, 1, 2)
         phi = rng.uniform(-1, 1, (4, 2, 2))
         u = rng.uniform(-2, 2, 2)
-        new, rejected = adapt_step_scalar(state, s, y, phi, u, 0.05, p)
+        new, rejected = adapt_step(state, s, y, phi, u, 0.05, p)
         want_theta, want_gamma = scalar_oracle(state, s, y, phi, u, 0.05, p)
         assert not rejected
         np.testing.assert_allclose(new.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
@@ -549,7 +549,7 @@ def test_matrix_adaptation_matches_oracle():
         y = rng.uniform(-1, 1, 2)
         phi = rng.uniform(-1, 1, (4, 2, 2))
         u = rng.uniform(-2, 2, 2)
-        new, rejected = adapt_step_matrix(state, s, y, phi, u, 0.05, p)
+        new, rejected = adapt_step(state, s, y, phi, u, 0.05, p)
         want_theta, want_gain = matrix_oracle(state, s, y, phi, u, 0.05, p, 4)
         assert not rejected
         np.testing.assert_allclose(new.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
@@ -561,7 +561,7 @@ def test_matrix_adaptation_matches_oracle():
 def test_matrix_law_broadcasts_scalar_forcing():
     p = AdaptParams(lam=0.0, r_diag=(1.0, 1.0), q_diag=(0.7,), gamma0=0.5)
     state = AdaptState(np.zeros(3), 0.5 * np.eye(3))
-    new, _ = adapt_step_matrix(state, np.zeros(2), np.zeros(2),
+    new, _ = adapt_step(state, np.zeros(2), np.zeros(2),
                                np.zeros((3, 2, 2)), np.zeros(2), 0.1, p)
     np.testing.assert_allclose(new.gain, 0.5 * np.eye(3) + 0.1 * 0.7 * np.eye(3))
 
@@ -571,13 +571,13 @@ def test_adaptation_fixed_points():
     p = AdaptParams(lam=0.1, r_diag=(1.0, 1.0), q_diag=(0.4, 0.4), gamma0=1.0)
     state = AdaptState(np.array([1.0, -2.0]), np.array([1.0, 3.0]))
     zero_phi = np.zeros((2, 2, 2))
-    new, _ = adapt_step_scalar(state, np.zeros(2), np.zeros(2), zero_phi,
+    new, _ = adapt_step(state, np.zeros(2), np.zeros(2), zero_phi,
                                np.zeros(2), 0.05, p)
     np.testing.assert_allclose(new.theta_hat, state.theta_hat * (1 - 0.1 * 0.05))
     np.testing.assert_allclose(new.gain, state.gain + 0.05 * (0.4 - 0.2 * state.gain))
     # gamma = q / (2 lam) = 2.0 is stationary without excitation
     eq = AdaptState(np.zeros(2), np.array([2.0, 2.0]))
-    new_eq, _ = adapt_step_scalar(eq, np.zeros(2), np.zeros(2), zero_phi, np.zeros(2), 0.05, p)
+    new_eq, _ = adapt_step(eq, np.zeros(2), np.zeros(2), zero_phi, np.zeros(2), 0.05, p)
     np.testing.assert_allclose(new_eq.gain, [2.0, 2.0], atol=1e-15)
 
 
@@ -587,13 +587,13 @@ def test_quadratic_gain_term_signs_differ():
     p = AdaptParams(lam=0.0, r_diag=(0.5, 0.5), q_diag=(0.2,), gamma0=0.5)
     phi = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # n_theta = 1
     u = np.array([1.0, 1.0])
-    h = h_matrix(phi, u)
-    quad = float(h[:, 0] @ (h[:, 0] / 0.5))
+    h = phi[0] @ u
+    quad = float(h @ (h / 0.5))
     dt, g0 = 0.05, 0.5
     sc = AdaptState(np.zeros(1), np.array([g0]))
     mt = AdaptState(np.zeros(1), np.array([[g0]]))
-    new_sc, _ = adapt_step_scalar(sc, np.zeros(2), np.zeros(2), phi, u, dt, p)
-    new_mt, _ = adapt_step_matrix(mt, np.zeros(2), np.zeros(2), phi, u, dt, p)
+    new_sc, _ = adapt_step(sc, np.zeros(2), np.zeros(2), phi, u, dt, p)
+    new_mt, _ = adapt_step(mt, np.zeros(2), np.zeros(2), phi, u, dt, p)
     assert new_sc.gain[0] > g0 > new_mt.gain[0, 0]
     assert new_sc.gain[0] - new_mt.gain[0, 0] == pytest.approx(2 * dt * g0 * quad * g0, rel=1e-12)
 
@@ -602,12 +602,12 @@ def test_adaptation_rejects_non_finite_updates():
     p = AdaptParams()
     state = AdaptState(np.zeros(4), np.full(4, 0.01))
     with np.errstate(invalid="ignore"):
-        new, rejected = adapt_step_scalar(state, np.zeros(2), np.array([np.inf, 0.0]),
+        new, rejected = adapt_step(state, np.zeros(2), np.array([np.inf, 0.0]),
                                           np.ones((4, 2, 2)), np.ones(2), 0.05, p)
     assert rejected and new is state
     mstate = AdaptState(np.zeros(4), 0.01 * np.eye(4))
     with np.errstate(invalid="ignore"):
-        new_m, rejected_m = adapt_step_matrix(mstate, np.zeros(2), np.array([np.nan, 0.0]),
+        new_m, rejected_m = adapt_step(mstate, np.zeros(2), np.array([np.nan, 0.0]),
                                               np.ones((4, 2, 2)), np.ones(2), 0.05, p)
     assert rejected_m and new_m is mstate
 
@@ -618,7 +618,7 @@ def test_scalar_gain_stays_in_bounds_under_random_driving():
     state = AdaptState.fresh(4, p)
     rng = np.random.default_rng(4)
     for _ in range(300):
-        state, rejected = adapt_step_scalar(
+        state, rejected = adapt_step(
             state, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2),
             rng.uniform(-1, 1, (4, 2, 2)), rng.uniform(-2, 2, 2), 0.05, p)
         assert not rejected
@@ -639,8 +639,8 @@ def test_scalar_step_one_entry_weights_stand_for_all():
                        gamma_max=2.0)
     for _ in range(50):
         state, s, y, phi, u = random_step_inputs(rng, 4, 2)
-        new_one, rejected_one = adapt_step_scalar(state, s, y, phi, u, 0.05, one)
-        new_full, rejected_full = adapt_step_scalar(state, s, y, phi, u, 0.05, full)
+        new_one, rejected_one = adapt_step(state, s, y, phi, u, 0.05, one)
+        new_full, rejected_full = adapt_step(state, s, y, phi, u, 0.05, full)
         assert not rejected_one and not rejected_full
         np.testing.assert_array_equal(new_one.theta_hat, new_full.theta_hat)
         np.testing.assert_array_equal(new_one.gain, new_full.gain)
@@ -649,28 +649,39 @@ def test_scalar_step_one_entry_weights_stand_for_all():
         np.testing.assert_allclose(new_one.gain, want_gamma, rtol=1e-12, atol=1e-14)
 
 
-def test_scalar_step_ackermann_shape_matches_oracle():
+@pytest.mark.parametrize("law", ["scalar", "matrix"])
+def test_step_ackermann_shape_matches_oracle(law):
     """n_theta 2 and a single steering input (phi of shape (2, 2, 1))."""
     rng = np.random.default_rng(7)
-    p = AdaptParams(lam=0.01, r_diag=(1.0, 0.5), q_diag=(0.05, 0.02), gamma0=0.05,
+    p = AdaptParams(law=law, lam=0.01, r_diag=(1.0, 0.5), q_diag=(0.05, 0.02), gamma0=0.05,
                     gamma_max=2.0)
     for _ in range(50):
         state, s, y, phi, u = random_step_inputs(rng, 2, 1)
         s[1] = 0.0                  # the car's tracking error has one channel
-        new, rejected = adapt_step_scalar(state, s, y, phi, u, 0.05, p)
-        want_theta, want_gamma = scalar_oracle(state, s, y, phi, u, 0.05, p)
+        if law == "matrix":
+            a = rng.uniform(-0.5, 0.5, (2, 2))
+            state = AdaptState(state.theta_hat, a @ a.T + 0.2 * np.eye(2))
+        new, rejected = adapt_step(state, s, y, phi, u, 0.05, p)
         assert not rejected
-        np.testing.assert_allclose(new.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(new.gain, want_gamma, rtol=1e-12, atol=1e-14)
+        if law == "scalar":
+            want_theta, want_gamma = scalar_oracle(state, s, y, phi, u, 0.05, p)
+            np.testing.assert_allclose(new.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(new.gain, want_gamma, rtol=1e-12, atol=1e-14)
+        else:
+            want_theta, want_gain = matrix_oracle(state, s, y, phi, u, 0.05, p, 2)
+            np.testing.assert_allclose(new.theta_hat, want_theta, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(new.gain, want_gain, rtol=1e-10, atol=1e-12)
+            np.testing.assert_array_equal(new.gain, new.gain.T)
 
 
 def test_q_diag_must_match_n_theta_or_have_one_entry():
-    p = AdaptParams(q_diag=(0.1, 0.1, 0.1))
-    args = (np.zeros(2), np.zeros(2), np.ones((4, 2, 2)), np.ones(2), 0.05, p)
-    with pytest.raises(ValueError, match="q_diag has 3 entries for 4"):
-        adapt_step_scalar(AdaptState(np.zeros(4), np.full(4, 0.01)), *args)
-    with pytest.raises(ValueError, match="q_diag has 3 entries for 4"):
-        adapt_step_matrix(AdaptState(np.zeros(4), 0.01 * np.eye(4)), *args)
+    for law in ("scalar", "matrix"):
+        p = AdaptParams(law=law, q_diag=(0.1, 0.1, 0.1))
+        with pytest.raises(ValueError, match="q_diag has 3 entries for 4"):
+            AdaptState.fresh(4, p)
+        assert AdaptState.fresh(3, p).theta_hat.shape == (3,)
+        assert AdaptState.fresh(4, AdaptParams(law=law, q_diag=(0.1,))).theta_hat.shape == (4,)
+        assert AdaptState.fresh(4, p, adapt=False).theta_hat.shape == (4,)  # never steps
 
 
 @pytest.mark.parametrize("where, bad", [("s", math.nan), ("s", math.inf),
@@ -679,7 +690,7 @@ def test_scalar_step_rejects_non_finite_s_and_y(where, bad):
     state = AdaptState(np.zeros(4), np.full(4, 0.01))
     s, y = [0.1, -0.2], [0.3, 0.1]
     (s if where == "s" else y)[1] = bad
-    new, rejected = adapt_step_scalar(state, s, y, np.ones((4, 2, 2)), np.ones(2), 0.05,
+    new, rejected = adapt_step(state, s, y, np.ones((4, 2, 2)), np.ones(2), 0.05,
                                       AdaptParams())
     assert rejected and new is state
 
@@ -689,31 +700,10 @@ def test_scalar_step_clamps_gains_at_both_bounds():
     # no excitation: gamma_i = 0.1 + 0.05 (q_i - 2 lam 0.1) = 4.95, 0.1 and -0.05
     p = AdaptParams(lam=15.0, r_diag=(1.0, 1.0), q_diag=(100.0, 3.0, 0.0), gamma0=0.1,
                     gamma_min=0.05, gamma_max=0.2)
-    new, rejected = adapt_step_scalar(AdaptState(np.zeros(3), np.full(3, 0.1)), *zero, p)
+    new, rejected = adapt_step(AdaptState(np.zeros(3), np.full(3, 0.1)), *zero, p)
     assert not rejected
     assert new.gain.tolist() == [0.2, new.gain[1], 0.05]
     assert new.gain[1] == pytest.approx(0.1, rel=1e-12)
-
-
-def test_law_shape_guards():
-    p = AdaptParams()
-    vec_state = AdaptState(np.zeros(4), np.full(4, 0.01))
-    mat_state = AdaptState(np.zeros(4), 0.01 * np.eye(4))
-    with pytest.raises(ValueError):
-        adapt_step_matrix(vec_state, np.zeros(2), np.zeros(2), np.zeros((4, 2, 2)),
-                          np.zeros(2), 0.05, p)
-    with pytest.raises(ValueError):
-        adapt_step_scalar(mat_state, np.zeros(2), np.zeros(2), np.zeros((4, 2, 2)),
-                          np.zeros(2), 0.05, p)
-
-
-def test_h_matrix_matches_loop():
-    rng = np.random.default_rng(5)
-    phi = rng.standard_normal((4, 2, 2))
-    u = rng.standard_normal(2)
-    h = h_matrix(phi, u)
-    for i in range(4):
-        np.testing.assert_allclose(h[:, i], phi[i] @ u, rtol=1e-14)
 
 
 def test_lyapunov_value_forms():

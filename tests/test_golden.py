@@ -44,19 +44,17 @@ TIMING_COLUMNS = {"loss_history.csv": "wall_time_s"}
 
 
 def _blas() -> str:
-    """The BLAS numpy was built with, and the kernel it picked at run time."""
+    """The BLAS numpy was built with and, for the OpenBLAS that numpy's wheels
+    bundle, the kernel it picked for this CPU at run time: kernels round
+    differently."""
     info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     name = f"{info.get('name')} {info.get('version')}"
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-                       "openblas_get_corename"):
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.restype = ctypes.c_char_p
-                return f"{name} ({corename().decode()})"
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return f"{name} ({corename().decode()})"
     return name
 
 

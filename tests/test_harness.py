@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import metrics_from_telemetry
+from oracles import metrics_from_telemetry, read_csv, solve_theta_star
 from terradapt import cli, harness
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import ConfigError, config_from_dict
@@ -31,8 +31,7 @@ from terradapt.harness import (
     split_variant,
     summarize_results,
 )
-from terradapt.serialize import read_csv
-from terradapt.training import build_h, solve_theta_star
+from terradapt.training import build_h
 from terradapt.vehicles import (FaultSchedule, TrackedInput, TrackedParams, TrackedState,
                                 derivative, integrate_step, wrap_angle)
 from terradapt.world import FeatureProvider, build_world, cell_index
@@ -647,7 +646,7 @@ def test_run_scenario_reads_checkpoint_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("vehicle, law", [("tracked", "scalar"), ("tracked", "matrix"),
-                                          ("ackermann", "scalar")])
+                                          ("ackermann", "scalar"), ("ackermann", "matrix")])
 def test_reused_controller_matches_fresh_ones(tmp_path, vehicle, law):
     """Two episodes on one controller give the rows of two fresh controllers:
     reset() restores the fresh theta_hat and gain, not only the filters."""

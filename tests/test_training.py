@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import (gradcheck_meta, read_csv, solve_theta_star, window_cost,
+                     window_cost_and_grad)
 from terradapt import training
 from terradapt.basis import BasisNet
-from terradapt.serialize import read_csv
 from terradapt.training import (
     Adam,
     DivergenceError,
@@ -13,14 +14,10 @@ from terradapt.training import (
     TrajectoryDataset,
     WindowSpec,
     build_h,
-    gradcheck_meta,
     minibatch_cost_and_grad,
     sample_window,
-    solve_theta_star,
     train,
     train_step,
-    window_cost,
-    window_cost_and_grad,
     write_loss_history,
 )
 
