@@ -3,7 +3,7 @@
 Most restate a quantity the package reports, or one the paper's analysis
 uses, from its definition, so that a test can check the program against
 it. The trainer's entry points below drive its private batched ridge and
-meta-gradient (`training._ridge`, `training._chunk_cost_and_grad`) on one
+meta-gradient (`training._ridge`, `training._pack_cost_and_grad`) on one
 window, the unit the tests and criteria C6, C7 and C9 reason in. No code
 under src calls anything here.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from terradapt.basis import BasisNet, DimensionError
 from terradapt.harness import compute_metrics
-from terradapt.training import _chunk_cost_and_grad, _ridge, build_h
+from terradapt.training import _pack_cost_and_grad, _ridge, build_h
 
 
 def as_array(obj) -> np.ndarray:
@@ -116,8 +116,8 @@ def window_cost_and_grad(net: BasisNet, window, lambda_r: float, theta_r):
         zero = {"W": [np.zeros_like(w) for w in net.weights],
                 "b": [np.zeros_like(b) for b in net.biases]}
         return 0.0, theta_r.copy(), zero
-    costs, theta, grads = _chunk_cost_and_grad(net, xw, uw, ew, yw, np.array([xw.shape[0]]),
-                                               lambda_r, theta_r)
+    costs, theta, grads = _pack_cost_and_grad(net, xw, uw, ew, yw, np.array([0]),
+                                              np.array([xw.shape[0]]), lambda_r, theta_r)
     return float(costs[0]), theta[0], grads
 
 

@@ -394,11 +394,18 @@ def test_malformed_shapes_refused_with_the_key_path():
     ({"scenario.fault": {"kind": "track-square", "scale": 1.5}},
      "scenario.fault: fault scale must lie in [0, 1]"),
     ({"vehicle.half_spacing": 0.0}, "vehicle: half_spacing must be positive"),
+    ({"training.conv_window": 0}, "training: conv_window must be at least 1"),
+    ({"training.conv_window": -5}, "training: conv_window must be at least 1"),
+    ({"training.conv_tol": -1e-5}, "training: conv_tol must be nonnegative"),
+    ({"training.conv_tol": float("nan")}, "training: conv_tol must be nonnegative"),
+    ({"training.hidden": [0]}, "training: hidden widths must be at least 1"),
+    ({"training.hidden": [16, -2]}, "training: hidden widths must be at least 1"),
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
         "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
         "residual-cutoff", "vdot-noise", "warmup", "activation", "fault-scale",
-        "half-spacing"])
+        "half-spacing", "conv-window-zero", "conv-window-negative", "conv-tol-negative",
+        "conv-tol-nan", "hidden-zero", "hidden-negative"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
@@ -411,7 +418,10 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     activation let gen-data finish and stopped train. The fault scale and
     the patch half spacing are checked at load: the fault takes the scale,
     and the feature lookups take the half spacing, unchecked on every
-    tick."""
+    tick. A convergence window below 1 was accepted and ignored (train never
+    converged, with "Mean of empty slice" warnings), a negative tolerance
+    could never be met, and a zero hidden width let gen-data finish and
+    stopped train with an OverflowError."""
     with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
         raw = yaml.safe_load(f)
     out = tmp_path / "out"
@@ -437,7 +447,9 @@ def test_value_refusals_stop_every_command(tmp_path, capsys, command):
         base = yaml.safe_load(f)
     for section, name, value in (("vehicle", "u_v_max", -1.0), ("sim", "residual_cutoff_hz", 0),
                                  ("sim", "vdot_noise_std", -0.1), ("dataset", "warmup_s", -1.0),
-                                 ("training", "activation", "relu6")):
+                                 ("training", "activation", "relu6"),
+                                 ("training", "conv_window", 0), ("training", "conv_tol", -1.0),
+                                 ("training", "hidden", [0])):
         raw = copy.deepcopy(base)
         out = tmp_path / name
         raw["output_dir"] = str(out)

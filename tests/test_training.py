@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (gradcheck_meta, read_csv, solve_theta_star, window_cost,
                      window_cost_and_grad)
@@ -251,26 +252,28 @@ def two_traj_dataset(length=700, seed=13):
 
 
 def test_minibatch_matches_per_window_path():
-    ds = two_traj_dataset()
+    ds = two_traj_dataset(length=1000)
     net = BasisNet.init(2, 3, 2, 2, 3, hidden=(8,), rng=21)
     theta_r = np.array([0.5, -0.2, 1.0])
-    budget = training._CHUNK_ROWS
-    third = budget // 3 + 1
+    budget = training._PACK_ROWS
     cases = {
-        "one window": ([WindowSpec(0, 5, 7)], [(0, 1)]),
-        # the fourth window opens a second chunk
-        "straddle": ([WindowSpec(0, 0, third), WindowSpec(0, 40, third),
-                      WindowSpec(0, 90, third), WindowSpec(0, 300, 9)],
-                     [(0, 3), (3, 4)]),
-        # the long window is a chunk of its own, between two short ones
-        "long": ([WindowSpec(1, 3, 20), WindowSpec(1, 0, budget + 50),
-                  WindowSpec(1, 600, 30)], [(0, 1), (1, 2), (2, 3)]),
-        "mixed trajectories": ([WindowSpec(1, 10, 25), WindowSpec(0, 10, 25),
-                                WindowSpec(1, 650, 50), WindowSpec(0, 0, 1)],
-                               [(0, 4)]),
+        "one window": [WindowSpec(0, 5, 7)],
+        "overlapping": [WindowSpec(0, 40, 60), WindowSpec(0, 10, 50), WindowSpec(0, 70, 45)],
+        "nested": [WindowSpec(1, 100, 200), WindowSpec(1, 150, 20), WindowSpec(1, 100, 1),
+                   WindowSpec(1, 299, 1)],
+        "drawn twice": [WindowSpec(0, 300, 40), WindowSpec(1, 2, 9), WindowSpec(0, 300, 40)],
+        # the last row of trajectory 0 and the first of trajectory 1 are neighbours
+        "trajectory boundary": [WindowSpec(1, 0, 30), WindowSpec(0, 975, 25),
+                                WindowSpec(0, 999, 1), WindowSpec(1, 0, 1)],
+        # the long window is a pack of its own, though the next one nests in it
+        "longer than the budget": [WindowSpec(1, 3, 20), WindowSpec(1, 0, budget + 50),
+                                   WindowSpec(1, 600, 30), WindowSpec(0, 0, 1)],
+        "one-row windows": [WindowSpec(0, 999, 1), WindowSpec(1, 0, 1), WindowSpec(0, 5, 1),
+                            WindowSpec(0, 5, 1)],
+        # more rows than the budget: the packs split between neighbours
+        "several packs": [WindowSpec(j % 2, 30 * j, 40 + 5 * j) for j in range(24)],
     }
-    for name, (specs, chunks) in cases.items():
-        assert list(training._chunks([w.length for w in specs])) == chunks, name
+    for name, specs in cases.items():
         costs, grad = minibatch_cost_and_grad(net, ds, specs, 0.3, theta_r)
         want_grad = np.zeros_like(grad)
         for w, cost in zip(specs, costs):
@@ -287,6 +290,57 @@ def test_minibatch_matches_per_window_path():
         assert len(costs) == len(specs)
         err = np.max(np.abs(grad - want_grad)) / np.max(np.abs(want_grad))
         assert err <= 1e-12, name
+
+
+def test_minibatch_forwards_each_row_once(monkeypatch):
+    """Windows that overlap share one forward pass over the rows they cover,
+    and one backward pass over the same rows."""
+    ds = two_traj_dataset(length=300)
+    net = BasisNet.init(2, 3, 2, 2, 3, hidden=(8,), rng=21)
+    cfg = small_cfg(batch_windows=40, window_min_s=1.0, window_max_s=5.0)
+    specs = [sample_window(np.random.default_rng(4), ds, cfg) for _ in range(cfg.batch_windows)]
+    covered = {w.traj * ds.length + t for w in specs for t in range(w.start, w.start + w.length)}
+    assert len(covered) <= training._PACK_ROWS < sum(w.length for w in specs)
+    forwarded, backward_rows = [], []
+    forward, backward = BasisNet.forward_batch, BasisNet.backward
+
+    def counting_forward(self, x, e, want_cache=False):
+        forwarded.append(len(x))
+        return forward(self, x, e, want_cache)
+
+    def counting_backward(self, acts, upstream):
+        backward_rows.append(len(upstream))
+        return backward(self, acts, upstream)
+
+    monkeypatch.setattr(BasisNet, "forward_batch", counting_forward)
+    monkeypatch.setattr(BasisNet, "backward", counting_backward)
+    minibatch_cost_and_grad(net, ds, specs, 0.3, np.zeros(3))
+    assert forwarded == backward_rows == [len(covered)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 59), st.integers(1, 60)),
+                min_size=1, max_size=25),
+       st.integers(1, 90))
+def test_packs_hold_each_window_once(windows, budget):
+    """Every window lands in exactly one pack, as a contiguous slice of the
+    pack's distinct rows; a pack covers more rows than the budget only when
+    it is one window."""
+    length = 60
+    first, lengths = zip(*sorted((traj * length + start, min(n, length - start))
+                                 for traj, start, n in windows))
+    packed = []
+    for lo, hi, rows, at in training._packs(list(first), list(lengths), budget):
+        packed.extend(range(lo, hi))
+        assert np.all(np.diff(rows) > 0)
+        covered = set()
+        for i, j in enumerate(range(lo, hi)):
+            np.testing.assert_array_equal(rows[at[i]:at[i] + lengths[j]],
+                                          np.arange(first[j], first[j] + lengths[j]))
+            covered.update(range(first[j], first[j] + lengths[j]))
+        assert len(rows) == len(covered)
+        assert len(rows) <= budget or hi - lo == 1
+    assert packed == list(range(len(first)))
 
 
 def test_rank_deficient_window_raises():
