@@ -129,8 +129,13 @@ class DatasetConfig:
             raise ValueError("margin_frac must lie in [0, 0.5)")
         if not self.warmup_s >= 0:
             raise ValueError(f"warmup_s must be nonnegative, got {self.warmup_s}")
-        if self.cruise_range[0] > self.cruise_range[1]:
-            raise ValueError(f"cruise_range low end above its high end: {self.cruise_range}")
+        # a hold at or below zero redraws the input every tick
+        if not min(self.hold_range_s) > 0:
+            raise ValueError(f"hold_range_s must hold positive durations, got {self.hold_range_s}")
+        for name in ("u_v_range", "u_omega_range", "u_delta_range", "cruise_range"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:                                      # NaN fails too
+                raise ValueError(f"{name} low end above its high end: {(lo, hi)}")
 
 
 def split_variant(variant: str) -> tuple[str, bool]:

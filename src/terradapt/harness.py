@@ -31,8 +31,12 @@ and the residual are then derived for the whole trajectory, drawing each
 noise stream in the order the per-tick loop would: the features in one
 gather, and the measured acceleration per sample, on each row's floats
 through the tick's own measurement. RK4 is written only in the plant, once
-per vehicle (vehicles.*Params.rk4_substep), where named floats beat a
-generic scheme.
+per vehicle (vehicles.*Params.rk4_steps), where named floats beat a
+generic scheme. The driving pass carries the state as floats from one
+rk4_steps call to the next, not through integrate_step: the start state
+and each newly chosen input are checked once, as integrate_step checks
+them on entry, and every result on exit. Both loops look eta up through
+the world's lean per-cell lookups (TerrainWorldMap.eta_at, eta_first_at).
 
 Relative config file names resolve inside the output dir, never the CWD.
 """
@@ -55,8 +59,8 @@ from .control import AckermannController, ResidualFilter, TrackedController
 from .serialize import write_csv
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
-                       TrackedInput, TrackedState, apply_track_fault, integrate_step,
-                       wrap_angle)
+                       TrackedInput, TrackedState, apply_track_fault, check_finite,
+                       checked_fields, integrate_step, wrap_angle)
 from .world import FeatureProvider, TerrainWorldMap, build_world, load_world
 
 log = logging.getLogger(__name__)
@@ -179,7 +183,8 @@ class RandomVelocityReference:
             else:
                 break
         v_ref, omega_ref = seg[1], seg[2]
-        err = _turn_back_error(self.world, self.margin_frac, state)
+        err = _turn_back_error(self.world, self.margin_frac, state.p_x, state.p_y,
+                               state.psi)
         if err is not None:
             omega_ref = min(max(2.0 * err, -self.omega_cap), self.omega_cap)
             v_ref = max(0.4, min(abs(v_ref), 0.8))
@@ -298,14 +303,15 @@ def _interior_start(rng, world: TerrainWorldMap, margin_frac: float):
     return x, y, psi
 
 
-def _turn_back_error(world: TerrainWorldMap, margin_frac: float, state):
-    """Heading error toward the map center once the state has left the
+def _turn_back_error(world: TerrainWorldMap, margin_frac: float, p_x: float, p_y: float,
+                     psi: float):
+    """Heading error toward the map center once the pose has left the
     interior (margin_frac of the extent in from every border), else None."""
     w, h = world.extent
     mx, my = margin_frac * w, margin_frac * h
-    if mx <= state.p_x <= w - mx and my <= state.p_y <= h - my:
+    if mx <= p_x <= w - mx and my <= p_y <= h - my:
         return None
-    return wrap_angle(math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x) - state.psi)
+    return wrap_angle(math.atan2(0.5 * h - p_y, 0.5 * w - p_x) - psi)
 
 
 class _Vehicle:
@@ -355,7 +361,7 @@ class _Tracked(_Vehicle):
         return TrackedInput(rng.uniform(*self.ds.u_v_range), rng.uniform(*self.ds.u_omega_range))
 
     def turn_back(self, u: TrackedInput, err: float) -> TrackedInput:
-        return TrackedInput(max(0.4, abs(u.u_v) * 0.7), float(np.clip(2.0 * err, -2.0, 2.0)))
+        return TrackedInput(max(0.4, abs(u.u_v) * 0.7), min(max(2.0 * err, -2.0), 2.0))
 
     def actuate(self, u_cmd: TrackedInput, fault: FaultSchedule, t: float):
         """(applied input, fault telemetry) for the commanded input at time t."""
@@ -383,8 +389,7 @@ class _Ackermann(_Vehicle):
 
     @staticmethod
     def terrain(world: TerrainWorldMap):
-        eta_at = world.eta_at
-        return lambda x, y: eta_at(x, y)[0]
+        return world.eta_first_at
 
     def dataset_start(self, rng, world: TerrainWorldMap):
         if self.ds.cruise_range[0] <= self.vp.v_min:
@@ -400,7 +405,8 @@ class _Ackermann(_Vehicle):
                               rng.uniform(*self.ds.u_delta_range))
 
     def turn_back(self, u: AckermannInput, err: float) -> AckermannInput:
-        return AckermannInput(u.u_v, float(np.clip(err, *self.ds.u_delta_range)))
+        lo, hi = self.ds.u_delta_range              # lo <= hi, checked at load
+        return AckermannInput(u.u_v, min(max(err, lo), hi))
 
     @staticmethod
     def actuate(u_cmd: AckermannInput, fault: FaultSchedule, t: float):
@@ -573,27 +579,39 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
     """Pass 1 of generate_dataset: the plant, the input redraws and the
     border turn-back only. Returns (states, inputs) of the n samples as float
     arrays, row k of inputs holding the input applied over the interval that
-    ends at sample k."""
-    ds, sim = vehicle.ds, vehicle.cfg.sim
-    period = sim.control_period
-    n_sub = int(round(period / sim.dt_plant))
+    ends at sample k.
+
+    The state is carried as floats from one rk4_steps call to the next. The
+    start state and each newly chosen input are checked once, as
+    integrate_step checks them on entry, and every result on exit; the
+    input's stage_rates are built only when it changes. The config checked
+    dt_plant and the substep count."""
+    ds, sim, vp = vehicle.ds, vehicle.cfg.sim, vehicle.vp
+    period, dt = sim.control_period, sim.dt_plant
+    n_sub = int(round(period / dt))
     state, u = vehicle.dataset_start(rng, world)
-    terrain = vehicle.terrain(world)
-    states = np.empty((n, len(vars(state))))
-    inputs = np.empty((n, len(vars(u))))
-    next_redraw = 0.0
+    y, u_values = checked_fields(state, vp.state_cls), checked_fields(u, vp.input_cls)
+    terrain, step, label = vehicle.terrain(world), vp.rk4_steps, vp.state_cls.__name__
+    states, inputs = np.empty((n, len(y))), np.empty((n, len(u_values)))
+    next_redraw, rates = 0.0, None
     for k in range(n):
         t = k * period
-        states[k] = tuple(vars(state).values())
-        inputs[k] = tuple(vars(u).values())
+        states[k] = y
+        inputs[k] = u_values
         # choose the input for the next interval
         if t >= next_redraw:
             u = vehicle.redraw(rng)
             next_redraw = t + rng.uniform(*ds.hold_range_s)
-        err = _turn_back_error(world, ds.margin_frac, state)
+            rates = None
+        err = _turn_back_error(world, ds.margin_frac, y[0], y[1], y[2])
         if err is not None:
             u = vehicle.turn_back(u, err)
-        state = vehicle.advance(terrain, state, u, n_sub, sim.dt_plant)
+            rates = None
+        if rates is None:
+            u_values = checked_fields(u, vp.input_cls)
+            rates = vp.stage_rates(*u_values)
+        y = step(rates, y, terrain, dt, n_sub)
+        check_finite(label, *y)
     return states, inputs
 
 

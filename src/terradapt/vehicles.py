@@ -21,13 +21,17 @@ wheelbase midpoint, and the forward channel reduced to a first-order lag.
 
 Both vehicles share one stepping path, integrate_step, and one checked
 derivative, the library's entry point (the simulation loops call
-stage_rates on states integrate_step checked). Each params class holds its
-physics once, in stage_rates, and writes one RK4 step out on named floats
-in rk4_substep: four stage_rates calls, each stage component y + h k and
-the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, because
-combining per-stage tuples generically cost a third of a plant call.
-derivative() calls the same stage_rates, so a generic RK4 over
-derivative() is the bit-exact oracle of rk4_substep.
+stage_rates on states the plant checked). Each params class holds its
+physics once, in stage_rates, and writes its RK4 out on named floats in
+rk4_steps: n_sub steps, each looking eta up at its start, making four
+stage_rates calls, forming each stage component y + h k and the
+combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, and wrapping
+the heading; combining per-stage tuples generically cost a third of a
+plant call. integrate_step checks on entry and on exit around one
+rk4_steps call; gen-data's driving loop calls rk4_steps itself, with the
+same checks made where its state and inputs enter. derivative() calls the
+same stage_rates, so a generic RK4 over derivative() is the bit-exact
+oracle of rk4_steps.
 """
 
 from __future__ import annotations
@@ -161,24 +165,37 @@ class TrackedParams:
                     (-v_x + e1 * k1 * u_v) / tau_v, (-omega + e2 * k2 * u_omega) / tau_omega)
         return rates
 
-    @staticmethod
-    def rk4_substep(rates, y, eta, dt: float) -> list:
-        """One classic RK4 step of dt from the state values y; returns a list.
-        Each stage component is y + h k, h = 0.5 dt formed once, and the step
-        y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4), per component."""
+    def rk4_steps(self, rates, y, terrain, dt: float, n_sub: int) -> tuple:
+        """n_sub classic RK4 steps of dt from the state values y under the
+        held input's rates; returns a tuple. eta is terrain(p_x, p_y) at the
+        start of every step, and the heading is wrapped to (-pi, pi] after
+        it. Each stage component is y + h k, h = 0.5 dt, and each step
+        y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4), per component, on named floats.
+        A ValueError inside the loop (a lookup refusing the position of a
+        diverged step, say) is reported as NonFiniteError when the last
+        completed step is not finite."""
         p_x, p_y, psi, v_x, omega = y
-        h = 0.5 * dt
-        dx1, dy1, dpsi1, dv1, dw1 = rates(eta, psi, v_x, omega)
-        dx2, dy2, dpsi2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * dv1, omega + h * dw1)
-        dx3, dy3, dpsi3, dv3, dw3 = rates(eta, psi + h * dpsi2, v_x + h * dv2, omega + h * dw2)
-        dx4, dy4, dpsi4, dv4, dw4 = rates(eta, psi + dt * dpsi3, v_x + dt * dv3,
-                                          omega + dt * dw3)
-        h = dt / 6.0
-        return [p_x + h * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
-                p_y + h * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
-                psi + h * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4),
-                v_x + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
-                omega + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)]
+        h, h6, pi = 0.5 * dt, dt / 6.0, math.pi
+        try:
+            for _ in range(n_sub):
+                eta = terrain(p_x, p_y)
+                dx1, dy1, dpsi1, dv1, dw1 = rates(eta, psi, v_x, omega)
+                dx2, dy2, dpsi2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * dv1,
+                                                  omega + h * dw1)
+                dx3, dy3, dpsi3, dv3, dw3 = rates(eta, psi + h * dpsi2, v_x + h * dv2,
+                                                  omega + h * dw2)
+                dx4, dy4, dpsi4, dv4, dw4 = rates(eta, psi + dt * dpsi3, v_x + dt * dv3,
+                                                  omega + dt * dw3)
+                p_x += h6 * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+                p_y += h6 * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+                # wrap_angle, written out
+                psi = pi - (pi - (psi + h6 * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4))) % TWO_PI
+                v_x += h6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+                omega += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        except ValueError:
+            check_finite(self.state_cls.__name__, p_x, p_y, psi, v_x, omega)
+            raise
+        return p_x, p_y, psi, v_x, omega
 
 
 @dataclass(frozen=True)
@@ -275,34 +292,51 @@ class AckermannParams:
                     half_l * (f_yf * cos_d - f_yr) / i_z)
         return rates
 
-    def rk4_substep(self, rates, y, eta, dt: float) -> list:
-        """One classic RK4 step of dt from the state values y, refused at a
-        forward speed at or below v_min; returns a list. Each stage component
-        is y + h k, h = 0.5 dt formed once, and the step
-        y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4), per component."""
+    def rk4_steps(self, rates, y, terrain, dt: float, n_sub: int) -> tuple:
+        """TrackedParams.rk4_steps for the car, each step refused at a
+        forward speed at or below v_min."""
         p_x, p_y, psi, v_x, v_y, omega = y
-        self.check_speed(v_x)
-        h = 0.5 * dt
-        dx1, dy1, dpsi1, du1, dv1, dw1 = rates(eta, psi, v_x, v_y, omega)
-        dx2, dy2, dpsi2, du2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * du1,
-                                               v_y + h * dv1, omega + h * dw1)
-        dx3, dy3, dpsi3, du3, dv3, dw3 = rates(eta, psi + h * dpsi2, v_x + h * du2,
-                                               v_y + h * dv2, omega + h * dw2)
-        dx4, dy4, dpsi4, du4, dv4, dw4 = rates(eta, psi + dt * dpsi3, v_x + dt * du3,
-                                               v_y + dt * dv3, omega + dt * dw3)
-        h = dt / 6.0
-        return [p_x + h * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4),
-                p_y + h * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4),
-                psi + h * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4),
-                v_x + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
-                v_y + h * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
-                omega + h * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)]
+        h, h6, pi, check_speed = 0.5 * dt, dt / 6.0, math.pi, self.check_speed
+        try:
+            for _ in range(n_sub):
+                eta = terrain(p_x, p_y)
+                check_speed(v_x)
+                dx1, dy1, dpsi1, du1, dv1, dw1 = rates(eta, psi, v_x, v_y, omega)
+                dx2, dy2, dpsi2, du2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * du1,
+                                                       v_y + h * dv1, omega + h * dw1)
+                dx3, dy3, dpsi3, du3, dv3, dw3 = rates(eta, psi + h * dpsi2, v_x + h * du2,
+                                                       v_y + h * dv2, omega + h * dw2)
+                dx4, dy4, dpsi4, du4, dv4, dw4 = rates(eta, psi + dt * dpsi3, v_x + dt * du3,
+                                                       v_y + dt * dv3, omega + dt * dw3)
+                p_x += h6 * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+                p_y += h6 * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+                # wrap_angle, written out
+                psi = pi - (pi - (psi + h6 * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4))) % TWO_PI
+                v_x += h6 * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+                v_y += h6 * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+                omega += h6 * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        except ValueError:
+            check_finite(self.state_cls.__name__, p_x, p_y, psi, v_x, v_y, omega)
+            raise
+        return p_x, p_y, psi, v_x, v_y, omega
 
 
-def _check_finite(label: str, *values: float) -> None:
+def check_finite(label: str, *values: float) -> None:
+    """Refuse (NonFiniteError) values of label that are not all finite."""
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteError(f"non-finite value in {label}: {values}")
+
+
+def checked_fields(obj, cls) -> tuple:
+    """The fields of a state or an input as a tuple of floats, refused
+    unless obj is a cls (TypeError) with finite fields (NonFiniteError):
+    the plant's entry check."""
+    if not isinstance(obj, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(obj).__name__}")
+    values = tuple(vars(obj).values())
+    check_finite(cls.__name__, *values)
+    return values
 
 
 def derivative(state, u, params, eta=None) -> np.ndarray:
@@ -313,7 +347,8 @@ def derivative(state, u, params, eta=None) -> np.ndarray:
     Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
     [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
     """
-    y, u_values = _entry_values(state, u, params)
+    y = checked_fields(state, params.state_cls)
+    u_values = checked_fields(u, params.input_cls)
     eta = params.eta_value(eta)
     params.check_speed(y[3])
     return np.array(params.stage_rates(*u_values)(eta, *y[2:]))
@@ -328,9 +363,8 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
     start of every substep; not both. State, input and eta are checked on
     entry, the result on exit. A looked-up eta is trusted, as the world map
     checks its rows; only the Ackermann forward speed, which moves within a
-    call, is checked against v_min at every substep. Each substep is the
-    params' rk4_substep: RK4 written out per vehicle on named floats, since
-    a generic combination of stage tuples cost a third of the call.
+    call, is checked against v_min at every substep. The substeps are the
+    params' rk4_steps, RK4 written out per vehicle on named floats.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
@@ -338,34 +372,14 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
     if terrain is not None and eta is not None:
         raise ValueError("pass eta or terrain, not both")
-    y, u_values = _entry_values(state, u, params)
-    rates, substep = params.stage_rates(*u_values), params.rk4_substep
+    y = checked_fields(state, params.state_cls)
+    u_values = checked_fields(u, params.input_cls)
     if terrain is None:
-        eta = params.eta_value(eta)
-    try:
-        for _ in range(n_sub):
-            y = substep(rates, y, eta if terrain is None else terrain(y[0], y[1]), dt)
-            y[2] = wrap_angle(y[2])
-    except ValueError:
-        # a substep that diverged can make the next lookup or cos fail:
-        # report the divergence, as an entry check at that substep would
-        _check_finite(type(state).__name__, *y)
-        raise
-    _check_finite(type(state).__name__, *y)
+        held = params.eta_value(eta)
+        terrain = lambda p_x, p_y: held
+    y = params.rk4_steps(params.stage_rates(*u_values), y, terrain, dt, n_sub)
+    check_finite(params.state_cls.__name__, *y)
     return params.state_cls(*y)
-
-
-def _entry_values(state, u, params) -> tuple[tuple, tuple]:
-    """The fields of the state and of the input as tuples of floats, each
-    checked against params."""
-    for obj, cls in ((state, params.state_cls), (u, params.input_cls)):
-        if not isinstance(obj, cls):
-            raise TypeError(f"{type(params).__name__} takes a {cls.__name__}, "
-                            f"got {type(obj).__name__}")
-    y, u_values = tuple(vars(state).values()), tuple(vars(u).values())
-    _check_finite(type(state).__name__, *y)
-    _check_finite(type(u).__name__, *u_values)
-    return y, u_values
 
 
 def track_speeds(u: TrackedInput, half_spacing: float) -> tuple[float, float]:

@@ -128,12 +128,19 @@ class TerrainWorldMap:
         by_class = [tuple(r) for r in self.eta_table.tolist()]
         return [[by_class[c] for c in line] for line in self.class_grid.tolist()]
 
-    def eta_at(self, x: float, y: float) -> tuple:
-        """eta of the cell under (x, y), clamped to the border, from eta_cells."""
-        row, col, clamped = cell_index(self, x, y)
-        if clamped:
-            log.debug("eta query clamped to map border at (%.2f, %.2f)", x, y)
-        return self.eta_cells[row][col]
+    @cached_property
+    def eta_at(self):
+        """eta_at(x, y): the eta row (a tuple of floats) of the cell under
+        (x, y), clamped to the border; the tracked plant's terrain lookup.
+        Built on first use, over eta_cells."""
+        return _cell_lookup(self, self.eta_cells)
+
+    @cached_property
+    def eta_first_at(self):
+        """eta_first_at(x, y): the first eta entry of the cell under (x, y),
+        clamped to the border, as a float read from its own per-cell table
+        built on first use; the car's terrain lookup."""
+        return _cell_lookup(self, [[eta[0] for eta in line] for line in self.eta_cells])
 
     @cached_property
     def rows(self):
@@ -232,6 +239,25 @@ def cell_index(world: TerrainWorldMap, x: float, y: float) -> tuple[int, int, bo
         row = min(max(row, 0), world.rows - 1)
         clamped = True
     return row, col, clamped
+
+
+def _cell_lookup(world: TerrainWorldMap, table: list):
+    """lookup(x, y): table[row][col] of the cell under (x, y), clamped to the
+    border as cell_index clamps, with the floor and the clamp inline and no
+    flag on the in-map path. A position whose cell index is not finite (NaN,
+    +-inf) is refused with ValueError."""
+    size, n_rows, n_cols, floor = world.cell_size, world.rows, world.cols, math.floor
+
+    def lookup(x: float, y: float):
+        try:
+            col, row = floor(x / size), floor(y / size)
+        except (OverflowError, ValueError):       # floor of +-inf, of NaN
+            raise ValueError(f"non-finite world query ({x}, {y})") from None
+        if 0 <= row < n_rows and 0 <= col < n_cols:
+            return table[row][col]
+        log.debug("eta query clamped to map border at (%.2f, %.2f)", x, y)
+        return table[min(max(row, 0), n_rows - 1)][min(max(col, 0), n_cols - 1)]
+    return lookup
 
 
 def cell_indices(world: TerrainWorldMap, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -390,6 +390,13 @@ def test_malformed_shapes_refused_with_the_key_path():
     ({"sim.residual_cutoff_hz": 0.0}, "sim: residual_cutoff_hz must be positive"),
     ({"sim.vdot_noise_std": -0.1}, "sim: vdot_noise_std must be nonnegative"),
     ({"dataset.warmup_s": -1.0}, "dataset: warmup_s must be nonnegative"),
+    ({"dataset.hold_range_s": [-0.5, 1.0]}, "dataset: hold_range_s must hold positive"),
+    ({"dataset.hold_range_s": [0.0, 0.0]}, "dataset: hold_range_s must hold positive"),
+    ({"dataset.u_v_range": [1.5, -1.5]}, "dataset: u_v_range low end above its high end"),
+    ({"dataset.u_omega_range": [2.0, -2.0]},
+     "dataset: u_omega_range low end above its high end"),
+    ({"dataset.u_delta_range": [0.35, -0.35]},
+     "dataset: u_delta_range low end above its high end"),
     ({"training.activation": "relu6"}, "training: activation must be one of"),
     ({"scenario.fault": {"kind": "track-square", "scale": 1.5}},
      "scenario.fault: fault scale must lie in [0, 1]"),
@@ -403,9 +410,10 @@ def test_malformed_shapes_refused_with_the_key_path():
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
         "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
-        "residual-cutoff", "vdot-noise", "warmup", "activation", "fault-scale",
-        "half-spacing", "conv-window-zero", "conv-window-negative", "conv-tol-negative",
-        "conv-tol-nan", "hidden-zero", "hidden-negative"])
+        "residual-cutoff", "vdot-noise", "warmup", "dataset-hold-negative",
+        "dataset-hold-zero", "u-v-range", "u-omega-range", "u-delta-range", "activation",
+        "fault-scale", "half-spacing", "conv-window-zero", "conv-window-negative",
+        "conv-tol-negative", "conv-tol-nan", "hidden-zero", "hidden-negative"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
@@ -415,7 +423,10 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     actuator limit clamped every tick of a run that reported a normal
     summary; a zero residual cutoff, a negative noise std or warmup stopped
     gen-data with exit 1 after its output directory was made, and an unknown
-    activation let gen-data finish and stopped train. The fault scale and
+    activation let gen-data finish and stopped train. A dataset hold at or
+    below zero redrew the input every tick, and a reversed input range drew
+    from it unrefused (np.clip pinned the car's turn-back at the high end
+    of a reversed u_delta_range). The fault scale and
     the patch half spacing are checked at load: the fault takes the scale,
     and the feature lookups take the half spacing, unchecked on every
     tick. A convergence window below 1 was accepted and ignored (train never

@@ -491,6 +491,32 @@ def test_substep_checks():
         integrate_step(slowing, AckermannInput(0.0, 0.0), car, 0.01, n_sub=10)
 
 
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_world_lookup_at_a_diverged_substep_is_non_finite_error(vehicle, bad):
+    """One substep from a forward speed of 1e308 overflows p_x to inf (to
+    -inf heading west; to NaN when the forward lag overflows as well). The
+    world lookup at the next substep refuses that position with ValueError,
+    and integrate_step reports the divergence as NonFiniteError."""
+    psi = math.pi if bad == -math.inf else 0.0
+    tau_v = 1e300 if math.isinf(bad) else 0.25          # a slow lag keeps v_x finite
+    if vehicle == "tracked":
+        params, state, inp = TrackedParams(tau_v=tau_v), \
+            TrackedState(0.5, 0.5, psi, 1e308, 0.0), TrackedInput(0.0, 0.0)
+        lookup = SMALL_WORLD.eta_at
+    else:
+        params, state, inp = AckermannParams(tau_v=tau_v), \
+            AckermannState(0.5, 0.5, psi, 1e308, 0.0, 0.0), AckermannInput(1.0, 0.0)
+        lookup = SMALL_WORLD.eta_first_at
+    rates = params.stage_rates(*as_array(inp).tolist())
+    p_x, p_y = params.rk4_steps(rates, as_array(state).tolist(), lookup, 0.01, 1)[:2]
+    assert p_x == bad or math.isnan(bad) and math.isnan(p_x)
+    with pytest.raises(ValueError, match="non-finite world query"):
+        lookup(p_x, p_y)
+    with pytest.raises(NonFiniteError):
+        integrate_step(state, inp, params, 0.01, n_sub=2, terrain=lookup)
+
+
 def test_integrate_step_wraps_heading():
     state = TrackedState(0, 0, math.pi - 0.001, 0.0, 2.0)
     out = integrate_step(state, TrackedInput(0, 2.0), TrackedParams(), 0.05)

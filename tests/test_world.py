@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terradapt.serialize import ContainerError, save_arrays
 from terradapt.world import (
@@ -208,14 +209,61 @@ def test_gathers_equal_per_pose_queries():
     np.testing.assert_array_equal(clamped, [c for _, c in per_pose])
 
 
+def assert_lookups_follow_cell_index(w, x, y):
+    """Both lean lookups give the table row of the class in cell_index's
+    cell: the tracked vehicle's eta row, and the car's first entry as a
+    float."""
+    row, col, _ = cell_index(w, x, y)
+    want = tuple(w.eta_table[w.class_grid[row, col]])
+    assert w.eta_at(x, y) == want
+    first = w.eta_first_at(x, y)
+    assert type(first) is float and first == want[0]
+
+
 def test_eta_at_follows_cell_index():
-    """eta_at gives the table row of the class under the position, clamped to
-    the border like cell_index, on, off and exactly on the edges of the map."""
+    """eta_at and eta_first_at give the table row of the class under the
+    position, clamped to the border like cell_index, on, off and exactly on
+    the edges of the map, on every cell border, and one float step inside
+    and outside each edge."""
     w = build_world(three_class_spec())
     x, y, _ = trajectory_poses(w)
     for a, b in zip(x.tolist(), y.tolist()):
-        row, col, _ = cell_index(w, a, b)
-        assert w.eta_at(a, b) == tuple(w.eta_table[w.class_grid[row, col]])
+        assert_lookups_follow_cell_index(w, a, b)
+    width, height = w.extent
+    for k in range(-2, w.cols + 3):
+        assert_lookups_follow_cell_index(w, k * w.cell_size, 0.5 * height)
+    for k in range(-2, w.rows + 3):
+        assert_lookups_follow_cell_index(w, 0.5 * width, k * w.cell_size)
+    below = (-1e-9, math.nextafter(0.0, -1.0), -0.0, 0.0)
+    for edge in (width, height):
+        beyond = (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), edge + 1e-9)
+        for a in below + beyond:
+            assert_lookups_follow_cell_index(w, a, a)
+            assert_lookups_follow_cell_index(w, a, 0.5 * height)
+            assert_lookups_follow_cell_index(w, 0.5 * width, a)
+
+
+SWEEP_WORLD = build_world(three_class_spec())
+near_map = st.floats(-2.0, 32.0)
+anywhere = st.floats(-1e300, 1e300)       # x / cell_size stays finite
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_map, anywhere), st.one_of(near_map, anywhere))
+def test_eta_lookups_follow_cell_index_everywhere(x, y):
+    assert_lookups_follow_cell_index(SWEEP_WORLD, x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_eta_lookups_refuse_non_finite_positions(bad):
+    """NaN and +-inf are refused with ValueError in either coordinate, by
+    both lookups (math.floor of an infinity raises OverflowError, not
+    ValueError)."""
+    w = build_world(three_class_spec())
+    for lookup in (w.eta_at, w.eta_first_at):
+        for position in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="non-finite world query"):
+                lookup(*position)
 
 
 @pytest.mark.parametrize("noise_std, brightness", [(0.0, 1.0), (0.07, 0.6)])
