@@ -26,7 +26,7 @@ from . import __version__
 from .config import ConfigError, load_config, config_to_dict
 from .harness import (build_world_for, generate_dataset, resolve_path,
                       run_scenario)
-from .serialize import ContainerError
+from .serialize import ContainerError, write_json
 from .training import DivergenceError, TrajectoryDataset, train, write_loss_history
 from .world import linear_margin_stats, save_world
 
@@ -35,14 +35,6 @@ def _out_dir(cfg, args) -> str:
     out = args.out or cfg.resolved_output_dir()
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _write_sidecar(path, payload: dict):
-    payload = dict(payload)
-    payload["package_version"] = __version__
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def cmd_gen_data(args) -> int:
@@ -55,7 +47,7 @@ def cmd_gen_data(args) -> int:
     world_path = os.path.join(out, "world.tdc")
     save_world(world_path, world)
     # sidecars carry basenames so two runs into different out dirs stay byte-identical
-    _write_sidecar(os.path.join(out, "dataset_info.json"), {
+    write_json(os.path.join(out, "dataset_info.json"), {
         "dataset": os.path.basename(ds_path),
         "world": os.path.basename(world_path),
         "n_traj": dataset.n_traj,
@@ -64,6 +56,7 @@ def cmd_gen_data(args) -> int:
                  "e": dataset.e.shape[2], "y": dataset.y.shape[2]},
         "separation": linear_margin_stats(world),
         "config": config_to_dict(cfg),
+        "package_version": __version__,
     })
     print(f"dataset: {ds_path} ({dataset.n_traj} x {dataset.length} samples)")
     print(f"world:   {world_path}")
@@ -85,7 +78,7 @@ def cmd_train(args) -> int:
     })
     loss_path = os.path.join(out, "loss_history.csv")
     write_loss_history(loss_path, result.history)
-    _write_sidecar(os.path.join(out, "train_info.json"), {
+    write_json(os.path.join(out, "train_info.json"), {
         "checkpoint": os.path.basename(ckpt),
         "loss_history": os.path.basename(loss_path),
         "iterations": result.iterations,
@@ -93,6 +86,7 @@ def cmd_train(args) -> int:
         "final_loss": result.history[-1]["loss"] if result.history else None,
         "lipschitz_bound": result.net.lipschitz_bound(),
         "config": config_to_dict(cfg),
+        "package_version": __version__,
     })
     status = "converged" if result.converged else "hit the iteration cap"
     print(f"training {status} after {result.iterations} iterations")

@@ -18,9 +18,9 @@ file or what a command builds, which run before the command writes output:
 a recorded world's eta width against the tracked vehicle; in simulate and
 evaluate, the checkpoint against the vehicle and the world, the lengths of
 controller.adaptation.q_diag and controller.theta0 against the basis, and
-scenario.circle_speed against vehicle.ackermann.v_min; in gen-data,
-dataset.cruise_range against v_min. A config used by one command only may
-set v_min above a speed the other command drives.
+scenario.circle_speed against vehicle.ackermann.v_min, below which the
+car has no lateral authority. gen-data drives any cruise range: the car is
+defined at every forward speed.
 """
 
 from __future__ import annotations

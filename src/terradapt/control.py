@@ -543,7 +543,9 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
     b_hat = C_y/m + phi_row . theta_hat is the adapted steering effectiveness;
     if its magnitude falls below b_min the nominal value is used and theta_hat
     is dropped for this step (info["fallback"]). The command is clamped to
-    +/- u_delta_max.
+    +/- u_delta_max. v_x must lie above v_min, below which the law has no
+    lateral authority (ValueError); AckermannController.tick holds the
+    steering there instead.
     """
     if v_x <= params.v_min:
         raise ValueError(f"lateral controller engaged at v_x={v_x} <= v_min={params.v_min}")
@@ -713,17 +715,23 @@ class AckermannController(_AdaptiveController):
         self.u_delta_max = u_delta_max
 
     def tick(self, state, xdot_meas, features, p_d, psi_d, omega_d, speed_d):
-        """xdot_meas is the measured [vdot_y, omegadot]."""
+        """xdot_meas is the measured [vdot_y, omegadot]. At or below v_min the
+        car has no lateral authority: the steering is held (0 on an episode's
+        first tick) and the tick is a fallback, with no adaptation step."""
         lat = lateral_errors((state.p_x, state.p_y), state.psi,
                              state.v_x, state.v_y, p_d, psi_d, self.gains.k_p)
         x_lat = (state.v_y, state.omega)
         phi = self._phi(x_lat, features)
-        phi_row = [p[0][0] for p in phi] if phi is not None else None
         u_v = speed_d - self.gains.k_fwd * (state.v_x - speed_d)
-        vdot_x_nom = (u_v - state.v_x) / self.params.tau_v
-        u_delta, info = control_ackermann(lat, state.v_x, state.v_y, omega_d,
-                                          vdot_x_nom, phi_row, self._theta(),
-                                          self.params, self.gains, self.u_delta_max)
+        if state.v_x <= self.params.v_min:
+            u_delta = self.prev_u[0] if self.prev_u is not None else 0.0
+            info = {"fallback": True, "clamped": False}
+        else:
+            phi_row = [p[0][0] for p in phi] if phi is not None else None
+            vdot_x_nom = (u_v - state.v_x) / self.params.tau_v
+            u_delta, info = control_ackermann(lat, state.v_x, state.v_y, omega_d,
+                                              vdot_x_nom, phi_row, self._theta(),
+                                              self.params, self.gains, self.u_delta_max)
         y, rejected = self._adapt(state, x_lat, xdot_meas, phi, (u_delta,),
                                   (lat.s_perp, 0.0), info["fallback"])
         tele = self._telemetry((lat.s_perp,), (u_v, u_delta), y,

@@ -44,7 +44,6 @@ Relative config file names resolve inside the output dir, never the CWD.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -56,7 +55,7 @@ from . import __version__
 from .basis import ConstantBasis, load_checkpoint
 from .config import Config, ConfigError, config_to_dict, split_variant
 from .control import AckermannController, ResidualFilter, TrackedController
-from .serialize import write_csv
+from .serialize import write_csv, write_json
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
                        TrackedInput, TrackedState, apply_track_fault, check_finite,
@@ -392,10 +391,6 @@ class _Ackermann(_Vehicle):
         return world.eta_first_at
 
     def dataset_start(self, rng, world: TerrainWorldMap):
-        if self.ds.cruise_range[0] <= self.vp.v_min:
-            # refused before driving: the car would slow to where slip is undefined
-            raise ConfigError(f"dataset.cruise_range {self.ds.cruise_range} must lie above "
-                              f"vehicle.ackermann.v_min={self.vp.v_min}")
         x, y, psi = _interior_start(rng, world, self.ds.margin_frac)
         cruise = rng.uniform(*self.ds.cruise_range)
         return AckermannState(x, y, psi, cruise, 0.0, 0.0), AckermannInput(cruise, 0.0)
@@ -677,9 +672,10 @@ def run_scenario(cfg: Config, variants: list | None = None,
     os.makedirs(out_dir, exist_ok=True)
     sc = cfg.scenario
     if sc.kind == "ackermann-circle" and sc.circle_speed <= cfg.vehicle.ackermann.v_min:
-        # the car holds circle_speed; at or below v_min its slip angles are undefined
+        # the car would hold its steering for the whole run
         raise ConfigError(f"scenario.circle_speed {sc.circle_speed} must lie above "
-                          f"vehicle.ackermann.v_min={cfg.vehicle.ackermann.v_min}")
+                          f"vehicle.ackermann.v_min={cfg.vehicle.ackermann.v_min}: at or "
+                          "below it the car has no lateral authority")
     world = build_world_for(cfg, out_dir)
     # one network for every dnn episode: controllers only evaluate it
     checkpoint = _load_basis(cfg, out_dir, world) if "dnn" in bases else None
@@ -715,16 +711,6 @@ def run_scenario(cfg: Config, variants: list | None = None,
     summary = summarize_results(cfg, variants, results)
     _write_run_outputs(cfg, variants, results, summary, out_dir)
     return summary
-
-
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    return x
 
 
 def summarize_results(cfg: Config, variants: list, results: list) -> dict:
@@ -783,11 +769,7 @@ def _write_run_outputs(cfg: Config, variants: list, results: list, summary: dict
                                  if f.name not in ("run", "variant")]
     rows = [[getattr(r, c) for c in cols] for r in results]
     write_csv(os.path.join(out_dir, "runs.csv"), cols, rows)
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(_json_safe(summary), f, indent=2, sort_keys=True)
-        f.write("\n")
-    sidecar = {"package_version": __version__, "seed": cfg.seed,
-               "variants": variants, "config": config_to_dict(cfg)}
-    with open(os.path.join(out_dir, "run_info.json"), "w") as f:
-        json.dump(_json_safe(sidecar), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
+    write_json(os.path.join(out_dir, "run_info.json"),
+               {"package_version": __version__, "seed": cfg.seed,
+                "variants": variants, "config": config_to_dict(cfg)})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -76,7 +77,15 @@ def load_arrays(path, expect_kind: str | None = None):
     except ValueError as e:
         raise ContainerError(f"{path}: corrupt header length") from e
     off += 8
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    except ValueError as e:                 # not UTF-8, or not JSON
+        raise ContainerError(f"{path}: corrupt header, {e}") from e
+    if not isinstance(header, dict):
+        raise ContainerError(f"{path}: header is not a JSON object")
+    missing = [k for k in ("meta", "arrays", "checksum") if k not in header]
+    if missing:
+        raise ContainerError(f"{path}: header lacks {missing}")
     off += hlen
     if header.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"{path}: unsupported format version {header.get('format_version')}")
@@ -97,6 +106,26 @@ def load_arrays(path, expect_kind: str | None = None):
     if pos != len(payload):
         raise ContainerError(f"{path}: {len(payload) - pos} trailing payload bytes")
     return arrays, header["meta"]
+
+
+def _json_safe(x):
+    """x with every non-finite float, at any depth, as None: JSON has no
+    NaN or Infinity."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
+def write_json(path, payload: dict) -> None:
+    """Write payload as strict JSON, keys sorted, indented, non-finite
+    floats as null."""
+    with open(path, "w") as f:
+        json.dump(_json_safe(payload), f, indent=2, sort_keys=True, allow_nan=False)
+        f.write("\n")
 
 
 def fmt_float(x) -> str:

@@ -17,21 +17,20 @@ and the pose obeys the nonholonomic rolling constraint
 whose constraint row A(q) = [-sin psi, cos psi, x_icr] satisfies
 A(q) S(q) v = 0 identically. The Ackermann model is a nonlinear single-track
 (bicycle) model with linear tire forces, the center of gravity at the
-wheelbase midpoint, and the forward channel reduced to a first-order lag.
+wheelbase midpoint, and the forward channel reduced to a first-order lag;
+below the blend speed v_min it blends into the kinematic bicycle, so the
+car is defined at every forward speed, in reverse too.
 
-Both vehicles share one stepping path, integrate_step, and one checked
-derivative, the library's entry point (the simulation loops call
-stage_rates on states the plant checked). Each params class holds its
-physics once, in stage_rates, and writes its RK4 out on named floats in
-rk4_steps: n_sub steps, each looking eta up at its start, making four
-stage_rates calls, forming each stage component y + h k and the
+Both vehicles share one stepping path, integrate_step. Each params class
+holds its physics once, in stage_rates, and writes its RK4 out on named
+floats in rk4_steps: n_sub steps, each looking eta up at its start, making
+four stage_rates calls, forming each stage component y + h k and the
 combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, and wrapping
 the heading; combining per-stage tuples generically cost a third of a
 plant call. integrate_step checks on entry and on exit around one
 rk4_steps call; gen-data's driving loop calls rk4_steps itself, with the
-same checks made where its state and inputs enter. derivative() calls the
-same stage_rates, so a generic RK4 over derivative() is the bit-exact
-oracle of rk4_steps.
+same checks made where its state and inputs enter, and the simulation
+loops measure by calling stage_rates on states the plant checked.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ TWO_PI = 2.0 * math.pi
 
 class NonFiniteError(ValueError):
     """A state, input, or parameter contains NaN or infinity."""
-
-
-class SlipUndefinedError(ValueError):
-    """Slip quantities are undefined at (near-)zero forward speed."""
 
 
 def wrap_angle(a: float) -> float:
@@ -76,8 +71,8 @@ class TrackedState:
 class AckermannState:
     """Car state: pose plus body-frame forward, lateral, and yaw velocity.
 
-    v_x must stay above AckermannParams.v_min while the lateral dynamics are
-    evaluated; slip angles are undefined at standstill.
+    v_x may take any value: below AckermannParams.v_min, at standstill and
+    in reverse, the lateral states follow the kinematic bicycle.
     """
 
     p_x: float
@@ -147,10 +142,6 @@ class TrackedParams:
             raise ValueError(f"tracked eta must be two entries in (0, 2], got {eta}")
         return float(e[0]), float(e[1])
 
-    @staticmethod
-    def check_speed(v_x: float) -> None:
-        """The tracked plant is defined at every forward speed."""
-
     def stage_rates(self, u_v: float, u_omega: float):
         """The tracked physics, written once, under the held input: returns
         rates(eta, psi, v_x, omega), the state derivative for an eta pair at
@@ -211,7 +202,7 @@ class AckermannParams:
     wheelbase: float = 0.48  # axle-to-axle distance [m], CG at midpoint
     c_y: float = 60.0       # cornering stiffness per axle [N/rad]
     tau_v: float = 0.25     # forward channel time constant [s]
-    v_min: float = 0.1      # lateral model validity threshold [m/s]
+    v_min: float = 0.1      # blend speed: kinematic bicycle below it [m/s]
     state_cls, input_cls = AckermannState, AckermannInput
 
     def __post_init__(self):
@@ -224,10 +215,9 @@ class AckermannParams:
         object.__setattr__(self, "_b_col", b_n.reshape(2, 1))
 
     def a_n(self, v_x) -> np.ndarray:
-        """Linearized lateral/yaw system matrix at forward speed v_x: (2, 2) at
-        a float, the (n, 2, 2) stack at an array of n speeds."""
-        if (v_x.min() if isinstance(v_x, np.ndarray) else v_x) <= self.v_min:
-            raise SlipUndefinedError(f"v_x={v_x} at or below v_min={self.v_min}")
+        """Linearized lateral/yaw system matrix of the dynamic model at forward
+        speed v_x > 0: (2, 2) at a float, the (n, 2, 2) stack at an array of
+        n speeds."""
         half_l = 0.5 * self.wheelbase
         a = np.array([
             [-2.0 * self.c_y / (self.m * v_x), -v_x],
@@ -242,7 +232,8 @@ class AckermannParams:
 
     def residual_model(self, state) -> tuple[np.ndarray, np.ndarray]:
         """(A_n, B_n) of the lateral residual: A_n at the state's forward speed,
-        held just above v_min, and B_n as a column for the steering input. A
+        floored just above v_min, where the dynamic model runs alone, and B_n
+        as a column for the steering input. A
         state of column arrays gives the (n, 2, 2) stack of A_n, one per row."""
         v_x, floor = state.v_x, self.v_min * 1.01
         if isinstance(v_x, np.ndarray):      # a float stays one: numpy scalars are slow
@@ -256,12 +247,6 @@ class AckermannParams:
         if not 0.0 < ev <= 2.0:                                   # NaN fails too
             raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
         return ev
-
-    def check_speed(self, v_x: float) -> None:
-        """Refuse a forward speed at or below v_min, where slip is undefined."""
-        if v_x <= self.v_min:
-            raise SlipUndefinedError(
-                f"v_x={v_x} at or below v_min={self.v_min}: slip angles undefined")
 
     def stage_rates(self, u_v: float, u_delta: float):
         """The single-track physics, written once, under the held input:
@@ -277,30 +262,40 @@ class AckermannParams:
 
         The front axle is undriven (no longitudinal front force), so the
         lateral and yaw balances carry only the cornering forces.
+
+        Slip angles lose their meaning, and the lateral dynamics grow stiff
+        as 1 / v_x, as v_x falls to zero. So below the blend speed v_min the
+        dynamic rates take the weight w = max(v_x, 0) / v_min, and the rest
+        relaxes, with tau_v, toward the kinematic bicycle: v_y -> (L/2) omega,
+        omega -> v_x tan(u_delta) / L. The rates stay continuous at v_min.
         """
-        c_y, tau_v, m, i_z = self.c_y, self.tau_v, self.m, self.i_z
+        c_y, tau_v, m, i_z, v_min = self.c_y, self.tau_v, self.m, self.i_z, self.v_min
         cos_d, half_l = math.cos(u_delta), 0.5 * self.wheelbase
+        yaw_kin = math.tan(u_delta) / self.wheelbase
 
         def rates(eta, psi, v_x, v_y, omega):
             eta_c_y = eta * c_y
             alpha_f = u_delta - math.atan2(v_y + half_l * omega, v_x)
             alpha_r = -math.atan2(v_y - half_l * omega, v_x)
             f_yf, f_yr = eta_c_y * alpha_f, eta_c_y * alpha_r
+            dv_y = (f_yr + f_yf * cos_d) / m - omega * v_x
+            domega = half_l * (f_yf * cos_d - f_yr) / i_z
+            if v_x < v_min:
+                w = max(v_x, 0.0) / v_min
+                dv_y = w * dv_y + (1.0 - w) * (half_l * omega - v_y) / tau_v
+                domega = w * domega + (1.0 - w) * (v_x * yaw_kin - omega) / tau_v
             c, s = math.cos(psi), math.sin(psi)
             return (c * v_x - s * v_y, s * v_x + c * v_y, omega, (-v_x + u_v) / tau_v,
-                    (f_yr + f_yf * cos_d) / m - omega * v_x,
-                    half_l * (f_yf * cos_d - f_yr) / i_z)
+                    dv_y, domega)
         return rates
 
     def rk4_steps(self, rates, y, terrain, dt: float, n_sub: int) -> tuple:
-        """TrackedParams.rk4_steps for the car, each step refused at a
-        forward speed at or below v_min."""
+        """TrackedParams.rk4_steps for the car."""
         p_x, p_y, psi, v_x, v_y, omega = y
-        h, h6, pi, check_speed = 0.5 * dt, dt / 6.0, math.pi, self.check_speed
+        h, h6, pi = 0.5 * dt, dt / 6.0, math.pi
         try:
             for _ in range(n_sub):
                 eta = terrain(p_x, p_y)
-                check_speed(v_x)
                 dx1, dy1, dpsi1, du1, dv1, dw1 = rates(eta, psi, v_x, v_y, omega)
                 dx2, dy2, dpsi2, du2, dv2, dw2 = rates(eta, psi + h * dpsi1, v_x + h * du1,
                                                        v_y + h * dv1, omega + h * dw1)
@@ -339,21 +334,6 @@ def checked_fields(obj, cls) -> tuple:
     return values
 
 
-def derivative(state, u, params, eta=None) -> np.ndarray:
-    """Time derivative of the state under input u and terrain factor eta,
-    nominal (1) when None, with the checks of integrate_step: the params'
-    stage_rates at the state.
-
-    Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
-    [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
-    """
-    y = checked_fields(state, params.state_cls)
-    u_values = checked_fields(u, params.input_cls)
-    eta = params.eta_value(eta)
-    params.check_speed(y[3])
-    return np.array(params.stage_rates(*u_values)(eta, *y[2:]))
-
-
 def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
     """Advance n_sub fixed RK4 steps of dt seconds each; returns a new state.
 
@@ -361,10 +341,9 @@ def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrai
     heading is wrapped to (-pi, pi] after each. The terrain factor is either
     eta, held over the whole call, or terrain(p_x, p_y), looked up at the
     start of every substep; not both. State, input and eta are checked on
-    entry, the result on exit. A looked-up eta is trusted, as the world map
-    checks its rows; only the Ackermann forward speed, which moves within a
-    call, is checked against v_min at every substep. The substeps are the
-    params' rk4_steps, RK4 written out per vehicle on named floats.
+    entry, the result on exit; a looked-up eta is trusted, as the world map
+    checks its rows. The substeps are the params' rk4_steps, RK4 written out
+    per vehicle on named floats.
     """
     if not 0.0 < dt <= 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")

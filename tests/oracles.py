@@ -16,11 +16,26 @@ import numpy as np
 from terradapt.basis import BasisNet, DimensionError
 from terradapt.harness import compute_metrics
 from terradapt.training import _pack_cost_and_grad, _ridge, build_h
+from terradapt.vehicles import checked_fields
 
 
 def as_array(obj) -> np.ndarray:
     """The fields of a state or input dataclass, in order, as a float array."""
     return np.array(dataclasses.astuple(obj), dtype=float)
+
+
+def derivative(state, u, params, eta=None) -> np.ndarray:
+    """Time derivative of the state under input u and terrain factor eta,
+    nominal (1) when None: the params' stage_rates at the state, with
+    integrate_step's entry checks. A textbook RK4 over it is the bit-exact
+    oracle of the plant's rk4_steps.
+
+    Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
+    [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
+    """
+    y = checked_fields(state, params.state_cls)
+    u_values = checked_fields(u, params.input_cls)
+    return np.array(params.stage_rates(*u_values)(params.eta_value(eta), *y[2:]))
 
 
 def lyapunov_value(s, theta_hat, theta_true, gain) -> float:

@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import (gradcheck_meta, lyapunov_value, solve_theta_star, window_cost,
-                     window_cost_and_grad)
+from oracles import (derivative, gradcheck_meta, lyapunov_value, solve_theta_star,
+                     window_cost, window_cost_and_grad)
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import config_from_dict
 from terradapt.control import AdaptParams, Gains, TrackedController
 from terradapt.harness import build_world_for, generate_dataset, run_scenario
 from terradapt.training import TrainerConfig, TrajectoryDataset, WindowSpec, build_h, train
-from terradapt.vehicles import TrackedParams, TrackedState, derivative, integrate_step
+from terradapt.vehicles import TrackedParams, TrackedState, integrate_step
 
 CLASSES = [
     {"name": "nominal", "eta": [1.0, 1.0]},

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import as_array, contract, lyapunov_value
+from oracles import as_array, contract, derivative, lyapunov_value
 from terradapt.basis import ConstantBasis
 from terradapt.control import (
     AckermannController,
@@ -33,7 +33,6 @@ from terradapt.vehicles import (
     TrackedInput,
     TrackedParams,
     TrackedState,
-    derivative,
     integrate_step,
     wrap_angle,
 )
@@ -895,6 +894,32 @@ def test_ackermann_controller_speed_loop_and_telemetry():
     assert hasattr(tele, "lat")
     assert tele.theta_hat.shape == (2,)
     assert abs(u.u_delta) <= 0.45
+
+
+def test_ackermann_controller_holds_steering_without_lateral_authority():
+    """At or below v_min the tick holds the previous steering (0 on the
+    first tick of an episode) and is a fallback: theta_hat takes no step,
+    while the speed loop keeps working."""
+    params = AckermannParams()
+    ctrl = AckermannController(params, Gains(),
+                               AdaptParams(r_diag=(1.0, 1.0), q_diag=(0.05,), gamma0=0.05),
+                               basis=ConstantBasis(2, 1))
+    args = (np.zeros(4), (2.5, 0.3), math.pi / 2, 0.6, 1.5)
+    for v_x in (0.0, params.v_min, -0.4):
+        ctrl.reset()
+        u, tele = ctrl.tick(AckermannState(2.5, 0.0, math.pi / 2, v_x, 0.0, 0.0),
+                            np.zeros(2), *args)
+        assert u.u_delta == 0.0 and tele.fallback and not tele.clamped
+        assert u.u_v == pytest.approx(1.5 - 0.5 * (v_x - 1.5))
+    ctrl.reset()
+    moving = AckermannState(2.5, 0.0, math.pi / 2, 1.2, 0.05, 0.4)
+    steer = ctrl.tick(moving, np.zeros(2), *args)[0].u_delta
+    theta = ctrl.state.theta_hat.copy()
+    assert steer != 0.0
+    u, tele = ctrl.tick(AckermannState(2.6, 0.1, math.pi / 2, 0.05, 0.0, 0.2),
+                        np.array([0.3, -0.2]), *args)
+    assert u.u_delta == steer and tele.fallback
+    np.testing.assert_array_equal(ctrl.state.theta_hat, theta)
 
 
 def test_adaptation_converges_to_planted_diagonal_parameters():

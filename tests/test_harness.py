@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import metrics_from_telemetry, read_csv, solve_theta_star
+from oracles import derivative, metrics_from_telemetry, read_csv, solve_theta_star
 from terradapt import cli, harness
 from terradapt.basis import BasisNet, ConstantBasis
-from terradapt.config import ConfigError, config_from_dict
+from terradapt.config import ConfigError, config_from_dict, load_config
 from terradapt.control import ResidualFilter, TrackedController
 from terradapt.harness import (
     CircleReference,
@@ -33,7 +33,7 @@ from terradapt.harness import (
 )
 from terradapt.training import build_h
 from terradapt.vehicles import (FaultSchedule, TrackedInput, TrackedParams, TrackedState,
-                                derivative, integrate_step, wrap_angle)
+                                integrate_step, wrap_angle)
 from terradapt.world import FeatureProvider, build_world, cell_index
 
 
@@ -307,7 +307,6 @@ def test_measured_equals_the_checked_derivative(vehicle):
         assert cell_index(world, p_x, p_y)[2] == clamped
         n_free = len(dataclasses.fields(state_cls)) - 2
         y = [p_x, p_y, *rng.uniform(-1.0, 1.0, n_free).tolist()]
-        y[3] = 1.2                      # the car's slip is defined above v_min
         u = rng.uniform(-0.4, 0.4, len(dataclasses.fields(input_cls))).tolist()
         eta = world.eta_at(p_x, p_y)
         want = derivative(state_cls(*y), input_cls(*u), veh.vp,
@@ -317,27 +316,17 @@ def test_measured_equals_the_checked_derivative(vehicle):
         np.testing.assert_array_equal(got, want)
 
 
-def test_ackermann_cruise_range_at_or_below_v_min_refused(tmp_path, capsys):
-    """Such a range used to stop gen-data mid-trajectory with exit 1 and a
-    SlipUndefinedError; it is refused before driving, as a config error. A
-    scenario-only config with the same vehicle stays valid."""
-    for cruise in ([0.05, 0.5], [0.1, 0.5]):
-        raw = base_raw(tmp_path, **{"vehicle.type": "ackermann",
-                                    "scenario.kind": "ackermann-circle",
-                                    "dataset.cruise_range": cruise})
-        cfg = config_from_dict(raw)
-        with pytest.raises(ConfigError, match="dataset.cruise_range"):
-            generate_dataset(cfg, build_world_for(cfg))
-        path = tmp_path / "slow.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        assert cli.main(["gen-data", "-c", str(path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError" and "dataset.cruise_range" in err["message"]
-    raw = base_raw(**{"vehicle.type": "ackermann", "scenario.kind": "ackermann-circle",
-                      "dataset.cruise_range": [0.11, 0.5],
-                      "dataset.steps": 20, "dataset.n_traj": 1})
-    cfg = config_from_dict(raw)
-    assert generate_dataset(cfg, build_world_for(cfg)).x.shape == (1, 20, 2)
+def test_ackermann_dataset_drives_through_standstill_and_reverse():
+    """A cruise range from reverse to slow forward drives gen-data through
+    the low-speed regime: the logged arrays are finite."""
+    cfg = config_from_dict(base_raw(**{"vehicle.type": "ackermann",
+                                       "scenario.kind": "ackermann-circle",
+                                       "dataset.cruise_range": [-0.5, 0.3],
+                                       "dataset.steps": 80, "dataset.n_traj": 2}))
+    ds = generate_dataset(cfg, build_world_for(cfg))
+    assert ds.x.shape == (2, 80, 2)
+    for name in "xuey":
+        assert np.all(np.isfinite(getattr(ds, name))), name
 
 
 def test_dataset_recovers_constant_basis_truth():
@@ -593,6 +582,29 @@ def test_ackermann_circle_scenario_runs(tmp_path):
     assert "e_perp" in cols and "s_perp" in cols and "theta_1" in cols
 
 
+@pytest.mark.parametrize("variant", ["pd", "constant"])
+def test_ackermann_from_rest_reaches_the_circle(tmp_path, variant):
+    """The shipped circle scenario, with the car started at rest: it drives
+    off holding its steering while it has no lateral authority, counts those
+    ticks as fallbacks, and ends the run on the circle."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                   "ackermann_circle.yaml"))
+    world = build_world_for(cfg)
+    policy = harness._policy_for_run(cfg, world, np.random.default_rng(1))
+    start = dataclasses.replace(policy.start_pose(np.random.default_rng(2)),
+                                v_x=0.0, v_y=0.0, omega=0.0)
+    provider = FeatureProvider(world, cfg.provider.noise_std, cfg.provider.brightness, seed=3)
+    res, rows, cols = harness.simulate_episode(
+        world, cfg, build_controller(cfg, variant, str(tmp_path)), policy, provider,
+        np.random.default_rng(4), start, cfg.scenario.duration_s)
+    col = {c: i for i, c in enumerate(cols)}
+    assert not res["aborted"] and res["ticks"] == 400
+    held = [row[col["fallback"]] for row in rows if row[col["v_x"]] <= cfg.vehicle.ackermann.v_min]
+    assert rows[0][col["u_delta"]] == 0.0 and held and all(held)
+    assert res["fallback_ticks"] >= len(held)
+    assert abs(rows[-1][col["e_perp"]]) < 0.05
+
+
 def test_run_info_sidecar_has_no_absolute_paths(tmp_path):
     cfg = config_from_dict(base_raw(**{"scenario.runs": 1}))
     run_scenario(cfg, ["pd"], str(tmp_path))
@@ -724,6 +736,44 @@ def write_cfg(tmp_path, raw):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
+
+
+def test_sidecar_of_an_inseparable_world_is_strict_json(tmp_path):
+    """Two classes that look alike have no separable pair, so the world's
+    min_margin is infinite: dataset_info.json writes it as null, and a
+    parser that refuses NaN and Infinity reads the file."""
+    out = tmp_path / "out"
+    raw = base_raw(out_dir=out, **{"dataset.steps": 20, "dataset.n_traj": 1})
+    raw["world"]["classes"] = [{"name": "nominal", "eta": [1.0, 1.0]},
+                               {"name": "soft", "eta": [0.72, 0.8],
+                                "features_like": "nominal"}]
+    assert cli.main(["gen-data", "-c", write_cfg(tmp_path, raw)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    info = json.loads((out / "dataset_info.json").read_text(), parse_constant=refuse)
+    assert info["separation"]["min_margin"] is None
+
+
+def test_train_refuses_a_broken_dataset_header(tmp_path, capsys):
+    """A dataset whose header is cut short, or lacks its checksum, exits 1
+    as a ContainerError naming the file, not as a bare JSON error or a
+    KeyError traceback."""
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, base_raw(out_dir=out))
+    assert cli.main(["gen-data", "-c", cfg_path]) == 0
+    ds = out / "dataset.tdc"
+    raw = ds.read_bytes()
+    n = int(raw[5:13])
+    header = json.loads(raw[13:13 + n])
+    del header["checksum"]
+    text = json.dumps(header).encode()
+    for broken in (raw[:13 + n // 2], raw[:5] + b"%08d" % len(text) + text + raw[13 + n:]):
+        ds.write_bytes(broken)
+        capsys.readouterr()
+        assert cli.main(["train", "-c", cfg_path]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContainerError" and str(ds) in err["message"]
 
 
 def test_cli_pipeline_end_to_end(tmp_path, capsys):

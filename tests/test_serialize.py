@@ -1,11 +1,15 @@
 """Container format and deterministic text output."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import read_csv
 from terradapt.serialize import (
+    MAGIC,
     ContainerError,
     fmt_float,
     load_arrays,
@@ -83,6 +87,36 @@ def test_truncated_file_raises(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ContainerError):
+        load_arrays(path)
+
+
+def test_truncated_header_raises_naming_the_file(tmp_path):
+    path = tmp_path / "h.tdc"
+    save_arrays(path, {"x": np.arange(4.0)}, kind="k")
+    path.write_bytes(path.read_bytes()[:len(MAGIC) + 8 + 20])
+    with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: corrupt header"):
+        load_arrays(path)
+
+
+def write_header(path, header, payload=b""):
+    """A container with the given JSON header, written byte by byte."""
+    text = json.dumps(header).encode()
+    path.write_bytes(MAGIC + b"%08d" % len(text) + text + payload)
+
+
+@pytest.mark.parametrize("key", ["checksum", "arrays", "meta"])
+def test_header_without_a_field_raises_naming_the_file(tmp_path, key):
+    path = tmp_path / "f.tdc"
+    save_arrays(path, {"x": np.arange(4.0)}, kind="k", meta={"m": 1})
+    raw = path.read_bytes()
+    n = int(raw[len(MAGIC):len(MAGIC) + 8])
+    header = json.loads(raw[len(MAGIC) + 8:len(MAGIC) + 8 + n])
+    del header[key]
+    write_header(path, header, raw[len(MAGIC) + 8 + n:])
+    with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: header lacks \\['{key}'\\]"):
+        load_arrays(path)
+    write_header(path, [1, 2])
+    with pytest.raises(ContainerError, match=f"^{re.escape(str(path))}: header is not a JSON object"):
         load_arrays(path)
 
 
