@@ -140,7 +140,8 @@ class AdaptState:
     gamma for the per-component law, a full SPD matrix for the matrix law.
     fresh() is the one checked constructor: adapt_step builds each next
     state, refusing a non-finite update and clamping or flooring the gain
-    itself. A state is never changed in place."""
+    itself. A state, arrays included, is never changed in place, so the
+    tick's telemetry shares its arrays rather than copying them."""
 
     theta_hat: np.ndarray
     gain: np.ndarray
@@ -410,8 +411,8 @@ def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParam
     Python floats (s, the reference pairs, phi and theta_hat may be arrays);
     info["b_hat"] is the B_hat used, as nested tuples.
     """
-    (a00, a01), (a10, a11) = params.a_n().tolist()
-    b_n = params.b_n().tolist()
+    (a00, a01), (a10, a11) = params.a_n_rows
+    b_n = params.b_n_rows
     info = {"fallback": False, "clamped": False}
     b_hat = b_n if phi is None else _influence(b_n, phi, theta_hat)
     cond = cond_2x2(b_hat)
@@ -580,7 +581,8 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
 class TickTelemetry:
     """Per-tick controller internals, recorded by the harness: s, u and y
     as sequences of Python floats, theta_hat and the gain diagonal as
-    arrays (empty without a basis)."""
+    arrays (empty without a basis) that share the adapted state's memory:
+    read them, never write them."""
 
     s: tuple
     u: tuple
@@ -595,6 +597,7 @@ class TickTelemetry:
 
 
 _NO_RESIDUAL = (math.nan, math.nan)     # y before the first residual exists
+_EMPTY = np.empty(0)                    # theta_hat and gain telemetry without a basis
 
 
 class _AdaptiveController:
@@ -654,12 +657,11 @@ class _AdaptiveController:
 
     def _telemetry(self, s, u, y, psi_ref: float, info: dict, rejected: bool,
                    lat: LateralErrorState | None = None) -> TickTelemetry:
-        gain_diag = np.array([])
-        theta_out = np.array([])
+        # the state is never changed in place, so its arrays need no copy
+        gain_diag = theta_out = _EMPTY
         if self.state is not None:
-            theta_out = self.state.theta_hat.copy()
-            gain_diag = (self.state.gain.copy() if self.state.gain.ndim == 1
-                         else np.diag(self.state.gain).copy())
+            theta_out, gain = self.state.theta_hat, self.state.gain
+            gain_diag = gain if gain.ndim == 1 else np.diag(gain)
         return TickTelemetry(s, u, y, theta_out, gain_diag, psi_ref,
                              info["fallback"], info["clamped"], rejected, lat)
 
@@ -688,8 +690,7 @@ class TrackedController(_AdaptiveController):
 
     def tick_velocity(self, state, vdot_meas, features, v_ref, vdot_ref):
         """v_ref and vdot_ref are [v_x, omega] pairs, arrays or sequences."""
-        ref = ReferenceState(_floats(v_ref), _floats(vdot_ref),
-                             psi_ref=state.psi, psi_dot_ref=0.0)
+        ref = ReferenceState(v_ref, vdot_ref, psi_ref=state.psi, psi_dot_ref=0.0)
         return self._tick(state, vdot_meas, features, ref)
 
     def _tick(self, state, vdot_meas, features, ref: ReferenceState):

@@ -14,15 +14,23 @@ Timing model per controller tick (period = sim.control_period):
      darkened);
   3. the controller produces the next command;
   4. actuator faults rescale the command, and the plant integrates forward
-     to the next tick in one integrate_step call of control_period / dt_plant
+     to the next tick in one rk4_steps call of control_period / dt_plant
      substeps, looking the terrain eta up at the start of every substep.
-Steps 1 and 4 look eta up through the same per-vehicle terrain function.
+Steps 1 and 4 look eta up through the same per-vehicle terrain function,
+and share one stage_rates of the applied input: built for step 4, it
+serves the next tick's step 1.
 
-The tick runs on Python floats, not on small arrays: states, references,
-the control law, the adaptation step and the telemetry rows are floats,
-and the basis output is converted to nested lists once per tick. Only the
-basis forward pass, the feature lookups, the noise draws, the residual's
-nominal-model product and the matrix law's gain products use numpy.
+The tick runs on Python floats, not on small arrays. The episode carries
+the state as floats from one rk4_steps call to the next, not through
+integrate_step: the start state and each applied input are checked once,
+as integrate_step checks them on entry, and every result on exit. The
+controller sees one state object per tick, built from those floats. The
+references, the control law, the adaptation step and the telemetry rows
+are floats, and the basis output is converted to nested lists once per
+tick. Only the basis forward pass, the feature lookups, the noise draws,
+the residual's nominal-model product and the matrix law's gain products use
+numpy. The measurement noise of a whole episode is one block draw, the
+stream of one pair per tick; the features stay one draw per tick.
 
 The dataset loop keeps the same model but runs it in two passes per
 trajectory. Driving (steps 3-4 with random inputs in place of a
@@ -32,17 +40,16 @@ noise stream in the order the per-tick loop would: the features in one
 gather, and the measured acceleration per sample, on each row's floats
 through the tick's own measurement. RK4 is written only in the plant, once
 per vehicle (vehicles.*Params.rk4_steps), where named floats beat a
-generic scheme. The driving pass carries the state as floats from one
-rk4_steps call to the next, not through integrate_step: the start state
-and each newly chosen input are checked once, as integrate_step checks
-them on entry, and every result on exit. Both loops look eta up through
-the world's lean per-cell lookups (TerrainWorldMap.eta_at, eta_first_at).
+generic scheme. The driving pass carries the state as floats and checks
+it as the episode does. Both loops look eta up through the world's lean
+per-cell lookups (TerrainWorldMap.eta_at, eta_first_at).
 
 Relative config file names resolve inside the output dir, never the CWD.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import logging
 import math
@@ -59,7 +66,7 @@ from .serialize import write_csv, write_json
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
                        TrackedInput, TrackedState, apply_track_fault, check_finite,
-                       checked_fields, integrate_step, wrap_angle)
+                       checked_fields, wrap_angle)
 from .world import FeatureProvider, TerrainWorldMap, build_world, load_world
 
 log = logging.getLogger(__name__)
@@ -165,6 +172,7 @@ class RandomVelocityReference:
             self.segments.append((t, rng.uniform(v_range[0], v_range[1]),
                                   rng.uniform(omega_range[0], omega_range[1])))
             t += hold
+        self.starts = [seg[0] for seg in self.segments]     # ascending, from 0.0
         self.world = world
         self.margin_frac = margin_frac
         self.omega_cap = max(abs(omega_range[0]), abs(omega_range[1]), 1.0)
@@ -174,13 +182,9 @@ class RandomVelocityReference:
         return TrackedState(x, y, psi, 0.0, 0.0)
 
     def refs(self, t: float, state) -> tuple[tuple, tuple]:
-        """([v_ref, omega_ref], its derivative) at time t, as float pairs."""
-        seg = self.segments[0]
-        for cand in self.segments:
-            if cand[0] <= t:
-                seg = cand
-            else:
-                break
+        """([v_ref, omega_ref], its derivative) at time t, as float pairs:
+        the last segment starting at or before t, the first one before 0."""
+        seg = self.segments[max(bisect.bisect_right(self.starts, t) - 1, 0)]
         v_ref, omega_ref = seg[1], seg[2]
         err = _turn_back_error(self.world, self.margin_frac, state.p_x, state.p_y,
                                state.psi)
@@ -315,11 +319,9 @@ def _turn_back_error(world: TerrainWorldMap, margin_frac: float, p_x: float, p_y
 
 class _Vehicle:
     """What the shared episode and dataset loops need to know about one
-    vehicle type. The plant functions are looked up in this module on every
-    call, not bound at import, so a wrapper installed on the module name sees
-    every call. Stepping and measuring look eta up through the same terrain
-    function, terrain(world), which each loop resolves once; the per-substep
-    lookups are made inside the plant call."""
+    vehicle type. Stepping and measuring look eta up through the same
+    terrain function, terrain(world), which each loop resolves once; the
+    per-substep lookups are made inside the plant's rk4_steps call."""
 
     tick_errors = (NonFiniteError, np.linalg.LinAlgError)    # abort the run
 
@@ -329,15 +331,10 @@ class _Vehicle:
         self.vp = getattr(cfg.vehicle, cfg.vehicle.type)
         self.half = cfg.vehicle.half_spacing
 
-    def advance(self, terrain, state, u, n_sub: int, dt: float):
-        """n_sub plant steps under input u, terrain looked up every step, in
-        one plant call."""
-        return integrate_step(state, u, self.vp, dt, n_sub=n_sub, terrain=terrain)
-
-    def measured(self, terrain, y, u) -> tuple:
+    def measured(self, rates, terrain, y) -> tuple:
         """Noise-free derivative of the logged channels x at the state values
-        y under the input values u, at the eta under the robot, as floats."""
-        return self.vp.stage_rates(*u)(terrain(y[0], y[1]), *y[2:])[self.x_cols]
+        y under an input's stage_rates, at the eta under the robot, as floats."""
+        return rates(terrain(y[0], y[1]), *y[2:])[self.x_cols]
 
 
 class _Tracked(_Vehicle):
@@ -432,30 +429,42 @@ def _vehicle(cfg: Config) -> _Vehicle:
 
 # ---------------------------------------------------------------- sim loops
 
-def _speeds_bounded(state) -> bool:
-    # the velocities follow the pose; integrate_step refused a non-finite state
-    return max(abs(v) for v in tuple(vars(state).values())[3:]) < _SPEED_ABORT
+def _speeds_bounded(y) -> bool:
+    # the velocities follow the pose in the state values y, checked finite
+    return max(map(abs, y[3:])) < _SPEED_ABORT
 
 
 def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
                      provider: FeatureProvider, meas_rng, start, duration_s: float,
-                     fault: FaultSchedule = FaultSchedule()):
+                     fault: FaultSchedule = FaultSchedule(), telemetry: bool = True):
     """Run one closed-loop episode of the configured vehicle.
 
-    Returns (RunResult fields as a dict, telemetry rows, telemetry columns).
+    Returns (RunResult fields as a dict, telemetry rows, telemetry columns);
+    the rows are empty when telemetry is False.
+
+    The state is carried as floats from one rk4_steps call to the next, as
+    _drive carries it: the start state and each applied input are checked
+    once, as integrate_step checks them on entry, and every result on exit.
+    One stage_rates per tick serves that tick's plant call and the next
+    tick's measurement, and the controller sees one state object per tick,
+    built from the floats. The config checked dt_plant and the substep count.
     """
     sim = cfg.sim
-    period = sim.control_period
-    n_sub = int(round(period / sim.dt_plant))
+    period, dt = sim.control_period, sim.dt_plant
+    n_sub = int(round(period / dt))
     n_ticks = int(round(duration_s / period))
     vehicle = _vehicle(cfg)
-    terrain = vehicle.terrain(world)
+    vp = vehicle.vp
+    state_cls, input_cls, label = vp.state_cls, vp.input_cls, vp.state_cls.__name__
+    terrain, step, measured = vehicle.terrain(world), vp.rk4_steps, vehicle.measured
     tick = getattr(controller, _TICK[policy.mode])
     has_position = policy.mode != "velocity"
+    y = checked_fields(start, state_cls)
     controller.reset()
+    # the measurement noise of ticks 1.. in one draw, the stream of one pair per tick
+    noise = meas_rng.normal(0.0, sim.vdot_noise_std, (max(n_ticks - 1, 0), 2)).tolist()
 
-    state = start
-    u_applied = None
+    rates = None
     aborted = False
     fallback = clamp = rejected = 0
     clamp0 = provider.clamp_count
@@ -473,15 +482,14 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     rows, s_rows, p_rows, pd_rows = [], [], [], []
     for k in range(n_ticks):
         t = k * period
+        state = state_cls(*y)
         if k == 0:
             xdot_meas = (0.0, 0.0)
         else:
-            m_x, m_w = vehicle.measured(terrain, tuple(vars(state).values()),
-                                        tuple(vars(u_applied).values()))
-            n_x, n_w = meas_rng.normal(0.0, sim.vdot_noise_std, 2).tolist()
+            m_x, m_w = measured(rates, terrain, y)
+            n_x, n_w = noise[k - 1]
             xdot_meas = (m_x + n_x, m_w + n_w)
-        feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
-                                              vehicle.half)
+        feats = provider.features_under_robot(y[0], y[1], y[2], vehicle.half)
         refs = policy.refs(t, state)
         try:
             u_cmd, tele = tick(state, xdot_meas, feats, *refs)
@@ -494,35 +502,37 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
         fallback += tele.fallback
         clamp += tele.clamped
         rejected += tele.rejected
-        row = [t, *vars(state).values()]
+        s_rows.append(tele.s)
         if has_position:
             p_d = [refs[0][0], refs[0][1]]
-            row += p_d
-            p_rows.append([state.p_x, state.p_y])
+            p_rows.append([y[0], y[1]])
             pd_rows.append(p_d)
-        row += vehicle.tele_row(state, refs, tele)
-        row += tele.theta_hat.tolist() + tele.gain_diag.tolist()
-        row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
-        rows.append(row)
-        s_rows.append(tele.s)
+        if telemetry:
+            row = [t, *y, *p_d] if has_position else [t, *y]
+            row += vehicle.tele_row(state, refs, tele)
+            row += tele.theta_hat.tolist() + tele.gain_diag.tolist()
+            row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
+            rows.append(row)
 
         try:
-            state = vehicle.advance(terrain, state, u_applied, n_sub, sim.dt_plant)
+            rates = vp.stage_rates(*checked_fields(u_applied, input_cls))
+            y = step(rates, y, terrain, dt, n_sub)
+            check_finite(label, *y)
         except NonFiniteError as e:
             log.warning("plant diverged at t=%.2f: %s", t, e)
             aborted = True
             break
-        if not _speeds_bounded(state):
+        if not _speeds_bounded(y):
             log.warning("state left the trust region at t=%.2f", t)
             aborted = True
             break
 
     if fallback or rejected:
         log.warning("run of %d ticks had %d fallback, %d rejected and %d clamped ticks",
-                    len(rows), fallback, rejected, clamp)
+                    len(s_rows), fallback, rejected, clamp)
     pos_rmse, vel_rmse, cum = compute_metrics(period, s_rows, p_rows, pd_rows)
     result = {
-        "ticks": len(rows), "aborted": aborted,
+        "ticks": len(s_rows), "aborted": aborted,
         "position_rmse": pos_rmse, "velocity_rmse": vel_rmse,
         "cum_tracking_error": cum,
         "fallback_ticks": fallback, "clamp_ticks": clamp,
@@ -623,10 +633,11 @@ def _observe(vehicle: _Vehicle, provider: FeatureProvider, meas_rng, states, inp
     sim, vp = vehicle.cfg.sim, vehicle.vp
     n = len(states)
     feats = provider.features_along(states[:, 0], states[:, 1], states[:, 2], vehicle.half)
-    terrain = vehicle.terrain(provider.world)
+    terrain, stage_rates = vehicle.terrain(provider.world), vp.stage_rates
     xdot = np.zeros((n, 2))                 # sample 0 has no previous input
     for k in range(1, n):
-        xdot[k] = vehicle.measured(terrain, states[k].tolist(), inputs[k].tolist())
+        xdot[k] = vehicle.measured(stage_rates(*inputs[k].tolist()), terrain,
+                                   states[k].tolist())
     xdot[1:] += meas_rng.normal(0.0, sim.vdot_noise_std, (n - 1, 2))
     a_n, b_n = vp.residual_model(vp.state_cls(*states.T))
     x, u = states[:, vehicle.x_cols], inputs[:, vehicle.u_cols]
@@ -695,7 +706,7 @@ def run_scenario(cfg: Config, variants: list | None = None,
             meas_rng = np.random.default_rng(meas_ss)
             res, rows, cols = simulate_episode(world, cfg, controller, policy,
                                                provider, meas_rng, start,
-                                               sc.duration_s, sc.fault)
+                                               sc.duration_s, sc.fault, sc.telemetry)
             results.append(RunResult(variant=variant, run=r, **res))
             if sc.telemetry:
                 os.makedirs(tele_dir, exist_ok=True)

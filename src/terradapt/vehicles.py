@@ -21,16 +21,17 @@ wheelbase midpoint, and the forward channel reduced to a first-order lag;
 below the blend speed v_min it blends into the kinematic bicycle, so the
 car is defined at every forward speed, in reverse too.
 
-Both vehicles share one stepping path, integrate_step. Each params class
-holds its physics once, in stage_rates, and writes its RK4 out on named
-floats in rk4_steps: n_sub steps, each looking eta up at its start, making
-four stage_rates calls, forming each stage component y + h k and the
-combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, and wrapping
-the heading; combining per-stage tuples generically cost a third of a
-plant call. integrate_step checks on entry and on exit around one
-rk4_steps call; gen-data's driving loop calls rk4_steps itself, with the
-same checks made where its state and inputs enter, and the simulation
-loops measure by calling stage_rates on states the plant checked.
+Both vehicles share one checked stepping API, integrate_step. Each params
+class holds its physics once, in stage_rates, and writes its RK4 out on
+named floats in rk4_steps: n_sub steps, each looking eta up at its start,
+making four stage_rates calls, forming each stage component y + h k and
+the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, and
+wrapping the heading; combining per-stage tuples generically cost a third
+of a plant call. integrate_step checks on entry and on exit around one
+rk4_steps call. The simulation loops (the closed-loop episode and
+gen-data's driving pass) call rk4_steps themselves on float states, with
+the same checks made where their states and inputs enter and on every
+result, and measure by calling stage_rates on states the plant checked.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class TrackedParams:
     """Tracked plant coefficients. Gains and time constants must be positive.
 
     Frozen, because A_n and B_n are built once from them and shared
-    (read-only) by every caller.
+    (read-only) by every caller, as arrays and, for the controller's float
+    tick, as nested tuples of floats (a_n_rows, b_n_rows).
     """
 
     k1: float = 1.0          # forward speed gain, u_v -> v_x at steady state
@@ -122,6 +124,8 @@ class TrackedParams:
         a_n.flags.writeable = b_n.flags.writeable = False
         object.__setattr__(self, "_a_n", a_n)
         object.__setattr__(self, "_b_n", b_n)
+        object.__setattr__(self, "a_n_rows", tuple(map(tuple, a_n.tolist())))
+        object.__setattr__(self, "b_n_rows", tuple(map(tuple, b_n.tolist())))
 
     def a_n(self) -> np.ndarray:
         return self._a_n
@@ -382,8 +386,8 @@ def apply_track_fault(u: TrackedInput, left_scale: float, right_scale: float,
     The command is mixed into differential-drive track speeds, each track is
     scaled by its factor, and the result is mixed back. Unity scales return
     the input object unchanged, bit for bit. Nothing is checked here: the
-    scales come from FaultSchedule, which checked them, and integrate_step
-    checks the input next.
+    scales come from FaultSchedule, which checked them, and the plant's
+    entry check (checked_fields) checks the input next.
     """
     if left_scale == 1.0 and right_scale == 1.0:
         return u

@@ -2,21 +2,26 @@
 
 Most restate a quantity the package reports, or one the paper's analysis
 uses, from its definition, so that a test can check the program against
-it. The trainer's entry points below drive its private batched ridge and
-meta-gradient (`training._ridge`, `training._pack_cost_and_grad`) on one
-window, the unit the tests and criteria C6, C7 and C9 reason in. No code
-under src calls anything here.
+it; per_tick_episode keeps the plain per-tick loop that the episode's
+float loop must match bit for bit. The trainer's entry points below drive
+its private batched ridge and meta-gradient (`training._ridge`,
+`training._pack_cost_and_grad`) on one window, the unit the tests and
+criteria C6, C7 and C9 reason in. No code under src calls anything here.
 """
 
 import copy
 import dataclasses
+import logging
 
 import numpy as np
 
+from terradapt import harness
 from terradapt.basis import BasisNet, DimensionError
 from terradapt.harness import compute_metrics
 from terradapt.training import _pack_cost_and_grad, _ridge, build_h
-from terradapt.vehicles import checked_fields
+from terradapt.vehicles import FaultSchedule, NonFiniteError, checked_fields, integrate_step
+
+log = logging.getLogger(__name__)
 
 
 def as_array(obj) -> np.ndarray:
@@ -174,3 +179,96 @@ def gradcheck_meta(net: BasisNet, windows, lambda_r: float, theta_r,
         fd[i] = (up - down) / (2.0 * h_step)
     denom = np.maximum(np.maximum(np.abs(fd), np.abs(grad_flat)), 1e-8)
     return float(np.max(np.abs(grad_flat - fd) / denom))
+
+
+def per_tick_episode(world, cfg, controller, policy, provider, meas_rng, start,
+                     duration_s: float, fault: FaultSchedule = FaultSchedule()):
+    """The state-object episode loop that harness.simulate_episode replaced,
+    kept as its oracle: every tick measures through a fresh stage_rates of
+    the applied input, draws its own measurement noise pair, and steps the
+    plant in one checked integrate_step call. Returns what simulate_episode
+    returns with telemetry on."""
+    sim = cfg.sim
+    period = sim.control_period
+    n_sub = int(round(period / sim.dt_plant))
+    n_ticks = int(round(duration_s / period))
+    vehicle = harness._vehicle(cfg)
+    terrain = vehicle.terrain(world)
+    tick = getattr(controller, harness._TICK[policy.mode])
+    has_position = policy.mode != "velocity"
+    controller.reset()
+
+    state = start
+    u_applied = None
+    aborted = False
+    fallback = clamp = rejected = 0
+    clamp0 = provider.clamp_count
+
+    n_theta = controller.state.theta_hat.shape[0] if controller.state is not None else 0
+    cols = ["t", *(f.name for f in dataclasses.fields(start))]
+    if has_position:
+        cols += ["p_d_x", "p_d_y"]
+    cols += vehicle.tele_cols
+    cols += [f"theta_{i}" for i in range(n_theta)]
+    cols += [f"gamma_{i}" for i in range(n_theta)]
+    cols += vehicle.fault_cols + ["fallback", "clamped", "rejected"]
+
+    rows, s_rows, p_rows, pd_rows = [], [], [], []
+    for k in range(n_ticks):
+        t = k * period
+        if k == 0:
+            xdot_meas = (0.0, 0.0)
+        else:
+            u_values = tuple(vars(u_applied).values())
+            m_x, m_w = vehicle.measured(vehicle.vp.stage_rates(*u_values), terrain,
+                                        tuple(vars(state).values()))
+            n_x, n_w = meas_rng.normal(0.0, sim.vdot_noise_std, 2).tolist()
+            xdot_meas = (m_x + n_x, m_w + n_w)
+        feats = provider.features_under_robot(state.p_x, state.p_y, state.psi,
+                                              vehicle.half)
+        refs = policy.refs(t, state)
+        try:
+            u_cmd, tele = tick(state, xdot_meas, feats, *refs)
+        except vehicle.tick_errors as e:
+            log.warning("run aborted at t=%.2f: %s", t, e)
+            aborted = True
+            break
+        u_applied, fault_row = vehicle.actuate(u_cmd, fault, t)
+
+        fallback += tele.fallback
+        clamp += tele.clamped
+        rejected += tele.rejected
+        row = [t, *vars(state).values()]
+        if has_position:
+            p_d = [refs[0][0], refs[0][1]]
+            row += p_d
+            p_rows.append([state.p_x, state.p_y])
+            pd_rows.append(p_d)
+        row += vehicle.tele_row(state, refs, tele)
+        row += tele.theta_hat.tolist() + tele.gain_diag.tolist()
+        row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
+        rows.append(row)
+        s_rows.append(tele.s)
+
+        try:
+            state = integrate_step(state, u_applied, vehicle.vp, sim.dt_plant,
+                                   n_sub=n_sub, terrain=terrain)
+        except NonFiniteError as e:
+            log.warning("plant diverged at t=%.2f: %s", t, e)
+            aborted = True
+            break
+        if not max(abs(v) for v in tuple(vars(state).values())[3:]) < harness._SPEED_ABORT:
+            log.warning("state left the trust region at t=%.2f", t)
+            aborted = True
+            break
+
+    pos_rmse, vel_rmse, cum = compute_metrics(period, s_rows, p_rows, pd_rows)
+    result = {
+        "ticks": len(rows), "aborted": aborted,
+        "position_rmse": pos_rmse, "velocity_rmse": vel_rmse,
+        "cum_tracking_error": cum,
+        "fallback_ticks": fallback, "clamp_ticks": clamp,
+        "rejected_ticks": rejected,
+        "feature_clamps": provider.clamp_count - clamp0,
+    }
+    return result, rows, cols

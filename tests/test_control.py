@@ -458,13 +458,8 @@ class _RankDeficientPlant:
     """Stands in for TrackedParams with a B_n that the fallback cannot use."""
 
     def __init__(self, b_n):
-        self._b_n = np.array(b_n, dtype=float)
-
-    def a_n(self):
-        return TrackedParams().a_n()
-
-    def b_n(self):
-        return self._b_n
+        self.a_n_rows = TrackedParams().a_n_rows
+        self.b_n_rows = tuple(tuple(float(v) for v in row) for row in b_n)
 
 
 @pytest.mark.parametrize("b_n", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 3.0]],

@@ -11,8 +11,10 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from oracles import derivative, metrics_from_telemetry, read_csv, solve_theta_star
+from oracles import (derivative, metrics_from_telemetry, per_tick_episode, read_csv,
+                     solve_theta_star)
 from terradapt import cli, harness
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import ConfigError, config_from_dict, load_config
@@ -32,8 +34,8 @@ from terradapt.harness import (
     summarize_results,
 )
 from terradapt.training import build_h
-from terradapt.vehicles import (FaultSchedule, TrackedInput, TrackedParams, TrackedState,
-                                integrate_step, wrap_angle)
+from terradapt.vehicles import (AckermannState, FaultSchedule, NonFiniteError, TrackedInput,
+                                TrackedParams, TrackedState, integrate_step, wrap_angle)
 from terradapt.world import FeatureProvider, build_world, cell_index
 
 
@@ -137,6 +139,39 @@ def test_random_velocity_reference_turns_back_at_border():
     v_ref, _ = policy.refs(0.0, state)
     assert 0.4 <= v_ref[0] <= 0.8
     assert v_ref[1] == pytest.approx(-1.0) or v_ref[1] == pytest.approx(1.0)
+
+
+def _scanned_segment(segments, t):
+    """The segment the reference held at time t, by the linear scan from the
+    first segment that the bisection replaced."""
+    seg = segments[0]
+    for cand in segments:
+        if cand[0] <= t:
+            seg = cand
+        else:
+            break
+    return seg
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, 20.0), st.floats(0.2, 5.0),
+       st.floats(0.0, 5.0), st.lists(st.floats(-2.0, 30.0), max_size=20))
+def test_random_velocity_reference_bisects_as_the_scan(seed, duration, hold_min, hold_extra,
+                                                       times):
+    """refs picks the segment the linear scan picks: at random times, at
+    every tick of a 20 Hz loop, before the first segment and after the
+    last, and at each segment start and its neighbouring floats."""
+    world = world_for_tests()
+    policy = RandomVelocityReference(np.random.default_rng(seed), duration, (0.4, 1.3),
+                                     (-1.0, 1.0), (hold_min, hold_min + hold_extra), world)
+    center = TrackedState(2.5, 2.5, 0.0, 0.0, 0.0)     # no turn-back
+    borders = [f(start) for start, _, _ in policy.segments
+               for f in (lambda v: v, lambda v: math.nextafter(v, -math.inf),
+                         lambda v: math.nextafter(v, math.inf))]
+    ticks = [k * 0.05 for k in range(int(duration / 0.05) + 2)]
+    for t in [*times, *borders, *ticks, -1.0, duration + 10.0]:
+        v_ref, _ = policy.refs(t, center)
+        assert v_ref == _scanned_segment(policy.segments, t)[1:], t
 
 
 def test_figure8_velocity_matches_position_derivative():
@@ -311,7 +346,7 @@ def test_measured_equals_the_checked_derivative(vehicle):
         eta = world.eta_at(p_x, p_y)
         want = derivative(state_cls(*y), input_cls(*u), veh.vp,
                           eta if vehicle == "tracked" else eta[0])[veh.x_cols]
-        got = veh.measured(terrain, y, u)
+        got = veh.measured(veh.vp.stage_rates(*u), terrain, y)
         assert all(type(v) is float for v in got)
         np.testing.assert_array_equal(got, want)
 
@@ -603,6 +638,138 @@ def test_ackermann_from_rest_reaches_the_circle(tmp_path, variant):
     assert rows[0][col["u_delta"]] == 0.0 and held and all(held)
     assert res["fallback_ticks"] >= len(held)
     assert abs(rows[-1][col["e_perp"]]) < 0.05
+
+
+# -------------------------------------------------------------- episodes
+
+# the last three replace the command from the fifth tick on: a finite one the
+# plant cannot integrate, one that drives the speed past the abort bound, NaN
+EPISODE_CASES = {"velocity-random": None, "figure8-fault-matrix": None, "car-from-rest": None,
+                 "plant-diverges": 1e308, "speed-bound": 1e3, "non-finite-command": math.nan}
+EPISODE_ABORT = {"plant-diverges": "plant diverged", "speed-bound": "left the trust region",
+                 "non-finite-command": "plant diverged"}
+
+
+def _episode_setup(case, tmp_path):
+    """(cfg, world, policy, start, controller factory) of one episode case."""
+    if case == "car-from-rest":
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                       "ackermann_circle.yaml"))
+    elif case == "figure8-fault-matrix":
+        raw = base_raw(out_dir=tmp_path, scenario={
+            "kind": "figure8", "duration_s": 6.0, "runs": 1, "fig8_amp_x": 1.5,
+            "fig8_amp_y": 0.8, "fig8_period_s": 8.0,
+            "fault": {"kind": "track-square", "period_s": 1.0, "scale": 0.3}})
+        raw["controller"]["adaptation"]["law"] = "matrix"
+        cfg = config_from_dict(raw)
+    else:
+        # feature noise, and a turn-back margin narrow enough for the contact
+        # patches to leave the map; the diverging plant takes one substep per
+        # tick, so only the check on the plant's result can see it
+        cfg = config_from_dict(base_raw(out_dir=tmp_path, **{
+            "provider.noise_std": 0.05, "scenario.start_margin_frac": 0.02,
+            "scenario.duration_s": 8.0,
+            "sim.dt_plant": 0.05 if case == "plant-diverges" else 0.01}))
+    world = build_world_for(cfg)
+    policy = harness._policy_for_run(cfg, world, np.random.default_rng(1))
+    start = policy.start_pose(np.random.default_rng(2))
+    if case == "car-from-rest":
+        start = dataclasses.replace(start, v_x=0.0, v_y=0.0, omega=0.0)
+
+    def controller():
+        ctl = build_controller(cfg, "constant", str(tmp_path))
+        u_v = EPISODE_CASES[case]
+        if u_v is not None:
+            tick, count = ctl.tick_velocity, []
+
+            def replaced(*args):
+                u, tele = tick(*args)
+                count.append(1)
+                return (dataclasses.replace(u, u_v=u_v) if len(count) >= 5 else u), tele
+            ctl.tick_velocity = replaced
+        return ctl
+    return cfg, world, policy, start, controller
+
+
+def _bits(rows):
+    return np.array(rows, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("case", list(EPISODE_CASES))
+def test_episode_equals_per_tick_loop(tmp_path, caplog, case):
+    """The float episode loop gives the RunResult fields and telemetry rows
+    of the per-tick state-object loop, bit for bit and type for type, on
+    every way a run can go: noisy features at the map border, a fault on the
+    matrix law, the car from rest through v_min, and each abort."""
+    cfg, world, policy, start, controller = _episode_setup(case, tmp_path)
+    sc = cfg.scenario
+
+    def run(loop, **kwargs):
+        caplog.clear()
+        provider = FeatureProvider(world, cfg.provider.noise_std, cfg.provider.brightness,
+                                   seed=3)
+        out = loop(world, cfg, controller(), policy, provider, np.random.default_rng(4),
+                   start, sc.duration_s, sc.fault, **kwargs)
+        # the per-tick warnings: what ended the run, and when
+        return out, [r.getMessage() for r in caplog.records if " at t=" in r.getMessage()]
+
+    (want, want_rows, want_cols), want_log = run(per_tick_episode)
+    (got, rows, cols), got_log = run(harness.simulate_episode)
+    assert cols == want_cols
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        np.testing.assert_array_equal(got[key], value, err_msg=key)
+    assert len(rows) == got["ticks"] == len(want_rows)
+    np.testing.assert_array_equal(_bits(rows), _bits(want_rows))
+    assert [list(map(type, r)) for r in rows] == [list(map(type, r)) for r in want_rows]
+    assert got_log == want_log
+    abort = EPISODE_ABORT.get(case)
+    assert got["aborted"] == (abort is not None)
+    if abort is not None:
+        assert got["ticks"] == 5 and len(got_log) == 1 and abort in got_log[0]
+    if case == "velocity-random":
+        assert got["feature_clamps"] > 0
+    if case == "car-from-rest":
+        col = {c: i for i, c in enumerate(cols)}
+        assert rows[0][col["v_x"]] == 0.0 and any(r[col["v_x"]] > 0.1 for r in rows)
+    # telemetry off: the same result, no rows
+    (quiet, quiet_rows, _), _ = run(harness.simulate_episode, telemetry=False)
+    assert quiet_rows == []
+    for key, value in got.items():
+        np.testing.assert_array_equal(quiet[key], value, err_msg=key)
+
+
+def test_episode_refuses_a_bad_start(tmp_path):
+    """The start state is checked where it enters, before the first tick:
+    a non-finite field and the other vehicle's state are refused."""
+    cfg, world, policy, start, controller = _episode_setup("velocity-random", tmp_path)
+    provider = FeatureProvider(world, 0.0, 1.0, seed=3)
+    bad = {NonFiniteError: dataclasses.replace(start, v_x=math.inf),
+           TypeError: AckermannState(start.p_x, start.p_y, start.psi, 0.0, 0.0, 0.0)}
+    for error, state in bad.items():
+        ctl = controller()
+        ticks = []
+        ctl.tick_velocity = lambda *args: ticks.append(args)
+        with pytest.raises(error):
+            harness.simulate_episode(world, cfg, ctl, policy, provider,
+                                     np.random.default_rng(4), state, 1.0)
+        assert ticks == []
+
+
+def test_telemetry_off_changes_no_result(tmp_path):
+    """scenario.telemetry false writes the runs.csv and summary.json bytes
+    of telemetry on, and no telemetry directory."""
+    outs = {}
+    for on in (True, False):
+        raw = base_raw(out_dir=tmp_path, **{"scenario.telemetry": on,
+                                            "provider.noise_std": 0.05})
+        outs[on] = tmp_path / f"telemetry_{on}"
+        run_scenario(config_from_dict(raw), ["pd", "constant"], str(outs[on]))
+    assert (outs[True] / "telemetry").is_dir()
+    assert not (outs[False] / "telemetry").exists()
+    for name in ("runs.csv", "summary.json"):
+        assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes(), name
 
 
 def test_run_info_sidecar_has_no_absolute_paths(tmp_path):
