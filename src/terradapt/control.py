@@ -140,11 +140,16 @@ class AdaptState:
     gamma for the per-component law, a full SPD matrix for the matrix law.
     fresh() is the one checked constructor: adapt_step builds each next
     state, refusing a non-finite update and clamping or flooring the gain
-    itself. A state, arrays included, is never changed in place, so the
-    tick's telemetry shares its arrays rather than copying them."""
+    itself. A state, arrays included, is never changed in place: it makes
+    its arrays read-only, so the tick's telemetry shares them rather than
+    copying them."""
 
     theta_hat: np.ndarray
     gain: np.ndarray
+
+    def __post_init__(self):
+        self.theta_hat.setflags(write=False)
+        self.gain.setflags(write=False)
 
     @classmethod
     def fresh(cls, n_theta: int, params: AdaptParams, *, theta0=None,
@@ -581,8 +586,8 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
 class TickTelemetry:
     """Per-tick controller internals, recorded by the harness: s, u and y
     as sequences of Python floats, theta_hat and the gain diagonal as
-    arrays (empty without a basis) that share the adapted state's memory:
-    read them, never write them."""
+    read-only arrays (empty without a basis) that share the adapted
+    state's memory."""
 
     s: tuple
     u: tuple
@@ -598,6 +603,7 @@ class TickTelemetry:
 
 _NO_RESIDUAL = (math.nan, math.nan)     # y before the first residual exists
 _EMPTY = np.empty(0)                    # theta_hat and gain telemetry without a basis
+_EMPTY.setflags(write=False)
 
 
 class _AdaptiveController:

@@ -49,7 +49,6 @@ Relative config file names resolve inside the output dir, never the CWD.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import logging
 import math
@@ -172,7 +171,6 @@ class RandomVelocityReference:
             self.segments.append((t, rng.uniform(v_range[0], v_range[1]),
                                   rng.uniform(omega_range[0], omega_range[1])))
             t += hold
-        self.starts = [seg[0] for seg in self.segments]     # ascending, from 0.0
         self.world = world
         self.margin_frac = margin_frac
         self.omega_cap = max(abs(omega_range[0]), abs(omega_range[1]), 1.0)
@@ -182,9 +180,13 @@ class RandomVelocityReference:
         return TrackedState(x, y, psi, 0.0, 0.0)
 
     def refs(self, t: float, state) -> tuple[tuple, tuple]:
-        """([v_ref, omega_ref], its derivative) at time t, as float pairs:
-        the last segment starting at or before t, the first one before 0."""
-        seg = self.segments[max(bisect.bisect_right(self.starts, t) - 1, 0)]
+        """([v_ref, omega_ref], its derivative) at time t, as float pairs."""
+        seg = self.segments[0]
+        for cand in self.segments:
+            if cand[0] <= t:
+                seg = cand
+            else:
+                break
         v_ref, omega_ref = seg[1], seg[2]
         err = _turn_back_error(self.world, self.margin_frac, state.p_x, state.p_y,
                                state.psi)
@@ -445,7 +447,9 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     The state is carried as floats from one rk4_steps call to the next, as
     _drive carries it: the start state and each applied input are checked
     once, as integrate_step checks them on entry, and every result on exit.
-    One stage_rates per tick serves that tick's plant call and the next
+    A start that fails its check raises before the first tick (NonFiniteError,
+    or TypeError for the other vehicle's state); the later checks abort the
+    run. One stage_rates per tick serves that tick's plant call and the next
     tick's measurement, and the controller sees one state object per tick,
     built from the floats. The config checked dt_plant and the substep count.
     """

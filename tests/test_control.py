@@ -810,8 +810,13 @@ def test_tracked_controller_reset():
     ctrl = TrackedController(TrackedParams(), Gains(), AdaptParams(),
                              basis=ConstantBasis(2, 2))
     state = TrackedState(0, 0, 0, 0.5, 0.0)
-    ctrl.tick_velocity(state, np.zeros(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
+    _, tele = ctrl.tick_velocity(state, np.zeros(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
     assert ctrl.prev_u is not None
+    # the first tick's telemetry shares the fresh state's arrays, which refuse writes
+    assert np.shares_memory(tele.theta_hat, ctrl.state0.theta_hat)
+    for arr in (tele.theta_hat, tele.gain_diag, ctrl.state0.theta_hat, ctrl.state0.gain):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 9.0
     ctrl.tick_velocity(state, np.ones(2), np.zeros(4), [0.8, 0.0], [0.0, 0.0])
     assert ctrl.state is not ctrl.state0        # adapted
     ctrl.reset()

@@ -11,7 +11,6 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
 
 from oracles import (derivative, metrics_from_telemetry, per_tick_episode, read_csv,
                      solve_theta_star)
@@ -139,39 +138,6 @@ def test_random_velocity_reference_turns_back_at_border():
     v_ref, _ = policy.refs(0.0, state)
     assert 0.4 <= v_ref[0] <= 0.8
     assert v_ref[1] == pytest.approx(-1.0) or v_ref[1] == pytest.approx(1.0)
-
-
-def _scanned_segment(segments, t):
-    """The segment the reference held at time t, by the linear scan from the
-    first segment that the bisection replaced."""
-    seg = segments[0]
-    for cand in segments:
-        if cand[0] <= t:
-            seg = cand
-        else:
-            break
-    return seg
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.05, 20.0), st.floats(0.2, 5.0),
-       st.floats(0.0, 5.0), st.lists(st.floats(-2.0, 30.0), max_size=20))
-def test_random_velocity_reference_bisects_as_the_scan(seed, duration, hold_min, hold_extra,
-                                                       times):
-    """refs picks the segment the linear scan picks: at random times, at
-    every tick of a 20 Hz loop, before the first segment and after the
-    last, and at each segment start and its neighbouring floats."""
-    world = world_for_tests()
-    policy = RandomVelocityReference(np.random.default_rng(seed), duration, (0.4, 1.3),
-                                     (-1.0, 1.0), (hold_min, hold_min + hold_extra), world)
-    center = TrackedState(2.5, 2.5, 0.0, 0.0, 0.0)     # no turn-back
-    borders = [f(start) for start, _, _ in policy.segments
-               for f in (lambda v: v, lambda v: math.nextafter(v, -math.inf),
-                         lambda v: math.nextafter(v, math.inf))]
-    ticks = [k * 0.05 for k in range(int(duration / 0.05) + 2)]
-    for t in [*times, *borders, *ticks, -1.0, duration + 10.0]:
-        v_ref, _ = policy.refs(t, center)
-        assert v_ref == _scanned_segment(policy.segments, t)[1:], t
 
 
 def test_figure8_velocity_matches_position_derivative():
