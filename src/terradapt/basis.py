@@ -122,12 +122,15 @@ class BasisNet:
     def _join(self, x, e) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         e = np.atleast_2d(np.asarray(e, dtype=float))
+        if x.shape[0] != e.shape[0]:
+            raise DimensionError(f"batch sizes differ: {x.shape[0]} vs {e.shape[0]}")
+        return self._join_rows(x, e)
+
+    def _join_rows(self, x: np.ndarray, e: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.state_dim:
             raise DimensionError(f"state input has dim {x.shape[1]}, expected {self.state_dim}")
         if e.shape[1] != self.feature_dim:
             raise DimensionError(f"feature input has dim {e.shape[1]}, expected {self.feature_dim}")
-        if x.shape[0] != e.shape[0]:
-            raise DimensionError(f"batch sizes differ: {x.shape[0]} vs {e.shape[0]}")
         return np.concatenate([x, e], axis=1)
 
     def forward_batch(self, x, e, want_cache: bool = False):
@@ -136,7 +139,17 @@ class BasisNet:
         With want_cache=True also returns the layer activations needed by
         backward(). Never mutates the network.
         """
-        z = self._join(x, e)
+        return self._forward(self._join(x, e), want_cache)
+
+    def eval(self, x, e) -> np.ndarray:
+        """Single-sample forward pass, returns (n_theta, n, m); x and e are one
+        sample each (a batch goes to forward_batch), run as a one-row batch."""
+        x, e = np.asarray(x, dtype=float), np.asarray(e, dtype=float)
+        if x.ndim != 1 or e.ndim != 1:
+            raise DimensionError(f"eval takes one sample, got shapes {x.shape} and {e.shape}")
+        return self._forward(self._join_rows(x[None, :], e[None, :]))[0]
+
+    def _forward(self, z: np.ndarray, want_cache: bool = False):
         acts = [z]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -146,10 +159,6 @@ class BasisNet:
         if want_cache:
             return phi, acts
         return phi
-
-    def eval(self, x, e) -> np.ndarray:
-        """Single-sample forward pass, returns (n_theta, n, m)."""
-        return self.forward_batch(np.asarray(x)[None, :], np.asarray(e)[None, :])[0]
 
     def backward(self, acts, upstream) -> dict:
         """Exact gradients for a batch given upstream dJ/dPhi.

@@ -21,12 +21,14 @@ which for the true system equals (Phi theta) u up to representation error.
 Two gain dynamics are provided: a per-component law whose quadratic gain
 term carries a positive sign (faster convergence), and a full-matrix law
 with the Riccati-type negative sign. Both include exponential forgetting.
-One Euler step, adapt_step, serves both: AdaptState.fresh reads the law
-once and gives the gain its shape (a vector of per-component gains or a
-full matrix), and from then on the shape is the law.
+One Euler step, adapt_step, serves both; AdaptParams.law picks the branch.
 
 Ackermann vehicle: cross-track control in the path frame with the adapted
 scalar steering effectiveness b_hat = C_y/m + phi_row . theta_hat.
+
+Python floats are the one number type from the reference to the adapted
+state, whose theta_hat and gain are tuples; numpy enters only the residual's
+nominal-model products and the matrix law's gain step.
 """
 
 from __future__ import annotations
@@ -45,13 +47,7 @@ log = logging.getLogger(__name__)
 # smallest normal float: LAPACK's getf2 scales a pivot column by the pivot's
 # reciprocal only above it, since 1 / pivot would overflow below
 _SFMIN = sys.float_info.min
-
-
-def _floats(x):
-    """x as Python floats: an array through tolist(), a sequence as given.
-    The controller tick runs on Python floats; its public functions still
-    take arrays."""
-    return x.tolist() if isinstance(x, np.ndarray) else x
+_COND_LIMIT = 1e6      # control_tracked falls back to B_n at this condition number of B_hat
 
 
 # ---------------------------------------------------------------- gains
@@ -95,7 +91,7 @@ class AdaptParams:
     """The gain law and its constants, as the config's controller.adaptation.
 
     law picks the per-component ("scalar") or the full-matrix ("matrix") gain
-    dynamics; AdaptState.fresh reads it once, to give the gain its shape.
+    dynamics, and with it the gain's form in AdaptState.
     r_diag are the diagonal entries of the prediction-error weighting R
     (positive definite), one per residual channel or one for both; q_diag
     the gain forcing Q, one entry per component or one for all; lam the
@@ -103,8 +99,8 @@ class AdaptParams:
     gamma_min doubles as the eigenvalue floor of the matrix law. The length
     of q_diag is checked against the basis in AdaptState.fresh. Frozen,
     because every adaptation step reads the floats built once from them:
-    r_inv, the diagonal of R^-1 for both residual channels, and q, the Q
-    entries as given.
+    r_inv, the diagonal of R^-1 for both residual channels, q, the Q
+    entries as given, and gamma_bounds, (gamma_min, gamma_max).
     """
 
     law: str = "scalar"                 # scalar | matrix
@@ -132,24 +128,21 @@ class AdaptParams:
         r_inv = tuple(1.0 / float(r) for r in self.r_diag)
         object.__setattr__(self, "r_inv", r_inv * 2 if len(r_inv) == 1 else r_inv)
         object.__setattr__(self, "q", tuple(float(q) for q in self.q_diag))
+        object.__setattr__(self, "gamma_bounds", (float(self.gamma_min), float(self.gamma_max)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptState:
-    """Adapted parameters plus their gain, whose shape is the law: a vector
-    gamma for the per-component law, a full SPD matrix for the matrix law.
-    fresh() is the one checked constructor: adapt_step builds each next
-    state, refusing a non-finite update and clamping or flooring the gain
-    itself. A state, arrays included, is never changed in place: it makes
-    its arrays read-only, so the tick's telemetry shares them rather than
-    copying them."""
+    """Adapted parameters theta_hat plus their gain, as tuples of Python
+    floats: the gain is the per-component gains gamma under the scalar law
+    and the rows of the full SPD matrix under the matrix law. fresh() is the
+    one checked constructor: adapt_step builds each next state, refusing a
+    non-finite update and clamping or flooring the gain itself. A state is
+    frozen and its tuples cannot change, so the tick's telemetry shares
+    them rather than copying them."""
 
-    theta_hat: np.ndarray
-    gain: np.ndarray
-
-    def __post_init__(self):
-        self.theta_hat.setflags(write=False)
-        self.gain.setflags(write=False)
+    theta_hat: tuple
+    gain: tuple
 
     @classmethod
     def fresh(cls, n_theta: int, params: AdaptParams, *, theta0=None,
@@ -163,18 +156,19 @@ class AdaptState:
         if adapt and len(params.q_diag) not in (1, n_theta):
             raise ValueError(f"q_diag has {len(params.q_diag)} entries for {n_theta} "
                              f"parameters; give 1 or {n_theta}")
+        theta = tuple(theta.tolist())
         if params.law == "scalar":
-            return cls(theta, np.full(n_theta, params.gamma0))
-        return cls(theta, params.gamma0 * np.eye(n_theta))
+            return cls(theta, (float(params.gamma0),) * n_theta)
+        return cls(theta, tuple(map(tuple, (params.gamma0 * np.eye(n_theta)).tolist())))
 
 
 @dataclass
 class ReferenceState:
-    """Velocity-level reference for the tracked loop. The two velocity pairs
-    may be arrays or sequences of floats."""
+    """Velocity-level reference for the tracked loop, the velocities as
+    pairs of floats."""
 
-    v_ref: np.ndarray           # [v_ref_x, omega_ref]
-    vdot_ref: np.ndarray        # time derivative of v_ref
+    v_ref: tuple                # (v_ref_x, omega_ref)
+    vdot_ref: tuple             # time derivative of v_ref
     psi_ref: float
     psi_dot_ref: float
 
@@ -193,7 +187,7 @@ class LateralErrorState:
 # ---------------------------------------------------------------- filters
 
 def _lowpass_step(state, x, alpha):
-    """One low-pass update, on arrays or on Python floats alike."""
+    """One low-pass update of one channel, shared by update() and run()."""
     return state + alpha * (x - state)
 
 
@@ -211,17 +205,16 @@ class LowPassFilter:
         self.tau = 1.0 / (2.0 * math.pi * cutoff_hz)
         self.state = None
 
-    def update(self, x, dt: float) -> list:
-        """Filter one sample of channels x (array or sequence); returns the
-        filtered channels as a new list of Python floats, which round
-        exactly as the elementwise array update does."""
-        x = _floats(x)
+    def update(self, x, dt: float) -> tuple:
+        """Filter one sample of channels x, a sequence of floats; returns the
+        filtered channels, which are the new state, as a tuple."""
         if self.state is None:
-            self.state = [float(v) for v in x]
+            self.state = tuple(x)
         else:
             alpha = dt / (self.tau + dt)
-            self.state = [_lowpass_step(f, v, alpha) for f, v in zip(self.state, x, strict=True)]
-        return list(self.state)
+            self.state = tuple([_lowpass_step(f, v, alpha)
+                                for f, v in zip(self.state, x, strict=True)])
+        return self.state
 
     def run(self, xs, dt: float) -> np.ndarray:
         """update() over the rows of xs in order; returns the (T, n) outputs.
@@ -232,7 +225,7 @@ class LowPassFilter:
         out = np.empty_like(xs)
         k0 = 0
         if self.state is None:          # the first row initializes, as in update()
-            self.state = xs[0].tolist()
+            self.state = tuple(xs[0].tolist())
             out[0] = xs[0]
             k0 = 1
         alpha = dt / (self.tau + dt)
@@ -243,7 +236,7 @@ class LowPassFilter:
                 f = _lowpass_step(f, x, alpha)
                 filtered.append(f)
             out[k0:, j] = filtered
-        self.state = out[-1].tolist()
+        self.state = tuple(out[-1].tolist())
         return out
 
     def reset(self):
@@ -290,24 +283,23 @@ class ResidualFilter:
 
 def reference_velocities(p, psi: float, p_d, v_d, psi_d: float,
                          gains: Gains, psi_dot_ref: float = 0.0) -> ReferenceState:
-    """Pose error -> body-frame velocity references.
+    """Pose error -> body-frame velocity references, from float pairs.
 
     psi_dot_ref is supplied by the caller (finite-differenced and filtered at
     the loop rate); vdot_ref is left zero here and filled by the stateful
     tracker. Below the v_eps speed threshold the heading reference falls back
     to the desired heading psi_d, which keeps turn-in-place maneuvers defined.
     """
-    p = np.asarray(p, dtype=float)
-    p_err = p - np.asarray(p_d, dtype=float)
-    v_ref_i = np.asarray(v_d, dtype=float) - np.array([gains.k_px, gains.k_py]) * p_err
-    v_ref_x = math.cos(psi) * v_ref_i[0] + math.sin(psi) * v_ref_i[1]
-    if float(v_ref_i @ v_ref_i) > gains.v_eps:
-        psi_ref = math.atan2(v_ref_i[1], v_ref_i[0])
+    (p_x, p_y), (p_dx, p_dy), (v_dx, v_dy) = p, p_d, v_d
+    vi_x = v_dx - gains.k_px * (p_x - p_dx)
+    vi_y = v_dy - gains.k_py * (p_y - p_dy)
+    v_ref_x = math.cos(psi) * vi_x + math.sin(psi) * vi_y
+    if vi_x * vi_x + vi_y * vi_y > gains.v_eps:
+        psi_ref = math.atan2(vi_y, vi_x)
     else:
         psi_ref = psi_d
     omega_ref = psi_dot_ref - gains.k_psi * wrap_angle(psi - psi_ref)
-    return ReferenceState(np.array([v_ref_x, omega_ref]), np.zeros(2),
-                          psi_ref, psi_dot_ref)
+    return ReferenceState((v_ref_x, omega_ref), (0.0, 0.0), psi_ref, psi_dot_ref)
 
 
 class PositionReferenceTracker:
@@ -323,22 +315,19 @@ class PositionReferenceTracker:
 
     def step(self, p, psi, p_d, v_d, psi_d, dt: float) -> ReferenceState:
         ref = reference_velocities(p, psi, p_d, v_d, psi_d, self.gains, 0.0)
-        if self.prev_psi_ref is None:
-            psi_dot = float(self.psi_dot_lpf.update(np.zeros(1), dt)[0])
-        else:
-            raw = wrap_angle(ref.psi_ref - self.prev_psi_ref) / dt
-            psi_dot = float(self.psi_dot_lpf.update(np.array([raw]), dt)[0])
-        self.prev_psi_ref = ref.psi_ref
+        psi_ref = ref.psi_ref
+        raw = 0.0 if self.prev_psi_ref is None else wrap_angle(psi_ref - self.prev_psi_ref) / dt
+        (psi_dot,) = self.psi_dot_lpf.update((raw,), dt)
+        self.prev_psi_ref = psi_ref
         # omega_ref again now that psi_dot_ref is known, as reference_velocities forms it
-        ref.v_ref[1] = psi_dot - self.gains.k_psi * wrap_angle(psi - ref.psi_ref)
-        ref.psi_dot_ref = psi_dot
+        v_ref = (ref.v_ref[0], psi_dot - self.gains.k_psi * wrap_angle(psi - psi_ref))
         if self.prev_v_ref is None:
-            vdot = self.vdot_lpf.update(np.zeros(2), dt)
+            vdot = self.vdot_lpf.update((0.0, 0.0), dt)
         else:
-            vdot = self.vdot_lpf.update((ref.v_ref - self.prev_v_ref) / dt, dt)
-        self.prev_v_ref = ref.v_ref.copy()
-        ref.vdot_ref = vdot
-        return ref
+            (v0, v1), (w0, w1) = v_ref, self.prev_v_ref
+            vdot = self.vdot_lpf.update(((v0 - w0) / dt, (v1 - w1) / dt), dt)
+        self.prev_v_ref = v_ref
+        return ReferenceState(v_ref, vdot, psi_ref, psi_dot)
 
     def reset(self):
         self.psi_dot_lpf.reset()
@@ -355,7 +344,7 @@ def cond_2x2(m) -> float:
     entries are first scaled by the largest magnitude so that neither f nor
     det can overflow. Returns inf for a singular or non-finite matrix.
     """
-    (a, b), (c, d) = _floats(m)
+    (a, b), (c, d) = m
     big = max(abs(a), abs(b), abs(c), abs(d))
     if not 0.0 < big < math.inf:        # zero, infinite or NaN
         return math.inf
@@ -368,8 +357,8 @@ def cond_2x2(m) -> float:
 
 
 def tracking_error(v, ref: ReferenceState) -> tuple[float, float]:
-    """s = [v_x - v_ref_x, omega - omega_ref]."""
-    (v_x, omega), (v_ref_x, omega_ref) = _floats(v), _floats(ref.v_ref)
+    """s = [v_x - v_ref_x, omega - omega_ref], v a float pair."""
+    (v_x, omega), (v_ref_x, omega_ref) = v, ref.v_ref
     return v_x - v_ref_x, omega - omega_ref
 
 
@@ -377,7 +366,7 @@ def _influence(b_n, phi, theta_hat):
     """B_hat = B_n + sum_i theta_i Phi_i for 2x2 matrices, as nested tuples
     of Python floats; phi is (n_theta, 2, 2)."""
     c00 = c01 = c10 = c11 = 0.0
-    for t, ((p00, p01), (p10, p11)) in zip(_floats(theta_hat), _floats(phi), strict=True):
+    for t, ((p00, p01), (p10, p11)) in zip(theta_hat, phi, strict=True):
         c00 += t * p00
         c01 += t * p01
         c10 += t * p10
@@ -405,34 +394,33 @@ def _solve_2x2(m, r0: float, r1: float) -> tuple[float, float]:
 
 
 def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParams,
-                    gains: Gains, u_limits=(2.0, 3.0),
-                    cond_limit: float = 1e6):
+                    gains: Gains, u_limits=(2.0, 3.0)):
     """Feedback-linearizing velocity control with the adapted influence matrix.
 
     Returns (TrackedInput, info). If B_hat is near singular (condition number
-    at or above cond_limit) the nominal B_n is used instead and info["fallback"]
+    at or above _COND_LIMIT) the nominal B_n is used instead and info["fallback"]
     is set; the caller should skip the adaptation update for that step.
-    Commands are clamped to u_limits and clamping is reported. The law runs on
-    Python floats (s, the reference pairs, phi and theta_hat may be arrays);
-    info["b_hat"] is the B_hat used, as nested tuples.
+    Commands are clamped to the float pair u_limits and clamping is reported.
+    s and the reference are float pairs, phi nested lists and theta_hat a
+    tuple; info["b_hat"] is the B_hat used, as nested tuples.
     """
     (a00, a01), (a10, a11) = params.a_n_rows
     b_n = params.b_n_rows
     info = {"fallback": False, "clamped": False}
     b_hat = b_n if phi is None else _influence(b_n, phi, theta_hat)
     cond = cond_2x2(b_hat)
-    if cond >= cond_limit:
-        log.debug("B_hat condition number %.3e >= %.1e, falling back to B_n", cond, cond_limit)
+    if cond >= _COND_LIMIT:
+        log.debug("B_hat condition number %.3e >= %.1e, falling back to B_n", cond, _COND_LIMIT)
         b_hat = b_n
         info["fallback"] = True
-    s0, s1 = _floats(s)
-    (v0, v1), (vdot0, vdot1) = _floats(ref.v_ref), _floats(ref.vdot_ref)
+    s0, s1 = s
+    (v0, v1), (vdot0, vdot1) = ref.v_ref, ref.vdot_ref
     # K s + A_n v_ref - vdot_ref, K = diag(k_dx, k_domega)
     r0 = gains.k_dx * s0 + (a00 * v0 + a01 * v1) - vdot0
     r1 = gains.k_domega * s1 + (a10 * v0 + a11 * v1) - vdot1
     x0, x1 = _solve_2x2(b_hat, r0, r1)
     u_v, u_omega = -x0, -x1
-    lim_v, lim_omega = float(u_limits[0]), float(u_limits[1])
+    lim_v, lim_omega = u_limits
     clip_v = min(max(u_v, -lim_v), lim_v)
     clip_omega = min(max(u_omega, -lim_omega), lim_omega)
     if clip_v != u_v or clip_omega != u_omega:      # NaN counts as clamped
@@ -446,14 +434,13 @@ def control_tracked(s, ref: ReferenceState, phi, theta_hat, params: TrackedParam
 
 def _h_columns(phi, u_vec) -> list:
     """The columns h_i = Phi_i u of H as pairs of Python floats, for phi of
-    shape (n_theta, 2, m) with m = 1 or 2."""
-    u = _floats(u_vec)
-    if len(u) == 1:
-        (u0,) = u
-        return [(p0 * u0, p1 * u0) for (p0,), (p1,) in _floats(phi)]
-    u0, u1 = u
+    shape (n_theta, 2, m) with m = 1 or 2, as nested lists."""
+    if len(u_vec) == 1:
+        (u0,) = u_vec
+        return [(p0 * u0, p1 * u0) for (p0,), (p1,) in phi]
+    u0, u1 = u_vec
     return [(p00 * u0 + p01 * u1, p10 * u0 + p11 * u1)
-            for (p00, p01), (p10, p11) in _floats(phi)]
+            for (p00, p01), (p10, p11) in phi]
 
 
 def adapt_step(state: AdaptState, s, y, phi, u_vec, dt: float, params: AdaptParams):
@@ -462,22 +449,22 @@ def adapt_step(state: AdaptState, s, y, phi, u_vec, dt: float, params: AdaptPara
     thetadot = -lam theta - G H^T R^-1 (H theta - y) + G H^T s
     Gdot     = -2 lam G + Q +/- G H^T R^-1 H G
 
-    The gain's shape is the law. A vector gamma is the per-component law:
-    G = diag(gamma), only the diagonal of the quadratic term enters, with
-    the + sign, and the gains are clamped to [gamma_min, gamma_max]. A
-    matrix is the full-matrix law: the Riccati - sign, then the gain is
-    re-symmetrized and its eigenvalues are floored at gamma_min, keeping it
-    SPD. A non-finite update is rejected: the state is held and the
-    rejection is reported in the second return value. Runs on Python floats
-    (the matrix law's gain products and eigh on numpy) for two residual
-    channels, any n_theta and one or two inputs; a one-entry q_diag stands
-    for every component.
+    params.law picks the gain dynamics. The per-component law keeps the gains
+    gamma, G = diag(gamma): only the diagonal of the quadratic term enters,
+    with the + sign, and the gains are clamped to [gamma_min, gamma_max].
+    The full-matrix law keeps the rows of G: the Riccati - sign, then the
+    gain is re-symmetrized and its eigenvalues are floored at gamma_min,
+    keeping it SPD. A non-finite update is rejected: the state is held and
+    the rejection is reported in the second return value. Runs on float
+    pairs s and y, nested lists phi and floats u_vec (the matrix law's gain
+    products and eigh on numpy) for two residual channels, any n_theta and
+    one or two inputs; a one-entry q_diag stands for every component.
     """
-    theta = state.theta_hat.tolist()
+    theta = state.theta_hat
     h = _h_columns(phi, u_vec)
     r0, r1 = params.r_inv
-    s0, s1 = _floats(s)
-    y0, y1 = _floats(y)
+    s0, s1 = s
+    y0, y1 = y
     pred0 = pred1 = 0.0                             # H theta - y
     for th, (h0, h1) in zip(theta, h, strict=True):
         pred0 += h0 * th
@@ -488,17 +475,18 @@ def adapt_step(state: AdaptState, s, y, phi, u_vec, dt: float, params: AdaptPara
     proj = [(h0 * r0 * pred0 + h1 * r1 * pred1, h0 * s0 + h1 * s1) for h0, h1 in h]
     q = params.q * len(theta) if len(params.q) == 1 else params.q
     lam, two_lam = params.lam, 2.0 * params.lam
-    gain = state.gain
+    scalar = params.law == "scalar"
     # the gain product: the scalar law's gamma_i weights column i's projections
     # in the theta step; the matrix law applies G first and steps with unit
     # weights (1.0 * x is exact)
-    if gain.ndim == 1:
-        weights = gamma = gain.tolist()
+    if scalar:
+        weights = gamma = state.gain
         gain_new = [g + dt * (-two_lam * g + q_i + g * (h0 * r0 * h0 + h1 * r1 * h1) * g)
                     for g, q_i, (h0, h1) in zip(gamma, q, h)]
         gain_values = gain_new
     else:
         weights = (1.0,) * len(theta)
+        gain = np.array(state.gain)
         proj = (gain @ np.array(proj)).tolist()
         quad = np.array([[h0 * r0 * k0 + h1 * r1 * k1 for k0, k1 in h] for h0, h1 in h])
         gain_new = gain + dt * (-two_lam * gain + np.diag(q) - gain @ quad @ gain)
@@ -508,15 +496,15 @@ def adapt_step(state: AdaptState, s, y, phi, u_vec, dt: float, params: AdaptPara
     if not all(map(math.isfinite, theta_new + gain_values)):
         log.debug("adaptation produced a non-finite update; step rejected")
         return state, True
-    if gain.ndim == 1:
-        lo, hi = params.gamma_min, params.gamma_max
-        gain_new = np.array([lo if g < lo else hi if g > hi else g for g in gain_new])
+    if scalar:
+        lo, hi = params.gamma_bounds
+        gain_new = tuple([lo if g < lo else hi if g > hi else g for g in gain_new])
     else:
         gain_new = 0.5 * (gain_new + gain_new.T)
         vals, vecs = np.linalg.eigh(gain_new)
         gain_new = (vecs * np.maximum(vals, params.gamma_min)) @ vecs.T
-        gain_new = 0.5 * (gain_new + gain_new.T)
-    return AdaptState(np.array(theta_new), gain_new), False
+        gain_new = tuple(map(tuple, (0.5 * (gain_new + gain_new.T)).tolist()))
+    return AdaptState(tuple(theta_new), gain_new), False
 
 
 # ---------------------------------------------------------------- ackermann loop
@@ -527,9 +515,9 @@ def lateral_errors(p, psi: float, v_x: float, v_y: float, p_d, psi_d: float,
 
     The desired frame has its x axis along the path heading psi_d, which
     defines it at every path speed. e_perp_dot uses the small heading-error
-    linearization v_y + v_x psi_e.
+    linearization v_y + v_x psi_e. p and p_d are float pairs.
     """
-    (p_x, p_y), (p_dx, p_dy) = _floats(p), _floats(p_d)
+    (p_x, p_y), (p_dx, p_dy) = p, p_d
     e_x, e_y = p_x - p_dx, p_y - p_dy
     cd, sd = math.cos(psi_d), math.sin(psi_d)
     e_par = cd * e_x + sd * e_y
@@ -560,7 +548,7 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
     b_hat = b_nom
     if phi_row is not None:
         adapted = 0.0
-        for p, t in zip(_floats(phi_row), _floats(theta_hat), strict=True):
+        for p, t in zip(phi_row, theta_hat, strict=True):
             adapted += p * t
         b_hat = b_nom + adapted
     if abs(b_hat) < gains.b_min:
@@ -584,16 +572,16 @@ def control_ackermann(lat: LateralErrorState, v_x: float, v_y: float,
 
 @dataclass
 class TickTelemetry:
-    """Per-tick controller internals, recorded by the harness: s, u and y
-    as sequences of Python floats, theta_hat and the gain diagonal as
-    read-only arrays (empty without a basis) that share the adapted
-    state's memory."""
+    """Per-tick controller internals, recorded by the harness: s, u, y,
+    theta_hat and the gain diagonal as sequences of Python floats (theta_hat
+    and the gain diagonal empty without a basis; theta_hat is the adapted
+    state's own tuple)."""
 
     s: tuple
     u: tuple
     y: tuple | list
-    theta_hat: np.ndarray
-    gain_diag: np.ndarray
+    theta_hat: tuple
+    gain_diag: tuple
     psi_ref: float
     fallback: bool
     clamped: bool
@@ -602,8 +590,6 @@ class TickTelemetry:
 
 
 _NO_RESIDUAL = (math.nan, math.nan)     # y before the first residual exists
-_EMPTY = np.empty(0)                    # theta_hat and gain telemetry without a basis
-_EMPTY.setflags(write=False)
 
 
 class _AdaptiveController:
@@ -663,11 +649,11 @@ class _AdaptiveController:
 
     def _telemetry(self, s, u, y, psi_ref: float, info: dict, rejected: bool,
                    lat: LateralErrorState | None = None) -> TickTelemetry:
-        # the state is never changed in place, so its arrays need no copy
-        gain_diag = theta_out = _EMPTY
+        gain_diag = theta_out = ()
         if self.state is not None:
             theta_out, gain = self.state.theta_hat, self.state.gain
-            gain_diag = gain if gain.ndim == 1 else np.diag(gain)
+            scalar = self.adapt_params.law == "scalar"
+            gain_diag = gain if scalar else tuple([row[i] for i, row in enumerate(gain)])
         return TickTelemetry(s, u, y, theta_out, gain_diag, psi_ref,
                              info["fallback"], info["clamped"], rejected, lat)
 
@@ -682,7 +668,7 @@ class TrackedController(_AdaptiveController):
                  residual_cutoff_hz: float = 2.0, control_period: float = 0.05):
         super().__init__(params, gains, adapt_params, basis, theta0, adapt,
                          residual_cutoff_hz, control_period)
-        self.u_limits = u_limits
+        self.u_limits = (float(u_limits[0]), float(u_limits[1]))
         self.ref_tracker = PositionReferenceTracker(gains, residual_cutoff_hz)
 
     def reset(self):
@@ -690,12 +676,13 @@ class TrackedController(_AdaptiveController):
         self.ref_tracker.reset()
 
     def tick_position(self, state, vdot_meas, features, p_d, v_d, psi_d):
-        ref = self.ref_tracker.step(np.array([state.p_x, state.p_y]), state.psi,
+        """p_d and v_d are float pairs."""
+        ref = self.ref_tracker.step((state.p_x, state.p_y), state.psi,
                                     p_d, v_d, psi_d, self.dt)
         return self._tick(state, vdot_meas, features, ref)
 
     def tick_velocity(self, state, vdot_meas, features, v_ref, vdot_ref):
-        """v_ref and vdot_ref are [v_x, omega] pairs, arrays or sequences."""
+        """v_ref and vdot_ref are (v_x, omega) float pairs."""
         ref = ReferenceState(v_ref, vdot_ref, psi_ref=state.psi, psi_dot_ref=0.0)
         return self._tick(state, vdot_meas, features, ref)
 

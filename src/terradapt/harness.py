@@ -25,12 +25,12 @@ the state as floats from one rk4_steps call to the next, not through
 integrate_step: the start state and each applied input are checked once,
 as integrate_step checks them on entry, and every result on exit. The
 controller sees one state object per tick, built from those floats. The
-references, the control law, the adaptation step and the telemetry rows
-are floats, and the basis output is converted to nested lists once per
-tick. Only the basis forward pass, the feature lookups, the noise draws,
-the residual's nominal-model product and the matrix law's gain products use
-numpy. The measurement noise of a whole episode is one block draw, the
-stream of one pair per tick; the features stay one draw per tick.
+references, the control law, the adapted state (tuples) and the telemetry
+rows are floats, and the basis output is converted to nested lists once
+per tick. Only the basis forward pass, the feature lookups, the noise
+draws, the residual's nominal-model products and the matrix law's gain
+step use numpy. The measurement noise of a whole episode is one block
+draw, the stream of one pair per tick; the features stay one draw per tick.
 
 The dataset loop keeps the same model but runs it in two passes per
 trajectory. Driving (steps 3-4 with random inputs in place of a
@@ -474,7 +474,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     clamp0 = provider.clamp_count
 
     # telemetry: time, state, desired position, vehicle terms, adaptation, flags
-    n_theta = controller.state.theta_hat.shape[0] if controller.state is not None else 0
+    n_theta = len(controller.state.theta_hat) if controller.state is not None else 0
     cols = ["t", *(f.name for f in dataclasses.fields(start))]
     if has_position:
         cols += ["p_d_x", "p_d_y"]
@@ -514,7 +514,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
         if telemetry:
             row = [t, *y, *p_d] if has_position else [t, *y]
             row += vehicle.tele_row(state, refs, tele)
-            row += tele.theta_hat.tolist() + tele.gain_diag.tolist()
+            row += [*tele.theta_hat, *tele.gain_diag]
             row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
             rows.append(row)
 

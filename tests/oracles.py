@@ -204,7 +204,7 @@ def per_tick_episode(world, cfg, controller, policy, provider, meas_rng, start,
     fallback = clamp = rejected = 0
     clamp0 = provider.clamp_count
 
-    n_theta = controller.state.theta_hat.shape[0] if controller.state is not None else 0
+    n_theta = len(controller.state.theta_hat) if controller.state is not None else 0
     cols = ["t", *(f.name for f in dataclasses.fields(start))]
     if has_position:
         cols += ["p_d_x", "p_d_y"]
@@ -245,7 +245,7 @@ def per_tick_episode(world, cfg, controller, policy, provider, meas_rng, start,
             p_rows.append([state.p_x, state.p_y])
             pd_rows.append(p_d)
         row += vehicle.tele_row(state, refs, tele)
-        row += tele.theta_hat.tolist() + tele.gain_diag.tolist()
+        row += [*tele.theta_hat, *tele.gain_diag]
         row += fault_row + [tele.fallback, tele.clamped, tele.rejected]
         rows.append(row)
         s_rows.append(tele.s)

@@ -267,6 +267,27 @@ def test_input_dimension_errors():
         BasisNet(0, 4, 2, 2, 4)
 
 
+def test_eval_takes_one_sample():
+    """eval is the one-row path: a batch, a (1, d) row or a scalar is refused,
+    the width checks hold, and a sample gives what forward_batch gives for
+    it as a one-row batch, bit for bit."""
+    net = BasisNet.init(2, 4, 2, 2, 4, hidden=(8, 8), rng=3)
+    rng = np.random.default_rng(4)
+    x, e = rng.standard_normal((5, 2)), rng.standard_normal((5, 4))
+    for bad_x, bad_e in ((x, e), (x[:1], e[:1]), (x[0], e[:1]), (x[:1], e[0]),
+                         (1.0, e[0])):
+        with pytest.raises(DimensionError, match="one sample"):
+            net.eval(bad_x, bad_e)
+    with pytest.raises(DimensionError, match="state input has dim 3"):
+        net.eval((0.0, 0.0, 0.0), e[0])
+    with pytest.raises(DimensionError, match="feature input has dim 5"):
+        net.eval(x[0], np.zeros(5))
+    for k in range(5):
+        phi = net.eval(tuple(x[k].tolist()), e[k])
+        assert phi.shape == (4, 2, 2)
+        np.testing.assert_array_equal(phi, net.forward_batch(x[k:k + 1], e[k:k + 1])[0])
+
+
 # -------------------------------------------------------------- persistence
 
 
