@@ -44,6 +44,14 @@ generic scheme. The driving pass carries the state as floats and checks
 it as the episode does. Both loops look eta up through the world's lean
 per-cell lookups (TerrainWorldMap.eta_at, eta_first_at).
 
+Independent episodes and dataset trajectories run on every usable CPU.
+run_scenario's (run, variant) episodes and generate_dataset's trajectories
+each rebuild their inputs from their own SeedSequence, so _map_jobs spreads
+them over forked worker processes, one per CPU in the process's affinity
+set and at most one per job, and collects the results in job order. No
+value depends on the worker count: `taskset -c 0` runs the same jobs one
+after another in this process and writes the same bytes.
+
 Relative config file names resolve inside the output dir, never the CWD.
 """
 
@@ -53,6 +61,9 @@ import dataclasses
 import logging
 import math
 import os
+import pickle
+import selectors
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +158,158 @@ def build_controller(cfg: Config, variant: str, out_dir: str, checkpoint=None):
         basis=basis, theta0=theta0, adapt=adapt,
         residual_cutoff_hz=cfg.sim.residual_cutoff_hz,
         control_period=cfg.sim.control_period)
+
+
+# ---------------------------------------------------------------- workers
+
+class _Capture(logging.Handler):
+    """A worker's log records, pre-formatted so that they pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _map_jobs(job, n: int) -> list:
+    """[job(0), ..., job(n - 1)], the jobs spread over forked workers.
+
+    There is one worker per CPU in this process's affinity set, at most n.
+    With one (say, under `taskset -c 0`), or where os.sched_getaffinity or
+    os.fork is missing (macOS, Windows), every job runs here, in order.
+    Worker w runs jobs w, w + W, ... in order and sends each result back
+    through its own pipe, pickled with the records the job logged to the
+    terradapt loggers; it stops at its first failing job. Here the records
+    are handled in job order, and the first failing job's exception is
+    raised after the records of every job before it, as the in-process loop
+    would raise it (without the worker's traceback), though files that later
+    jobs wrote in other workers remain. A job's results must pickle, and
+    what it changes in memory stays in its worker. Every child ends in
+    os._exit and is reaped before this returns or raises.
+    """
+    n_workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_workers = min(n, len(os.sched_getaffinity(0)))
+    if n_workers <= 1:
+        return [job(i) for i in range(n)]
+    frames, codes = _run_workers(job, n, n_workers)
+    results = []
+    for i in range(n):
+        w, k = i % n_workers, i // n_workers
+        if k >= len(frames[w]):
+            raise RuntimeError(f"job {i}: its worker process ended with exit code "
+                               f"{codes[w]} before the job returned")
+        ok, value, records = pickle.loads(frames[w][k])
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_workers(job, n: int, n_workers: int):
+    """Fork the workers of _map_jobs and read their pipes to the end.
+    Returns each worker's pickled job results, in order, and its exit code.
+    On any exception here, the interrupt included, the workers are killed;
+    they are reaped on every path."""
+    pids, fds = [], []
+    done = False
+    try:
+        for w in range(n_workers):
+            r, wr = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(wr)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in fds:
+                        os.close(fd)
+                    _work(job, range(w, n, n_workers), wr)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            pids.append(pid)
+        data = _read_to_end(fds)
+        done = True
+    finally:
+        for fd in fds:
+            os.close(fd)
+        codes = []
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    return [_split_frames(d) for d in data], codes
+
+
+def _work(job, jobs, fd: int):
+    """A worker's loop: one frame per job, written to fd as the job ends.
+    A result or exception that cannot be sent back becomes a RuntimeError
+    that names the job."""
+    capture = _Capture()
+    logger = logging.getLogger("terradapt")
+    logger.handlers, logger.propagate = [capture], False
+    with open(fd, "wb") as out:
+        for i in jobs:
+            try:
+                ok, value = True, job(i)
+            except Exception as e:
+                ok, value = False, e
+            try:
+                data = pickle.dumps((ok, value, capture.records))
+                if not ok:
+                    pickle.loads(data)      # an exception may pickle and not load
+            except Exception as e:
+                ok, value = False, RuntimeError(
+                    f"job {i}: {value!r} cannot be sent back from its worker process "
+                    f"({type(e).__name__}: {e})")
+                data = pickle.dumps((ok, value, capture.records))
+            capture.records = []
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+            if not ok:
+                break
+
+
+def _read_to_end(fds: list) -> list:
+    """The bytes written to each pipe, read as they arrive until every
+    writer has closed its end."""
+    data = {fd: bytearray() for fd in fds}
+    with selectors.DefaultSelector() as sel:
+        for fd in fds:
+            sel.register(fd, selectors.EVENT_READ)
+        while sel.get_map():
+            for key, _ in sel.select():
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    data[key.fd] += chunk
+                else:
+                    sel.unregister(key.fd)
+    return [data[fd] for fd in fds]
+
+
+def _split_frames(data: bytearray) -> list:
+    """The complete frames of one pipe, each a pickle after its 8-byte
+    length; a worker killed mid-write leaves a partial last frame, which is
+    dropped."""
+    frames, at, view = [], 0, memoryview(data)
+    while at + 8 <= len(data):
+        size = int.from_bytes(view[at:at + 8], "little")
+        at += 8
+        if at + size > len(data):
+            break
+        frames.append(view[at:at + size])
+        at += size
+    return frames
 
 
 # ---------------------------------------------------------------- references
@@ -561,17 +724,16 @@ def generate_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
 
     Each trajectory is made in two passes: _drive runs the plant alone, then
     _observe derives everything logged from the states it kept. Driving never
-    reads an observation, so the split changes no value.
+    reads an observation, so the split changes no value. Each trajectory is
+    one job of _map_jobs, with its own SeedSequence streams, so it may run
+    in a worker process; the trajectories are stacked in index order.
     """
     ds = cfg.dataset
     sim = cfg.sim
     warmup = int(round(ds.warmup_s / sim.control_period))
     vehicle = _vehicle(cfg)
-    shape = (ds.n_traj, ds.steps)
-    xs, ys = np.empty(shape + (2,)), np.empty(shape + (2,))
-    us = np.empty(shape + (vehicle.n_input,))
-    es = np.empty(shape + (world.features.shape[-1],))
-    for traj in range(ds.n_traj):
+
+    def trajectory(traj):
         ss = np.random.SeedSequence([cfg.seed, _DATASET_DOMAIN, traj])
         in_rng, meas_rng, prov_ss = ss.spawn(3)
         states, inputs = _drive(vehicle, world, np.random.default_rng(in_rng),
@@ -579,9 +741,10 @@ def generate_dataset(cfg: Config, world: TerrainWorldMap) -> TrajectoryDataset:
         provider = FeatureProvider(world, cfg.provider.noise_std,
                                    cfg.provider.brightness, seed=prov_ss)
         logged = _observe(vehicle, provider, np.random.default_rng(meas_rng), states, inputs)
-        for out, rows in zip((xs, us, es, ys), logged):
-            out[traj] = rows[warmup:]
-    return TrajectoryDataset(xs, us, es, ys, sim.control_period)
+        return [rows[warmup:] for rows in logged]
+
+    x, u, e, y = (np.stack(rows) for rows in zip(*_map_jobs(trajectory, ds.n_traj)))
+    return TrajectoryDataset(x, u, e, y, sim.control_period)
 
 
 def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, n: int):
@@ -675,6 +838,13 @@ def run_scenario(cfg: Config, variants: list | None = None,
     (runs.csv), a summary (summary.json), an execution sidecar
     (run_info.json) and optional per-run telemetry CSVs into out_dir, which
     is made after an unknown or a repeated variant name is refused.
+
+    Each (run, variant) episode is one job of _map_jobs, which rebuilds the
+    run's reference, start pose, feature provider and measurement stream
+    from the run's SeedSequence, so the episodes may run in any process.
+    The process that runs an episode writes its telemetry CSV, into the
+    telemetry/ dir made here first; this process collects the RunResults
+    in (run, variant) order and writes the rest.
     """
     variants = list(variants) if variants else [cfg.controller.variant]
     try:
@@ -698,25 +868,25 @@ def run_scenario(cfg: Config, variants: list | None = None,
     # resets it to its fresh state
     controllers = [build_controller(cfg, v, out_dir, checkpoint) for v in variants]
     tele_dir = os.path.join(out_dir, "telemetry")
-    results: list[RunResult] = []
-    for r in range(sc.runs):
+    if sc.telemetry:
+        os.makedirs(tele_dir, exist_ok=True)
+
+    def episode(j):
+        r, v = divmod(j, len(variants))
         ss = np.random.SeedSequence([cfg.seed, _SCENARIO_DOMAIN, r])
         start_ss, ref_ss, prov_ss, meas_ss = ss.spawn(4)
         policy = _policy_for_run(cfg, world, np.random.default_rng(ref_ss))
         start = policy.start_pose(np.random.default_rng(start_ss))
-        for variant, controller in zip(variants, controllers):
-            provider = FeatureProvider(world, cfg.provider.noise_std,
-                                       cfg.provider.brightness, seed=prov_ss)
-            meas_rng = np.random.default_rng(meas_ss)
-            res, rows, cols = simulate_episode(world, cfg, controller, policy,
-                                               provider, meas_rng, start,
-                                               sc.duration_s, sc.fault, sc.telemetry)
-            results.append(RunResult(variant=variant, run=r, **res))
-            if sc.telemetry:
-                os.makedirs(tele_dir, exist_ok=True)
-                write_csv(os.path.join(tele_dir, f"{variant}_run{r:03d}.csv"),
-                          cols, rows)
+        provider = FeatureProvider(world, cfg.provider.noise_std,
+                                   cfg.provider.brightness, seed=prov_ss)
+        res, rows, cols = simulate_episode(world, cfg, controllers[v], policy, provider,
+                                           np.random.default_rng(meas_ss), start,
+                                           sc.duration_s, sc.fault, sc.telemetry)
+        if sc.telemetry:
+            write_csv(os.path.join(tele_dir, f"{variants[v]}_run{r:03d}.csv"), cols, rows)
+        return RunResult(variant=variants[v], run=r, **res)
 
+    results = _map_jobs(episode, sc.runs * len(variants))
     clamp_only = [r for r in results
                   if r.clamp_ticks and not (r.fallback_ticks or r.rejected_ticks)]
     if clamp_only:

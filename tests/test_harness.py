@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -739,6 +740,163 @@ def test_telemetry_off_changes_no_result(tmp_path):
     assert not (outs[False] / "telemetry").exists()
     for name in ("runs.csv", "summary.json"):
         assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes(), name
+
+
+# ------------------------------------------------------------ worker processes
+
+def no_fork():
+    raise AssertionError("forked with one usable CPU")
+
+
+def on_cpus(monkeypatch, n_cpus, call):
+    """call() with n_cpus usable CPUs, or with no os.sched_getaffinity when
+    None; it must not fork unless n_cpus > 1, and must leave no child."""
+    with monkeypatch.context() as m:
+        if n_cpus is None:
+            m.delattr(os, "sched_getaffinity")
+        else:
+            m.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        if not n_cpus or n_cpus == 1:
+            m.setattr(os, "fork", no_fork)
+        try:
+            return call()
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+
+def file_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def scenario_case(case):
+    if case == "ackermann":
+        raw = base_raw(**{"vehicle.type": "ackermann"},
+                       scenario={"kind": "ackermann-circle", "duration_s": 2.0, "runs": 3,
+                                 "circle_radius": 1.5, "circle_speed": 1.0})
+        raw["controller"]["adaptation"]["q_diag"] = [0.05, 0.05]
+        return config_from_dict(raw)
+    raw = base_raw(**{"scenario.runs": 3, "scenario.duration_s": 2.0,
+                      "scenario.fault": {"kind": "track-square", "period_s": 1.0,
+                                         "scale": 0.3, "track": "right"}})
+    cfg = config_from_dict(raw)
+    if case == "aborted":
+        # every run leaves the trust region, run 2 a tick before the others
+        cfg.vehicle.tracked = TrackedParams(tau_v=0.003, tau_omega=0.003)
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["tracked", "aborted", "ackermann"])
+def test_scenario_on_two_workers_equals_one_process(tmp_path, monkeypatch, caplog, case):
+    """Two worker processes write the bytes of one process, telemetry
+    included, and the log records arrive in the same order."""
+    cfg = scenario_case(case)
+    trees, logs = {}, {}
+    for n_cpus in (1, 2):
+        out = tmp_path / f"cpus{n_cpus}"
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="terradapt"):
+            on_cpus(monkeypatch, n_cpus, lambda: run_scenario(cfg, ["pd", "constant"], str(out)))
+        trees[n_cpus] = file_bytes(out)
+        logs[n_cpus] = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    assert sorted(trees[1]) == ["run_info.json", "runs.csv", "summary.json",
+                                *(f"telemetry/{v}_run{r:03d}.csv"
+                                  for v in ("constant", "pd") for r in range(3))]
+    assert trees[2] == trees[1]
+    assert logs[2] == logs[1]
+    aborts = [m for _, level, m in logs[1] if level == logging.WARNING and "trust" in m]
+    assert len(aborts) == (6 if case == "aborted" else 0)
+
+
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+def test_dataset_on_two_workers_equals_one_process(monkeypatch, vehicle):
+    cfg = config_from_dict(base_raw(**{"vehicle.type": vehicle, "dataset.n_traj": 3,
+                                       "scenario.kind": SCENARIO_OF[vehicle]}))
+    world = build_world_for(cfg)
+    one, two, no_affinity = (on_cpus(monkeypatch, n, lambda: generate_dataset(cfg, world))
+                             for n in (1, 2, None))
+    for name in ("x", "u", "e", "y"):
+        want = getattr(one, name)
+        assert want.shape[0] == 3
+        for ds in (two, no_affinity):
+            got = getattr(ds, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                            want.tobytes()), name
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its one stored arg is not two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def fail_in_run(monkeypatch, how, bad_run=2):
+    """simulate_episode logs its run index and, in bad_run, fails as `how`
+    says; only a worker process may exit."""
+    real = harness.simulate_episode
+    parent = os.getpid()
+
+    def episode(world, cfg, controller, policy, provider, meas_rng, *args):
+        run = meas_rng.bit_generator.seed_seq.entropy[2]     # [seed, domain, run]
+        harness.log.warning("episode of run %d", run)
+        if run == bad_run:
+            if how == "raise":
+                raise ValueError(f"run {run} failed")
+            if how == "unpicklable":
+                raise ValueError(lambda: run)
+            if how == "unloadable":
+                raise TwoArgError(run, "b")
+            assert os.getpid() != parent
+            os._exit(3)
+        return real(world, cfg, controller, policy, provider, meas_rng, *args)
+
+    monkeypatch.setattr(harness, "simulate_episode", episode)
+    return config_from_dict(base_raw(**{"scenario.runs": 4, "scenario.duration_s": 1.0}))
+
+
+def test_first_failing_episode_raises_after_the_records_before_it(tmp_path, monkeypatch,
+                                                                  caplog):
+    """Worker 0 fails in job 2 while worker 1 runs job 3: the records of
+    jobs 0-2 arrive, then job 2's exception, as in one process."""
+    cfg = fail_in_run(monkeypatch, "raise")
+    logs = {}
+    for n_cpus in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="terradapt"), \
+                pytest.raises(ValueError, match="^run 2 failed$"):
+            on_cpus(monkeypatch, n_cpus,
+                    lambda: run_scenario(cfg, ["pd"], str(tmp_path / str(n_cpus))))
+        logs[n_cpus] = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    assert logs[2] == logs[1]
+    assert logs[2] == [("terradapt.harness", logging.WARNING, f"episode of run {r}")
+                       for r in range(3)]
+
+
+@pytest.mark.parametrize("how, message", [
+    ("unpicklable", r"^job 2: ValueError\(<function .* cannot be sent back from its worker"),
+    ("unloadable", r"^job 2: TwoArgError\('2 and b'\) cannot be sent back from its worker"),
+    ("exit", r"^job 2: its worker process ended with exit code 3 before the job returned$"),
+], ids=["unpicklable", "unloadable", "exit"])
+def test_worker_failures_name_the_job(tmp_path, monkeypatch, how, message):
+    cfg = fail_in_run(monkeypatch, how)
+    with pytest.raises(RuntimeError, match=message):
+        on_cpus(monkeypatch, 2, lambda: run_scenario(cfg, ["pd"], str(tmp_path)))
+
+
+def test_interrupt_while_reading_kills_and_reaps_the_workers(tmp_path, monkeypatch):
+    """An interrupt stops workers that are still busy, and reaps them."""
+    def interrupted(fds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "simulate_episode", lambda *args: time.sleep(60))
+    monkeypatch.setattr(harness, "_read_to_end", interrupted)
+    cfg = config_from_dict(base_raw(**{"scenario.runs": 4}))
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        on_cpus(monkeypatch, 2, lambda: run_scenario(cfg, ["pd"], str(tmp_path)))
+    assert time.monotonic() - began < 30
 
 
 def test_run_info_sidecar_has_no_absolute_paths(tmp_path):
