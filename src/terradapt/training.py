@@ -35,17 +35,28 @@ once per window row. Each window's rows are a contiguous slice of its
 pack's sorted rows; the ridge fits and their adjoints run over those
 slices in one batched Cholesky factorization, and each window's dJ/dH is
 summed onto the rows it covers before the one backward pass.
+
+Given the network, the packs are independent too, so train() runs them on
+one workers.Pool for all its steps: this process and a child per further
+usable CPU, forked once the dataset and the network exist. A step sends
+the children the flat parameters and its (traj, start, length) windows;
+every process rebuilds the same packs and computes its block of them, and
+this process adds the packs' flat gradients in pack order, so the result
+is the same bytes on any number of CPUs. A step of one pack runs here and
+sends nothing. Adam and the spectral projection run here, on the sum.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .basis import _ACTIVATIONS, BasisNet
 from .serialize import load_arrays, save_arrays, write_csv
 
@@ -293,29 +304,61 @@ def _run_rows(runs):
     return np.concatenate([np.arange(a, b) for a, b in runs])
 
 
+def _pack_pool(net: BasisNet, dataset: TrajectoryDataset, n_workers: int) -> workers.Pool:
+    """A pool that runs the packs of minibatch steps on net and dataset.
+
+    Its payload is (flat params of net, [(traj, start, length), ...],
+    lambda_r, theta_r). A child sets its copy of net to the params; every
+    process sorts the windows by first row (stably) and packs neighbours
+    (see _PACK_ROWS), and job k returns pack k's (window indices, costs,
+    flat gradient).
+    """
+    flat = [a.reshape(-1, a.shape[2]) for a in (dataset.x, dataset.u, dataset.e, dataset.y)]
+    home = os.getpid()
+
+    def prepare(payload):
+        params, windows, lambda_r, theta_r = payload
+        if os.getpid() != home:
+            net.set_flat_params(params)
+        first = [traj * dataset.length + start for traj, start, _ in windows]
+        order = sorted(range(len(windows)), key=first.__getitem__)
+        lengths = np.array([windows[j][2] for j in order])
+        packs = list(_packs([first[j] for j in order], lengths.tolist(), _PACK_ROWS))
+
+        def job(k):
+            lo, hi, rows, at = packs[k]
+            costs, _, grads = _pack_cost_and_grad(net, *(a[rows] for a in flat), at,
+                                                  lengths[lo:hi], lambda_r, theta_r)
+            return order[lo:hi], costs.tolist(), net.grads_to_flat(grads)
+
+        return job, len(packs)
+
+    return workers.Pool(prepare, n_workers)
+
+
 def minibatch_cost_and_grad(net: BasisNet, dataset: TrajectoryDataset, specs,
-                            lambda_r: float, theta_r):
+                            lambda_r: float, theta_r, pool: workers.Pool | None = None):
     """Per-window costs and the summed flat gradient of a list of windows.
 
-    Sorts the windows by first row (stably) and runs packs of neighbours
-    (see _PACK_ROWS), each over the distinct rows its windows cover.
-    Returns (costs, grad) with costs in the order of specs.
+    Runs the packs of neighbouring windows (see _pack_pool) on pool, a
+    _pack_pool of this net and dataset, or else here, one after another.
+    The packs' gradients are added in pack order, so the sum does not
+    depend on where they ran. Returns (costs, grad) with costs in the order
+    of specs.
     """
     for w in specs:
         w.validate(dataset)
+    if pool is None:
+        pool = _pack_pool(net, dataset, 1)
+    params = net.get_flat_params()
     theta_r = np.asarray(theta_r, dtype=float).reshape(-1)
-    first = [w.traj * dataset.length + w.start for w in specs]
-    order = sorted(range(len(specs)), key=first.__getitem__)
-    lengths = np.array([specs[j].length for j in order])
-    flat = [a.reshape(-1, a.shape[2]) for a in (dataset.x, dataset.u, dataset.e, dataset.y)]
     costs = [0.0] * len(specs)
-    grad = np.zeros(net.get_flat_params().size)
-    for lo, hi, rows, at in _packs([first[j] for j in order], lengths.tolist(), _PACK_ROWS):
-        c, _, grads = _pack_cost_and_grad(net, *(a[rows] for a in flat), at,
-                                          lengths[lo:hi], lambda_r, theta_r)
-        for j, cost in zip(order[lo:hi], c.tolist()):
+    grad = np.zeros(params.size)
+    payload = (params, [(w.traj, w.start, w.length) for w in specs], lambda_r, theta_r)
+    for ids, pack_costs, pack_grad in pool.round(payload):
+        for j, cost in zip(ids, pack_costs):
             costs[j] = cost
-        grad += net.grads_to_flat(grads)
+        grad += pack_grad
     return costs, grad
 
 
@@ -359,14 +402,16 @@ class TrainResult:
 
 
 def train_step(net: BasisNet, adam: Adam, dataset: TrajectoryDataset,
-               cfg: TrainerConfig, rng) -> float:
-    """One meta-iteration: sample windows, accumulate their gradients, Adam
-    step, then re-project onto the spectral constraint. Returns the minibatch
-    loss, the window costs summed in sampling order. A non-finite loss leaves
-    the network untouched, so the caller can report the divergence instead
-    of the projection failing on non-finite weights."""
+               cfg: TrainerConfig, rng, pool: workers.Pool | None = None) -> float:
+    """One meta-iteration: sample windows, accumulate their gradients (on
+    pool, as minibatch_cost_and_grad does), Adam step, then re-project onto
+    the spectral constraint. Returns the minibatch loss, the window costs
+    summed in sampling order. A non-finite loss leaves the network
+    untouched, so the caller can report the divergence instead of the
+    projection failing on non-finite weights."""
     specs = [sample_window(rng, dataset, cfg) for _ in range(cfg.batch_windows)]
-    costs, grad_flat = minibatch_cost_and_grad(net, dataset, specs, cfg.lambda_r, cfg.theta_r)
+    costs, grad_flat = minibatch_cost_and_grad(net, dataset, specs, cfg.lambda_r,
+                                               cfg.theta_r, pool)
     total = 0.0
     for c in costs:   # a plain running sum, unlike sum() on Python >= 3.12
         total += c
@@ -382,9 +427,12 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
     """Run meta-training to convergence or the iteration cap.
 
     Deterministic for a fixed config seed: the same seed yields the same
-    window sequence, loss history, and final weights. Convergence is declared
-    when the mean loss over the last conv_window iterations changes by less
-    than conv_tol relative to the previous conv_window block.
+    window sequence, loss history, and final weights, on any number of
+    CPUs. The steps' packs run on one _pack_pool, forked once the dataset
+    and the network exist, of one process per usable CPU (at most one per
+    window of a step). Convergence is declared when the mean loss over the
+    last conv_window iterations changes by less than conv_tol relative to
+    the previous conv_window block.
     """
     n = dataset.y.shape[2]
     m = dataset.u.shape[2]
@@ -397,23 +445,24 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
     result = TrainResult(net=net)
     losses = []
     t0 = time.perf_counter()
-    for it in range(cfg.max_iters):
-        loss = train_step(net, adam, dataset, cfg, rng)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite minibatch loss at iteration {it}; "
-                f"last losses: {losses[-5:]}, "
-                f"max |param|: {np.max(np.abs(net.get_flat_params())):.3e}")
-        losses.append(loss)
-        result.history.append({"iteration": it, "loss": loss,
-                               "wall_time_s": time.perf_counter() - t0})
-        result.iterations = it + 1
-        if len(losses) >= 2 * cfg.conv_window:
-            prev = float(np.mean(losses[-2 * cfg.conv_window : -cfg.conv_window]))
-            cur = float(np.mean(losses[-cfg.conv_window :]))
-            if abs(prev - cur) < cfg.conv_tol * max(abs(prev), 1e-12):
-                result.converged = True
-                break
+    with _pack_pool(net, dataset, min(workers.usable_cpus(), cfg.batch_windows)) as pool:
+        for it in range(cfg.max_iters):
+            loss = train_step(net, adam, dataset, cfg, rng, pool)
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite minibatch loss at iteration {it}; "
+                    f"last losses: {losses[-5:]}, "
+                    f"max |param|: {np.max(np.abs(net.get_flat_params())):.3e}")
+            losses.append(loss)
+            result.history.append({"iteration": it, "loss": loss,
+                                   "wall_time_s": time.perf_counter() - t0})
+            result.iterations = it + 1
+            if len(losses) >= 2 * cfg.conv_window:
+                prev = float(np.mean(losses[-2 * cfg.conv_window : -cfg.conv_window]))
+                cur = float(np.mean(losses[-cfg.conv_window :]))
+                if abs(prev - cur) < cfg.conv_tol * max(abs(prev), 1e-12):
+                    result.converged = True
+                    break
     return result
 
 

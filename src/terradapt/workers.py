@@ -1,0 +1,297 @@
+"""One pool of worker processes, for any number of rounds of jobs.
+
+A Pool is this process plus W - 1 children forked from it, where W is
+the number of CPUs in this process's affinity set, capped by the caller
+at the most jobs a round can hold. The children inherit everything that
+exists when the pool is made (a dataset, a network, the job functions),
+so a round sends each of them one small pickled payload. Every process
+turns the payload into the same n jobs with the pool's
+prepare(payload) -> (job, n) and runs its block of them: with
+A = min(W, n) ranks active, the jobs split into A contiguous blocks in
+rank order, and each rank runs its block in order and stops at its first
+failing job. This process is rank 0 and holds the smallest block, so a
+one-job round runs here and sends nothing; the children take ranks
+1 .. A - 1. Each process keeps to its own CPU of the set while the pool
+lives, and this one gets its whole set back when the pool closes: where
+the kernel does not balance load across CPUs, a forked child would
+otherwise share its parent's CPU.
+
+A child sends each job's result back through its own pipe, pickled with
+the records the job logged to the terradapt loggers; this process
+captures the records of its own jobs the same way. The round then handles
+the records in job order and returns the results in job order, or raises
+the first failing job's exception after the records of every job before
+it, as one process running the jobs in order would (without a child's
+traceback). A result or exception that cannot be sent back becomes a
+RuntimeError that names its job, as does a child that ends before its
+job returns. A round that raises, the interrupt included, kills and reaps
+every child; close() reaps them otherwise. What a job changes in memory
+stays in its process.
+
+With one usable CPU (say, under `taskset -c 0`), or where os.fork or
+os.sched_getaffinity is missing (macOS, Windows), nothing is forked and
+every job runs here, in order, its records and exceptions passing
+through as they happen.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import pickle
+import selectors
+import signal
+from contextlib import contextmanager
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def map_jobs(job, n: int) -> list:
+    """[job(0), ..., job(n - 1)], as one round of a pool of at most n processes."""
+    with Pool(lambda payload: (job, n), min(n, usable_cpus())) as pool:
+        return pool.round(None)
+
+
+class _Capture(logging.Handler):
+    """A block's log records, pre-formatted so that they pickle."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+@contextmanager
+def _captured():
+    """Route the terradapt loggers' records to a _Capture, and back after."""
+    capture = _Capture()
+    logger = logging.getLogger("terradapt")
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [capture], False
+    try:
+        yield capture
+    finally:
+        logger.handlers, logger.propagate = saved
+
+
+def _run_block(job, jobs, capture):
+    """Run jobs in order until one fails, yielding (i, ok, value, records)
+    per job: its result or exception and the records it logged."""
+    for i in jobs:
+        try:
+            ok, value = True, job(i)
+        except Exception as e:
+            ok, value = False, e
+        records, capture.records = capture.records, []
+        yield i, ok, value, records
+        if not ok:
+            return
+
+
+def _pin(cpu: int) -> None:
+    """Keep this process on one CPU, where the kernel allows it. Where the
+    scheduler does not balance load across CPUs, a forked child otherwise
+    stays on its parent's CPU and the two share it."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass
+
+
+def _block(rank: int, n: int, active: int) -> range:
+    """The jobs of rank when n jobs are split over active ranks: contiguous
+    blocks in rank order, rank 0 holding the fewest."""
+    return range(rank * n // active, (rank + 1) * n // active)
+
+
+def _write(fd: int, data: bytes) -> None:
+    """Write data to fd as one frame: its 8-byte length, then the bytes."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class _Child:
+    """A forked child: its pid, this process's ends of its two pipes, and
+    what it has sent in the current round."""
+
+    def __init__(self, pid: int, send: int, recv: int):
+        self.pid, self.send, self.recv = pid, send, recv
+        self.buffer = bytearray()
+        self.frames = []
+        self.done = True
+        self.code = None    # exit code, once reaped
+
+
+class Pool:
+    """This process and n_workers - 1 forked children; see the module
+    docstring. prepare(payload) must return (job, n) in every process, for
+    the same n. Use it as a context manager, or call close()."""
+
+    def __init__(self, prepare, n_workers: int):
+        self._prepare = prepare
+        self._size = max(n_workers, 1)
+        self._children = []
+        self._sel = self._affinity = None
+        if self._size == 1:
+            return
+        self._sel = selectors.DefaultSelector()
+        self._affinity = os.sched_getaffinity(0)
+        cpus = sorted(self._affinity)
+        try:
+            _pin(cpus[0])
+            for rank in range(1, self._size):
+                self._fork(rank, cpus[rank % len(cpus)])
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(kill=exc_type is not None)
+
+    def _fork(self, rank: int, cpu: int) -> None:
+        cmd_r, cmd_w = os.pipe()
+        out_r, out_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (cmd_r, cmd_w, out_r, out_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (cmd_w, out_r, *(end for c in self._children
+                                           for end in (c.send, c.recv))):
+                    os.close(fd)
+                _pin(cpu)
+                _serve(self._prepare, rank, self._size, cmd_r, out_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(cmd_r)
+        os.close(out_w)
+        child = _Child(pid, cmd_w, out_r)
+        self._children.append(child)
+        self._sel.register(out_r, selectors.EVENT_READ, child)
+
+    def round(self, payload) -> list:
+        """Run prepare(payload)'s jobs over the pool; their results in job order."""
+        job, n = self._prepare(payload)
+        active = min(self._size, n)
+        if active <= 1:
+            return [job(i) for i in range(n)]
+        busy = self._children[:active - 1]
+        try:
+            data = pickle.dumps(payload)
+            for child in busy:
+                child.frames, child.done = [], False
+                _write(child.send, data)
+            own = []
+            with _captured() as capture:
+                for i, ok, value, records in _run_block(job, _block(0, n, active), capture):
+                    own.append((ok, value, records))
+                    _receive(self._sel, 0)      # a child waits while its pipe is full
+            while not all(child.done for child in busy):
+                _receive(self._sel, None)
+            return _in_job_order(n, active, own, busy)
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def close(self, kill: bool = False) -> None:
+        """End every child: close its pipes (with kill, SIGKILL it first)
+        and reap it. This process gets back its CPUs."""
+        children, self._children = self._children, []
+        for child in children:
+            if kill and child.code is None:
+                os.kill(child.pid, signal.SIGKILL)
+            os.close(child.send)
+            os.close(child.recv)
+            if child.code is None:
+                os.waitpid(child.pid, 0)
+        if self._sel is not None:
+            self._sel.close()
+            self._sel = None
+        if self._affinity is not None:
+            os.sched_setaffinity(0, self._affinity)
+            self._affinity = None
+
+
+def _serve(prepare, rank: int, size: int, cmd: int, out: int) -> None:
+    """A child's loop: per payload read from cmd, run this rank's block of
+    its jobs and write one frame per job to out, then an empty frame. A
+    result or exception that cannot be sent back becomes a RuntimeError
+    that names the job. Returns when cmd is closed."""
+    with _captured() as capture, open(cmd, "rb") as inp:
+        while head := inp.read(8):
+            job, n = prepare(pickle.loads(inp.read(int.from_bytes(head, "little"))))
+            block = _block(rank, n, min(size, n))
+            for i, ok, value, records in _run_block(job, block, capture):
+                try:
+                    data = pickle.dumps((ok, value, records))
+                    if not ok:
+                        pickle.loads(data)      # an exception may pickle and not load
+                except Exception as e:
+                    data = pickle.dumps((False, RuntimeError(
+                        f"job {i}: {value!r} cannot be sent back from its worker process "
+                        f"({type(e).__name__}: {e})"), records))
+                _write(out, data)
+            _write(out, b"")       # a frame of length zero ends the block
+
+
+def _receive(sel, timeout) -> None:
+    """Take in what the children have sent, waiting up to timeout seconds
+    for the first of it (None: until some arrives). A child whose pipe
+    closes has ended: it is reaped and counts as done."""
+    for key, _ in sel.select(timeout):
+        child = key.data
+        chunk = os.read(key.fd, 1 << 16)
+        if not chunk:
+            sel.unregister(key.fd)
+            child.code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+            child.done = True
+            continue
+        buf = child.buffer
+        buf += chunk
+        while len(buf) >= 8:
+            size = int.from_bytes(buf[:8], "little")
+            if size == 0:
+                child.done = True
+            elif len(buf) < 8 + size:
+                break
+            else:
+                child.frames.append(bytes(buf[8:8 + size]))
+            del buf[:8 + size]
+
+
+def _in_job_order(n: int, active: int, own: list, busy: list) -> list:
+    """Handle a round's records and results in job order, raising the first
+    failing job's exception after the records of every job before it."""
+    results = []
+    for rank in range(active):
+        for k, i in enumerate(_block(rank, n, active)):
+            if rank == 0:
+                ok, value, records = own[k]
+            else:
+                child = busy[rank - 1]
+                if k >= len(child.frames):
+                    raise RuntimeError(f"job {i}: its worker process ended with exit code "
+                                       f"{child.code} before the job returned")
+                ok, value, records = pickle.loads(child.frames[k])
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if not ok:
+                raise value
+            results.append(value)
+    return results

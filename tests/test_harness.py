@@ -15,7 +15,7 @@ import yaml
 
 from oracles import (derivative, metrics_from_telemetry, per_tick_episode, read_csv,
                      solve_theta_star)
-from terradapt import cli, harness
+from terradapt import cli, harness, workers
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import ConfigError, config_from_dict, load_config
 from terradapt.control import ResidualFilter, TrackedController
@@ -885,14 +885,43 @@ def test_worker_failures_name_the_job(tmp_path, monkeypatch, how, message):
         on_cpus(monkeypatch, 2, lambda: run_scenario(cfg, ["pd"], str(tmp_path)))
 
 
+def busy_children(monkeypatch, in_parent):
+    """simulate_episode sleeps a minute in a child process and calls
+    in_parent in this one."""
+    parent = os.getpid()
+    real = harness.simulate_episode
+
+    def episode(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return in_parent(real, *args)
+
+    monkeypatch.setattr(harness, "simulate_episode", episode)
+    return config_from_dict(base_raw(**{"scenario.runs": 4, "scenario.duration_s": 1.0}))
+
+
 def test_interrupt_while_reading_kills_and_reaps_the_workers(tmp_path, monkeypatch):
-    """An interrupt stops workers that are still busy, and reaps them."""
-    def interrupted(fds):
+    """An interrupt stops workers that are still busy, and reaps them: this
+    process has run its own episodes and is taking in the children's."""
+    def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(harness, "simulate_episode", lambda *args: time.sleep(60))
-    monkeypatch.setattr(harness, "_read_to_end", interrupted)
-    cfg = config_from_dict(base_raw(**{"scenario.runs": 4}))
+    cfg = busy_children(monkeypatch, lambda real, *args: real(*args))
+    monkeypatch.setattr(workers, "_receive", interrupted)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        on_cpus(monkeypatch, 2, lambda: run_scenario(cfg, ["pd"], str(tmp_path)))
+    assert time.monotonic() - began < 30
+
+
+def test_interrupt_in_the_parents_own_jobs_kills_and_reaps_the_workers(tmp_path,
+                                                                       monkeypatch):
+    """An interrupt in one of this process's own episodes stops the busy
+    children too."""
+    def interrupted(real, *args):
+        raise KeyboardInterrupt
+
+    cfg = busy_children(monkeypatch, interrupted)
     began = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         on_cpus(monkeypatch, 2, lambda: run_scenario(cfg, ["pd"], str(tmp_path)))

@@ -1,12 +1,19 @@
 """Meta-training: ridge solutions, implicit gradients, optimizer, determinism."""
 
+import os
+import time
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from oracles import (gradcheck_meta, read_csv, solve_theta_star, window_cost,
                      window_cost_and_grad)
-from terradapt import training
+from test_harness import SCENARIO_OF, base_raw, on_cpus
+from terradapt import cli, training, workers
+from terradapt.config import config_from_dict
+from terradapt.harness import build_world_for, generate_dataset
 from terradapt.basis import BasisNet
 from terradapt.training import (
     Adam,
@@ -510,3 +517,125 @@ def test_loss_history_csv(tmp_path):
     assert cols == ["iteration", "loss", "wall_time_s"]
     assert rows[0] == ["0", "1.5", "0.1"]
     assert float(rows[1][1]) == 0.75
+
+
+# ------------------------------------------------------------ worker processes
+
+def count_messages(monkeypatch) -> list:
+    """Record the size of every frame this process writes to a pipe: a
+    round's payloads, as children write their frames in their own memory."""
+    sent = []
+    write = workers._write
+
+    def recording(fd, data):
+        sent.append(len(data))
+        write(fd, data)
+
+    monkeypatch.setattr(workers, "_write", recording)
+    return sent
+
+
+def vehicle_raw(vehicle, **extra):
+    """A two-trajectory log with 16 windows of 2-30 s per step: the steps
+    hold 3 or 4 packs, so their gradient sums have an order to keep."""
+    return base_raw(**{"vehicle.type": vehicle, "scenario.kind": SCENARIO_OF[vehicle],
+                       "dataset.steps": 900,
+                       "training": {"hidden": [8, 8], "batch_windows": 16, "max_iters": 6,
+                                    "window_min_s": 2.0, "window_max_s": 30.0,
+                                    "learning_rate": 0.01}},
+                    **extra)
+
+
+@pytest.mark.parametrize("vehicle", ["tracked", "ackermann"])
+def test_training_on_two_workers_equals_one_process(monkeypatch, vehicle):
+    cfg = config_from_dict(vehicle_raw(vehicle))
+    ds = generate_dataset(cfg, build_world_for(cfg))
+    sent = count_messages(monkeypatch)
+    runs = {n: on_cpus(monkeypatch, n, lambda: train(ds, cfg.training)) for n in (1, 2)}
+    assert sent, "no step ran on the second worker"
+    assert runs[1].iterations == runs[2].iterations == 6
+    assert ([h["loss"] for h in runs[2].history]
+            == [h["loss"] for h in runs[1].history])
+    assert runs[2].net.get_flat_params().tobytes() == runs[1].net.get_flat_params().tobytes()
+
+
+def test_cli_train_checkpoint_is_the_same_on_two_workers(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(vehicle_raw("tracked", output_dir=str(tmp_path))))
+    assert cli.main(["gen-data", "-c", str(path)]) == 0
+    sent = count_messages(monkeypatch)
+    checkpoints = {}
+    for n in (1, 2):
+        assert on_cpus(monkeypatch, n, lambda: cli.main(["train", "-c", str(path)])) == 0
+        checkpoints[n] = (tmp_path / "basis.tdc").read_bytes()
+    assert sent
+    assert checkpoints[2] == checkpoints[1]
+
+
+def test_rank_deficient_window_in_a_workers_pack_raises_as_in_one_process():
+    """The deficient window is pack 1 of two, which the child runs."""
+    ds = two_traj_dataset(length=900)
+    ds.u[1, :10] = 0.0
+    net = BasisNet.init(2, 3, 2, 2, 3, hidden=(4,), rng=3)
+    specs = [WindowSpec(1, 0, 10), WindowSpec(0, 0, training._PACK_ROWS + 1)]
+    with pytest.raises(np.linalg.LinAlgError) as one:
+        minibatch_cost_and_grad(net, ds, specs, 0.0, np.zeros(3))
+    with training._pack_pool(net, ds, 2) as pool, \
+            pytest.raises(np.linalg.LinAlgError) as two:
+        minibatch_cost_and_grad(net, ds, specs, 0.0, np.zeros(3), pool)
+    assert str(two.value) == str(one.value)
+    # raised in the child: the traceback that came back does not reach the solve
+    assert "_ridge" in {entry.name for entry in one.traceback}
+    assert "_ridge" not in {entry.name for entry in two.traceback}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_pack_step_sends_no_message(monkeypatch):
+    ds = two_traj_dataset(length=900)
+    net = BasisNet.init(2, 3, 2, 2, 3, hidden=(4,), rng=3)
+    sent = count_messages(monkeypatch)
+    with training._pack_pool(net, ds, 2) as pool:
+        for specs, messages in (([WindowSpec(0, 0, 40), WindowSpec(0, 20, 40)], 0),
+                                ([WindowSpec(0, 0, 40), WindowSpec(1, 0, 800)], 1)):
+            sent.clear()
+            want = minibatch_cost_and_grad(net, ds, specs, 0.1, np.zeros(3))
+            got = minibatch_cost_and_grad(net, ds, specs, 0.1, np.zeros(3), pool)
+            assert len(sent) == messages
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def long_window_cfg():
+    """Windows of 20-45 s on a 0.05 s log: most are packs of their own."""
+    return small_cfg(window_min_s=20.0, window_max_s=45.0, max_iters=3)
+
+
+def test_no_worker_is_left_after_training_returns_or_diverges(monkeypatch):
+    ds = two_traj_dataset(length=1000)
+    sent = count_messages(monkeypatch)
+    on_cpus(monkeypatch, 2, lambda: train(ds, long_window_cfg()))
+    assert len(sent) == 3
+    huge = TrajectoryDataset(ds.x, ds.u, ds.e, ds.y * 1e200, ds.dt)
+    with np.errstate(invalid="ignore", over="ignore"), \
+            pytest.raises(DivergenceError, match="non-finite"):
+        on_cpus(monkeypatch, 2, lambda: train(huge, long_window_cfg()))
+    assert len(sent) == 4
+
+
+def test_interrupt_in_training_kills_and_reaps_the_workers(monkeypatch):
+    """The packs of children sleep a minute; the interrupt arrives in this
+    process's own pack."""
+    parent = os.getpid()
+
+    def pack(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(training, "_pack_cost_and_grad", pack)
+    sent = count_messages(monkeypatch)
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        on_cpus(monkeypatch, 2, lambda: train(two_traj_dataset(length=1000), long_window_cfg()))
+    assert time.monotonic() - began < 30
+    assert len(sent) == 1
