@@ -13,6 +13,8 @@ controller.gains, controller.adaptation, scenario.fault). _build reads the
 annotations and refuses an unknown key, a value of the wrong type and a
 list of the wrong length with a ConfigError naming the key's path; each
 class then checks its own values, and Config the pairings of two sections.
+load_config also refuses a key given twice in one mapping, and a file it
+cannot read.
 All of it runs at load, by every command, except the checks that need a
 file or what a command builds, which run before the command writes output:
 a recorded world's eta width against the tracked vehicle; in simulate and
@@ -26,6 +28,7 @@ defined at every forward speed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import types
@@ -223,6 +226,16 @@ class Config:
 _SCALARS = {bool: bool, int: int, float: (int, float), str: str}
 
 
+@functools.cache
+def _schema(cls) -> dict:
+    """The field types of the dataclass cls by field name, its annotations
+    resolved once per process: a process that loads a config again, as
+    perfbench's pass and the tests do, resolves none. A CLI process loads
+    once, so it still resolves each class once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
 def _build(cls, data, where: str = ""):
     """cls built from the mapping data, whose key path in the file is where.
 
@@ -234,12 +247,11 @@ def _build(cls, data, where: str = ""):
     section = where or "config"
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    unknown = [k for k in data if k not in names]
+    schema = _schema(cls)
+    unknown = [k for k in data if k not in schema]
     if unknown:
-        raise ConfigError(f"{section}: unknown keys {unknown}; valid keys: {sorted(names)}")
-    values = {k: _convert(hints[k], v, f"{where}.{k}" if where else k) for k, v in data.items()}
+        raise ConfigError(f"{section}: unknown keys {unknown}; valid keys: {sorted(schema)}")
+    values = {k: _convert(schema[k], v, f"{where}.{k}" if where else k) for k, v in data.items()}
     try:
         return cls(**values)
     except ConfigError:
@@ -253,6 +265,10 @@ def _convert(tp, value, where: str):
     from its mapping, a list or tuple from a YAML list item by item (a
     tuple[X, Y] also checks the count), None for X | None, and a scalar kept
     as given."""
+    if tp in _SCALARS:                          # most fields: tested first
+        if not isinstance(value, _SCALARS[tp]) or (isinstance(value, bool) and tp is not bool):
+            raise ConfigError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
+        return value
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -271,9 +287,7 @@ def _convert(tp, value, where: str):
                               f"got {len(value)}")
         return origin(_convert(a, v, f"{where}[{i}]")
                       for i, (a, v) in enumerate(zip(args, value)))
-    if not isinstance(value, _SCALARS[tp]) or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
-    return value
+    raise TypeError(f"{where}: no conversion for the annotation {tp}")
 
 
 def config_from_dict(raw: dict | None) -> Config:
@@ -314,12 +328,65 @@ def _check_scenario_vehicle(cfg: Config) -> None:
                           f"got {cfg.vehicle.type}")
 
 
+# libyaml's scanner and parser where the installed PyYAML was built with
+# them, else PyYAML's Python ones: a fixed property of the install, not a
+# setting. The resolver and SafeConstructor are the same Python code behind
+# both, so a file loads as the same objects either way; only the wording of
+# a YAML syntax error differs. libyaml parses several times faster, in every
+# process.
+_YAML_BASE = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _refuse_repeated_keys(root) -> None:
+    """Refuse a key given twice in one mapping anywhere in the composed YAML
+    node graph root, naming the key and the line of its second occurrence.
+    The graph is checked whole before anything is constructed, because
+    SafeConstructor rewrites a mapping with a '<<' merge key in place, and a
+    mapping may override a key it merges in."""
+    todo, done = [root], set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, yaml.ScalarNode) or id(node) in done:
+            continue
+        done.add(id(node))                    # an alias shares its anchor's node
+        if isinstance(node, yaml.SequenceNode):
+            todo += node.value
+            continue
+        keys = set()
+        for key, value in node.value:
+            if isinstance(key, yaml.ScalarNode):
+                if (key.tag, key.value) in keys:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"key {key.value!r} repeated at line "
+                        f"{key.start_mark.line + 1}")
+                keys.add((key.tag, key.value))
+            todo += (key, value)
+
+
+@functools.cache
+def _refusing_repeats(base):
+    """base, a PyYAML safe loader class, refusing a repeated key with
+    _refuse_repeated_keys."""
+    class Loader(base):
+        def construct_document(self, node):
+            _refuse_repeated_keys(node)
+            return super().construct_document(node)
+    return Loader
+
+
 def load_config(path) -> Config:
+    """The checked config of the UTF-8 YAML file at path. A file that cannot
+    be opened or decoded, invalid YAML and a key repeated in one mapping are
+    ConfigErrors naming path; config_from_dict then checks the values."""
     try:
-        with open(path) as f:
-            raw = yaml.safe_load(f)
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path} cannot be read: {e}") from e
+    try:
+        raw = yaml.load(text, Loader=_refusing_repeats(_YAML_BASE))
     except yaml.YAMLError as e:
         raise ConfigError(f"config file {path} is not valid YAML: {e}") from e
     return config_from_dict(raw)

@@ -204,13 +204,19 @@ class LowPassFilter:
     def update(self, x, dt: float) -> tuple:
         """Filter one sample of channels x, a sequence of floats; returns the
         filtered channels, which are the new state, as a tuple."""
-        if self.state is None:
-            self.state = tuple(x)
+        f = self.state
+        if f is None:
+            self.state = f = tuple(x)
+            return f
+        if len(x) != len(f):
+            raise ValueError(f"expected {len(f)} channels, got {len(x)}")
+        alpha = dt / (self.tau + dt)
+        if len(f) == 2:                         # the residual's and vdot's channels
+            (f0, f1), (v0, v1) = f, x
+            self.state = f = (f0 + alpha * (v0 - f0), f1 + alpha * (v1 - f1))
         else:
-            alpha = dt / (self.tau + dt)
-            self.state = tuple([f + alpha * (v - f)
-                                for f, v in zip(self.state, x, strict=True)])
-        return self.state
+            self.state = f = tuple([p + alpha * (v - p) for p, v in zip(f, x)])
+        return f
 
     def reset(self):
         self.state = None

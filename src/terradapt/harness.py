@@ -11,7 +11,9 @@ Timing model per controller tick (period = sim.control_period):
      terrain eta under the robot, plus white noise, unchecked, since the
      plant call that made the state checked it and that input;
   2. the appearance features under the robot are queried (noisy, possibly
-     darkened);
+     darkened) when the controller's basis is a network; the other
+     controllers read none, so their ticks only count a patch that left
+     the map;
   3. the controller produces the next command;
   4. actuator faults rescale the command, and the plant integrates forward
      to the next tick in one rk4_steps call of control_period / dt_plant
@@ -30,7 +32,8 @@ rows are floats, and the basis output is converted to nested lists once
 per tick. Only the basis forward pass, the feature lookups, the noise
 draws, the residual's nominal-model products and the matrix law's gain
 step use numpy. The measurement noise of a whole episode is one block
-draw, the stream of one pair per tick; the features stay one draw per tick.
+draw, the stream of one pair per tick; the features stay one draw per tick,
+in the episodes that gather them.
 
 The dataset loop keeps the same model in two passes per trajectory.
 Driving (steps 3-4 with random inputs in place of a controller) never
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .basis import ConstantBasis, load_checkpoint
+from .basis import BasisNet, ConstantBasis, load_checkpoint
 from .config import Config, ConfigError, config_to_dict, split_variant
 from .control import AckermannController, LowPassFilter, TrackedController, nominal_residuals
 from .serialize import write_csv, write_json
@@ -473,6 +476,9 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     terrain, step, measured = vehicle.terrain(world), vp.rk4_steps, vehicle.measured
     tick = getattr(controller, _TICK[policy.mode])
     has_position = policy.mode != "velocity"
+    # pd has no basis and ConstantBasis ignores its features: only a network
+    # reads them, and the provider's noise stream is this episode's own
+    gather = isinstance(controller.basis, BasisNet)
     y = checked_fields(start, state_cls)
     controller.reset()
     # the measurement noise of ticks 1.. in one draw, the stream of one pair per tick
@@ -503,7 +509,11 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
             m_x, m_w = measured(rates, terrain, y)
             n_x, n_w = noise[k - 1]
             xdot_meas = (m_x + n_x, m_w + n_w)
-        feats = provider.features_under_robot(y[0], y[1], y[2], vehicle.half)
+        if gather:
+            feats = provider.features_under_robot(y[0], y[1], y[2], vehicle.half)
+        else:
+            provider.count_clamp(y[0], y[1], y[2], vehicle.half)
+            feats = None
         refs = policy.refs(t, state)
         try:
             u_cmd, tele = tick(state, xdot_meas, feats, *refs)

@@ -287,14 +287,22 @@ def features_under_robot(world: TerrainWorldMap, x: float, y: float, psi: float,
     The patches sit at +/- half_spacing laterally in the body frame. Returns
     (features, clamped) where clamped reports whether any patch left the map.
     """
+    (r1, c1), (r2, c2), clamped = _patch_cells(world, x, y, psi, half_spacing)
+    feat = 0.5 * (world.features[r1, c1] + world.features[r2, c2])
+    return feat, clamped
+
+
+def _patch_cells(world: TerrainWorldMap, x: float, y: float, psi: float,
+                 half_spacing: float) -> tuple[tuple, tuple, bool]:
+    """The (row, col) cells under the two contact patches and whether either
+    patch left the map, which is logged."""
     ox, oy = _patch_offsets(psi, half_spacing)
     r1, c1, cl1 = cell_index(world, x + ox, y + oy)
     r2, c2, cl2 = cell_index(world, x - ox, y - oy)
     clamped = cl1 or cl2
     if clamped:
         log.debug("feature query clamped to map border at (%.2f, %.2f)", x, y)
-    feat = 0.5 * (world.features[r1, c1] + world.features[r2, c2])
-    return feat, clamped
+    return (r1, c1), (r2, c2), clamped
 
 
 def features_along(world: TerrainWorldMap, x, y, psi,
@@ -338,6 +346,13 @@ class FeatureProvider:
         if clamped:
             self.clamp_count += 1
         return self._observe(feat)
+
+    def count_clamp(self, x: float, y: float, psi: float, half_spacing: float = 0.3) -> None:
+        """Count and log a clamp as features_under_robot would at this pose,
+        gathering no features and drawing no noise: a tick whose controller
+        reads no features (the provider's stream is its episode's own)."""
+        if _patch_cells(self.world, x, y, psi, half_spacing)[2]:
+            self.clamp_count += 1
 
     def features_along(self, x, y, psi, half_spacing: float = 0.3) -> np.ndarray:
         """(T, d) features of a whole trajectory of poses: the values, clamp

@@ -4,11 +4,12 @@ import copy
 import glob
 import json
 import os
+import typing
 
 import pytest
 import yaml
 
-from terradapt import cli
+from terradapt import cli, config
 from terradapt.config import (
     RK4_REAL_LIMIT,
     Config,
@@ -19,6 +20,12 @@ from terradapt.config import (
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# the YAML parsers config may load with: PyYAML's Python one always, libyaml's
+# where PyYAML was built with it
+LOADERS = [pytest.param("SafeLoader"),
+           pytest.param("CSafeLoader", marks=pytest.mark.skipif(
+               not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"))]
 
 
 def test_empty_config_gives_defaults():
@@ -175,13 +182,87 @@ def test_load_config_yaml_roundtrip(tmp_path):
     assert cfg.world.classes[1].name == "mud"
 
 
-def test_load_config_errors(tmp_path):
+def test_load_config_errors(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.yaml")
     bad = tmp_path / "bad.yaml"
     bad.write_text("seed: [unclosed\n")
-    with pytest.raises(ConfigError, match="YAML"):
-        load_config(bad)
+    loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+    for loader in loaders:
+        monkeypatch.setattr(config, "_YAML_BASE", loader)
+        with pytest.raises(ConfigError, match="YAML"):
+            load_config(bad)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_repeated_key_refused_with_its_line(tmp_path, monkeypatch, loader):
+    """A key given twice in one mapping, at any depth, is refused, naming the
+    key and the line of its second occurrence. It used to keep the last
+    value silently. The same key in two mappings is fine, and so is a
+    mapping overriding a key it merges in."""
+    monkeypatch.setattr(config, "_YAML_BASE", getattr(yaml, loader))
+    cases = {
+        "seed: 1\noutput_dir: a\nseed: 2\n": ("seed", 3),
+        "training:\n  seed: 1\n  hidden: [8]\ntraining:\n  seed: 2\n": ("training", 4),
+        "world:\n  classes:\n    - {name: a, eta: [1, 1]}\n"
+        "    - name: b\n      eta: [1, 1]\n      name: c\n": ("name", 6),
+        "sim: {dt_plant: 0.01, \"dt_plant\": 0.02}\n": ("dt_plant", 1),
+    }
+    path = tmp_path / "repeated.yaml"
+    for text, (key, line) in cases.items():
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"{path}.*'{key}' repeated at line {line}$"):
+            load_config(path)
+    path.write_text("seed: 1\ntraining:\n  seed: 2\n")
+    assert load_config(path).training.seed == 2
+    merged = "a: &a {p: 1, q: 2}\nb:\n  <<: *a\n  p: 3\n"
+    assert yaml.load(merged, Loader=config._refusing_repeats(config._YAML_BASE)) == \
+        {"a": {"p": 1, "q": 2}, "b": {"p": 3, "q": 2}}
+
+
+def test_unreadable_config_path_exits_2(tmp_path, capsys):
+    """A directory and a file that is not UTF-8 are configuration errors
+    naming the path; they used to exit 1 as IsADirectoryError and as a
+    UnicodeDecodeError without the file's name."""
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes("seed: 1  # caf\u00e9\n".encode("latin-1"))
+    for path in (tmp_path, latin):
+        assert cli.main(["gen-data", "-c", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(path) in err["message"] and "cannot be read" in err["message"]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_each_parser_loads_the_shipped_configs_alike(monkeypatch, loader):
+    """libyaml replaces only the scanner and the parser: each shipped config
+    gives the raw objects and the Config of PyYAML's Python parser."""
+    base = getattr(yaml, loader)
+    monkeypatch.setattr(config, "_YAML_BASE", base)
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.yaml")))
+    assert len(paths) >= 3
+    for path in paths:
+        with open(path) as f:
+            text = f.read()
+        want = yaml.load(text, Loader=yaml.SafeLoader)
+        got = yaml.load(text, Loader=base)
+        assert got == want and repr(got) == repr(want)    # repr tells 1 from 1.0
+        cfg = load_config(path)
+        assert cfg == config_from_dict(want) and repr(cfg) == repr(config_from_dict(want))
+
+
+def test_second_load_resolves_no_type_hints(monkeypatch):
+    """Each schema class's annotations are resolved once per process."""
+    path = os.path.join(CONFIGS, "quickstart.yaml")
+    calls = []
+    resolve = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda cls: calls.append(cls) or resolve(cls))
+    config._schema.cache_clear()
+    first = load_config(path)
+    assert Config in calls and len(calls) == len(set(calls))
+    calls.clear()
+    assert load_config(path) == first
+    assert calls == []
 
 
 def test_output_dir_env_override(monkeypatch):

@@ -158,6 +158,30 @@ def test_lowpass_validation():
         LowPassFilter(0.0)
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_lowpass_rounds_each_channel_as_one_step(channels):
+    """Each channel's update is f + alpha * (v - f), bit for bit."""
+    lpf = LowPassFilter(2.0)
+    dt = 0.05
+    alpha = dt / (lpf.tau + dt)
+    samples = np.random.default_rng(channels).normal(size=(50, channels)).tolist()
+    want = tuple(samples[0])
+    assert lpf.update(samples[0], dt) == want
+    for x in samples[1:]:
+        want = tuple(f + alpha * (v - f) for f, v in zip(want, x))
+        got = lpf.update(x, dt)
+        assert type(got) is tuple and got == want
+
+
+def test_lowpass_refuses_a_channel_count_change():
+    lpf = LowPassFilter(2.0)
+    lpf.update((1.0, 2.0), 0.05)
+    for bad in ((1.0,), (1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError, match="expected 2 channels"):
+            lpf.update(bad, 0.05)
+    assert lpf.state == (1.0, 2.0)
+
+
 def test_residual_zero_for_nominal_plant():
     params = TrackedParams()
     rf = ResidualFilter(2.0)

@@ -762,6 +762,54 @@ def test_telemetry_off_changes_no_result(tmp_path):
         assert (outs[True] / name).read_bytes() == (outs[False] / name).read_bytes(), name
 
 
+def test_only_a_network_basis_gathers_features(tmp_path, monkeypatch):
+    """pd has no basis and the constant basis ignores its features, so their
+    episodes gather none; dnn gathers once per tick. Skipping the gathers
+    moves no output: episodes that leave the map write the runs.csv and
+    summary.json of gathering on every tick, feature_clamps included."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)       # count in this process
+    cfg = config_from_dict(base_raw(**{
+        "provider.noise_std": 0.05, "scenario.start_margin_frac": 0.02,
+        "scenario.duration_s": 8.0, "scenario.telemetry": False}))
+    variants = ["pd", "constant", "dnn"]
+    gathers = []
+    gather = FeatureProvider.features_under_robot
+
+    def counting(self, *args):
+        gathers[-1] += 1
+        return gather(self, *args)
+
+    monkeypatch.setattr(FeatureProvider, "features_under_robot", counting)
+    out = tmp_path / "counted"
+    out.mkdir()
+    BasisNet.init(2, 4, 2, 2, 4, hidden=(8,), rng=0).save(
+        out / "basis.tdc", extra_meta={"theta_r": [0.1, 0.2, 0.3, 0.4]})
+    ticks = []
+    for v in variants:
+        gathers.append(0)
+        run_scenario(cfg, [v], str(out))
+        cols, rows = read_csv(out / "runs.csv")
+        ticks.append(sum(int(r[cols.index("ticks")]) for r in rows))
+    assert gathers == [0, 0, ticks[2]] and ticks[2] > 0
+
+    outs = {}
+    for every_tick in (False, True):
+        outs[every_tick] = tmp_path / f"every_tick_{every_tick}"
+        outs[every_tick].mkdir()
+        (outs[every_tick] / "basis.tdc").write_bytes((out / "basis.tdc").read_bytes())
+        with monkeypatch.context() as m:
+            if every_tick:
+                m.setattr(harness, "BasisNet", object)   # every basis, and None, gathers
+            run_scenario(cfg, variants, str(outs[every_tick]))
+    cols, rows = read_csv(outs[False] / "runs.csv")
+    clamps = dict.fromkeys(variants, 0)
+    for r in rows:
+        clamps[r[cols.index("variant")]] += int(r[cols.index("feature_clamps")])
+    assert clamps["pd"] > 0 and clamps["constant"] > 0
+    for name in ("runs.csv", "summary.json"):
+        assert (outs[False] / name).read_bytes() == (outs[True] / name).read_bytes(), name
+
+
 # ------------------------------------------------------------ worker processes
 
 def no_fork():

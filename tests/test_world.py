@@ -1,6 +1,7 @@
 """Terrain world construction, queries, providers, and persistence."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -333,6 +334,25 @@ def test_provider_counts_clamps():
     p.features_under_robot(-2.0, 7.0, 0.0)
     p.features_under_robot(-2.0, 7.0, 0.0)
     assert p.clamp_count == 2
+
+
+def test_provider_counts_a_clamp_without_gathering(caplog):
+    """count_clamp counts and logs the clamps of features_under_robot at the
+    same poses, and draws no noise."""
+    w = build_world(three_class_spec())
+    poses = list(zip(*(a.tolist() for a in trajectory_poses(w))))
+    counted = FeatureProvider(w, 0.05, seed=11)
+    gathered = FeatureProvider(w, 0.05, seed=11)
+    logs = []
+    for call in (counted.count_clamp, gathered.features_under_robot):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="terradapt.world"):
+            for pose in poses:
+                call(*pose, 0.3)
+        logs.append([r.getMessage() for r in caplog.records])
+    assert counted.clamp_count == gathered.clamp_count > 0
+    assert logs[0] == logs[1]
+    assert counted.rng.random() == FeatureProvider(w, 0.05, seed=11).rng.random()
 
 
 def test_provider_validation():
