@@ -23,9 +23,9 @@ and share one stage_rates of the applied input: built for step 4, it
 serves the next tick's step 1.
 
 The tick runs on Python floats, not on small arrays. The episode carries
-the state as floats from one rk4_steps call to the next, not through
-integrate_step: the start state and each applied input are checked once,
-as integrate_step checks them on entry, and every result on exit. The
+the state as floats from one rk4_steps call to the next: the start state
+and each applied input are checked once, where they enter
+(vehicles.checked_fields), and rk4_steps checks every result. The
 controller sees one state object per tick, built from those floats. The
 references, the control law, the adapted state (tuples) and the telemetry
 rows are floats, and the basis output is converted to nested lists once
@@ -76,8 +76,8 @@ from .control import AckermannController, LowPassFilter, TrackedController, nomi
 from .serialize import write_csv, write_json
 from .training import TrajectoryDataset
 from .vehicles import (AckermannInput, AckermannState, FaultSchedule, NonFiniteError,
-                       TrackedInput, TrackedState, apply_track_fault, check_finite,
-                       checked_fields, wrap_angle)
+                       TrackedInput, TrackedState, apply_track_fault, checked_fields,
+                       wrap_angle)
 from .workers import map_jobs
 from .world import FeatureProvider, TerrainWorldMap, build_world, load_world
 
@@ -459,7 +459,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
 
     The state is carried as floats from one rk4_steps call to the next, as
     _drive carries it: the start state and each applied input are checked
-    once, as integrate_step checks them on entry, and every result on exit.
+    once, where they enter, and rk4_steps checks every result.
     A start that fails its check raises before the first tick (NonFiniteError,
     or TypeError for the other vehicle's state); the later checks abort the
     run. One stage_rates per tick serves that tick's plant call and the next
@@ -472,7 +472,7 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
     n_ticks = int(round(duration_s / period))
     vehicle = _vehicle(cfg)
     vp = vehicle.vp
-    state_cls, input_cls, label = vp.state_cls, vp.input_cls, vp.state_cls.__name__
+    state_cls, input_cls = vp.state_cls, vp.input_cls
     terrain, step, measured = vehicle.terrain(world), vp.rk4_steps, vehicle.measured
     tick = getattr(controller, _TICK[policy.mode])
     has_position = policy.mode != "velocity"
@@ -541,7 +541,6 @@ def simulate_episode(world: TerrainWorldMap, cfg: Config, controller, policy,
         try:
             rates = vp.stage_rates(*checked_fields(u_applied, input_cls))
             y = step(rates, y, terrain, dt, n_sub)
-            check_finite(label, *y)
         except NonFiniteError as e:
             log.warning("plant diverged at t=%.2f: %s", t, e)
             aborted = True
@@ -614,14 +613,13 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, meas_rng, n: int):
     filtered the low-passed measured derivative it produced.
 
     The state is carried as floats from one rk4_steps call to the next. The
-    start state and each newly chosen input are checked once, as
-    integrate_step checks them on entry, and every result on exit; the
-    input's stage_rates are built only when it changes. Each sample after
-    the first is measured as the episode's tick measures, on those
-    stage_rates and floats, plus its row of meas_rng's noise, and filtered
-    by LowPassFilter.update; sample 0 has no previous input and filters
-    zeros. Choosing the inputs reads none of it. The config checked dt_plant
-    and the substep count."""
+    start state and each newly chosen input are checked once, where they
+    enter, and rk4_steps checks every result; the input's stage_rates are
+    built only when it changes. Each sample after the first is measured as
+    the episode's tick measures, on those stage_rates and floats, plus its
+    row of meas_rng's noise, and filtered by LowPassFilter.update; sample 0
+    has no previous input and filters zeros. Choosing the inputs reads none
+    of it. The config checked dt_plant and the substep count."""
     ds, sim, vp = vehicle.ds, vehicle.cfg.sim, vehicle.vp
     period, dt = sim.control_period, sim.dt_plant
     n_sub = int(round(period / dt))
@@ -631,7 +629,7 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, meas_rng, n: int):
     lpf = LowPassFilter(sim.residual_cutoff_hz)
     state, u = vehicle.dataset_start(rng, world)
     y, u_values = checked_fields(state, vp.state_cls), checked_fields(u, vp.input_cls)
-    terrain, step, label = vehicle.terrain(world), vp.rk4_steps, vp.state_cls.__name__
+    terrain, step = vehicle.terrain(world), vp.rk4_steps
     measured, filtered = vehicle.measured, np.empty((n, 2))
     states, inputs = np.empty((n, len(y))), np.empty((n, len(u_values)))
     next_redraw, rates, xdot = 0.0, None, (0.0, 0.0)
@@ -657,7 +655,6 @@ def _drive(vehicle: _Vehicle, world: TerrainWorldMap, rng, meas_rng, n: int):
             u_values = checked_fields(u, vp.input_cls)
             rates = vp.stage_rates(*u_values)
         y = step(rates, y, terrain, dt, n_sub)
-        check_finite(label, *y)
     return states, inputs, filtered
 
 

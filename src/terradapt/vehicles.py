@@ -21,17 +21,17 @@ wheelbase midpoint, and the forward channel reduced to a first-order lag;
 below the blend speed v_min it blends into the kinematic bicycle, so the
 car is defined at every forward speed, in reverse too.
 
-Both vehicles share one checked stepping API, integrate_step. Each params
-class holds its physics once, in stage_rates, and writes its RK4 out on
-named floats in rk4_steps: n_sub steps, each looking eta up at its start,
-making four stage_rates calls, forming each stage component y + h k and
-the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per component, and
-wrapping the heading; combining per-stage tuples generically cost a third
-of a plant call. integrate_step checks on entry and on exit around one
-rk4_steps call. The simulation loops (the closed-loop episode and
-gen-data's driving pass) call rk4_steps themselves on float states, with
-the same checks made where their states and inputs enter and on every
-result, and measure by calling stage_rates on states the plant checked.
+Each params class holds its physics once, in stage_rates, and writes its
+RK4 out on named floats in rk4_steps: n_sub steps, each looking eta up at
+its start, making four stage_rates calls, forming each stage component
+y + h k and the combination y + (dt/6)(k1 + 2 k2 + 2 k3 + k4) per
+component, and wrapping the heading; combining per-stage tuples
+generically cost a third of a plant call. rk4_steps is the plant's one
+way in: the simulation loops (the closed-loop episode and gen-data's
+driving pass) carry their states as floats from one call to the next,
+check a state and an input with checked_fields where they enter, and
+rk4_steps checks its own result. They measure by calling stage_rates on
+states the plant checked.
 """
 
 from __future__ import annotations
@@ -138,14 +138,6 @@ class TrackedParams:
         a state of column arrays broadcasts them over its rows."""
         return self.a_n(), self.b_n()
 
-    @staticmethod
-    def eta_value(eta) -> tuple[float, float]:
-        """An explicit eta, two entries in (0, 2] in any form, as floats; None: 1."""
-        e = [1.0, 1.0] if eta is None else np.ravel(eta).tolist()
-        if len(e) != 2 or not all(0.0 < v <= 2.0 for v in e):     # NaN fails too
-            raise ValueError(f"tracked eta must be two entries in (0, 2], got {eta}")
-        return float(e[0]), float(e[1])
-
     def stage_rates(self, u_v: float, u_omega: float):
         """The tracked physics, written once, under the held input: returns
         rates(eta, psi, v_x, omega), the state derivative for an eta pair at
@@ -166,9 +158,10 @@ class TrackedParams:
         start of every step, and the heading is wrapped to (-pi, pi] after
         it. Each stage component is y + h k, h = 0.5 dt, and each step
         y + (dt / 6)(k1 + 2 k2 + 2 k3 + k4), per component, on named floats.
-        A ValueError inside the loop (a lookup refusing the position of a
-        diverged step, say) is reported as NonFiniteError when the last
-        completed step is not finite."""
+        A result that is not finite is refused (NonFiniteError). So is a
+        ValueError inside the loop (a lookup refusing the position of a
+        diverged step, say) when the last completed step is not finite;
+        otherwise it passes through, as does any other exception."""
         p_x, p_y, psi, v_x, omega = y
         h, h6, pi = 0.5 * dt, dt / 6.0, math.pi
         try:
@@ -190,6 +183,7 @@ class TrackedParams:
         except ValueError:
             check_finite(self.state_cls.__name__, p_x, p_y, psi, v_x, omega)
             raise
+        check_finite(self.state_cls.__name__, p_x, p_y, psi, v_x, omega)
         return p_x, p_y, psi, v_x, omega
 
 
@@ -243,14 +237,6 @@ class AckermannParams:
         if isinstance(v_x, np.ndarray):      # a float stays one: numpy scalars are slow
             return self.a_n(np.maximum(v_x, floor)), self._b_col
         return self.a_n(max(v_x, floor)), self._b_col
-
-    @staticmethod
-    def eta_value(eta) -> float:
-        """An explicit eta, scaling the lateral forces, as a float in (0, 2]; None: 1."""
-        ev = 1.0 if eta is None else float(eta)
-        if not 0.0 < ev <= 2.0:                                   # NaN fails too
-            raise ValueError(f"ackermann eta must lie in (0, 2], got {ev}")
-        return ev
 
     def stage_rates(self, u_v: float, u_delta: float):
         """The single-track physics, written once, under the held input:
@@ -317,6 +303,7 @@ class AckermannParams:
         except ValueError:
             check_finite(self.state_cls.__name__, p_x, p_y, psi, v_x, v_y, omega)
             raise
+        check_finite(self.state_cls.__name__, p_x, p_y, psi, v_x, v_y, omega)
         return p_x, p_y, psi, v_x, v_y, omega
 
 
@@ -338,61 +325,23 @@ def checked_fields(obj, cls) -> tuple:
     return values
 
 
-def integrate_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
-    """Advance n_sub fixed RK4 steps of dt seconds each; returns a new state.
-
-    dt must lie in (0, 0.1]. The input is held over every substep, and the
-    heading is wrapped to (-pi, pi] after each. The terrain factor is either
-    eta, held over the whole call, or terrain(p_x, p_y), looked up at the
-    start of every substep; not both. State, input and eta are checked on
-    entry, the result on exit; a looked-up eta is trusted, as the world map
-    checks its rows. The substeps are the params' rk4_steps, RK4 written out
-    per vehicle on named floats.
-    """
-    if not 0.0 < dt <= 0.1:
-        raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
-    if n_sub < 1:
-        raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    if terrain is not None and eta is not None:
-        raise ValueError("pass eta or terrain, not both")
-    y = checked_fields(state, params.state_cls)
-    u_values = checked_fields(u, params.input_cls)
-    if terrain is None:
-        held = params.eta_value(eta)
-        terrain = lambda p_x, p_y: held
-    y = params.rk4_steps(params.stage_rates(*u_values), y, terrain, dt, n_sub)
-    check_finite(params.state_cls.__name__, *y)
-    return params.state_cls(*y)
-
-
-def track_speeds(u: TrackedInput, half_spacing: float) -> tuple[float, float]:
-    """Convert (u_v, u_omega) to equivalent (left, right) track speeds."""
-    if half_spacing <= 0:
-        raise ValueError("half_spacing must be positive")
-    return u.u_v - half_spacing * u.u_omega, u.u_v + half_spacing * u.u_omega
-
-
-def from_track_speeds(left: float, right: float, half_spacing: float) -> TrackedInput:
-    """Inverse of track_speeds."""
-    if half_spacing <= 0:
-        raise ValueError("half_spacing must be positive")
-    return TrackedInput(0.5 * (left + right), (right - left) / (2.0 * half_spacing))
-
-
 def apply_track_fault(u: TrackedInput, left_scale: float, right_scale: float,
                       half_spacing: float = 0.3) -> TrackedInput:
     """Scale individual track speeds to emulate a degraded track.
 
-    The command is mixed into differential-drive track speeds, each track is
-    scaled by its factor, and the result is mixed back. Unity scales return
-    the input object unchanged, bit for bit. Nothing is checked here: the
-    scales come from FaultSchedule, which checked them, and the plant's
-    entry check (checked_fields) checks the input next.
+    The command is mixed into differential-drive track speeds u_v -/+ b u_omega
+    (left, right; b the half spacing), each track is scaled by its factor,
+    and the result is mixed back. Unity scales return the input object
+    unchanged, bit for bit. Nothing is checked here: the scales come from
+    FaultSchedule and the half spacing from the vehicle config, which
+    checked them, and the plant's entry check (checked_fields) checks the
+    input next.
     """
     if left_scale == 1.0 and right_scale == 1.0:
         return u
-    left, right = track_speeds(u, half_spacing)
-    return from_track_speeds(left * left_scale, right * right_scale, half_spacing)
+    left = (u.u_v - half_spacing * u.u_omega) * left_scale
+    right = (u.u_v + half_spacing * u.u_omega) * right_scale
+    return TrackedInput(0.5 * (left + right), (right - left) / (2.0 * half_spacing))
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,28 @@ lives, and this one gets its whole set back when the pool closes: where
 the kernel does not balance load across CPUs, a forked child would
 otherwise share its parent's CPU.
 
-A child sends each job's result back through its own pipe, pickled with
-the records the job logged to the terradapt loggers; this process
-captures the records of its own jobs the same way. The round then handles
-the records in job order and returns the results in job order, or raises
-the first failing job's exception after the records of every job before
-it, as one process running the jobs in order would (without a child's
-traceback). A result or exception that cannot be sent back becomes a
-RuntimeError that names its job, as does a child that ends before its
-job returns. A round that raises, the interrupt included, kills and reaps
-every child; close() reaps them otherwise. What a job changes in memory
-stays in its process.
+While the pool lives, every process of it runs numpy's BLAS at one
+thread: set here before the forks, so the children inherit it, and given
+back at close(). OpenBLAS otherwise keeps one thread per CPU, and on a
+pinned process those threads share its one CPU; large products then run
+many times slower, and their rounding depends on the thread count. The
+count is set through the thread functions of the OpenBLAS that numpy
+bundles. Where numpy has none (another BLAS, or numpy 1.x), no process is
+pinned, so BLAS threads can spread over the CPUs, and a warning says so
+once per process; the bytes may then depend on the thread count.
+
+This process runs its own block first, its records and exceptions
+passing through as they happen, as in a one-process run. A child sends
+each job's result back through its own pipe, pickled with the records
+the job logged to the terradapt loggers. The round then handles the
+children's records in job order and returns the results in job order, or
+raises the first failing job's exception after the records of every job
+before it, as one process running the jobs in order would (without a
+child's traceback). A result or exception that cannot be sent back
+becomes a RuntimeError that names its job, as does a child that ends
+before its job returns. A round that raises, the interrupt included,
+kills and reaps every child at once; close() reaps them otherwise. What
+a job changes in memory stays in its process.
 
 With one usable CPU (say, under `taskset -c 0`), or where os.fork or
 os.sched_getaffinity is missing (macOS, Windows), nothing is forked and
@@ -36,12 +47,18 @@ through as they happen.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import os
 import pickle
 import selectors
 import signal
-from contextlib import contextmanager
+
+import numpy as np
+
+log = logging.getLogger(__name__)
+
 
 def usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where it cannot fork."""
@@ -68,19 +85,6 @@ class _Capture(logging.Handler):
         self.records.append(record)
 
 
-@contextmanager
-def _captured():
-    """Route the terradapt loggers' records to a _Capture, and back after."""
-    capture = _Capture()
-    logger = logging.getLogger("terradapt")
-    saved = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [capture], False
-    try:
-        yield capture
-    finally:
-        logger.handlers, logger.propagate = saved
-
-
 def _run_block(job, jobs, capture):
     """Run jobs in order until one fails, yielding (i, ok, value, records)
     per job: its result or exception and the records it logged."""
@@ -95,10 +99,29 @@ def _run_block(job, jobs, capture):
             return
 
 
-def _pin(cpu: int) -> None:
-    """Keep this process on one CPU, where the kernel allows it. Where the
-    scheduler does not balance load across CPUs, a forked child otherwise
-    stays on its parent's CPU and the two share it."""
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy bundles, or
+    None, with a warning (once per process), where numpy has no such BLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_count = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        log.warning("numpy's BLAS thread count cannot be set here; worker processes "
+                    "are not pinned to CPUs, and BLAS keeps its own thread count")
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+    return get, set_count
+
+
+def _pin(cpu) -> None:
+    """Keep this process on one CPU (None: leave it free), where the kernel
+    allows it. Where the scheduler does not balance load across CPUs, a
+    forked child otherwise stays on its parent's CPU and the two share it."""
+    if cpu is None:
+        return
     try:
         os.sched_setaffinity(0, {cpu})
     except OSError:
@@ -143,8 +166,11 @@ class Pool:
         if self._size == 1:
             return
         self._sel = selectors.DefaultSelector()
-        self._affinity = os.sched_getaffinity(0)
-        cpus = sorted(self._affinity)
+        cpus = [None] * self._size
+        if blas := _blas_threads():
+            self._affinity, self._blas_count = os.sched_getaffinity(0), blas[0]()
+            blas[1](1)
+            cpus = sorted(self._affinity)
         try:
             _pin(cpus[0])
             for rank in range(1, self._size):
@@ -197,21 +223,20 @@ class Pool:
             for child in busy:
                 child.frames, child.done = [], False
                 _write(child.send, data)
-            own = []
-            with _captured() as capture:
-                for i, ok, value, records in _run_block(job, _block(0, n, active), capture):
-                    own.append((ok, value, records))
-                    _receive(self._sel, 0)      # a child waits while its pipe is full
+            results = []
+            for i in _block(0, n, active):
+                results.append(job(i))
+                _receive(self._sel, 0)      # a child waits while its pipe is full
             while not all(child.done for child in busy):
                 _receive(self._sel, None)
-            return _in_job_order(n, active, own, busy)
+            return results + _in_job_order(n, active, busy)
         except BaseException:
             self.close(kill=True)
             raise
 
     def close(self, kill: bool = False) -> None:
         """End every child: close its pipes (with kill, SIGKILL it first)
-        and reap it. This process gets back its CPUs."""
+        and reap it. This process gets back its CPUs and BLAS threads."""
         children, self._children = self._children, []
         for child in children:
             if kill and child.code is None:
@@ -225,6 +250,7 @@ class Pool:
             self._sel = None
         if self._affinity is not None:
             os.sched_setaffinity(0, self._affinity)
+            _blas_threads()[1](self._blas_count)
             self._affinity = None
 
 
@@ -232,8 +258,12 @@ def _serve(prepare, rank: int, size: int, cmd: int, out: int) -> None:
     """A child's loop: per payload read from cmd, run this rank's block of
     its jobs and write one frame per job to out, then an empty frame. A
     result or exception that cannot be sent back becomes a RuntimeError
-    that names the job. Returns when cmd is closed."""
-    with _captured() as capture, open(cmd, "rb") as inp:
+    that names the job. Returns when cmd is closed. The terradapt loggers'
+    records go to a _Capture from here on, as the child exits after this."""
+    capture = _Capture()
+    logger = logging.getLogger("terradapt")
+    logger.handlers, logger.propagate = [capture], False
+    with open(cmd, "rb") as inp:
         while head := inp.read(8):
             job, n = prepare(pickle.loads(inp.read(int.from_bytes(head, "little"))))
             block = _block(rank, n, min(size, n))
@@ -275,20 +305,16 @@ def _receive(sel, timeout) -> None:
             del buf[:8 + size]
 
 
-def _in_job_order(n: int, active: int, own: list, busy: list) -> list:
-    """Handle a round's records and results in job order, raising the first
-    failing job's exception after the records of every job before it."""
+def _in_job_order(n: int, active: int, busy: list) -> list:
+    """Handle the children's records and results in job order, raising the
+    first failing job's exception after the records of every job before it."""
     results = []
-    for rank in range(active):
+    for rank, child in enumerate(busy, 1):
         for k, i in enumerate(_block(rank, n, active)):
-            if rank == 0:
-                ok, value, records = own[k]
-            else:
-                child = busy[rank - 1]
-                if k >= len(child.frames):
-                    raise RuntimeError(f"job {i}: its worker process ended with exit code "
-                                       f"{child.code} before the job returned")
-                ok, value, records = pickle.loads(child.frames[k])
+            if k >= len(child.frames):
+                raise RuntimeError(f"job {i}: its worker process ended with exit code "
+                                   f"{child.code} before the job returned")
+            ok, value, records = pickle.loads(child.frames[k])
             for record in records:
                 logging.getLogger(record.name).handle(record)
             if not ok:

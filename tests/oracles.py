@@ -19,7 +19,7 @@ from terradapt import harness
 from terradapt.basis import BasisNet, DimensionError
 from terradapt.harness import compute_metrics
 from terradapt.training import _pack_cost_and_grad, _ridge, build_h
-from terradapt.vehicles import FaultSchedule, NonFiniteError, checked_fields, integrate_step
+from terradapt.vehicles import FaultSchedule, NonFiniteError, TrackedParams, checked_fields
 
 log = logging.getLogger(__name__)
 
@@ -29,18 +29,37 @@ def as_array(obj) -> np.ndarray:
     return np.array(dataclasses.astuple(obj), dtype=float)
 
 
+def nominal_eta(params):
+    """The terrain factor of nominal ground: 1 on both tracks, or 1 for the car."""
+    return (1.0, 1.0) if isinstance(params, TrackedParams) else 1.0
+
+
 def derivative(state, u, params, eta=None) -> np.ndarray:
     """Time derivative of the state under input u and terrain factor eta,
-    nominal (1) when None: the params' stage_rates at the state, with
-    integrate_step's entry checks. A textbook RK4 over it is the bit-exact
-    oracle of the plant's rk4_steps.
+    nominal when None: the params' stage_rates at the state, after the
+    plant's entry checks. A textbook RK4 over it is the bit-exact oracle of
+    the plant's rk4_steps.
 
     Tracked: [pdot_x, pdot_y, psidot, vdot_x, omegadot]; Ackermann:
     [pdot_x, pdot_y, psidot, vdot_x, vdot_y, omegadot].
     """
     y = checked_fields(state, params.state_cls)
-    u_values = checked_fields(u, params.input_cls)
-    return np.array(params.stage_rates(*u_values)(params.eta_value(eta), *y[2:]))
+    rates = params.stage_rates(*checked_fields(u, params.input_cls))
+    return np.array(rates(nominal_eta(params) if eta is None else eta, *y[2:]))
+
+
+def plant_step(state, u, params, dt: float, eta=None, n_sub: int = 1, terrain=None):
+    """n_sub RK4 steps of dt from state under the held input u, as the
+    simulation loops take them: u's stage_rates after its entry check, then
+    the params' rk4_steps on the checked state, which checks its result.
+    eta (nominal when None) is held over every step unless terrain(p_x, p_y)
+    looks it up. Returns a new state."""
+    rates = params.stage_rates(*checked_fields(u, params.input_cls))
+    if terrain is None:
+        held = nominal_eta(params) if eta is None else eta
+        terrain = lambda p_x, p_y: held
+    y = params.rk4_steps(rates, checked_fields(state, params.state_cls), terrain, dt, n_sub)
+    return params.state_cls(*y)
 
 
 def lyapunov_value(s, theta_hat, theta_true, gain) -> float:
@@ -186,8 +205,8 @@ def per_tick_episode(world, cfg, controller, policy, provider, meas_rng, start,
     """The state-object episode loop that harness.simulate_episode replaced,
     kept as its oracle: every tick measures through a fresh stage_rates of
     the applied input, draws its own measurement noise pair, and steps the
-    plant in one checked integrate_step call. Returns what simulate_episode
-    returns with telemetry on."""
+    plant in one plant_step call on state objects. Returns what
+    simulate_episode returns with telemetry on."""
     sim = cfg.sim
     period = sim.control_period
     n_sub = int(round(period / sim.dt_plant))
@@ -251,8 +270,8 @@ def per_tick_episode(world, cfg, controller, policy, provider, meas_rng, start,
         s_rows.append(tele.s)
 
         try:
-            state = integrate_step(state, u_applied, vehicle.vp, sim.dt_plant,
-                                   n_sub=n_sub, terrain=terrain)
+            state = plant_step(state, u_applied, vehicle.vp, sim.dt_plant,
+                               n_sub=n_sub, terrain=terrain)
         except NonFiniteError as e:
             log.warning("plant diverged at t=%.2f: %s", t, e)
             aborted = True

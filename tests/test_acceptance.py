@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import (derivative, gradcheck_meta, lyapunov_value, solve_theta_star,
+from oracles import (derivative, gradcheck_meta, lyapunov_value, plant_step, solve_theta_star,
                      window_cost, window_cost_and_grad)
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import config_from_dict
 from terradapt.control import AdaptParams, Gains, TrackedController
 from terradapt.harness import build_world_for, generate_dataset, run_scenario
 from terradapt.training import TrainerConfig, TrajectoryDataset, WindowSpec, build_h, train
-from terradapt.vehicles import TrackedParams, TrackedState, integrate_step
+from terradapt.vehicles import TrackedParams, TrackedState
 
 CLASSES = [
     {"name": "nominal", "eta": [1.0, 1.0]},
@@ -220,7 +220,7 @@ def test_c5_ideal_loop_exponential_convergence(capsys):
         u, tel = ctl.tick_velocity(state, vdot_meas, feats, v_ref, vdot_ref)
         assert not (tel.fallback or tel.clamped or tel.rejected)
         for _ in range(int(round(dt_c / dt_p))):
-            state = integrate_step(state, u, params, dt_p, eta=eta)
+            state = plant_step(state, u, params, dt_p, eta=eta)
         vdot_meas = derivative(state, u, params, eta=eta)[3:5]
         s = np.array([state.v_x, state.omega]) - v_ref
         ts.append(t)

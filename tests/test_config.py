@@ -488,13 +488,16 @@ def test_malformed_shapes_refused_with_the_key_path():
     ({"training.conv_tol": float("nan")}, "training: conv_tol must be nonnegative"),
     ({"training.hidden": [0]}, "training: hidden widths must be at least 1"),
     ({"training.hidden": [16, -2]}, "training: hidden widths must be at least 1"),
+    ({"sim.dt_plant": 0.0}, "sim: dt_plant must lie in (0, 0.1]"),
+    ({"sim.dt_plant": 0.11}, "sim: dt_plant must lie in (0, 0.1]"),
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
         "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
         "residual-cutoff", "vdot-noise", "warmup", "dataset-hold-negative",
         "dataset-hold-zero", "u-v-range", "u-omega-range", "u-delta-range", "activation",
         "fault-scale", "half-spacing", "conv-window-zero", "conv-window-negative",
-        "conv-tol-negative", "conv-tol-nan", "hidden-zero", "hidden-negative"])
+        "conv-tol-negative", "conv-tol-nan", "hidden-zero", "hidden-negative",
+        "dt-plant-zero", "dt-plant-large"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
@@ -507,13 +510,14 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     activation let gen-data finish and stopped train. A dataset hold at or
     below zero redrew the input every tick, and a reversed input range drew
     from it unrefused (np.clip pinned the car's turn-back at the high end
-    of a reversed u_delta_range). The fault scale and
-    the patch half spacing are checked at load: the fault takes the scale,
-    and the feature lookups take the half spacing, unchecked on every
-    tick. A convergence window below 1 was accepted and ignored (train never
-    converged, with "Mean of empty slice" warnings), a negative tolerance
-    could never be met, and a zero hidden width let gen-data finish and
-    stopped train with an OverflowError."""
+    of a reversed u_delta_range). The fault scale, the patch half spacing
+    and the plant step are checked at load: the fault takes the scale, the
+    fault's track mix and the feature lookups take the half spacing, and
+    the plant takes dt_plant, unchecked on every tick. A convergence window
+    below 1 was accepted and ignored (train never converged, with "Mean of
+    empty slice" warnings), a negative tolerance could never be met, and a
+    zero hidden width let gen-data finish and stopped train with an
+    OverflowError."""
     with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
         raw = yaml.safe_load(f)
     out = tmp_path / "out"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import as_array, contract, derivative, lyapunov_value
+from oracles import as_array, contract, derivative, lyapunov_value, plant_step
 from terradapt.basis import ConstantBasis
 from terradapt.control import (
     AckermannController,
@@ -35,7 +35,6 @@ from terradapt.vehicles import (
     TrackedInput,
     TrackedParams,
     TrackedState,
-    integrate_step,
     wrap_angle,
 )
 
@@ -915,7 +914,7 @@ def test_heading_error_bounded_by_yaw_tracking_quality():
         psi_at_tick = state.psi
         u, tele = ctrl.tick_position(state, vdot_meas, None, p_d, v_d, psi_d)
         for _ in range(sub):
-            state = integrate_step(state, u, params, dtc / sub)
+            state = plant_step(state, u, params, dtc / sub)
         prev_u = u
         t += dtc
         if t > 8.0:
@@ -944,7 +943,7 @@ def test_cross_track_error_bounded_by_sliding_variable():
         xdot_meas = derivative(state, prev_u, params)[4:6]
         u, tele = ctrl.tick(state, xdot_meas, None, p_d, psi_d, omega_d, speed)
         for _ in range(sub):
-            state = integrate_step(state, u, params, dtc / sub)
+            state = plant_step(state, u, params, dtc / sub)
         prev_u = u
         t += dtc
         if t > 7.0:
@@ -1014,7 +1013,7 @@ def test_adaptation_converges_to_planted_diagonal_parameters():
         vdot_meas = derivative(state, prev_u, params, eta)[3:5]
         u, tele = ctrl.tick_velocity(state, vdot_meas, np.zeros(4), v_ref, vdot_ref)
         for _ in range(sub):
-            state = integrate_step(state, u, params, dtc / sub, eta)
+            state = plant_step(state, u, params, dtc / sub, eta)
         prev_u = u
         t += dtc
     err = np.linalg.norm(ctrl.state.theta_hat - theta_true)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import (derivative, metrics_from_telemetry, per_tick_episode, read_csv,
-                     solve_theta_star)
+from oracles import (derivative, metrics_from_telemetry, per_tick_episode, plant_step,
+                     read_csv, solve_theta_star)
 from terradapt import cli, harness, workers
 from terradapt.basis import BasisNet, ConstantBasis
 from terradapt.config import ConfigError, config_from_dict, load_config
@@ -35,7 +35,7 @@ from terradapt.harness import (
 )
 from terradapt.training import build_h
 from terradapt.vehicles import (AckermannState, FaultSchedule, NonFiniteError, TrackedInput,
-                                TrackedParams, TrackedState, integrate_step, wrap_angle)
+                                TrackedParams, TrackedState, wrap_angle)
 from terradapt.world import FeatureProvider, build_world, cell_index
 
 
@@ -265,8 +265,8 @@ def per_sample_dataset(cfg, world):
                 bearing = math.atan2(0.5 * h - state.p_y, 0.5 * w - state.p_x)
                 u = vehicle.turn_back(u, wrap_angle(bearing - state.psi))
             for _ in range(n_sub):
-                state = integrate_step(state, u, vehicle.vp, sim.dt_plant,
-                                       eta_at(state.p_x, state.p_y))
+                state = plant_step(state, u, vehicle.vp, sim.dt_plant,
+                                   eta_at(state.p_x, state.p_y))
         trajs.append(rows)
         clamps += provider.clamp_count
     x, u, e, y = (np.array([[row[i] for row in rows] for rows in trajs]) for i in range(4))

@@ -1,6 +1,9 @@
 """Meta-training: ridge solutions, implicit gradients, optimizer, determinism."""
 
+import logging
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (gradcheck_meta, read_csv, solve_theta_star, window_cost,
                      window_cost_and_grad)
 from test_harness import SCENARIO_OF, base_raw, on_cpus
+import terradapt
 from terradapt import cli, training, workers
 from terradapt.config import config_from_dict
 from terradapt.harness import build_world_for, generate_dataset
@@ -570,6 +574,78 @@ def test_cli_train_checkpoint_is_the_same_on_two_workers(tmp_path, monkeypatch):
         checkpoints[n] = (tmp_path / "basis.tdc").read_bytes()
     assert sent
     assert checkpoints[2] == checkpoints[1]
+
+
+def test_cli_train_checkpoint_on_two_workers_is_that_of_one_blas_thread(tmp_path,
+                                                                        monkeypatch):
+    """Hidden layers of 37, the narrowest at which two BLAS threads per
+    process changed this log's checkpoint on a 2-CPU host (36 did not): the
+    pool runs BLAS at one thread, so two CPUs write the basis.tdc of a run
+    on one CPU at one BLAS thread, made in a process of its own, as setting
+    the affinity of this one would not change its BLAS's thread count."""
+    raw = vehicle_raw("tracked", output_dir=str(tmp_path))
+    raw["training"]["hidden"] = [37, 37]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["gen-data", "-c", str(path)]) == 0
+    src = os.path.dirname(os.path.dirname(terradapt.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    r = subprocess.run([sys.executable, "-m", "terradapt", "train", "-c", str(path)],
+                       capture_output=True, text=True, env=env,
+                       preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+    assert r.returncode == 0, r.stderr
+    want = (tmp_path / "basis.tdc").read_bytes()
+    sent = count_messages(monkeypatch)
+    assert on_cpus(monkeypatch, 2, lambda: cli.main(["train", "-c", str(path)])) == 0
+    assert sent
+    assert (tmp_path / "basis.tdc").read_bytes() == want
+
+
+def test_every_pool_process_runs_blas_at_one_thread(monkeypatch):
+    """While a pool of two lives, this process and its child run BLAS at one
+    thread; this process gets its own count back at close()."""
+    blas = workers._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no thread count to set here")
+    get, set_count = blas
+    saved = get()
+    set_count(2)
+    try:
+        def run():
+            with workers.Pool(lambda payload: (lambda i: (os.getpid(), get()), 2), 2) as pool:
+                return get(), pool.round(None)
+
+        inside, jobs = on_cpus(monkeypatch, 2, run)
+        assert inside == 1
+        assert jobs[0] == (os.getpid(), 1)
+        assert jobs[1][0] != os.getpid() and jobs[1][1] == 1
+        assert get() == 2
+    finally:
+        set_count(saved)
+
+
+def test_pool_without_blas_control_pins_no_cpu(monkeypatch, caplog):
+    """Where numpy's BLAS thread count cannot be set, a warning says so once,
+    and the pool's processes keep their CPUs."""
+    def no_library(path):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(workers.ctypes, "CDLL", no_library)
+    workers._blas_threads.cache_clear()
+    pinned = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus))
+    try:
+        with caplog.at_level(logging.WARNING, logger="terradapt"):
+            for _ in range(2):
+                jobs = on_cpus(monkeypatch, 2, lambda: workers.map_jobs(
+                    lambda i: list(pinned), 2))
+                assert jobs == [[], []] and pinned == []
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1 and "cannot be set" in warnings[0]
+    finally:
+        workers._blas_threads.cache_clear()
 
 
 def test_rank_deficient_window_in_a_workers_pack_raises_as_in_one_process(monkeypatch):
