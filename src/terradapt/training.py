@@ -27,23 +27,27 @@ training step, not just at the end.
 
 Window costs in a minibatch are independent given the (read-only) network,
 so a training step evaluates them together. It samples every window first,
-sorts them by their first dataset row and packs neighbouring windows until
-the distinct rows they cover would pass _PACK_ROWS. Windows of a step
-overlap heavily (70 windows of up to 30 s on a log of a few minutes), so
-each pack runs the network forward and backward once per distinct row, not
-once per window row. Each window's rows are a contiguous slice of its
-pack's sorted rows; the ridge fits and their adjoints run over those
-slices in one batched Cholesky factorization, and each window's dJ/dH is
-summed onto the rows it covers before the one backward pass.
+sorts them by their first dataset row and cuts them into packs of
+neighbours: windows that cover U distinct rows make round(U / _PACK_ROWS)
+packs, at least one, each taking about an equal share of the new rows
+(see _packs). Windows of a step overlap heavily (70 windows of up to 30 s
+on a log of a few minutes), so each pack runs the network forward and
+backward once per distinct row, not once per window row. Each window's
+rows are a contiguous slice of its pack's sorted rows; the ridge fits and
+their adjoints run over those slices in one batched Cholesky
+factorization, and each window's dJ/dH is summed onto the rows it covers
+before the one backward pass.
 
 Given the network, the packs are independent too, so train() runs them on
 one workers.Pool for all its steps: this process and a child per further
-usable CPU, forked once the dataset and the network exist. A step sends
-the children the flat parameters and its (traj, start, length) windows;
-every process rebuilds the same packs and computes its block of them, and
-this process adds the packs' flat gradients in pack order, so the result
-is the same bytes on any number of CPUs. A step of one pack runs here and
-sends nothing. Adam and the spectral projection run here, on the sum.
+usable CPU, forked at the first step with two or more packs, once the
+dataset and the network exist. A step sends the children the flat
+parameters and its (traj, start, length) windows; every process rebuilds
+the same packs and computes its block of them, and this process adds the
+packs' flat gradients in pack order, so the result is the same bytes on
+any number of CPUs. A step of one pack runs here and sends nothing, and a
+train() whose every step is one pack forks nothing. Adam and the spectral
+projection run here, on the sum.
 """
 
 from __future__ import annotations
@@ -61,20 +65,25 @@ from .serialize import load_arrays, save_arrays, write_csv
 
 log = logging.getLogger(__name__)
 
-# Distinct dataset rows per forward/backward pass in a training step.
-# Neighbouring windows are packed while the rows they cover stay within this
-# budget, and a longer window is a pack of its own. Larger packs share more
-# rows between windows and amortize the per-call cost of the passes and the
-# solves; the activations and the windows' rows of a pack grow with it. On
-# the default trainer shape over 8000 rows (2-core host, one BLAS thread) a
-# step took 68, 43, 31 and 28 ms at budgets 256, 512, 768 and 1024, and its
-# traced peak memory was 1.8, 1.9, 2.3 and 3.1 MiB. A window that opens a
-# pack forwards again the rows it shares with the previous pack (about 35 %
-# more rows than distinct on circle-ackermann's dataset); one unbounded pack
-# forwards no row twice but is slower, as its larger passes fall out of
-# cache: ten steps on that dataset took a median 0.29, 0.24, 0.26 and 0.39 s
-# at budgets 768, 1536, 3000 and unbounded (15 interleaved repeats each),
-# with traced peaks of 3.1, 5.9, 11.2 and 26.9 MiB.
+# Target distinct dataset rows per forward/backward pass in a training step.
+# Windows that cover U distinct rows make round(U / _PACK_ROWS) packs, at
+# least one, of about equal shares of those rows (see _packs), so a step of
+# fewer than 1.5 x _PACK_ROWS rows is one pack and forks no worker. Larger
+# packs share more rows between windows (a pack forwards again the rows it
+# shares with the one before it) and amortize the per-call cost of the passes
+# and the solves; the activations and the windows' rows of a pack grow with
+# them, and fewer packs load the pool's CPUs less evenly. Two sweeps of
+# train() on the benchmark workloads' datasets at seed 41 (2-core host, one
+# BLAS thread, pool on both CPUs, 7 and 9 interleaved repeats) at targets 384,
+# 768, 1152 and 1536 gave, per step and per train():
+#   circle-ackermann (U ~ 7500): 18.3, 9.9, 6.6 and 5.0 packs forwarding
+#     10461, 8932, 8352 and 8145 rows, in 0.26-0.35, 0.28-0.34, 0.30-0.37 and
+#     0.31-0.38 s, at traced peaks of 4.1, 5.1, 6.1 and 7.5 MiB;
+#   offline-tracked (U ~ 1450): 3.9, 2.0, 1.0 and 1.0 packs, in 0.35-0.40,
+#     0.31-0.34, 0.33-0.36 and 0.30-0.34 s, at 1.0, 1.6, 3.0 and 3.1 MiB;
+#   closed-loop-tracked (U ~ 800): 2.0 packs at 384 and one above.
+# The spread between the sweeps on that shared host is as wide as most gaps;
+# only circle-ackermann was slower at each target above 768 in both.
 _PACK_ROWS = 768
 
 
@@ -269,38 +278,50 @@ def _pack_cost_and_grad(net: BasisNet, x, u, e, y, at, lengths,
     return costs, theta, net.backward(acts, d_phi)
 
 
-def _packs(first, lengths, budget: int):
-    """Pack windows sorted by first row into runs of neighbours.
+def _packs(first, lengths, target: int):
+    """Cut windows sorted by first row into even runs of neighbours.
 
     first and lengths are lists of ints, one per window, with first
     nondecreasing. Yields (lo, hi, rows, at): windows lo..hi-1 form a pack,
     rows are the distinct rows they cover in increasing order, and window
-    lo + i owns rows[at[i]:at[i] + lengths[lo + i]]. Windows join a pack
-    while its rows stay within budget; a pack covers more rows only when it
-    is one window.
+    lo + i owns rows[at[i]:at[i] + lengths[lo + i]]. The windows cover U
+    distinct rows and make P = max(1, round(U / target)) packs (halves
+    round up): a window opens a new pack where the running count of
+    distinct rows passes k U / P, for k = 1 .. P - 1, with it. A window
+    that passes two of these at once opens one pack, so windows longer
+    than U / P can leave fewer than P. A pack's first window adds at most
+    the longest window's L new rows, and the rest fewer than U / P; its
+    windows start at or after those of the packs before it, so they share
+    at most L rows with them. A pack thus covers at most ceil(U / P) + 2 L
+    rows.
     """
-    lo, runs, at, n = 0, [], [], 0
-    for j, (s, length) in enumerate(zip(first, lengths)):
-        joins = bool(runs) and s <= runs[-1][1]
-        grow = max(s + length - runs[-1][1], 0) if joins else length
-        if at and n + grow > budget:
-            yield lo, j, _run_rows(runs), np.array(at)
-            lo, runs, at, n = j, [], [], 0
-            joins, grow = False, length
-        if joins:   # overlaps or touches the last run of rows
+    stop = np.add(first, lengths)
+    reach = np.maximum.accumulate(stop)
+    seen = np.concatenate([first[:1], reach[:-1]])
+    count = np.cumsum(np.maximum(stop - np.maximum(first, seen), 0))
+    total = int(count[-1])
+    n_packs = max(1, (2 * total + target) // (2 * target))
+    opens = np.searchsorted(count * n_packs, np.arange(1, n_packs) * total, side="right")
+    bounds = [0, *np.unique(opens[opens > 0]).tolist(), len(first)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield lo, hi, *_pack_rows(first[lo:hi], lengths[lo:hi])
+
+
+def _pack_rows(first, lengths):
+    """(rows, at) of a pack: the distinct rows of windows sorted by first
+    row, in order, and where each window's rows begin among them."""
+    runs, at, n = [], [], 0
+    for s, length in zip(first, lengths):
+        if runs and s <= runs[-1][1]:   # overlaps or touches the last run of rows
             at.append(n - (runs[-1][1] - s))
+            grow = max(s + length - runs[-1][1], 0)
             runs[-1][1] += grow
         else:
             at.append(n)
             runs.append([s, s + length])
+            grow = length
         n += grow
-    if at:
-        yield lo, len(first), _run_rows(runs), np.array(at)
-
-
-def _run_rows(runs):
-    """The rows of disjoint [start, stop) runs, in order."""
-    return np.concatenate([np.arange(a, b) for a, b in runs])
+    return np.concatenate([np.arange(a, b) for a, b in runs]), np.array(at)
 
 
 def _pack_pool(net: BasisNet, dataset: TrajectoryDataset, most: int) -> workers.Pool:
@@ -309,7 +330,7 @@ def _pack_pool(net: BasisNet, dataset: TrajectoryDataset, most: int) -> workers.
     Its payload is (flat params of net, [(traj, start, length), ...],
     lambda_r, theta_r). Every process sets its copy of net to the params
     (this one's are those already), sorts the windows by first row (stably)
-    and packs neighbours (see _PACK_ROWS), and job k returns pack k's
+    and cuts them into packs (see _packs), and job k returns pack k's
     (window indices, costs, flat gradient).
     """
     flat = [a.reshape(-1, a.shape[2]) for a in (dataset.x, dataset.u, dataset.e, dataset.y)]
@@ -343,10 +364,11 @@ def minibatch_cost_and_grad(net: BasisNet, dataset: TrajectoryDataset, specs,
     depend on where they ran. Returns (costs, grad) with costs in the order
     of specs.
     """
+    if pool is None:
+        with _pack_pool(net, dataset, 1) as pool:
+            return minibatch_cost_and_grad(net, dataset, specs, lambda_r, theta_r, pool)
     for w in specs:
         w.validate(dataset)
-    if pool is None:
-        pool = _pack_pool(net, dataset, 1)
     params = net.get_flat_params()
     theta_r = np.asarray(theta_r, dtype=float).reshape(-1)
     costs = [0.0] * len(specs)
@@ -425,9 +447,9 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
 
     Deterministic for a fixed config seed: the same seed yields the same
     window sequence, loss history, and final weights, on any number of
-    CPUs. The steps' packs run on one _pack_pool, forked once the dataset
-    and the network exist, of one process per usable CPU (at most one per
-    window of a step). Convergence is declared when the mean loss over the
+    CPUs. The steps' packs run on one _pack_pool of one process per usable
+    CPU (at most one per window of a step), whose children are forked at
+    the first step with two or more packs. Convergence is declared when the mean loss over the
     last conv_window iterations changes by less than conv_tol relative to
     the previous conv_window block.
     """

@@ -2,29 +2,34 @@
 
 A Pool is this process plus W - 1 children forked from it, where W is
 the most jobs a round can hold, as the caller says, capped by the pool at
-the number of CPUs in this process's affinity set. The children inherit
-everything that exists when the pool is made (a dataset, a network, the
-job functions), so a round sends each of them one small pickled payload. Every process
-turns the payload into the same n jobs with the pool's
+the number of CPUs in this process's affinity set. The children are
+forked at the first round that has a block for one of them, not when the
+pool is made, so a pool whose every round is one job forks nothing. They
+inherit everything that exists at that point (a dataset, a network, the
+job functions), so a round sends each of them one small pickled payload.
+Every process turns the payload into the same n jobs with the pool's
 prepare(payload) -> (job, n) and runs its block of them: with
 A = min(W, n) ranks active, the jobs split into A contiguous blocks in
 rank order, and each rank runs its block in order and stops at its first
 failing job. This process is rank 0 and holds the smallest block, so a
 one-job round runs here and sends nothing; the children take ranks
-1 .. A - 1. Each process keeps to its own CPU of the set while the pool
-lives, and this one gets its whole set back when the pool closes: where
-the kernel does not balance load across CPUs, a forked child would
-otherwise share its parent's CPU.
+1 .. A - 1. Once the children are forked, each process keeps to its own
+CPU of the set while the pool lives, and this one gets its whole set
+back when the pool closes: where the kernel does not balance load across
+CPUs, a forked child would otherwise share its parent's CPU. A pool that
+forks nothing leaves the affinity alone.
 
-While the pool lives, every process of it runs numpy's BLAS at one
-thread: set here before the forks, so the children inherit it, and given
-back at close(). OpenBLAS otherwise keeps one thread per CPU, and on a
-pinned process those threads share its one CPU; large products then run
-many times slower, and their rounding depends on the thread count. The
-count is set through the thread functions of the OpenBLAS that numpy
-bundles. Where numpy has none (another BLAS, or numpy 1.x), no process is
-pinned, so BLAS threads can spread over the CPUs, and a warning says so
-once per process; the bytes may then depend on the thread count.
+While any pool lives, one process or many, every process of it runs
+numpy's BLAS at one thread: set here when the pool is made, so the
+children inherit it, and given back at close(). OpenBLAS otherwise keeps
+one thread per CPU, and on a pinned process those threads share its one
+CPU; large products then run many times slower, and their rounding
+depends on the thread count, so the bytes would depend on whether a
+round forked. The count is set through the thread functions of the
+OpenBLAS that numpy bundles. Where numpy has none (another BLAS, or
+numpy 1.x), no process is pinned, so BLAS threads can spread over the
+CPUs, and a warning says so once per process; the bytes may then depend
+on the thread count.
 
 This process runs its own block first, its records and exceptions
 passing through as they happen, as in a one-process run. A child sends
@@ -36,8 +41,9 @@ before it, as one process running the jobs in order would (without a
 child's traceback). A result or exception that cannot be sent back
 becomes a RuntimeError that names its job, as does a child that ends
 before its job returns. A round that raises, the interrupt included,
-kills and reaps every child at once; close() reaps them otherwise. What
-a job changes in memory stays in its process.
+kills and reaps every child at once, as does a fork that fails in the
+first round; close() reaps them otherwise. What a job changes in memory
+stays in its process.
 
 With one usable CPU (say, under `taskset -c 0`), or where os.fork or
 os.sched_getaffinity is missing (macOS, Windows), nothing is forked and
@@ -154,36 +160,37 @@ class _Child:
 
 
 class Pool:
-    """This process and min(most, usable_cpus()) - 1 forked children; see
-    the module docstring. prepare(payload) must return (job, n) in every
-    process, for the same n. Use it as a context manager, or call close()."""
+    """This process and min(most, usable_cpus()) - 1 children, forked at
+    the first round with a block for one; see the module docstring.
+    prepare(payload) must return (job, n) in every process, for the same
+    n. Use it as a context manager, or call close()."""
 
     def __init__(self, prepare, most: int):
         self._prepare = prepare
         self._size = max(min(most, usable_cpus()), 1)
         self._children = []
-        self._sel = self._affinity = None
-        if self._size == 1:
-            return
-        self._sel = selectors.DefaultSelector()
-        cpus = [None] * self._size
+        self._sel = self._affinity = self._blas_count = None
         if blas := _blas_threads():
-            self._affinity, self._blas_count = os.sched_getaffinity(0), blas[0]()
+            self._blas_count = blas[0]()
             blas[1](1)
-            cpus = sorted(self._affinity)
-        try:
-            _pin(cpus[0])
-            for rank in range(1, self._size):
-                self._fork(rank, cpus[rank])
-        except BaseException:
-            self.close(kill=True)
-            raise
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
         self.close(kill=exc_type is not None)
+
+    def _fork_children(self) -> None:
+        """Fork ranks 1 .. W - 1 and, where BLAS is held at one thread, pin
+        every process to its own CPU of the affinity set."""
+        self._sel = selectors.DefaultSelector()
+        cpus = [None] * self._size
+        if self._blas_count is not None:
+            self._affinity = os.sched_getaffinity(0)
+            cpus = sorted(self._affinity)
+        _pin(cpus[0])
+        for rank in range(1, self._size):
+            self._fork(rank, cpus[rank])
 
     def _fork(self, rank: int, cpu: int) -> None:
         cmd_r, cmd_w = os.pipe()
@@ -217,8 +224,10 @@ class Pool:
         active = min(self._size, n)
         if active <= 1:
             return [job(i) for i in range(n)]
-        busy = self._children[:active - 1]
         try:
+            if not self._children:
+                self._fork_children()
+            busy = self._children[:active - 1]
             data = pickle.dumps(payload)
             for child in busy:
                 child.frames, child.done = [], False
@@ -250,8 +259,10 @@ class Pool:
             self._sel = None
         if self._affinity is not None:
             os.sched_setaffinity(0, self._affinity)
-            _blas_threads()[1](self._blas_count)
             self._affinity = None
+        if self._blas_count is not None:
+            _blas_threads()[1](self._blas_count)
+            self._blas_count = None
 
 
 def _serve(prepare, rank: int, size: int, cmd: int, out: int) -> None:

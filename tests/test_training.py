@@ -1,10 +1,12 @@
 """Meta-training: ridge solutions, implicit gradients, optimizer, determinism."""
 
 import logging
+import math
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (gradcheck_meta, read_csv, solve_theta_star, window_cost,
                      window_cost_and_grad)
-from test_harness import SCENARIO_OF, base_raw, on_cpus
+from test_harness import SCENARIO_OF, base_raw, no_fork, on_cpus
 import terradapt
 from terradapt import cli, training, workers
 from terradapt.config import config_from_dict
@@ -333,15 +335,30 @@ def test_minibatch_forwards_each_row_once(monkeypatch):
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 59), st.integers(1, 60)),
                 min_size=1, max_size=25),
        st.integers(1, 90))
-def test_packs_hold_each_window_once(windows, budget):
+def test_packs_hold_each_window_once(windows, target):
     """Every window lands in exactly one pack, as a contiguous slice of the
-    pack's distinct rows; a pack covers more rows than the budget only when
-    it is one window."""
+    pack's distinct rows. The windows' U distinct rows make at most
+    P = round(U / target) packs, exactly P when no window is longer than
+    U / P; a window opens a pack where the running count of distinct rows
+    passes k U / P, and a pack covers at most ceil(U / P) + 2 L rows,
+    where L is the longest window."""
     length = 60
     first, lengths = zip(*sorted((traj * length + start, min(n, length - start))
                                  for traj, start, n in windows))
+    seen, counts = set(), []
+    for s, n in zip(first, lengths):
+        seen.update(range(s, s + n))
+        counts.append(len(seen))
+    total = counts[-1]
+    n_packs = max(1, math.floor(Fraction(total, target) + Fraction(1, 2)))
+    opens = [j for j in range(1, len(first))
+             if any(counts[j - 1] * n_packs <= k * total < counts[j] * n_packs
+                    for k in range(1, n_packs))]
+    longest = max(lengths)
+    packs = list(training._packs(list(first), list(lengths), target))
+    assert [lo for lo, *_ in packs] == [0, *opens]
     packed = []
-    for lo, hi, rows, at in training._packs(list(first), list(lengths), budget):
+    for lo, hi, rows, at in packs:
         packed.extend(range(lo, hi))
         assert np.all(np.diff(rows) > 0)
         covered = set()
@@ -350,8 +367,11 @@ def test_packs_hold_each_window_once(windows, budget):
                                           np.arange(first[j], first[j] + lengths[j]))
             covered.update(range(first[j], first[j] + lengths[j]))
         assert len(rows) == len(covered)
-        assert len(rows) <= budget or hi - lo == 1
+        assert len(rows) <= math.ceil(total / n_packs) + 2 * longest
     assert packed == list(range(len(first)))
+    assert len(packs) <= n_packs
+    if longest * n_packs <= total:
+        assert len(packs) == n_packs
 
 
 def test_rank_deficient_window_raises():
@@ -541,9 +561,9 @@ def count_messages(monkeypatch) -> list:
 
 def vehicle_raw(vehicle, **extra):
     """A two-trajectory log with 16 windows of 2-30 s per step: the steps
-    hold 3 or 4 packs, so their gradient sums have an order to keep."""
+    hold 3 packs, so their gradient sums have an order to keep."""
     return base_raw(**{"vehicle.type": vehicle, "scenario.kind": SCENARIO_OF[vehicle],
-                       "dataset.steps": 900,
+                       "dataset.steps": 1500,
                        "training": {"hidden": [8, 8], "batch_windows": 16, "max_iters": 6,
                                     "window_min_s": 2.0, "window_max_s": 30.0,
                                     "learning_rate": 0.01}},
@@ -576,15 +596,11 @@ def test_cli_train_checkpoint_is_the_same_on_two_workers(tmp_path, monkeypatch):
     assert checkpoints[2] == checkpoints[1]
 
 
-def test_cli_train_checkpoint_on_two_workers_is_that_of_one_blas_thread(tmp_path,
-                                                                        monkeypatch):
-    """Hidden layers of 37, the narrowest at which two BLAS threads per
-    process changed this log's checkpoint on a 2-CPU host (36 did not): the
-    pool runs BLAS at one thread, so two CPUs write the basis.tdc of a run
-    on one CPU at one BLAS thread, made in a process of its own, as setting
-    the affinity of this one would not change its BLAS's thread count."""
-    raw = vehicle_raw("tracked", output_dir=str(tmp_path))
-    raw["training"]["hidden"] = [37, 37]
+def one_blas_thread_checkpoint(tmp_path, raw) -> bytes:
+    """The basis.tdc that `terradapt train` writes for raw on one CPU at one
+    BLAS thread, after gen-data here. It is made in a process of its own,
+    as setting the affinity of this one would not change its BLAS's
+    thread count."""
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(raw))
     assert cli.main(["gen-data", "-c", str(path)]) == 0
@@ -596,11 +612,95 @@ def test_cli_train_checkpoint_on_two_workers_is_that_of_one_blas_thread(tmp_path
                        capture_output=True, text=True, env=env,
                        preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
     assert r.returncode == 0, r.stderr
-    want = (tmp_path / "basis.tdc").read_bytes()
+    return (tmp_path / "basis.tdc").read_bytes()
+
+
+def test_cli_train_checkpoint_on_two_workers_is_that_of_one_blas_thread(tmp_path,
+                                                                        monkeypatch):
+    """Hidden layers of 37, at which two BLAS threads per process change
+    this log's checkpoint on a 2-CPU host: the pool runs BLAS at one
+    thread, so two CPUs write the basis.tdc of a run on one CPU at one
+    BLAS thread."""
+    raw = vehicle_raw("tracked", output_dir=str(tmp_path))
+    raw["training"]["hidden"] = [37, 37]
+    want = one_blas_thread_checkpoint(tmp_path, raw)
     sent = count_messages(monkeypatch)
-    assert on_cpus(monkeypatch, 2, lambda: cli.main(["train", "-c", str(path)])) == 0
+    args = ["train", "-c", str(tmp_path / "cfg.yaml")]
+    assert on_cpus(monkeypatch, 2, lambda: cli.main(args)) == 0
     assert sent
     assert (tmp_path / "basis.tdc").read_bytes() == want
+
+
+def test_cli_train_of_one_window_per_step_is_that_of_one_blas_thread(tmp_path):
+    """With batch_windows: 1 the pool is this process alone, and it still
+    runs BLAS at one thread: at hidden layers of 64, which BLAS threads,
+    a process whose BLAS has two threads writes the checkpoint of one."""
+    blas = workers._blas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no thread count to set here")
+    get, set_count = blas
+    raw = vehicle_raw("tracked", output_dir=str(tmp_path))
+    raw["training"].update(hidden=[64, 64], batch_windows=1)
+    want = one_blas_thread_checkpoint(tmp_path, raw)
+    saved = get()
+    set_count(2)
+    try:
+        assert cli.main(["train", "-c", str(tmp_path / "cfg.yaml")]) == 0
+        assert get() == 2
+    finally:
+        set_count(saved)
+    assert (tmp_path / "basis.tdc").read_bytes() == want
+
+
+def test_train_whose_every_step_is_one_pack_forks_nothing(tmp_path, monkeypatch):
+    """On 2 x 500 rows a step covers fewer than 1.5 x _PACK_ROWS rows, so
+    each step is one pack: with two usable CPUs `terradapt train` forks no
+    process and writes the checkpoint of one CPU."""
+    raw = vehicle_raw("tracked", output_dir=str(tmp_path))
+    raw["dataset"]["steps"] = 500
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["gen-data", "-c", str(path)]) == 0
+    assert on_cpus(monkeypatch, 1, lambda: cli.main(["train", "-c", str(path)])) == 0
+    want = (tmp_path / "basis.tdc").read_bytes()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert on_cpus(monkeypatch, 2, lambda: cli.main(["train", "-c", str(path)])) == 0
+    assert (tmp_path / "basis.tdc").read_bytes() == want
+
+
+def test_pool_without_a_round_for_a_child_forks_and_pins_nothing(monkeypatch):
+    """A pool closed after no round, or after a round of one job, forks no
+    process and sets no CPU affinity."""
+    pinned = []
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus))
+
+    def run():
+        with workers.Pool(lambda n: (lambda i: i, n), 2):
+            pass
+        with workers.Pool(lambda n: (lambda i: i, n), 2) as pool:
+            return pool.round(1)
+
+    assert on_cpus(monkeypatch, 2, run) == [0]
+    assert pinned == []
+
+
+def test_fork_that_fails_in_the_first_round_kills_and_reaps_the_children(monkeypatch):
+    """Of three processes, the first child forks and the second fork fails:
+    the round raises that failure, and the child is gone."""
+    fork, pids = os.fork, []
+
+    def second_fails():
+        if pids:
+            raise OSError("out of processes")
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    with pytest.raises(OSError, match="out of processes"):
+        on_cpus(monkeypatch, 3, lambda: workers.map_jobs(lambda i: i, 3))
+    assert len(pids) == 1
 
 
 def test_every_pool_process_runs_blas_at_one_thread(monkeypatch):
@@ -649,12 +749,14 @@ def test_pool_without_blas_control_pins_no_cpu(monkeypatch, caplog):
 
 
 def test_rank_deficient_window_in_a_workers_pack_raises_as_in_one_process(monkeypatch):
-    """The deficient window is pack 1 of two, which the child runs."""
+    """The windows cover 1210 rows, so they make two packs; in row order,
+    the second window passes half of them and opens pack 1, which holds
+    the deficient window and which the child runs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # the pool caps at these
-    ds = two_traj_dataset(length=900)
+    ds = two_traj_dataset(length=1200)
     ds.u[1, :10] = 0.0
     net = BasisNet.init(2, 3, 2, 2, 3, hidden=(4,), rng=3)
-    specs = [WindowSpec(1, 0, 10), WindowSpec(0, 0, training._PACK_ROWS + 1)]
+    specs = [WindowSpec(1, 0, 10), WindowSpec(0, 0, 600), WindowSpec(0, 600, 600)]
     with pytest.raises(np.linalg.LinAlgError) as one:
         minibatch_cost_and_grad(net, ds, specs, 0.0, np.zeros(3))
     with training._pack_pool(net, ds, 2) as pool, \
@@ -675,7 +777,7 @@ def test_one_pack_step_sends_no_message(monkeypatch):
     sent = count_messages(monkeypatch)
     with training._pack_pool(net, ds, 2) as pool:
         for specs, messages in (([WindowSpec(0, 0, 40), WindowSpec(0, 20, 40)], 0),
-                                ([WindowSpec(0, 0, 40), WindowSpec(1, 0, 800)], 1)):
+                                ([WindowSpec(0, 0, 600), WindowSpec(1, 0, 600)], 1)):
             sent.clear()
             want = minibatch_cost_and_grad(net, ds, specs, 0.1, np.zeros(3))
             got = minibatch_cost_and_grad(net, ds, specs, 0.1, np.zeros(3), pool)
