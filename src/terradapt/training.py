@@ -14,14 +14,19 @@ so theta* solves the ridge normal equations
 
     (sum_t H_t^T H_t + lambda_r I) theta* = sum_t H_t^T y_t + lambda_r theta_r
 
-by Cholesky factorization (never an explicit inverse). The gradient of J
-through theta* uses the implicit-function adjoint of that linear system:
-one extra solve with the already-factored matrix per window, after which
+by Cholesky factorization (never an explicit inverse). Both sides come from
+one Gram: with Z = [H | y] a window's rows, Z^T Z holds sum_t H_t^T H_t and
+sum_t H_t^T y_t. The gradient of J through theta* uses the implicit-function
+adjoint of that linear system, with r_t = H_t theta* - y_t:
 
-    dJ/dH_t = r_t (2 theta* - mu)^T - (H_t mu) theta*^T,   r_t = H_t theta* - y_t,
-    G mu = 2 sum_t H_t^T r_t,
+    dJ/dH_t = r_t (2 theta* - mu)^T - (H_t mu) theta*^T,   G mu = 2 sum_t H_t^T r_t,
 
-and the chain rule pushes dJ/dH into the network. Each optimizer step is
+and the normal equations give sum_t H_t^T r_t = lambda_r (theta_r - theta*),
+so mu is one solve with the already-factored G, with no sum over rows. Per
+window, one product Z [v | Q], with v = [theta*; -1] and
+Q = v (2 theta* - mu)^T - [mu; 0] theta*^T, gives the residuals r = Z v
+(the cost is r^T r, never a cancelling quadratic form) and dJ/dH = Z Q;
+the chain rule pushes dJ/dH into the network. Each optimizer step is
 followed by spectral normalization, so the constraint holds after every
 training step, not just at the end.
 
@@ -33,10 +38,10 @@ packs, at least one, each taking about an equal share of the new rows
 (see _packs). Windows of a step overlap heavily (70 windows of up to 30 s
 on a log of a few minutes), so each pack runs the network forward and
 backward once per distinct row, not once per window row. Each window's
-rows are a contiguous slice of its pack's sorted rows; the ridge fits and
-their adjoints run over those slices in one batched Cholesky
-factorization, and each window's dJ/dH is summed onto the rows it covers
-before the one backward pass.
+rows are a contiguous slice (a view) of its pack's sorted rows; its Gram
+and its one product above run on that slice, the ridge fits and their
+adjoints run in one batched Cholesky factorization, and each window's
+dJ/dH is added onto the rows it covers before the one backward pass.
 
 Given the network, the packs are independent too, so train() runs them on
 one workers.Pool for all its steps: this process and a child per further
@@ -71,19 +76,19 @@ log = logging.getLogger(__name__)
 # fewer than 1.5 x _PACK_ROWS rows is one pack and forks no worker. Larger
 # packs share more rows between windows (a pack forwards again the rows it
 # shares with the one before it) and amortize the per-call cost of the passes
-# and the solves; the activations and the windows' rows of a pack grow with
-# them, and fewer packs load the pool's CPUs less evenly. Two sweeps of
-# train() on the benchmark workloads' datasets at seed 41 (2-core host, one
-# BLAS thread, pool on both CPUs, 7 and 9 interleaved repeats) at targets 384,
-# 768, 1152 and 1536 gave, per step and per train():
+# and the solves; a pack's activations grow with them, and fewer packs load
+# the pool's CPUs less evenly. Two sweeps of train() on the benchmark
+# workloads' datasets at seed 41 (2-core host, one BLAS thread, pool on both
+# CPUs, 7 and 9 interleaved repeats) at targets 384, 768, 1152 and 1536 gave,
+# per step and per train() (times over both sweeps):
 #   circle-ackermann (U ~ 7500): 18.3, 9.9, 6.6 and 5.0 packs forwarding
-#     10461, 8932, 8352 and 8145 rows, in 0.26-0.35, 0.28-0.34, 0.30-0.37 and
-#     0.31-0.38 s, at traced peaks of 4.1, 5.1, 6.1 and 7.5 MiB;
-#   offline-tracked (U ~ 1450): 3.9, 2.0, 1.0 and 1.0 packs, in 0.35-0.40,
-#     0.31-0.34, 0.33-0.36 and 0.30-0.34 s, at 1.0, 1.6, 3.0 and 3.1 MiB;
+#     10461, 8932, 8352 and 8145 rows, in 0.24-0.36, 0.24-0.31, 0.26-0.31 and
+#     0.30-0.37 s, at traced peaks of 3.6, 4.3, 5.1 and 6.1 MiB;
+#   offline-tracked (U ~ 1450): 3.9, 2.0, 1.0 and 1.0 packs, in 0.36-0.50,
+#     0.38-0.47, 0.36-0.51 and 0.30-0.49 s, at 0.8, 1.4, 2.6 and 2.7 MiB;
 #   closed-loop-tracked (U ~ 800): 2.0 packs at 384 and one above.
 # The spread between the sweeps on that shared host is as wide as most gaps;
-# only circle-ackermann was slower at each target above 768 in both.
+# only circle-ackermann was slower at 1536 than at 768 in both.
 _PACK_ROWS = 768
 
 
@@ -114,8 +119,8 @@ class TrajectoryDataset:
         shapes = {a.shape[:2] for a in (self.x, self.u, self.e, self.y)}
         if len(shapes) != 1:
             raise ValueError(f"dataset arrays disagree on (n_traj, length): {shapes}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dataset dt must be a positive finite period, got {self.dt}")
         for name, a in (("x", self.x), ("u", self.u), ("e", self.e), ("y", self.y)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"dataset array {name} contains non-finite values")
@@ -225,25 +230,18 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.transpose(0, 2, 1), z)[:, :, 0]
 
 
-def _ridge(h: np.ndarray, y: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-           lambda_r: float, theta_r: np.ndarray):
-    """Ridge fits of windows stored back to back.
+def _ridge(gram: np.ndarray, lambda_r: float, theta_r: np.ndarray):
+    """Ridge fits of windows from their Grams.
 
-    h is (T, n, k) and y is (T, n); window j owns lengths[j] >= 1 rows from
-    row starts[j]. Returns (chol, theta, r): the lower Cholesky factors of
-    the windows' normal matrices (W, k, k), theta* (W, k) and the residual
-    rows r_t = H_t theta* - y_t (T, n). Raises np.linalg.LinAlgError when a
-    normal matrix is not positive definite.
+    gram is (W, k + 1, k + 1), window j's Z_j^T Z_j with Z_j = [H | y] its
+    rows; its leading (k, k) block is sum_t H_t^T H_t and its last column
+    sum_t H_t^T y_t. Returns (chol, theta): the lower Cholesky factors of
+    the windows' normal matrices (W, k, k) and theta* (W, k). Raises
+    np.linalg.LinAlgError when a normal matrix is not positive definite.
     """
-    n, k = h.shape[1:]
-    rows = h.reshape(-1, k)
-    gram = (np.add.reduceat(rows[:, :, None] * rows[:, None, :], starts * n)
-            + lambda_r * np.eye(k))
-    rhs = np.add.reduceat(np.einsum("tni,tn->ti", h, y), starts) + lambda_r * theta_r
-    chol = np.linalg.cholesky(gram)
-    theta = _cho_solve(chol, rhs)
-    r = np.einsum("tni,ti->tn", h, np.repeat(theta, lengths, axis=0)) - y
-    return chol, theta, r
+    k = gram.shape[1] - 1
+    chol = np.linalg.cholesky(gram[:, :k, :k] + lambda_r * np.eye(k))
+    return chol, _cho_solve(chol, gram[:, :k, k] + lambda_r * theta_r)
 
 
 def _pack_cost_and_grad(net: BasisNet, x, u, e, y, at, lengths,
@@ -251,30 +249,29 @@ def _pack_cost_and_grad(net: BasisNet, x, u, e, y, at, lengths,
     """Costs, theta* and summed gradient of windows over one set of rows.
 
     x, u, e, y hold distinct rows; window j owns the lengths[j] >= 1 rows
-    from row at[j]. One forward and one backward pass over the rows, one
-    batched ridge solve plus adjoint over the windows' rows, with each
-    window's dJ/dH summed onto the rows it covers. Returns (costs (W,),
-    theta (W, n_theta), grads) where grads is the backward() dict, summed
-    over every window.
+    from row at[j]. One forward and one backward pass over the rows, and per
+    window one Gram and one product on a view of its rows (see the module
+    docstring). Returns (costs (W,), theta (W, n_theta), grads) where grads
+    is the backward() dict, summed over every window.
     """
     phi, acts = net.forward_batch(x, e, want_cache=True)
-    h = build_h(phi, u)
-    starts = np.cumsum(lengths) - lengths
-    take = np.arange(starts[-1] + lengths[-1]) + np.repeat(at - starts, lengths)
-    h_w = h[take]
-    chol, theta, r = _ridge(h_w, y[take], starts, lengths, lambda_r, theta_r)
-    costs = np.add.reduceat(np.einsum("tn,tn->t", r, r), starts)
-    # adjoint of the linear solves: one more solve with the same factors
-    mu = _cho_solve(chol, 2.0 * np.add.reduceat(np.einsum("tni,tn->ti", h_w, r), starts))
-    theta_t = np.repeat(theta, lengths, axis=0)
-    mu_t = np.repeat(mu, lengths, axis=0)
-    h_mu = np.einsum("tni,ti->tn", h_w, mu_t)
-    d_h_w = (r[:, :, None] * (2.0 * theta_t - mu_t)[:, None, :]
-             - h_mu[:, :, None] * theta_t[:, None, :])
-    d_h = np.zeros_like(h)
-    for first, start, length in zip(at.tolist(), starts.tolist(), lengths.tolist()):
-        d_h[first:first + length] += d_h_w[start:start + length]
-    d_phi = np.einsum("tni,tm->tinm", d_h, u)
+    n, k = y.shape[1], phi.shape[1]
+    z = np.concatenate([build_h(phi, u), y[:, :, None]], axis=2).reshape(-1, k + 1)
+    spans = [(a * n, (a + length) * n) for a, length in zip(at.tolist(), lengths.tolist())]
+    chol, theta = _ridge(np.stack([z[lo:hi].T @ z[lo:hi] for lo, hi in spans]),
+                         lambda_r, theta_r)
+    mu = _cho_solve(chol, 2.0 * lambda_r * (theta_r - theta))   # the adjoint
+    v = np.pad(theta, ((0, 0), (0, 1)), constant_values=-1.0)    # [theta*; -1]
+    mu0 = np.pad(mu, ((0, 0), (0, 1)))                            # [mu; 0]
+    vq = np.concatenate([v[:, :, None], v[:, :, None] * (2.0 * theta - mu)[:, None, :]
+                         - mu0[:, :, None] * theta[:, None, :]], axis=2)   # [v | Q]
+    costs = np.empty(len(spans))
+    d_h = np.zeros((len(z), k))
+    for j, (lo, hi) in enumerate(spans):
+        rq = z[lo:hi] @ vq[j]
+        costs[j] = rq[:, 0] @ rq[:, 0]
+        d_h[lo:hi] += rq[:, 1:]
+    d_phi = np.einsum("tni,tm->tinm", d_h.reshape(-1, n, k), u)
     return costs, theta, net.backward(acts, d_phi)
 
 

@@ -128,8 +128,10 @@ def solve_theta_star(h: np.ndarray, y: np.ndarray, lambda_r: float, theta_r: np.
     n_theta = h.shape[2]
     if theta_r.shape[0] != n_theta:
         raise ValueError(f"theta_r has {theta_r.shape[0]} entries, expected {n_theta}")
-    _, theta, r = _ridge(h, y, np.array([0]), np.array([h.shape[0]]), lambda_r, theta_r)
-    return theta[0], float(np.sum(r * r))
+    z = np.concatenate([h, y[:, :, None]], axis=2).reshape(-1, n_theta + 1)
+    _, theta = _ridge((z.T @ z)[None], lambda_r, theta_r)
+    r = z @ np.append(theta[0], -1.0)
+    return theta[0], float(r @ r)
 
 
 def window_cost(net, window, lambda_r: float, theta_r) -> tuple[float, np.ndarray]:

@@ -1,11 +1,13 @@
 """Meta-training: ridge solutions, implicit gradients, optimizer, determinism."""
 
+import json
 import logging
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ import terradapt
 from terradapt import cli, training, workers
 from terradapt.config import config_from_dict
 from terradapt.harness import build_world_for, generate_dataset
+from terradapt.serialize import save_arrays
 from terradapt.basis import BasisNet
 from terradapt.training import (
     Adam,
@@ -72,12 +75,30 @@ def test_dataset_validation():
         TrajectoryDataset(**{**ok, "u": np.zeros((1, 6, 2))})
     with pytest.raises(ValueError, match="\\(n_traj, length, dim\\)"):
         TrajectoryDataset(**{**ok, "x": np.zeros((5, 2))})
-    with pytest.raises(ValueError, match="dt"):
-        TrajectoryDataset(**{**ok, "dt": 0.0})
+    for dt in (0.0, -1.0, math.nan, math.inf):   # NaN used to pass a plain dt <= 0
+        with pytest.raises(ValueError, match="dt"):
+            TrajectoryDataset(**{**ok, "dt": dt})
     bad = np.zeros((1, 5, 2))
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         TrajectoryDataset(**{**ok, "y": bad})
+
+
+def test_cli_train_on_a_dataset_of_nan_dt_is_one_json_error(tmp_path, capsys):
+    """The container header is JSON, whose reader takes NaN: train refuses
+    the dataset with exit 1 and one JSON error that names dt."""
+    arrays = {"x": np.zeros((1, 40, 5)), "u": np.zeros((1, 40, 2)),
+              "e": np.zeros((1, 40, 4)), "y": np.zeros((1, 40, 2))}
+    save_arrays(tmp_path / "dataset.tdc", arrays, kind="dataset", meta={"dt": math.nan})
+    assert b'"dt":NaN' in (tmp_path / "dataset.tdc").read_bytes()
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(base_raw(out_dir=tmp_path)))
+    assert cli.main(["train", "-c", str(cfg_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError" and "dt" in err["message"]
+    assert not (tmp_path / "basis.tdc").exists()
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
@@ -251,6 +272,52 @@ def test_empty_window_gives_zero_gradient():
     np.testing.assert_array_equal(theta, theta_r)
     for g in grads["W"] + grads["b"]:
         assert np.all(g == 0.0)
+
+
+def test_costs_of_near_exact_fits_are_residual_norms():
+    """Windows the basis fits to about 1e-3 of the signal, at lambda_r > 0
+    and at lambda_r = 0: each cost is the sum of its rows' squared
+    residuals at the returned theta* (a quadratic form in the Gram would
+    cancel), it is never negative, and the meta-gradient matches finite
+    differences."""
+    ds, teacher = planted_dataset(length=300, noise=1e-3)
+    x, u, e, y = (a[0] for a in (ds.x, ds.u, ds.e, ds.y))
+    h = build_h(teacher.forward_batch(x, e), u)
+    at, lengths = np.array([0, 10, 10, 150, 295]), np.array([300, 40, 5, 100, 5])
+    theta_r = np.array([0.8, -0.5])   # the planted theta
+    for lam in (0.05, 0.0):
+        costs, theta, _ = training._pack_cost_and_grad(teacher, x, u, e, y, at, lengths,
+                                                       lam, theta_r)
+        for j, (first, length) in enumerate(zip(at, lengths)):
+            want = 0.0
+            for t in range(first, first + length):
+                r = h[t] @ theta[j] - y[t]
+                want += r @ r
+            assert costs[j] == pytest.approx(want, rel=1e-12, abs=0.0), (lam, j)
+            assert 0.0 <= costs[j] < 1e-4 * np.sum(y[first:first + length] ** 2)
+        windows = [(x[a:a + n], u[a:a + n], e[a:a + n], y[a:a + n])
+                   for a, n in zip(at[1:], lengths[1:])]
+        # central differences at the default step of 1e-5 carry a truncation
+        # error of 1.8e-6 on this data; it falls as the step squared
+        assert gradcheck_meta(teacher, windows, lam, theta_r, h_step=1e-6) < 1e-6, lam
+
+
+def test_step_of_windows_over_the_same_rows_copies_no_window_rows():
+    """70 windows that all cover the same 600 rows cost a Gram and one
+    product each on the pack's rows: the step peaks below 2 MiB (0.5 MiB
+    measured), where copies of every window's rows and of their per-row
+    outer products would take 17 MiB."""
+    ds = two_traj_dataset(length=600)
+    net = BasisNet.init(2, 3, 2, 2, 4, hidden=(8,), rng=21)
+    specs = [WindowSpec(0, 0, 600)] * 70
+    minibatch_cost_and_grad(net, ds, specs, 0.3, np.zeros(4))   # imports and caches
+    tracemalloc.start()
+    try:
+        minibatch_cost_and_grad(net, ds, specs, 0.3, np.zeros(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 # ----------------------------------------------------------- minibatch path
