@@ -164,8 +164,8 @@ class BasisNet:
         """Exact gradients for a batch given upstream dJ/dPhi.
 
         acts is the cache from forward_batch; upstream has shape
-        (T, n_theta, n, m). Returns {"W": [...], "b": [...], "x": dJ/dx,
-        "e": dJ/de} with gradients summed over the batch for the weights.
+        (T, n_theta, n, m). Returns {"W": [...], "b": [...]}, the weight
+        and bias gradients summed over the batch.
         """
         g = flatten_output(np.asarray(upstream, dtype=float))
         if g.shape != (acts[0].shape[0], self.n_theta * self.n * self.m):
@@ -175,13 +175,11 @@ class BasisNet:
         d_w = [None] * len(self.weights)
         d_b = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
-            if i != len(self.weights) - 1:
-                g = g * self._act_grad(acts[i + 1])
             d_w[i] = g.T @ acts[i]
             d_b[i] = g.sum(axis=0)
-            g = g @ self.weights[i]
-        return {"W": d_w, "b": d_b,
-                "x": g[:, : self.state_dim], "e": g[:, self.state_dim:]}
+            if i:
+                g = (g @ self.weights[i]) * self._act_grad(acts[i])
+        return {"W": d_w, "b": d_b}
 
     # ---- spectral constraint ----
 

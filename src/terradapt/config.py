@@ -67,7 +67,7 @@ class VehicleConfig:
     def __post_init__(self):
         if self.type not in ("tracked", "ackermann"):
             raise ValueError(f"vehicle type must be tracked or ackermann, got {self.type!r}")
-        if self.half_spacing <= 0:
+        if not self.half_spacing > 0:
             raise ValueError("half_spacing must be positive")
         # a limit at or below zero clamps every command (NaN fails the compare)
         for key in ("u_v_max", "u_omega_max", "u_delta_max"):
@@ -91,6 +91,9 @@ class ProviderConfig:
             raise ValueError(f"brightness must be positive, got {self.brightness}")
         if self.mode == "recorded" and not self.world_file:
             raise ValueError("mode 'recorded' requires world_file")
+        if self.mode == "synthetic" and self.world_file is not None:
+            raise ValueError("world_file is read only in mode 'recorded'; mode 'synthetic' "
+                             "builds the world from the world section")
 
 
 @dataclass
@@ -185,7 +188,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kind not in ("velocity-random", "figure8", "ackermann-circle"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.duration_s <= 0 or self.runs < 1:
+        if not self.duration_s > 0 or self.runs < 1:
             raise ValueError("duration_s must be positive and runs at least 1")
         # a hold at or below zero never moves the reference draw forward
         if not min(self.hold_range_s) > 0:

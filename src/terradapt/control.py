@@ -114,14 +114,14 @@ class AdaptParams:
     def __post_init__(self):
         if self.law not in ("scalar", "matrix"):
             raise ValueError(f"adaptation law must be scalar or matrix, got {self.law!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         if len(self.r_diag) not in (1, 2):
             raise ValueError(f"r_diag has {len(self.r_diag)} entries; the residual has "
                              "2 channels, so give 1 or 2")
-        if any(r <= 0 for r in self.r_diag):
+        if not all(r > 0 for r in self.r_diag):
             raise ValueError("R must be positive definite")
-        if any(q < 0 for q in self.q_diag):
+        if not all(q >= 0 for q in self.q_diag):
             raise ValueError("Q must be positive semidefinite")
         if not 0 < self.gamma_min <= self.gamma0 <= self.gamma_max:
             raise ValueError("need 0 < gamma_min <= gamma0 <= gamma_max")

@@ -191,12 +191,14 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.lambda_r < 0:
+        if not (self.learning_rate > 0 and self.lambda_r >= 0):
             raise ValueError("learning_rate must be positive and lambda_r nonnegative")
         if not 0 < self.window_min_s <= self.window_max_s:
             raise ValueError("need 0 < window_min_s <= window_max_s")
         if self.batch_windows < 1 or self.max_iters < 1:
             raise ValueError("batch_windows and max_iters must be at least 1")
+        if self.n_theta < 1:
+            raise ValueError(f"n_theta must be at least 1, got {self.n_theta}")
         if len(self.theta_r) != self.n_theta:
             raise ValueError(f"theta_r has {len(self.theta_r)} entries, n_theta={self.n_theta}")
         if self.activation not in _ACTIVATIONS:

@@ -31,19 +31,21 @@ numpy 1.x), no process is pinned, so BLAS threads can spread over the
 CPUs, and a warning says so once per process; the bytes may then depend
 on the thread count.
 
-This process runs its own block first, its records and exceptions
-passing through as they happen, as in a one-process run. A child sends
-each job's result back through its own pipe, pickled with the records
-the job logged to the terradapt loggers. The round then handles the
-children's records in job order and returns the results in job order, or
-raises the first failing job's exception after the records of every job
-before it, as one process running the jobs in order would (without a
-child's traceback). A result or exception that cannot be sent back
-becomes a RuntimeError that names its job, as does a child that ends
-before its job returns. A round that raises, the interrupt included,
-kills and reaps every child at once, as does a fork that fails in the
-first round; close() reaps them otherwise. What a job changes in memory
-stays in its process.
+Each child has a pipe of multiprocessing.connection in each direction,
+which carries whole messages of any size. This process runs its own
+block first, its records and exceptions passing through as they happen,
+as in a one-process run, and takes in the children's messages between
+its jobs. A child sends one message per job, its result pickled with the
+records the job logged to the terradapt loggers, then an empty message.
+The round then handles the children's records in job order and returns
+the results in job order, or raises the first failing job's exception
+after the records of every job before it, as one process running the
+jobs in order would (without a child's traceback). A result or exception
+that cannot be sent back becomes a RuntimeError that names its job, as
+does a child that ends before its job returns. A round that raises, the
+interrupt included, kills and reaps every child at once, as does a fork
+that fails in the first round; close() reaps them otherwise. What a job
+changes in memory stays in its process.
 
 With one usable CPU (say, under `taskset -c 0`), or where os.fork or
 os.sched_getaffinity is missing (macOS, Windows), nothing is forked and
@@ -58,8 +60,8 @@ import functools
 import logging
 import os
 import pickle
-import selectors
 import signal
+from multiprocessing.connection import Pipe, wait
 
 import numpy as np
 
@@ -89,20 +91,6 @@ class _Capture(logging.Handler):
     def emit(self, record):
         record.msg, record.args, record.exc_info = record.getMessage(), None, None
         self.records.append(record)
-
-
-def _run_block(job, jobs, capture):
-    """Run jobs in order until one fails, yielding (i, ok, value, records)
-    per job: its result or exception and the records it logged."""
-    for i in jobs:
-        try:
-            ok, value = True, job(i)
-        except Exception as e:
-            ok, value = False, e
-        records, capture.records = capture.records, []
-        yield i, ok, value, records
-        if not ok:
-            return
 
 
 @functools.cache
@@ -140,23 +128,19 @@ def _block(rank: int, n: int, active: int) -> range:
     return range(rank * n // active, (rank + 1) * n // active)
 
 
-def _write(fd: int, data: bytes) -> None:
-    """Write data to fd as one frame: its 8-byte length, then the bytes."""
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 class _Child:
-    """A forked child: its pid, this process's ends of its two pipes, and
-    what it has sent in the current round."""
+    """A forked child: its pid, this process's connections to it, and the
+    messages it has sent in the current round. wait() takes it as the
+    connection it sends on."""
 
-    def __init__(self, pid: int, send: int, recv: int):
+    def __init__(self, pid: int, send, recv):
         self.pid, self.send, self.recv = pid, send, recv
-        self.buffer = bytearray()
-        self.frames = []
+        self.messages = []
         self.done = True
         self.code = None    # exit code, once reaped
+
+    def fileno(self) -> int:
+        return self.recv.fileno()
 
 
 class Pool:
@@ -169,7 +153,7 @@ class Pool:
         self._prepare = prepare
         self._size = max(min(most, usable_cpus()), 1)
         self._children = []
-        self._sel = self._affinity = self._blas_count = None
+        self._affinity = self._blas_count = None
         if blas := _blas_threads():
             self._blas_count = blas[0]()
             blas[1](1)
@@ -183,7 +167,6 @@ class Pool:
     def _fork_children(self) -> None:
         """Fork ranks 1 .. W - 1 and, where BLAS is held at one thread, pin
         every process to its own CPU of the affinity set."""
-        self._sel = selectors.DefaultSelector()
         cpus = [None] * self._size
         if self._blas_count is not None:
             self._affinity = os.sched_getaffinity(0)
@@ -193,30 +176,28 @@ class Pool:
             self._fork(rank, cpus[rank])
 
     def _fork(self, rank: int, cpu: int) -> None:
-        cmd_r, cmd_w = os.pipe()
-        out_r, out_w = os.pipe()
+        cmd_r, cmd_w = Pipe(duplex=False)
+        out_r, out_w = Pipe(duplex=False)
         try:
             pid = os.fork()
         except OSError:
-            for fd in (cmd_r, cmd_w, out_r, out_w):
-                os.close(fd)
+            for conn in (cmd_r, cmd_w, out_r, out_w):
+                conn.close()
             raise
         if pid == 0:
             code = 1
             try:
-                for fd in (cmd_w, out_r, *(end for c in self._children
-                                           for end in (c.send, c.recv))):
-                    os.close(fd)
+                for conn in (cmd_w, out_r, *(end for c in self._children
+                                             for end in (c.send, c.recv))):
+                    conn.close()
                 _pin(cpu)
                 _serve(self._prepare, rank, self._size, cmd_r, out_w)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(cmd_r)
-        os.close(out_w)
-        child = _Child(pid, cmd_w, out_r)
-        self._children.append(child)
-        self._sel.register(out_r, selectors.EVENT_READ, child)
+        cmd_r.close()
+        out_w.close()
+        self._children.append(_Child(pid, cmd_w, out_r))
 
     def round(self, payload) -> list:
         """Run prepare(payload)'s jobs over the pool; their results in job order."""
@@ -230,14 +211,14 @@ class Pool:
             busy = self._children[:active - 1]
             data = pickle.dumps(payload)
             for child in busy:
-                child.frames, child.done = [], False
-                _write(child.send, data)
+                child.messages, child.done = [], False
+                child.send.send_bytes(data)
             results = []
             for i in _block(0, n, active):
                 results.append(job(i))
-                _receive(self._sel, 0)      # a child waits while its pipe is full
+                _receive(busy, 0)       # a child waits while its pipe is full
             while not all(child.done for child in busy):
-                _receive(self._sel, None)
+                _receive(busy, None)
             return results + _in_job_order(n, active, busy)
         except BaseException:
             self.close(kill=True)
@@ -250,13 +231,10 @@ class Pool:
         for child in children:
             if kill and child.code is None:
                 os.kill(child.pid, signal.SIGKILL)
-            os.close(child.send)
-            os.close(child.recv)
+            child.send.close()
+            child.recv.close()
             if child.code is None:
                 os.waitpid(child.pid, 0)
-        if self._sel is not None:
-            self._sel.close()
-            self._sel = None
         if self._affinity is not None:
             os.sched_setaffinity(0, self._affinity)
             self._affinity = None
@@ -265,55 +243,55 @@ class Pool:
             self._blas_count = None
 
 
-def _serve(prepare, rank: int, size: int, cmd: int, out: int) -> None:
-    """A child's loop: per payload read from cmd, run this rank's block of
-    its jobs and write one frame per job to out, then an empty frame. A
-    result or exception that cannot be sent back becomes a RuntimeError
-    that names the job. Returns when cmd is closed. The terradapt loggers'
-    records go to a _Capture from here on, as the child exits after this."""
+def _serve(prepare, rank: int, size: int, cmd, out) -> None:
+    """A child's loop: per payload received on cmd, run this rank's block of
+    its jobs in order until one fails, sending one message per job on out,
+    then an empty message. A result or exception that cannot be sent back
+    becomes a RuntimeError that names the job. Returns when cmd is closed.
+    The terradapt loggers' records go to a _Capture from here on, as the
+    child exits after this."""
     capture = _Capture()
     logger = logging.getLogger("terradapt")
     logger.handlers, logger.propagate = [capture], False
-    with open(cmd, "rb") as inp:
-        while head := inp.read(8):
-            job, n = prepare(pickle.loads(inp.read(int.from_bytes(head, "little"))))
-            block = _block(rank, n, min(size, n))
-            for i, ok, value, records in _run_block(job, block, capture):
-                try:
-                    data = pickle.dumps((ok, value, records))
-                    if not ok:
-                        pickle.loads(data)      # an exception may pickle and not load
-                except Exception as e:
-                    data = pickle.dumps((False, RuntimeError(
-                        f"job {i}: {value!r} cannot be sent back from its worker process "
-                        f"({type(e).__name__}: {e})"), records))
-                _write(out, data)
-            _write(out, b"")       # a frame of length zero ends the block
-
-
-def _receive(sel, timeout) -> None:
-    """Take in what the children have sent, waiting up to timeout seconds
-    for the first of it (None: until some arrives). A child whose pipe
-    closes has ended: it is reaped and counts as done."""
-    for key, _ in sel.select(timeout):
-        child = key.data
-        chunk = os.read(key.fd, 1 << 16)
-        if not chunk:
-            sel.unregister(key.fd)
-            child.code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
-            child.done = True
-            continue
-        buf = child.buffer
-        buf += chunk
-        while len(buf) >= 8:
-            size = int.from_bytes(buf[:8], "little")
-            if size == 0:
-                child.done = True
-            elif len(buf) < 8 + size:
+    while True:
+        try:
+            payload = cmd.recv_bytes()
+        except EOFError:
+            return
+        job, n = prepare(pickle.loads(payload))
+        for i in _block(rank, n, min(size, n)):
+            try:
+                ok, value = True, job(i)
+            except Exception as e:
+                ok, value = False, e
+            records, capture.records = capture.records, []
+            try:
+                data = pickle.dumps((ok, value, records))
+                if not ok:
+                    pickle.loads(data)      # an exception may pickle and not load
+            except Exception as e:
+                data = pickle.dumps((False, RuntimeError(
+                    f"job {i}: {value!r} cannot be sent back from its worker process "
+                    f"({type(e).__name__}: {e})"), records))
+            out.send_bytes(data)
+            if not ok:
                 break
-            else:
-                child.frames.append(bytes(buf[8:8 + size]))
-            del buf[:8 + size]
+        out.send_bytes(b"")        # an empty message ends the block
+
+
+def _receive(children, timeout) -> None:
+    """Take in one message from each child of children that has one waiting
+    and has not ended its block, waiting up to timeout seconds for the first
+    (None: until one arrives). A child is done with its empty message, or
+    when its pipe closes: it has ended, and is reaped."""
+    for child in wait([c for c in children if not c.done], timeout):
+        try:
+            if message := child.recv.recv_bytes():
+                child.messages.append(message)
+                continue
+        except EOFError:
+            child.code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+        child.done = True
 
 
 def _in_job_order(n: int, active: int, busy: list) -> list:
@@ -322,10 +300,10 @@ def _in_job_order(n: int, active: int, busy: list) -> list:
     results = []
     for rank, child in enumerate(busy, 1):
         for k, i in enumerate(_block(rank, n, active)):
-            if k >= len(child.frames):
+            if k >= len(child.messages):
                 raise RuntimeError(f"job {i}: its worker process ended with exit code "
                                    f"{child.code} before the job returned")
-            ok, value, records = pickle.loads(child.frames[k])
+            ok, value, records = pickle.loads(child.messages[k])
             for record in records:
                 logging.getLogger(record.name).handle(record)
             if not ok:

@@ -63,7 +63,7 @@ class WorldSpec:
         self.validate()
 
     def validate(self):
-        if min(self.rows, self.cols, self.tile_rows, self.tile_cols) <= 0 or self.cell_size <= 0:
+        if min(self.rows, self.cols, self.tile_rows, self.tile_cols) <= 0 or not self.cell_size > 0:
             raise ValueError("world and tile dimensions and cell size must be positive")
         if self.rows % self.tile_rows or self.cols % self.tile_cols:
             raise ValueError(
@@ -73,7 +73,7 @@ class WorldSpec:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
-        if self.feature_noise < 0:
+        if not self.feature_noise >= 0:
             raise ValueError("feature_noise must be nonnegative")
         if not self.classes:
             raise ValueError("classes must name at least one terrain class")

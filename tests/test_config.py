@@ -490,6 +490,20 @@ def test_malformed_shapes_refused_with_the_key_path():
     ({"training.hidden": [16, -2]}, "training: hidden widths must be at least 1"),
     ({"sim.dt_plant": 0.0}, "sim: dt_plant must lie in (0, 0.1]"),
     ({"sim.dt_plant": 0.11}, "sim: dt_plant must lie in (0, 0.1]"),
+    ({"vehicle.half_spacing": float("nan")}, "vehicle: half_spacing must be positive"),
+    ({"scenario.duration_s": float("nan")}, "scenario: duration_s must be positive"),
+    ({"world.cell_size": float("nan")}, "world: world and tile dimensions and cell size"),
+    ({"world.feature_noise": float("nan")}, "world: feature_noise must be nonnegative"),
+    ({"controller.adaptation.lam": float("nan")}, "controller.adaptation: lam must be"),
+    ({"controller.adaptation.r_diag": [float("nan"), 0.1]},
+     "controller.adaptation: R must be positive definite"),
+    ({"controller.adaptation.q_diag": [1.0, float("nan"), 1.0, 1.0]},
+     "controller.adaptation: Q must be positive semidefinite"),
+    ({"training.learning_rate": float("nan")}, "training: learning_rate must be positive"),
+    ({"training.lambda_r": float("nan")}, "training: learning_rate must be positive and "
+                                          "lambda_r nonnegative"),
+    ({"training.n_theta": 0, "training.theta_r": []}, "training: n_theta must be at least 1"),
+    ({"provider.world_file": "world.tdc"}, "provider: world_file is read only in mode"),
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
         "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
@@ -497,7 +511,9 @@ def test_malformed_shapes_refused_with_the_key_path():
         "dataset-hold-zero", "u-v-range", "u-omega-range", "u-delta-range", "activation",
         "fault-scale", "half-spacing", "conv-window-zero", "conv-window-negative",
         "conv-tol-negative", "conv-tol-nan", "hidden-zero", "hidden-negative",
-        "dt-plant-zero", "dt-plant-large"])
+        "dt-plant-zero", "dt-plant-large", "half-spacing-nan", "duration-nan",
+        "cell-size-nan", "feature-noise-nan", "lam-nan", "r-diag-nan", "q-diag-nan",
+        "learning-rate-nan", "lambda-r-nan", "n-theta-zero", "synthetic-world-file"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
@@ -517,14 +533,21 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     below 1 was accepted and ignored (train never converged, with "Mean of
     empty slice" warnings), a negative tolerance could never be met, and a
     zero hidden width let gen-data finish and stopped train with an
-    OverflowError."""
+    OverflowError. NaN passed the checks written as x <= 0 or x < 0: a NaN
+    lam, r_diag or q_diag entry rejected every adaptation step of a run
+    that reported a normal summary, and a NaN learning_rate, like n_theta
+    0, stopped train with exit 1 after gen-data had run. A world_file in
+    mode synthetic was accepted and ignored."""
     with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
         raw = yaml.safe_load(f)
     out = tmp_path / "out"
     raw["output_dir"] = str(out)
     for key, value in patch.items():
-        section, _, name = key.partition(".")
-        raw[section][name] = value
+        *path, name = key.split(".")
+        section = raw
+        for part in path:
+            section = section.setdefault(part, {})
+        section[name] = value
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
     assert cli.main(["evaluate", "-c", str(path), "--variants", "pd", "constant"]) == 2

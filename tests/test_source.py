@@ -59,14 +59,15 @@ def test_every_private_name_is_referenced():
     assert sorted(f"{module}: {name}" for module, name in defined if name not in used) == []
 
 
-# what forks, pins, kills and reaps processes, and sets numpy's BLAS threads
-PROCESS_CONTROL = {"fork", "sched_setaffinity", "waitpid", "kill",
+# what forks, pins, kills and reaps processes, opens their pipes, and sets
+# numpy's BLAS threads
+PROCESS_CONTROL = {"fork", "sched_setaffinity", "waitpid", "kill", "Pipe",
                    "scipy_openblas_set_num_threads64_"}
 
 
 def test_only_workers_controls_processes():
     """workers.py is the one module that forks, pins, kills and reaps
-    processes and sets BLAS's thread count, so that its pool alone decides
+    processes, opens their pipes and sets BLAS's thread count, so that its pool alone decides
     that no child outlives a command."""
     named = {module: PROCESS_CONTROL & (loaded_names(tree) | {
         a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -613,16 +614,16 @@ def test_loss_history_csv(tmp_path):
 # ------------------------------------------------------------ worker processes
 
 def count_messages(monkeypatch) -> list:
-    """Record the size of every frame this process writes to a pipe: a
-    round's payloads, as children write their frames in their own memory."""
+    """Record the size of every message this process sends on a pipe: a
+    round's payloads, as children record theirs in their own memory."""
     sent = []
-    write = workers._write
+    send_bytes = Connection.send_bytes
 
-    def recording(fd, data):
+    def recording(conn, data, *args):
         sent.append(len(data))
-        write(fd, data)
+        send_bytes(conn, data, *args)
 
-    monkeypatch.setattr(workers, "_write", recording)
+    monkeypatch.setattr(Connection, "send_bytes", recording)
     return sent
 
 
@@ -791,6 +792,23 @@ def test_every_pool_process_runs_blas_at_one_thread(monkeypatch):
         assert get() == 2
     finally:
         set_count(saved)
+
+
+def test_round_carries_messages_larger_than_a_pipe_buffer(monkeypatch):
+    """A pipe buffers 64 KiB: over two rounds, the payloads and the child's
+    job results of 1 MiB and more each cross their pipes whole, and the
+    results are those of one process."""
+    payload = np.arange(1 << 17, dtype=float)       # 1 MiB
+
+    def run():
+        with workers.Pool(lambda p: (lambda i: p * (i + 1), 4), 4) as pool:
+            return pool.round(payload) + pool.round(payload[::-1].copy())
+
+    sent = count_messages(monkeypatch)
+    one, two = (on_cpus(monkeypatch, n, run) for n in (1, 2))
+    assert len(sent) == 2 and min(sent) > 1 << 20
+    assert [r.nbytes for r in two] == [1 << 20] * 8
+    assert [r.tobytes() for r in two] == [r.tobytes() for r in one]
 
 
 def test_pool_without_blas_control_pins_no_cpu(monkeypatch, caplog):
