@@ -106,6 +106,9 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.dt_plant <= 0.1:
             raise ValueError("dt_plant must lie in (0, 0.1]")
+        if not (math.isfinite(self.control_period) and self.control_period > 0):
+            raise ValueError(f"control_period must be positive and finite, "
+                             f"got {self.control_period}")
         ratio = self.control_period / self.dt_plant
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("control_period must be an integer multiple of dt_plant")
@@ -193,6 +196,12 @@ class ScenarioConfig:
         # a hold at or below zero never moves the reference draw forward
         if not min(self.hold_range_s) > 0:
             raise ValueError(f"hold_range_s must hold positive durations, got {self.hold_range_s}")
+        if not 0 <= self.start_margin_frac < 0.5:
+            raise ValueError(f"start_margin_frac must lie in [0, 0.5), "
+                             f"got {self.start_margin_frac}")
+        if not (math.isfinite(self.fig8_amp_x) and math.isfinite(self.fig8_amp_y)):
+            raise ValueError(f"fig8_amp_x and fig8_amp_y must be finite, "
+                             f"got {(self.fig8_amp_x, self.fig8_amp_y)}")
         if not self.fig8_period_s > 0:
             raise ValueError(f"fig8_period_s must be positive, got {self.fig8_period_s}")
         if not (self.circle_radius > 0 and self.circle_speed > 0):

@@ -47,12 +47,18 @@ Given the network, the packs are independent too, so train() runs them on
 one workers.Pool for all its steps: this process and a child per further
 usable CPU, forked at the first step with two or more packs, once the
 dataset and the network exist. A step sends the children the flat
-parameters and its (traj, start, length) windows; every process rebuilds
-the same packs and computes its block of them, and this process adds the
-packs' flat gradients in pack order, so the result is the same bytes on
-any number of CPUs. A step of one pack runs here and sends nothing, and a
-train() whose every step is one pack forks nothing. Adam and the spectral
-projection run here, on the sum.
+parameters and its (traj, start, length) windows; every process cuts
+them into the same packs and lists the rows of its own block of packs
+only, computes them, and this process adds the packs' flat gradients in
+pack order, so the result is the same bytes on any number of CPUs. A
+step of one pack runs here and sends nothing, and a train() whose every
+step is one pack forks nothing. Adam and the spectral projection run
+here, on the sum. The window draws run here too: train() draws the
+first step's windows before its first round, and each later step's
+during the round before it, once this process's packs are done and
+while the children finish theirs, so on a step of two or more packs
+they overlap the children's work. The draws keep their order, one
+after another from the seed, and none is made past the iteration cap.
 """
 
 from __future__ import annotations
@@ -263,8 +269,8 @@ def _pack_cost_and_grad(net: BasisNet, x, u, e, y, at, lengths,
     chol, theta = _ridge(np.stack([z[lo:hi].T @ z[lo:hi] for lo, hi in spans]),
                          lambda_r, theta_r)
     mu = _cho_solve(chol, 2.0 * lambda_r * (theta_r - theta))   # the adjoint
-    v = np.pad(theta, ((0, 0), (0, 1)), constant_values=-1.0)    # [theta*; -1]
-    mu0 = np.pad(mu, ((0, 0), (0, 1)))                            # [mu; 0]
+    v = np.concatenate([theta, np.full((len(spans), 1), -1.0)], axis=1)   # [theta*; -1]
+    mu0 = np.concatenate([mu, np.zeros((len(spans), 1))], axis=1)         # [mu; 0]
     vq = np.concatenate([v[:, :, None], v[:, :, None] * (2.0 * theta - mu)[:, None, :]
                          - mu0[:, :, None] * theta[:, None, :]], axis=2)   # [v | Q]
     costs = np.empty(len(spans))
@@ -273,26 +279,26 @@ def _pack_cost_and_grad(net: BasisNet, x, u, e, y, at, lengths,
         rq = z[lo:hi] @ vq[j]
         costs[j] = rq[:, 0] @ rq[:, 0]
         d_h[lo:hi] += rq[:, 1:]
-    d_phi = np.einsum("tni,tm->tinm", d_h.reshape(-1, n, k), u)
-    return costs, theta, net.backward(acts, d_phi)
+    # dJ/dPhi_i = dJ/dh_i u^T per row, (T, n_theta, n, m), C-ordered for backward
+    d_hi = np.ascontiguousarray(d_h.reshape(-1, n, k).transpose(0, 2, 1))
+    return costs, theta, net.backward(acts, d_hi[:, :, :, None] * u[:, None, None, :])
 
 
-def _packs(first, lengths, target: int):
+def _packs(first, lengths, target: int) -> list:
     """Cut windows sorted by first row into even runs of neighbours.
 
     first and lengths are lists of ints, one per window, with first
-    nondecreasing. Yields (lo, hi, rows, at): windows lo..hi-1 form a pack,
-    rows are the distinct rows they cover in increasing order, and window
-    lo + i owns rows[at[i]:at[i] + lengths[lo + i]]. The windows cover U
-    distinct rows and make P = max(1, round(U / target)) packs (halves
-    round up): a window opens a new pack where the running count of
-    distinct rows passes k U / P, for k = 1 .. P - 1, with it. A window
-    that passes two of these at once opens one pack, so windows longer
-    than U / P can leave fewer than P. A pack's first window adds at most
-    the longest window's L new rows, and the rest fewer than U / P; its
-    windows start at or after those of the packs before it, so they share
-    at most L rows with them. A pack thus covers at most ceil(U / P) + 2 L
-    rows.
+    nondecreasing. Returns the bounds [0, ..., len(first)]: windows
+    bounds[p] .. bounds[p + 1] - 1 form pack p, whose rows _pack_rows
+    lists. The windows cover U distinct rows and make
+    P = max(1, round(U / target)) packs (halves round up): a window opens
+    a new pack where the running count of distinct rows passes k U / P,
+    for k = 1 .. P - 1, with it. A window that passes two of these at
+    once opens one pack, so windows longer than U / P can leave fewer
+    than P. A pack's first window adds at most the longest window's L new
+    rows, and the rest fewer than U / P; its windows start at or after
+    those of the packs before it, so they share at most L rows with them.
+    A pack thus covers at most ceil(U / P) + 2 L rows.
     """
     stop = np.add(first, lengths)
     reach = np.maximum.accumulate(stop)
@@ -301,14 +307,13 @@ def _packs(first, lengths, target: int):
     total = int(count[-1])
     n_packs = max(1, (2 * total + target) // (2 * target))
     opens = np.searchsorted(count * n_packs, np.arange(1, n_packs) * total, side="right")
-    bounds = [0, *np.unique(opens[opens > 0]).tolist(), len(first)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield lo, hi, *_pack_rows(first[lo:hi], lengths[lo:hi])
+    return [0, *np.unique(opens[opens > 0]).tolist(), len(first)]
 
 
 def _pack_rows(first, lengths):
     """(rows, at) of a pack: the distinct rows of windows sorted by first
-    row, in order, and where each window's rows begin among them."""
+    row, in order, and where each window's rows begin among them: window i
+    owns rows[at[i]:at[i] + lengths[i]]."""
     runs, at, n = [], [], 0
     for s, length in zip(first, lengths):
         if runs and s <= runs[-1][1]:   # overlaps or touches the last run of rows
@@ -329,8 +334,9 @@ def _pack_pool(net: BasisNet, dataset: TrajectoryDataset, most: int) -> workers.
     Its payload is (flat params of net, [(traj, start, length), ...],
     lambda_r, theta_r). Every process sets its copy of net to the params
     (this one's are those already), sorts the windows by first row (stably)
-    and cuts them into packs (see _packs), and job k returns pack k's
-    (window indices, costs, flat gradient).
+    and cuts them into the same packs (see _packs), and job k lists pack
+    k's rows and returns its (window indices, costs, flat gradient), so a
+    process lists the rows of its own packs only.
     """
     flat = [a.reshape(-1, a.shape[2]) for a in (dataset.x, dataset.u, dataset.e, dataset.y)]
 
@@ -339,33 +345,38 @@ def _pack_pool(net: BasisNet, dataset: TrajectoryDataset, most: int) -> workers.
         net.set_flat_params(params)
         first = [traj * dataset.length + start for traj, start, _ in windows]
         order = sorted(range(len(windows)), key=first.__getitem__)
-        lengths = np.array([windows[j][2] for j in order])
-        packs = list(_packs([first[j] for j in order], lengths.tolist(), _PACK_ROWS))
+        first = [first[j] for j in order]
+        lengths = [windows[j][2] for j in order]
+        bounds = _packs(first, lengths, _PACK_ROWS)
 
         def job(k):
-            lo, hi, rows, at = packs[k]
+            lo, hi = bounds[k], bounds[k + 1]
+            rows, at = _pack_rows(first[lo:hi], lengths[lo:hi])
             costs, _, grads = _pack_cost_and_grad(net, *(a[rows] for a in flat), at,
-                                                  lengths[lo:hi], lambda_r, theta_r)
+                                                  np.array(lengths[lo:hi]), lambda_r, theta_r)
             return order[lo:hi], costs.tolist(), net.grads_to_flat(grads)
 
-        return job, len(packs)
+        return job, len(bounds) - 1
 
     return workers.Pool(prepare, most)
 
 
 def minibatch_cost_and_grad(net: BasisNet, dataset: TrajectoryDataset, specs,
-                            lambda_r: float, theta_r, pool: workers.Pool | None = None):
+                            lambda_r: float, theta_r, pool: workers.Pool | None = None,
+                            meanwhile=None):
     """Per-window costs and the summed flat gradient of a list of windows.
 
     Runs the packs of neighbouring windows (see _pack_pool) on pool, a
-    _pack_pool of this net and dataset, or else here, one after another.
+    _pack_pool of this net and dataset, or else here, one after another;
+    meanwhile(), if given, runs as workers.Pool.round runs it.
     The packs' gradients are added in pack order, so the sum does not
     depend on where they ran. Returns (costs, grad) with costs in the order
     of specs.
     """
     if pool is None:
         with _pack_pool(net, dataset, 1) as pool:
-            return minibatch_cost_and_grad(net, dataset, specs, lambda_r, theta_r, pool)
+            return minibatch_cost_and_grad(net, dataset, specs, lambda_r, theta_r, pool,
+                                           meanwhile)
     for w in specs:
         w.validate(dataset)
     params = net.get_flat_params()
@@ -373,7 +384,7 @@ def minibatch_cost_and_grad(net: BasisNet, dataset: TrajectoryDataset, specs,
     costs = [0.0] * len(specs)
     grad = np.zeros(params.size)
     payload = (params, [(w.traj, w.start, w.length) for w in specs], lambda_r, theta_r)
-    for ids, pack_costs, pack_grad in pool.round(payload):
+    for ids, pack_costs, pack_grad in pool.round(payload, meanwhile):
         for j, cost in zip(ids, pack_costs):
             costs[j] = cost
         grad += pack_grad
@@ -387,6 +398,11 @@ def sample_window(rng, dataset: TrajectoryDataset, cfg: TrainerConfig) -> Window
     length = min(max(round(length_s / dataset.dt), 1), dataset.length)
     start = int(rng.integers(dataset.length - length + 1))
     return WindowSpec(traj, start, length)
+
+
+def _sample_batch(rng, dataset: TrajectoryDataset, cfg: TrainerConfig) -> list:
+    """A step's cfg.batch_windows windows, drawn one after another."""
+    return [sample_window(rng, dataset, cfg) for _ in range(cfg.batch_windows)]
 
 
 class Adam:
@@ -420,16 +436,19 @@ class TrainResult:
 
 
 def train_step(net: BasisNet, adam: Adam, dataset: TrajectoryDataset,
-               cfg: TrainerConfig, rng, pool: workers.Pool | None = None) -> float:
-    """One meta-iteration: sample windows, accumulate their gradients (on
-    pool, as minibatch_cost_and_grad does), Adam step, then re-project onto
-    the spectral constraint. Returns the minibatch loss, the window costs
-    summed in sampling order. A non-finite loss leaves the network
-    untouched, so the caller can report the divergence instead of the
-    projection failing on non-finite weights."""
-    specs = [sample_window(rng, dataset, cfg) for _ in range(cfg.batch_windows)]
+               cfg: TrainerConfig, rng, pool: workers.Pool | None = None,
+               specs=None, meanwhile=None) -> float:
+    """One meta-iteration: sample windows (unless specs gives them),
+    accumulate their gradients (on pool, as minibatch_cost_and_grad does,
+    with meanwhile), Adam step, then re-project onto the spectral
+    constraint. Returns the minibatch loss, the window costs summed in
+    sampling order. A non-finite loss leaves the network untouched, so the
+    caller can report the divergence instead of the projection failing on
+    non-finite weights."""
+    if specs is None:
+        specs = _sample_batch(rng, dataset, cfg)
     costs, grad_flat = minibatch_cost_and_grad(net, dataset, specs, cfg.lambda_r,
-                                               cfg.theta_r, pool)
+                                               cfg.theta_r, pool, meanwhile)
     total = 0.0
     for c in costs:   # a plain running sum, unlike sum() on Python >= 3.12
         total += c
@@ -448,9 +467,11 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
     window sequence, loss history, and final weights, on any number of
     CPUs. The steps' packs run on one _pack_pool of one process per usable
     CPU (at most one per window of a step), whose children are forked at
-    the first step with two or more packs. Convergence is declared when the mean loss over the
-    last conv_window iterations changes by less than conv_tol relative to
-    the previous conv_window block.
+    the first step with two or more packs. Each step but the last draws
+    the next step's windows while the other processes finish their packs,
+    in the order of one draw after another. Convergence is declared when
+    the mean loss over the last conv_window iterations changes by less
+    than conv_tol relative to the previous conv_window block.
     """
     n = dataset.y.shape[2]
     m = dataset.u.shape[2]
@@ -463,9 +484,14 @@ def train(dataset: TrajectoryDataset, cfg: TrainerConfig,
     result = TrainResult(net=net)
     losses = []
     t0 = time.perf_counter()
+    specs = _sample_batch(rng, dataset, cfg)
     with _pack_pool(net, dataset, cfg.batch_windows) as pool:
         for it in range(cfg.max_iters):
-            loss = train_step(net, adam, dataset, cfg, rng, pool)
+            ahead = []      # the next step's windows, drawn during this step's round
+            draw = None if it + 1 == cfg.max_iters else (
+                lambda: ahead.extend(_sample_batch(rng, dataset, cfg)))
+            loss = train_step(net, adam, dataset, cfg, rng, pool, specs, draw)
+            specs = ahead
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite minibatch loss at iteration {it}; "

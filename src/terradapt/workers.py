@@ -35,8 +35,13 @@ Each child has a pipe of multiprocessing.connection in each direction,
 which carries whole messages of any size. This process runs its own
 block first, its records and exceptions passing through as they happen,
 as in a one-process run, and takes in the children's messages between
-its jobs. A child sends one message per job, its result pickled with the
-records the job logged to the terradapt loggers, then an empty message.
+its jobs. A round may then make one more call here, the caller's
+meanwhile (say, to set up the next round), while the children finish;
+a round that runs here alone makes it after its jobs. It takes in no
+messages while it runs: a child whose pipe fills waits, as it would
+have waited for the round to begin had the call come before it. A child
+sends one message per job, its result pickled with the records the job
+logged to the terradapt loggers, then an empty message.
 The round then handles the children's records in job order and returns
 the results in job order, or raises the first failing job's exception
 after the records of every job before it, as one process running the
@@ -199,13 +204,18 @@ class Pool:
         out_w.close()
         self._children.append(_Child(pid, cmd_w, out_r))
 
-    def round(self, payload) -> list:
-        """Run prepare(payload)'s jobs over the pool; their results in job order."""
+    def round(self, payload, meanwhile=None) -> list:
+        """Run prepare(payload)'s jobs over the pool; their results in job
+        order. meanwhile(), if given, runs here once, after this process's
+        block and before the children's results are handled."""
         job, n = self._prepare(payload)
         active = min(self._size, n)
-        if active <= 1:
-            return [job(i) for i in range(n)]
         try:
+            if active <= 1:
+                results = [job(i) for i in range(n)]
+                if meanwhile is not None:
+                    meanwhile()
+                return results
             if not self._children:
                 self._fork_children()
             busy = self._children[:active - 1]
@@ -217,6 +227,8 @@ class Pool:
             for i in _block(0, n, active):
                 results.append(job(i))
                 _receive(busy, 0)       # a child waits while its pipe is full
+            if meanwhile is not None:
+                meanwhile()
             while not all(child.done for child in busy):
                 _receive(busy, None)
             return results + _in_job_order(n, active, busy)

@@ -75,6 +75,11 @@ class WorldSpec:
             raise ValueError("feature_dim must be at least 1")
         if not self.feature_noise >= 0:
             raise ValueError("feature_noise must be nonnegative")
+        if not (math.isfinite(self.feature_scale) and self.feature_scale > 0):
+            raise ValueError(f"feature_scale must be positive and finite, "
+                             f"got {self.feature_scale}")
+        if not self.min_separation >= 0:      # NaN fails too
+            raise ValueError(f"min_separation must be nonnegative, got {self.min_separation}")
         if not self.classes:
             raise ValueError("classes must name at least one terrain class")
         widths = {len(c.eta) for c in self.classes}

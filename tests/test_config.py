@@ -504,6 +504,17 @@ def test_malformed_shapes_refused_with_the_key_path():
                                           "lambda_r nonnegative"),
     ({"training.n_theta": 0, "training.theta_r": []}, "training: n_theta must be at least 1"),
     ({"provider.world_file": "world.tdc"}, "provider: world_file is read only in mode"),
+    ({"sim.control_period": float("inf")}, "sim: control_period must be positive and finite"),
+    ({"sim.control_period": float("nan")}, "sim: control_period must be positive and finite"),
+    ({"scenario.start_margin_frac": float("nan")},
+     "scenario: start_margin_frac must lie in [0, 0.5)"),
+    ({"scenario.start_margin_frac": 0.7}, "scenario: start_margin_frac must lie in [0, 0.5)"),
+    ({"scenario.fig8_amp_x": float("nan")}, "scenario: fig8_amp_x and fig8_amp_y must be"),
+    ({"scenario.fig8_amp_y": float("inf")}, "scenario: fig8_amp_x and fig8_amp_y must be"),
+    ({"world.min_separation": float("nan")}, "world: min_separation must be nonnegative"),
+    ({"world.min_separation": -1.0}, "world: min_separation must be nonnegative"),
+    ({"world.feature_scale": -1.0}, "world: feature_scale must be positive and finite"),
+    ({"world.feature_scale": float("nan")}, "world: feature_scale must be positive and finite"),
 ], ids=["hold-zero", "hold-negative", "fig8-zero", "fig8-negative", "circle-radius",
         "circle-speed", "short-range", "scalar-range", "scalar-eta",
         "kind-vehicle", "circle-fault", "recorded", "u-v-max", "u-omega-max", "u-delta-max",
@@ -513,7 +524,10 @@ def test_malformed_shapes_refused_with_the_key_path():
         "conv-tol-negative", "conv-tol-nan", "hidden-zero", "hidden-negative",
         "dt-plant-zero", "dt-plant-large", "half-spacing-nan", "duration-nan",
         "cell-size-nan", "feature-noise-nan", "lam-nan", "r-diag-nan", "q-diag-nan",
-        "learning-rate-nan", "lambda-r-nan", "n-theta-zero", "synthetic-world-file"])
+        "learning-rate-nan", "lambda-r-nan", "n-theta-zero", "synthetic-world-file",
+        "control-period-inf", "control-period-nan", "start-margin-nan", "start-margin-large",
+        "fig8-amp-x-nan", "fig8-amp-y-inf", "min-separation-nan", "min-separation-negative",
+        "feature-scale-negative", "feature-scale-nan"])
 def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message):
     """A hold at or below zero made the velocity reference loop forever, a
     zero figure-8 period divided by zero, a nonpositive circle stopped
@@ -537,7 +551,13 @@ def test_new_refusals_exit_2_before_any_output(tmp_path, capsys, patch, message)
     lam, r_diag or q_diag entry rejected every adaptation step of a run
     that reported a normal summary, and a NaN learning_rate, like n_theta
     0, stopped train with exit 1 after gen-data had run. A world_file in
-    mode synthetic was accepted and ignored."""
+    mode synthetic was accepted and ignored. An infinite control period
+    stopped every command with an OverflowError traceback; a NaN or too
+    large start margin and a NaN figure-8 amplitude stopped evaluate at its
+    first episode, after gen-data and train had run; a NaN or negative
+    min_separation and a negative feature_scale failed the world build
+    after 1000 placement tries per class, asking to lower the one or
+    raise the other."""
     with open(os.path.join(CONFIGS, "quickstart.yaml")) as f:
         raw = yaml.safe_load(f)
     out = tmp_path / "out"

@@ -423,10 +423,12 @@ def test_packs_hold_each_window_once(windows, target):
              if any(counts[j - 1] * n_packs <= k * total < counts[j] * n_packs
                     for k in range(1, n_packs))]
     longest = max(lengths)
-    packs = list(training._packs(list(first), list(lengths), target))
-    assert [lo for lo, *_ in packs] == [0, *opens]
+    bounds = training._packs(list(first), list(lengths), target)
+    packs = list(zip(bounds, bounds[1:]))
+    assert [lo for lo, _ in packs] == [0, *opens]
     packed = []
-    for lo, hi, rows, at in packs:
+    for lo, hi in packs:
+        rows, at = training._pack_rows(first[lo:hi], lengths[lo:hi])
         packed.extend(range(lo, hi))
         assert np.all(np.diff(rows) > 0)
         covered = set()
@@ -870,9 +872,9 @@ def test_one_pack_step_sends_no_message(monkeypatch):
             assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
-def long_window_cfg():
+def long_window_cfg(**kw):
     """Windows of 20-45 s on a 0.05 s log: most are packs of their own."""
-    return small_cfg(window_min_s=20.0, window_max_s=45.0, max_iters=3)
+    return small_cfg(**{"window_min_s": 20.0, "window_max_s": 45.0, "max_iters": 3, **kw})
 
 
 def test_no_worker_is_left_after_training_returns_or_diverges(monkeypatch):
@@ -904,3 +906,85 @@ def test_interrupt_in_training_kills_and_reaps_the_workers(monkeypatch):
         on_cpus(monkeypatch, 2, lambda: train(two_traj_dataset(length=1000), long_window_cfg()))
     assert time.monotonic() - began < 30
     assert len(sent) == 1
+
+
+def test_train_on_two_workers_draws_the_windows_of_sequential_sampling(monkeypatch):
+    """Each step's windows, the next step's drawn during the round before,
+    are those that one draw after another from the seed gives, step by
+    step. No batch is drawn past the iteration cap; a converged run draws
+    one batch it does not use."""
+    ds = two_traj_dataset(length=1000)
+    drawn, steps = [], []
+    minibatch = training.minibatch_cost_and_grad
+
+    def recording_draw(rng, dataset, c):
+        w = sample_window(rng, dataset, c)
+        drawn.append(w)
+        return w
+
+    def recording_step(net, dataset, specs, *args):
+        steps.append(list(specs))
+        return minibatch(net, dataset, specs, *args)
+
+    monkeypatch.setattr(training, "sample_window", recording_draw)
+    monkeypatch.setattr(training, "minibatch_cost_and_grad", recording_step)
+    sent = count_messages(monkeypatch)
+    # (config, steps run, batches drawn); the second converges at its second step
+    for cfg, iterations, batches in ((long_window_cfg(max_iters=4), 4, 4),
+                                     (long_window_cfg(max_iters=6, conv_tol=1e6,
+                                                      conv_window=1), 2, 3)):
+        drawn.clear()
+        steps.clear()
+        net = BasisNet.init(2, 3, 2, 2, 2, hidden=(8,), rng=1)
+        result = on_cpus(monkeypatch, 2, lambda: train(ds, cfg, net=net))
+        assert result.iterations == len(steps) == iterations
+        replay = np.random.default_rng(cfg.seed)
+        want = [sample_window(replay, ds, cfg) for _ in range(batches * cfg.batch_windows)]
+        assert drawn == want
+        b = cfg.batch_windows
+        assert steps == [want[i * b:(i + 1) * b] for i in range(len(steps))]
+    assert sent, "no step ran on the second worker"
+
+
+def test_round_runs_meanwhile_once_after_this_process_block(monkeypatch, caplog):
+    """Once per round, on one CPU and on two: after the jobs of this
+    process's block, and before the records of the children's jobs."""
+    log = logging.getLogger("terradapt.test")
+
+    def prepare(n):
+        def job(i):
+            log.warning("job %d", i)
+            return i
+        return job, n
+
+    def run():
+        with workers.Pool(prepare, 2) as pool:
+            return [pool.round(n, lambda: log.warning("meanwhile")) for n in (1, 3, 2)]
+
+    want = {1: ["job 0", "meanwhile", "job 0", "job 1", "job 2", "meanwhile",
+                "job 0", "job 1", "meanwhile"],
+            2: ["job 0", "meanwhile", "job 0", "meanwhile", "job 1", "job 2",
+                "job 0", "meanwhile", "job 1"]}
+    for n_cpus, order in want.items():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="terradapt"):
+            assert on_cpus(monkeypatch, n_cpus, run) == [[0], [0, 1, 2], [0, 1]]
+        assert [r.getMessage() for r in caplog.records] == order
+
+
+def test_exception_in_meanwhile_kills_and_reaps_the_children(monkeypatch):
+    """The child's job sleeps a minute; meanwhile raises in this process."""
+    def prepare(payload):
+        return (lambda i: time.sleep(60) if i else i), 2
+
+    def fails():
+        raise ValueError("no next batch")
+
+    def run():
+        with workers.Pool(prepare, 2) as pool:
+            pool.round(None, fails)
+
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="no next batch"):
+        on_cpus(monkeypatch, 2, run)
+    assert time.monotonic() - began < 30
